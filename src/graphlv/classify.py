@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BoundaryCondition, CompetitionParams, FieldPair, Problem
+from .dynamics import BoundaryCondition, CompetitionParams, FieldPair, Problem, _pair_arrays
 from .errors import DegenerateTriangle, InputError, RequiresSteadySolve
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
@@ -109,14 +109,6 @@ def classify_neumann(params: CompetitionParams) -> Regime:
     return Regime(RegimeKind.BISTABLE, certs, None)
 
 
-def _initial_values(initial) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(initial, FieldPair):
-        u0, v0 = initial.u, initial.v
-    else:
-        u0, v0 = initial
-    return np.atleast_1d(np.asarray(u0, dtype=float)), np.atleast_1d(np.asarray(v0, dtype=float))
-
-
 def classify_bistable_basin(params: CompetitionParams, initial) -> Regime:
     """Resolve a bistable regime using the initial-data basin boxes.
 
@@ -128,7 +120,7 @@ def classify_bistable_basin(params: CompetitionParams, initial) -> Regime:
     if base.kind is not RegimeKind.BISTABLE:
         raise InputError(f"parameters are not bistable (got {base.kind.value})")
     point = coexistence_point(params)
-    u0, v0 = _initial_values(initial)
+    u0, v0 = _pair_arrays(initial)
     u0 = u0[~np.isnan(u0)]
     v0 = v0[~np.isnan(v0)]
     u_box = (

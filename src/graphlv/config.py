@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import BoundaryCondition, CompetitionParams, Problem
-from .errors import ConfigInvalid, GraphLVError, InputError
+from .errors import ConfigInvalid, InputError
 from .graphs import boundary_of, build_graph
 
 _BC_NAMES = {bc.value: bc for bc in BoundaryCondition}
@@ -122,7 +122,7 @@ def problem_from_document(doc: dict) -> Problem:
     unknown = set(params_doc) - set(_PARAM_KEYS)
     if unknown:
         raise ConfigInvalid(f"unknown params: {sorted(unknown)}")
-    values = {k: float(params_doc[k]) for k in params_doc}
+    values = {k: _number(v, f"params.{k}") for k, v in params_doc.items()}
     for key in ("a1", "b1", "c1", "a2", "b2", "c2"):
         if key not in values:
             raise ConfigInvalid(f'params.{key} is required')
@@ -151,15 +151,15 @@ def config_from_document(
     initial_u = _initial_side(problem, initial_doc["u"], "u")
     initial_v = _initial_side(problem, initial_doc["v"], "v")
 
-    t_end = float(doc.get("t_end", 10.0)) if t_end is None else float(t_end)
+    t_end = _number(doc.get("t_end", 10.0) if t_end is None else t_end, "t_end")
     if not np.isfinite(t_end) or t_end <= 0.0:
         raise ConfigInvalid(f"t_end must be positive and finite, got {t_end}")
     if dt is None and "dt" in doc and doc["dt"] is not None:
-        dt = float(doc["dt"])
+        dt = _number(doc["dt"], "dt")
     if dt is not None and (not np.isfinite(dt) or dt <= 0.0):
         raise ConfigInvalid(f"dt must be positive and finite, got {dt}")
     if tol is None:
-        tol = float(doc.get("tol", 1e-8))
+        tol = _number(doc.get("tol", 1e-8), "tol")
     if not np.isfinite(tol) or tol <= 0.0:
         raise ConfigInvalid(f"tol must be positive and finite, got {tol}")
 
@@ -173,7 +173,7 @@ def _initial_side(problem: Problem, data, name: str):
         unknown = set(data) - set(graph.vertices)
         if unknown:
             raise ConfigInvalid(f"initial.{name} names unknown vertices: {sorted(unknown)}")
-        values = {k: float(v) for k, v in data.items()}
+        values = {k: _number(v, f"initial.{name}.{k}") for k, v in data.items()}
         if any(not np.isfinite(v) or v < 0.0 for v in values.values()):
             raise ConfigInvalid(f"initial.{name} must be nonnegative and finite")
         missing = [graph.vertices[i] for i in problem.active_idx
@@ -220,22 +220,23 @@ def sweep_spec_from_document(doc: dict) -> dict:
                 raise ConfigInvalid(
                     f"sweep.grid.{key} object form needs exactly start/stop/count"
                 )
-            count = int(spec["count"])
+            count = _number(spec["count"], f"sweep.grid.{key}.count", int)
             if count < 1:
                 raise ConfigInvalid(f"sweep.grid.{key}.count must be >= 1")
-            values = np.linspace(float(spec["start"]), float(spec["stop"]), count)
+            values = np.linspace(_number(spec["start"], f"sweep.grid.{key}.start"),
+                                 _number(spec["stop"], f"sweep.grid.{key}.stop"), count)
             axes[key] = [float(v) for v in values]
         elif isinstance(spec, list) and spec:
-            axes[key] = [float(v) for v in spec]
+            axes[key] = [_number(v, f"sweep.grid.{key} value") for v in spec]
         else:
             raise ConfigInvalid(f"sweep.grid.{key} must be a value list or start/stop/count")
         if any(not np.isfinite(v) or v <= 0.0 for v in axes[key]):
             raise ConfigInvalid(f"sweep.grid.{key} values must be positive and finite")
     return {
         "axes": axes,
-        "t_end": float(sweep.get("t_end", 200.0)),
-        "tol": float(sweep.get("tol", 1e-2)),
-        "max_points": int(sweep.get("max_points", 2000)),
+        "t_end": _number(sweep.get("t_end", 200.0), "sweep.t_end"),
+        "tol": _number(sweep.get("tol", 1e-2), "sweep.tol"),
+        "max_points": _number(sweep.get("max_points", 2000), "sweep.max_points", int),
     }
 
 
@@ -248,5 +249,8 @@ def _require(doc: dict, key: str, kind):
     return value
 
 
-def describe_error(exc: GraphLVError) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _number(value, what: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigInvalid(f"{what} must be a number, got {value!r}") from None

@@ -201,14 +201,21 @@ def stable_dt(problem: Problem, m_u: float, m_v: float) -> float:
     return 0.5 / (diff + lf)
 
 
+def _pair_arrays(pair, graph: WeightedGraph | None = None, required_idx=None):
+    """Float arrays (u, v) from a FieldPair or a (u, v) tuple.
+
+    Given a graph, each side may be anything ``field_array`` accepts and
+    comes back as a full-order vector; otherwise it is read as an array.
+    """
+    u, v = (pair.u, pair.v) if isinstance(pair, FieldPair) else pair
+    if graph is not None:
+        return (field_array(graph, u, required_idx=required_idx),
+                field_array(graph, v, required_idx=required_idx))
+    return np.atleast_1d(np.asarray(u, dtype=float)), np.atleast_1d(np.asarray(v, dtype=float))
+
+
 def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(initial, FieldPair):
-        u_in, v_in = initial.u, initial.v
-    else:
-        u_in, v_in = initial
-    need = problem.active_idx
-    u = field_array(problem.graph, u_in, required_idx=need)
-    v = field_array(problem.graph, v_in, required_idx=need)
+    u, v = _pair_arrays(initial, problem.graph, required_idx=problem.active_idx)
     full = np.zeros((2, problem.graph.n))
     closure = problem.closure_idx
     for out, vals in zip(full, (u, v)):
@@ -218,7 +225,7 @@ def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
     if problem.bc is BoundaryCondition.DIRICHLET:
         bnd = problem.partition.boundary_idx
         if np.any(u[bnd] != 0.0) or np.any(v[bnd] != 0.0):
-            raise ValueError("Dirichlet initial data must vanish on the boundary")
+            raise InputError("Dirichlet initial data must vanish on the boundary")
     if np.any(u[closure] < 0.0) or np.any(v[closure] < 0.0):
         raise NegativeInitial("initial data must be nonnegative")
     return u, v
@@ -284,8 +291,7 @@ def integrate(
     def rhs(state: np.ndarray) -> np.ndarray:
         u = state[:n_act]
         v = state[n_act:]
-        f1 = u * (p.a1 - p.b1 * u - p.c1 * v)
-        f2 = v * (p.a2 - p.b2 * u - p.c2 * v)
+        f1, f2 = reaction(p, u, v)
         return np.concatenate([d1 * (red1 @ u) + f1, d2 * (red2 @ v) + f2])
 
     targets = sample_times(t_end, dt, max_samples=max_samples, forced=forced_times)

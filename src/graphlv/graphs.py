@@ -72,10 +72,6 @@ class WeightedGraph:
     def adjacency(self) -> np.ndarray:
         return self.w1 > 0.0
 
-    def neighbors(self, name: Vertex) -> tuple[Vertex, ...]:
-        row = self.adjacency[self.index(name)]
-        return tuple(v for v, adj in zip(self.vertices, row) if adj)
-
 
 @dataclass(frozen=True, eq=False)
 class DomainPartition:
@@ -101,6 +97,13 @@ def _check_species(species: int) -> int:
     return species
 
 
+def _as_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be a number, got {value!r}") from None
+
+
 def _weight_matrix(vertices, index, table, label: str) -> np.ndarray:
     n = len(vertices)
     w = np.zeros((n, n))
@@ -113,7 +116,7 @@ def _weight_matrix(vertices, index, table, label: str) -> np.ndarray:
             raise SelfLoop(f"{label}: self-loop at {a!r}")
         if a not in index or b not in index:
             raise InputError(f"{label}: edge ({a!r}, {b!r}) uses an unknown vertex")
-        val = float(val)
+        val = _as_float(val, f"{label}: edge ({a!r}, {b!r}) weight")
         if not np.isfinite(val) or val <= 0.0:
             raise InputError(f"{label}: edge ({a!r}, {b!r}) needs a positive finite weight, got {val}")
         i, j = index[a], index[b]
@@ -133,9 +136,12 @@ def _measure_vector(vertices, index, measure, weights: np.ndarray, label: str) -
         missing = [v for v in vertices if v not in measure]
         if missing:
             raise MissingVertexValue(f"{label}: no measure for {missing}")
-        mu = np.array([float(measure[v]) for v in vertices])
+        mu = np.array([_as_float(measure[v], f"{label}: measure of {v!r}") for v in vertices])
     else:
-        mu = np.asarray(measure, dtype=float)
+        try:
+            mu = np.asarray(measure, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError(f"{label}: measure values must be numbers") from None
         if mu.shape != (len(vertices),):
             raise InputError(f"{label}: measure must have one value per vertex")
     if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
@@ -272,6 +278,37 @@ def dirichlet_blocks(
     return l_ii, l_ib
 
 
+def _closure_laplacian(graph: WeightedGraph, species: int,
+                       partition: DomainPartition | None = None):
+    """The Laplacian at the active rows, as a map on full-order fields.
+
+    The returned function takes fields of shape (..., n) in graph vertex
+    order. With no partition it is the whole-graph operator at every
+    vertex; with one it gives the subgraph operator at the interior
+    vertices, reading the field on the closure only.
+    """
+    if partition is None:
+        lap = whole_laplacian(graph, species)
+        return lambda u: u @ lap.T
+    l_ii, l_ib = dirichlet_blocks(graph, species, partition)
+    ii, bb = partition.interior_idx, partition.boundary_idx
+    return lambda u: u[..., ii] @ l_ii.T + u[..., bb] @ l_ib.T
+
+
+def _boundary_normal(graph: WeightedGraph, species: int, partition: DomainPartition):
+    """The outward normal derivative at every boundary vertex, as a map.
+
+    The returned function takes fields of shape (..., n) in graph vertex
+    order and gives sum over interior y of (u(x) - u(y)) w_xy / mu(x) at
+    each boundary vertex x, in partition order.
+    """
+    ii, bb = partition.interior_idx, partition.boundary_idx
+    w_bi = graph.weights(species)[np.ix_(bb, ii)]
+    rowsum = w_bi.sum(axis=1)
+    mu_b = graph.measure(species)[bb]
+    return lambda u: (u[..., bb] * rowsum - u[..., ii] @ w_bi.T) / mu_b
+
+
 def laplacian_apply(
     graph: WeightedGraph,
     species: int,
@@ -287,12 +324,11 @@ def laplacian_apply(
     """
     if mode is DomainMode.WHOLE_GRAPH:
         u = field_array(graph, field, required_idx=np.arange(graph.n))
-        return whole_laplacian(graph, species) @ u
+        return _closure_laplacian(graph, species)(u)
     if partition is None:
         raise InputError("subgraph mode needs a partition")
     u = field_array(graph, field, required_idx=partition.closure_idx)
-    l_ii, l_ib = dirichlet_blocks(graph, species, partition)
-    return l_ii @ u[partition.interior_idx] + l_ib @ u[partition.boundary_idx]
+    return _closure_laplacian(graph, species, partition)(u)
 
 
 def normal_derivative(
@@ -307,11 +343,9 @@ def normal_derivative(
     Computes sum over interior neighbours y of (u(x) - u(y)) w_xy / mu(x).
     """
     x = graph.index(at)
-    if x not in set(partition.boundary_idx.tolist()):
+    boundary = partition.boundary_idx.tolist()
+    if x not in boundary:
         raise NotBoundaryVertex(f"{at!r} is not a boundary vertex of the partition")
     needed = np.concatenate([partition.interior_idx, [x]])
     u = field_array(graph, field, required_idx=needed)
-    w = graph.weights(species)
-    mu = graph.measure(species)
-    ii = partition.interior_idx
-    return float(np.sum((u[x] - u[ii]) * w[x, ii]) / mu[x])
+    return float(_boundary_normal(graph, species, partition)(u)[boundary.index(x)])

@@ -27,7 +27,11 @@ from .dynamics import (
     Problem,
     Trajectory,
     _coerce_initial,
+    _materialize,
+    _Operators,
+    _pair_arrays,
     integrate,
+    reaction,
     reduced_operators,
 )
 from .errors import (
@@ -45,8 +49,9 @@ from .errors import (
 from .graphs import (
     DomainPartition,
     WeightedGraph,
+    _boundary_normal,
+    _closure_laplacian,
     dirichlet_blocks,
-    whole_laplacian,
 )
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
@@ -244,12 +249,7 @@ def maximum_principle_check(
             raise HypothesisNotMet(f"component {k}: initial data exceeds 0 by "
                                    f"{float(init.max()):.3e}")
         hyp_worst = max(hyp_worst, max(0.0, float(init.max())))
-        if whole:
-            lap_op = whole_laplacian(system.graph, system.species[k])
-            lap = fields[k] @ lap_op.T
-        else:
-            l_ii, l_ib = dirichlet_blocks(system.graph, system.species[k], part)
-            lap = fields[k][:, part.interior_idx] @ l_ii.T + fields[k][:, part.boundary_idx] @ l_ib.T
+        lap = _closure_laplacian(system.graph, system.species[k], part)(fields[k])
         coupled = np.einsum("lx,tlx->tx", h[k][:, interior_idx],
                             fields[:, :, interior_idx].transpose(1, 0, 2))
         resid = dfields_dt[k][:, interior_idx] - system.d[k] * lap + coupled
@@ -264,12 +264,7 @@ def maximum_principle_check(
                     raise HypothesisNotMet(f"component {k}: boundary values exceed 0")
                 hyp_worst = max(hyp_worst, max(0.0, float(bvals.max())))
             elif system.bc[k] is BoundaryCondition.NEUMANN:
-                w = system.graph.weights(system.species[k])
-                mu = system.graph.measure(system.species[k])
-                w_bi = w[np.ix_(part.boundary_idx, part.interior_idx)]
-                rowsum = w_bi.sum(axis=1)
-                normal = (fields[k][:, part.boundary_idx] * rowsum
-                          - fields[k][:, part.interior_idx] @ w_bi.T) / mu[part.boundary_idx]
+                normal = _boundary_normal(system.graph, system.species[k], part)(fields[k])
                 if np.any(normal > hyp_tol):
                     raise HypothesisNotMet(f"component {k}: boundary operator exceeds 0 by "
                                            f"{float(normal.max()):.3e}")
@@ -322,25 +317,8 @@ def verify_coupled_pair(
     n = problem.graph.n
     grid = np.asarray(grid, dtype=float)
     part = problem.partition
-    if part is None:
-        interior_idx = np.arange(n)
-    else:
-        interior_idx = part.interior_idx
-
-    if part is not None:
-        l1_ii, l1_ib = dirichlet_blocks(problem.graph, 1, part)
-        l2_ii, l2_ib = dirichlet_blocks(problem.graph, 2, part)
-
-        def lap(species, full):
-            l_ii, l_ib = (l1_ii, l1_ib) if species == 1 else (l2_ii, l2_ib)
-            return l_ii @ full[part.interior_idx] + l_ib @ full[part.boundary_idx]
-    else:
-        lop1 = whole_laplacian(problem.graph, 1)
-        lop2 = whole_laplacian(problem.graph, 2)
-
-        def lap(species, full):
-            return (lop1 if species == 1 else lop2) @ full
-
+    interior_idx = problem.active_idx
+    lap = {species: _closure_laplacian(problem.graph, species, part) for species in (1, 2)}
     slacks = {
         "upper_u_pde": np.inf, "upper_v_pde": np.inf,
         "lower_u_pde": np.inf, "lower_v_pde": np.inf,
@@ -350,39 +328,24 @@ def verify_coupled_pair(
         for name in ("upper_u", "upper_v", "lower_u", "lower_v"):
             slacks[f"boundary_{name}"] = np.inf
 
-    if part is not None and problem.bc is BoundaryCondition.NEUMANN:
-        normals = []
-        for species in (1, 2):
-            w = problem.graph.weights(species)
-            mu = problem.graph.measure(species)
-            w_bi = w[np.ix_(part.boundary_idx, part.interior_idx)]
-            normals.append((w_bi, w_bi.sum(axis=1), mu[part.boundary_idx]))
-
-        def normal(species, full):
-            w_bi, rowsum, mu_b = normals[species - 1]
-            return (full[part.boundary_idx] * rowsum - w_bi @ full[part.interior_idx]) / mu_b
+    if problem.bc is BoundaryCondition.NEUMANN:
+        normal = {species: _boundary_normal(problem.graph, species, part) for species in (1, 2)}
 
     fields = {"upper_u": pair.u_upper, "upper_v": pair.v_upper,
               "lower_u": pair.u_lower, "lower_v": pair.v_lower}
     species_of = {"upper_u": 1, "upper_v": 2, "lower_u": 1, "lower_v": 2}
     d_of = {"upper_u": p.d1, "upper_v": p.d2, "lower_u": p.d1, "lower_v": p.d2}
 
-    def kinetics(name, values):
-        if name == "upper_u":
-            return values["upper_u"] * (p.a1 - p.b1 * values["upper_u"] - p.c1 * values["lower_v"])
-        if name == "lower_u":
-            return values["lower_u"] * (p.a1 - p.b1 * values["lower_u"] - p.c1 * values["upper_v"])
-        if name == "upper_v":
-            return values["upper_v"] * (p.a2 - p.b2 * values["lower_u"] - p.c2 * values["upper_v"])
-        return values["lower_v"] * (p.a2 - p.b2 * values["upper_u"] - p.c2 * values["lower_v"])
-
     for t in grid:
         values = {name: _tf_value(tf, float(t), n) for name, tf in fields.items()}
         derivs = {name: _tf_derivative(tf, float(t), n, pair.t0, pair.t_end)
                   for name, tf in fields.items()}
+        act = {name: v[interior_idx] for name, v in values.items()}
+        kinetics = dict(zip(("upper_u", "lower_v"), reaction(p, act["upper_u"], act["lower_v"])))
+        kinetics.update(zip(("lower_u", "upper_v"), reaction(p, act["lower_u"], act["upper_v"])))
         for name in fields:
-            pde = derivs[name][interior_idx] - d_of[name] * lap(species_of[name], values[name])
-            residual = pde - kinetics(name, {k: v[interior_idx] for k, v in values.items()})
+            pde = derivs[name][interior_idx] - d_of[name] * lap[species_of[name]](values[name])
+            residual = pde - kinetics[name]
             sign = 1.0 if name.startswith("upper") else -1.0
             slacks[f"{name}_pde"] = min(slacks[f"{name}_pde"], float((sign * residual).min()))
         slacks["order_u"] = min(slacks["order_u"],
@@ -393,25 +356,19 @@ def verify_coupled_pair(
             for name in fields:
                 sign = 1.0 if name.startswith("upper") else -1.0
                 if problem.bc is BoundaryCondition.NEUMANN:
-                    bval = normal(species_of[name], values[name])
+                    bval = normal[species_of[name]](values[name])
                 else:
                     bval = values[name][part.boundary_idx]
                 slacks[f"boundary_{name}"] = min(slacks[f"boundary_{name}"],
                                                  float((sign * bval).min()))
 
     if initial is not None:
-        if isinstance(initial, FieldPair):
-            u0, v0 = initial.u, initial.v
-        else:
-            u0, v0 = initial
-        u0 = np.asarray(u0, dtype=float)
-        v0 = np.asarray(v0, dtype=float)
+        u0, v0 = _pair_arrays(initial)
         values = {name: _tf_value(tf, pair.t0, n) for name, tf in fields.items()}
-        check_idx = interior_idx
-        slacks["initial_u"] = float(min((values["upper_u"] - u0)[check_idx].min(),
-                                        (u0 - values["lower_u"])[check_idx].min()))
-        slacks["initial_v"] = float(min((values["upper_v"] - v0)[check_idx].min(),
-                                        (v0 - values["lower_v"])[check_idx].min()))
+        slacks["initial_u"] = float(min((values["upper_u"] - u0)[interior_idx].min(),
+                                        (u0 - values["lower_u"])[interior_idx].min()))
+        slacks["initial_v"] = float(min((values["upper_v"] - v0)[interior_idx].min(),
+                                        (v0 - values["lower_v"])[interior_idx].min()))
 
     passed = all(s >= -slack_tol for s in slacks.values())
     return PairReport(slacks=slacks, passed=passed, tol=slack_tol)
@@ -422,12 +379,7 @@ def verify_coupled_pair(
 # ---------------------------------------------------------------------------
 
 def _state_extrema(state) -> tuple[float, float, float, float]:
-    if isinstance(state, FieldPair):
-        u, v = state.u, state.v
-    else:
-        u, v = state
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    u, v = _pair_arrays(state)
     u = u[~np.isnan(u)]
     v = v[~np.isnan(v)]
     return float(u.min()), float(u.max()), float(v.min()), float(v.max())
@@ -479,7 +431,7 @@ def analytic_envelopes(
         raise InputError("state_at_t0 is required to anchor the envelopes")
     min_u, max_u, min_v, max_v = _state_extrema(state_at_t0)
     if max_u >= (p.a1 + eps) / p.b1 or max_v >= (p.a2 + eps) / p.c2:
-        raise ValueError(
+        raise InputError(
             "state at t0 is not strictly below the upper envelope; integrate past "
             "the transient (or enlarge epsilon) before building envelopes"
         )
@@ -634,13 +586,10 @@ class CoexistenceBounds:
     info: dict
 
 
-def _march(problem: Problem, start: FieldPair, direction_u: int, direction_v: int,
+def _march(problem: Problem, ops: _Operators, start: FieldPair, direction_u: int, direction_v: int,
            tol: float, t_max: float):
     """Integrate until steady, asserting per-sample monotonicity per species."""
-    part = problem.partition
-    ii = part.interior_idx
-    l1_ii, _ = dirichlet_blocks(problem.graph, 1, part)
-    l2_ii, _ = dirichlet_blocks(problem.graph, 2, part)
+    ii = ops.act
     p = problem.params
     state = start
     t_done = 0.0
@@ -660,8 +609,9 @@ def _march(problem: Problem, start: FieldPair, direction_u: int, direction_v: in
         state = traj.final
         t_done += 1.0
         u_i, v_i = state.u[ii], state.v[ii]
-        res_u = float(np.max(np.abs(p.d1 * (l1_ii @ u_i) + u_i * (p.a1 - p.b1 * u_i - p.c1 * v_i))))
-        res_v = float(np.max(np.abs(p.d2 * (l2_ii @ v_i) + v_i * (p.a2 - p.b2 * u_i - p.c2 * v_i))))
+        f1, f2 = reaction(p, u_i, v_i)
+        res_u = float(np.max(np.abs(p.d1 * (ops.red1 @ u_i) + f1)))
+        res_v = float(np.max(np.abs(p.d2 * (ops.red2 @ v_i) + f2)))
         if diffs < tol and res_u <= tol and res_v <= tol:
             return state, res_u, res_v, t_done
     raise NoConvergence(f"ordered march did not settle within t_max={t_max}")
@@ -720,19 +670,13 @@ def coexistence_bounds(
     elif delta <= 0.0:
         raise InputError("delta must be positive")
 
-    n = problem.graph.n
-    ii = part.interior_idx
+    ops = reduced_operators(problem)
+    ii = ops.act
+    upper_start = _materialize(problem, ops, (1.0 + epsilon) * s1.values, delta * eig2.phi)
+    lower_start = _materialize(problem, ops, delta * eig1.phi, (1.0 + epsilon) * s2.values)
 
-    def full(interior_values):
-        out = np.zeros(n)
-        out[ii] = interior_values
-        return out
-
-    upper_start = FieldPair(u=full((1.0 + epsilon) * s1.values), v=full(delta * eig2.phi))
-    lower_start = FieldPair(u=full(delta * eig1.phi), v=full((1.0 + epsilon) * s2.values))
-
-    state_a, res_au, res_av, t_a = _march(problem, upper_start, -1, +1, tol, t_max)
-    state_b, res_bu, res_bv, t_b = _march(problem, lower_start, +1, -1, tol, t_max)
+    state_a, res_au, res_av, t_a = _march(problem, ops, upper_start, -1, +1, tol, t_max)
+    state_b, res_bu, res_bv, t_b = _march(problem, ops, lower_start, +1, -1, tol, t_max)
 
     s_upper, r_lower = state_a.u[ii], state_a.v[ii]
     s_lower, r_upper = state_b.u[ii], state_b.v[ii]
@@ -744,9 +688,10 @@ def coexistence_bounds(
     if unique:
         spread_u = float(np.max(np.abs(s_upper - s_lower)))
         spread_v = float(np.max(np.abs(r_upper - r_lower)))
-        assert max(spread_u, spread_v) <= 10.0 * tol, (
-            f"collapse condition holds but bounds differ by {max(spread_u, spread_v):.3e}"
-        )
+        if max(spread_u, spread_v) > 10.0 * tol:
+            raise NoConvergence(
+                f"collapse condition holds but bounds differ by {max(spread_u, spread_v):.3e}"
+            )
 
     return CoexistenceBounds(
         s_lower=s_lower, s_upper=s_upper, r_lower=r_lower, r_upper=r_upper,
@@ -876,20 +821,14 @@ def monotone_solve(
     lower_u = eval_on_fine(pair.u_lower)
     lower_v = eval_on_fine(pair.v_lower)
 
-    def f1(u, v):
-        return u * (p.a1 - p.b1 * u - p.c1 * v)
-
-    def f2(u, v):
-        return v * (p.a2 - p.b2 * u - p.c2 * v)
-
     min_slack = np.inf
     iterations = 0
     gap = np.inf
     for iterations in range(1, max_iters + 1):
-        g_u = np.stack([f1(upper_u, lower_v) + m_const * upper_u,
-                        f1(lower_u, upper_v) + m_const * lower_u], axis=-1)
-        g_v = np.stack([f2(lower_u, upper_v) + m_const * upper_v,
-                        f2(upper_u, lower_v) + m_const * lower_v], axis=-1)
+        f_upper_u, f_lower_v = reaction(p, upper_u, lower_v)
+        f_lower_u, f_upper_v = reaction(p, lower_u, upper_v)
+        g_u = np.stack([f_upper_u + m_const * upper_u, f_lower_u + m_const * lower_u], axis=-1)
+        g_v = np.stack([f_upper_v + m_const * upper_v, f_lower_v + m_const * lower_v], axis=-1)
         out_u = _sweep(props1, grid_h, g_u, np.stack([u0, u0], axis=-1))
         out_v = _sweep(props2, grid_h, g_v, np.stack([v0, v0], axis=-1))
         new_upper_u, new_lower_u = out_u[..., 0], out_u[..., 1]
@@ -915,18 +854,8 @@ def monotone_solve(
         raise NoConvergence(f"sweeps did not close the gap below {tol:.1e} "
                             f"in {max_iters} iterations (gap {gap:.3e})")
 
-    states = []
-    for idx in grid_index:
-        u_act = 0.5 * (upper_u[idx] + lower_u[idx])
-        v_act = 0.5 * (upper_v[idx] + lower_v[idx])
-        u_f = np.zeros(n)
-        v_f = np.zeros(n)
-        u_f[ops.act] = u_act
-        v_f[ops.act] = v_act
-        if problem.bc is BoundaryCondition.NEUMANN:
-            u_f[ops.bnd] = ops.proj1 @ u_act
-            v_f[ops.bnd] = ops.proj2 @ v_act
-        states.append(FieldPair(u=u_f, v=v_f))
+    states = [_materialize(problem, ops, 0.5 * (upper_u[idx] + lower_u[idx]),
+                           0.5 * (upper_v[idx] + lower_v[idx])) for idx in grid_index]
     return Trajectory(
         times=t_grid.copy(),
         states=states,

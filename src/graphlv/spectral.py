@@ -105,7 +105,10 @@ def smallest_dirichlet_eigenpair(
     phi = x / root
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi
-    assert np.all(phi > 0), "principal eigenvector must be strictly positive on a connected interior"
+    if not np.all(phi > 0):
+        raise NoConvergence(
+            "principal eigenvector must be strictly positive on a connected interior"
+        )
     phi = phi / phi.max()
     lam = float((phi @ (mu * (a @ phi))) / (phi @ (mu * phi)))
     residual = float(np.max(np.abs(a @ phi - lam * phi)))

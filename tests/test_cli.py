@@ -282,6 +282,48 @@ class TestSweep:
         assert "GridTooLarge" in capsys.readouterr().err
 
 
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+NON_NUMERIC = {
+    "param": ("simulate", _set(("params", "a1"), "abc")),
+    "edge-weight": ("simulate", _set(("graph", "edges", 0, 2), "w")),
+    "measure": ("simulate", _set(("graph", "measures"),
+                                 {"1": {"x1": "m", "x2": 1.0, "x3": 1.0}})),
+    "t_end": ("simulate", _set(("t_end",), "x")),
+    "dt": ("simulate", _set(("dt",), "x")),
+    "tol": ("simulate", _set(("tol",), [1])),
+    "grid-value": ("sweep", _set(("sweep", "grid", "a1"), [0.5, "x"])),
+    "grid-start": ("sweep", _set(("sweep", "grid", "a1"),
+                                 {"start": "x", "stop": 1.0, "count": 2})),
+    "grid-stop": ("sweep", _set(("sweep", "grid", "a1"),
+                                {"start": 0.5, "stop": None, "count": 2})),
+    "grid-count": ("sweep", _set(("sweep", "grid", "a1"),
+                                 {"start": 0.5, "stop": 1.0, "count": "two"})),
+    "sweep-t_end": ("sweep", _set(("sweep", "t_end"), "x")),
+    "sweep-tol": ("sweep", _set(("sweep", "tol"), "x")),
+    "sweep-max_points": ("sweep", _set(("sweep", "max_points"), "many")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC))
+def test_non_numeric_config_value_is_a_config_error(tmp_path, capsys, case):
+    command, mutate = NON_NUMERIC[case]
+    doc = triangle_doc()
+    doc["sweep"] = {"grid": {"a1": [0.5, 2.0]}, "t_end": 1.0, "tol": 1e-2, "max_points": 10}
+    mutate(doc)
+    cfg = write_config(tmp_path, doc)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(argv + (["--workers", "1"] if command == "sweep" else [])) == 2
+    assert "ConfigInvalid" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -95,7 +95,7 @@ class TestInitialData:
     def test_dirichlet_boundary_must_vanish(self, reflecting):
         graph, part = reflecting
         prob = Problem(graph, PARAMS_I, bc=BoundaryCondition.DIRICHLET, partition=part)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             integrate(prob, (np.ones(5), np.ones(5)), t_end=1.0)
 
     def test_mapping_initial_fills_inactive_with_zero(self, reflecting):

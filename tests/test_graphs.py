@@ -33,6 +33,7 @@ from graphlv.errors import (
     NotConnected,
     SelfLoop,
 )
+from graphlv.graphs import _boundary_normal
 
 
 class TestBuildGraph:
@@ -207,6 +208,21 @@ class TestNormalDerivative:
             got = normal_derivative(graph, 1, part, u, at)
             want = naive_normal_derivative(graph, 1, part, u, graph.index(at))
             assert got == pytest.approx(want, abs=1e-14)
+
+        cases = [(graph, part)]
+        for seed in range(8):
+            seeded = np.random.default_rng(seed)
+            g = random_connected_graph(seeded, split_weights=True, random_measure=True)
+            cases.append((g, random_connected_interior(seeded, g)))
+        for g, p in cases:
+            fields = rng.normal(size=(3, g.n))
+            for species in (1, 2):
+                got = _boundary_normal(g, species, p)(fields)
+                assert got.shape == (3, p.boundary_idx.size)
+                for row, field in zip(got, fields):
+                    want = [naive_normal_derivative(g, species, p, field, x)
+                            for x in p.boundary_idx]
+                    np.testing.assert_allclose(row, want, rtol=0, atol=1e-14)
 
     def test_interior_vertex_rejected(self, reflecting):
         graph, part = reflecting

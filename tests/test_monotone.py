@@ -313,7 +313,7 @@ class TestEnvelopes:
             analytic_envelopes(1, SET_I, epsilon=-0.5, state_at_t0=state)
 
     def test_state_above_upper_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             analytic_envelopes(1, SET_I, state_at_t0=(np.full(3, 10.0), np.ones(3)))
 
     def test_zero_state_has_no_sigma(self):
