@@ -9,13 +9,12 @@ identical configs give byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import itertools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -108,21 +107,24 @@ def _basin_initial(problem, cfg) -> tuple[np.ndarray, np.ndarray]:
     return state.u[idx], state.v[idx]
 
 
-def _classify_problem(doc, problem):
-    if problem.bc is BoundaryCondition.DIRICHLET:
-        eig1, eig2 = eigenpairs_for(problem)
-        return classify_dirichlet(problem.params, eig1, eig2)
-    regime = classify_neumann(problem.params)
-    if regime.kind.value == "bistable" and "initial" in doc:
-        cfg = config_from_document(doc)
-        regime = classify_bistable_basin(problem.params, _basin_initial(problem, cfg))
+def _classify_problem(params, eigs, basin):
+    """Regime of params; ``basin()``, if given, yields initial data for a bistable regime."""
+    if eigs is not None:
+        return classify_dirichlet(params, *eigs)
+    regime = classify_neumann(params)
+    if regime.kind.value == "bistable" and basin is not None:
+        regime = classify_bistable_basin(params, basin())
     return regime
 
 
 def _cmd_classify(args) -> int:
     doc = load_document(args.config)
     problem = problem_from_document(doc)
-    regime = _classify_problem(doc, problem)
+    eigs = eigenpairs_for(problem) if problem.bc is BoundaryCondition.DIRICHLET else None
+    basin = None
+    if "initial" in doc:
+        basin = lambda: _basin_initial(problem, config_from_document(doc))
+    regime = _classify_problem(problem.params, eigs, basin)
     print(f"regime: {regime.kind.value}")
     for cert in regime.certificates:
         state = "yes" if cert.satisfied else "no"
@@ -232,42 +234,9 @@ def _cmd_reproduce(args) -> int:
     return 4 if failures else 0
 
 
-def _sweep_point(payload) -> dict:
-    doc, names, values, t_end, agree_tol = payload
-    doc = copy.deepcopy(doc)
-    doc["params"] = {**doc["params"], **dict(zip(names, values))}
-    doc.pop("sweep", None)
-    cfg = config_from_document(doc, t_end=t_end)
-    problem = cfg.problem
-    regime = _classify_problem(doc, problem)
-    margin = min(abs(c.margin) for c in regime.certificates)
-    traj = integrate(problem, (cfg.initial_u, cfg.initial_v), cfg.t_end,
-                     max_samples=2)
-    final = traj.final
-    idx = problem.closure_idx
-    row = {name: value for name, value in zip(names, values)}
-    row.update(kind=regime.kind.value, margin=margin,
-               u_min=float(final.u[idx].min()), u_max=float(final.u[idx].max()),
-               v_min=float(final.v[idx].min()), v_max=float(final.v[idx].max()))
-    if regime.predicted is not None and regime.predicted.kind == "constant":
-        pred_u, pred_v = regime.predicted.u, regime.predicted.v
-        sup_err = max(float(np.max(np.abs(final.u[idx] - pred_u))),
-                      float(np.max(np.abs(final.v[idx] - pred_v))))
-        row.update(pred_u=pred_u, pred_v=pred_v, sup_err=sup_err)
-        if margin > 0.05:
-            row["agree"] = "yes" if sup_err <= agree_tol else "no"
-        else:
-            row["agree"] = "exempt"
-    else:
-        row.update(pred_u=float("nan"), pred_v=float("nan"), sup_err=float("nan"),
-                   agree="exempt")
-    return row
-
-
 def _cmd_sweep(args) -> int:
     doc = load_document(args.config)
     spec = sweep_spec_from_document(doc)
-    config_from_document(doc)
     axes = spec["axes"]
     names = tuple(sorted(axes))
     points = list(itertools.product(*(axes[name] for name in names)))
@@ -276,13 +245,34 @@ def _cmd_sweep(args) -> int:
                            "(raise sweep.max_points to allow this)")
     t_end = args.t_end if args.t_end is not None else spec["t_end"]
     agree_tol = args.tol if args.tol is not None else spec["tol"]
-    payloads = [(doc, names, values, t_end, agree_tol) for values in points]
-    workers = args.workers if args.workers else min(4, os.cpu_count() or 1)
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
-    else:
-        rows = [_sweep_point(payload) for payload in payloads]
+    cfg = config_from_document(doc, t_end=t_end)
+    problem = cfg.problem
+    eigs = eigenpairs_for(problem) if problem.bc is BoundaryCondition.DIRICHLET else None
+    basin = _basin_initial(problem, cfg)
+    batch = dataclasses.replace(problem.params, **dict(zip(names, np.array(points).T)))
+    final = integrate(dataclasses.replace(problem, params=batch),
+                      (cfg.initial_u, cfg.initial_v), cfg.t_end, max_samples=2).final
+    idx = problem.closure_idx
+    rows = []
+    for j, values in enumerate(points):
+        row = dict(zip(names, values))
+        regime = _classify_problem(dataclasses.replace(problem.params, **row), eigs, lambda: basin)
+        margin = min(abs(c.margin) for c in regime.certificates)
+        u, v = final.u[idx, j], final.v[idx, j]
+        row.update(kind=regime.kind.value, margin=margin, u_min=float(u.min()),
+                   u_max=float(u.max()), v_min=float(v.min()), v_max=float(v.max()))
+        if regime.predicted is not None and regime.predicted.kind == "constant":
+            pred_u, pred_v = regime.predicted.u, regime.predicted.v
+            sup_err = max(float(np.max(np.abs(u - pred_u))), float(np.max(np.abs(v - pred_v))))
+            row.update(pred_u=pred_u, pred_v=pred_v, sup_err=sup_err)
+            if margin > 0.05:
+                row["agree"] = "yes" if sup_err <= agree_tol else "no"
+            else:
+                row["agree"] = "exempt"
+        else:
+            row.update(pred_u=float("nan"), pred_v=float("nan"), sup_err=float("nan"),
+                       agree="exempt")
+        rows.append(row)
     out = _ensure_dir(args.out)
     path = os.path.join(out, "sweep.csv")
     columns = list(names) + ["kind", "margin", "pred_u", "pred_v",
@@ -330,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce = add("reproduce", "run a built-in example against its known limit",
                     config=False)
     reproduce.add_argument("id", help='one of the built-in case ids, or "all"')
-    sweep = add("sweep", "classify and simulate over a parameter grid", out="out")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="parallel worker processes (default: up to 4)")
+    add("sweep", "classify and simulate over a parameter grid", out="out")
     return parser
 
 

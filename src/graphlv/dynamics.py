@@ -33,11 +33,13 @@ from .graphs import (
 
 _CLAMP = 1e-12
 _RECT_SLACK = 1e-9
+_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
 class CompetitionParams:
-    """Growth, self-limitation, competition, and diffusion coefficients."""
+    """Growth, self-limitation, competition, and diffusion coefficients; fields
+    may be 1-D float arrays of one length P, a batch of P parameter sets."""
 
     a1: float
     b1: float
@@ -49,10 +51,17 @@ class CompetitionParams:
     d2: float = 1.0
 
     def __post_init__(self) -> None:
+        lengths = set()
         for name in ("a1", "b1", "c1", "a2", "b2", "c2", "d1", "d2"):
             val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
+            if isinstance(val, (int, float)) and math.isfinite(val) and val > 0:
+                continue
+            if not (isinstance(val, np.ndarray) and val.ndim == 1 and val.dtype.kind == "f"
+                    and val.size and np.all(np.isfinite(val) & (val > 0))):
                 raise InputError(f"parameter {name} must be positive and finite, got {val!r}")
+            lengths.add(val.size)
+        if len(lengths) > 1:
+            raise InputError(f"array parameters must share one length, got {sorted(lengths)}")
 
 
 class BoundaryCondition(enum.Enum):
@@ -119,9 +128,9 @@ def reaction(params: CompetitionParams, u, v):
 
 
 def invariant_rectangle(params: CompetitionParams, u0, v0) -> tuple[float, float]:
-    """Componentwise bounds [0, M_u] x [0, M_v] preserved by the flow."""
-    m_u = max(params.a1 / params.b1, float(np.max(u0)))
-    m_v = max(float(np.max(v0)), params.a2 / params.c2)
+    """Componentwise bounds [0, M_u] x [0, M_v] preserved by the flow, per parameter set."""
+    m_u = np.maximum(params.a1 / params.b1, float(np.max(u0)))
+    m_v = np.maximum(float(np.max(v0)), params.a2 / params.c2)
     return m_u, m_v
 
 
@@ -187,8 +196,8 @@ def neumann_project(problem: Problem, state: FieldPair) -> FieldPair:
     return FieldPair(u=u, v=v)
 
 
-def stable_dt(problem: Problem, m_u: float, m_v: float) -> float:
-    """Step cap: 0.5 over (diffusion rate + reaction Lipschitz bound)."""
+def stable_dt(problem: Problem, m_u, m_v) -> float:
+    """Step cap: 0.5 over (diffusion rate + reaction Lipschitz bound), smallest over a batch."""
     p = problem.params
     closure = problem.closure_idx
     diff = 0.0
@@ -196,9 +205,10 @@ def stable_dt(problem: Problem, m_u: float, m_v: float) -> float:
         w = problem.graph.weights(species)
         mu = problem.graph.measure(species)
         rows = w[np.ix_(problem.active_idx, closure)].sum(axis=1) / mu[problem.active_idx]
-        diff = max(diff, d * float(rows.max()))
-    lf = p.a1 + 2 * p.b1 * m_u + p.c1 * m_v + p.a2 + p.b2 * m_u + 2 * p.c2 * m_v
-    return 0.5 / (diff + lf)
+        diff = np.maximum(diff, d * float(rows.max()))
+    with np.errstate(over="ignore"):     # huge data: lf = inf, step 0, rejected by integrate
+        lf = p.a1 + 2 * p.b1 * m_u + p.c1 * m_v + p.a2 + p.b2 * m_u + 2 * p.c2 * m_v
+    return float(np.min(0.5 / (diff + lf)))
 
 
 def _pair_arrays(pair, graph: WeightedGraph | None = None, required_idx=None):
@@ -246,8 +256,8 @@ def sample_times(t_end: float, dt: float, max_samples: int = 250, forced=()) -> 
 
 
 def _materialize(problem: Problem, ops: _Operators, u_act, v_act) -> FieldPair:
-    u = np.zeros(problem.graph.n)
-    v = np.zeros(problem.graph.n)
+    u = np.zeros((problem.graph.n,) + np.shape(u_act)[1:])
+    v = np.zeros_like(u)
     u[ops.act] = u_act
     v[ops.act] = v_act
     if problem.bc is BoundaryCondition.NEUMANN:
@@ -269,7 +279,9 @@ def integrate(
     Steps that push the state out of the invariant rectangle (or below
     -1e-12) are rejected and retried at half the step for the rest of
     the run; roundoff undershoots in (-1e-12, 0) are clamped to zero and
-    counted in the metadata.
+    counted in the metadata. A run that would need more than 10**7 steps
+    raises StepSizeUnstable. Batched params give each state a trailing
+    axis of length P, and the batch shares one step and sample schedule.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise InputError(f"t_end must be positive and finite, got {t_end}")
@@ -281,11 +293,16 @@ def integrate(
         dt = stable_dt(problem, m_u, m_v)
     elif not (math.isfinite(dt) and dt > 0):
         raise InputError(f"dt must be positive and finite, got {dt}")
+    if not (math.isfinite(dt) and dt > 0) or t_end / dt > _MAX_STEPS:
+        raise StepSizeUnstable(f"step {dt:.3e} up to t={t_end:.6g} exceeds the budget "
+                               f"of {_MAX_STEPS} steps")
     dt_min = dt * 2.0**-20
 
     red1, red2 = ops.red1, ops.red2
     d1, d2 = p.d1, p.d2
-    y = np.concatenate([u_full[ops.act], v_full[ops.act]])
+    # one column per parameter set when the params are a batch
+    y = np.multiply.outer(np.concatenate([u_full[ops.act], v_full[ops.act]]),
+                          np.ones(np.broadcast(*vars(p).values()).shape))
     n_act = ops.act.size
 
     def rhs(state: np.ndarray) -> np.ndarray:
@@ -303,6 +320,8 @@ def integrate(
     t = 0.0
     for target in targets[1:]:
         while t < target - 1e-12 * max(1.0, target):
+            if n_steps >= _MAX_STEPS:
+                raise StepSizeUnstable(f"budget of {_MAX_STEPS} steps spent at t={t:.6g}")
             h = min(dt_cur, target - t)
             while True:
                 k1 = rhs(y)
@@ -311,15 +330,15 @@ def integrate(
                 k4 = rhs(y + h * k3)
                 y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                 low = float(y_new.min())
-                high_u = float(y_new[:n_act].max())
-                high_v = float(y_new[n_act:].max())
-                if low <= -_CLAMP or high_u > m_u + _RECT_SLACK or high_v > m_v + _RECT_SLACK:
+                out_u = np.any(y_new[:n_act].max(axis=0) > m_u + _RECT_SLACK)
+                out_v = np.any(y_new[n_act:].max(axis=0) > m_v + _RECT_SLACK)
+                if low <= -_CLAMP or out_u or out_v:
                     dt_cur *= 0.5
                     n_halvings += 1
                     if dt_cur < dt_min:
                         raise StepSizeUnstable(
-                            f"state left [0, {m_u:.6g}] x [0, {m_v:.6g}] at t={t:.6g} "
-                            f"and halving reached dt={dt_cur:.3e}"
+                            f"state left [0, {np.max(m_u):.6g}] x [0, {np.max(m_v):.6g}] "
+                            f"at t={t:.6g} and halving reached dt={dt_cur:.3e}"
                         )
                     h = min(dt_cur, target - t)
                     continue

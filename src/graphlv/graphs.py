@@ -179,16 +179,12 @@ def build_graph(
 
 
 def _require_connected(vertices, adj: np.ndarray) -> None:
-    n = len(vertices)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        for y in np.flatnonzero(adj[x]):
-            if not seen[y]:
-                seen[y] = True
-                stack.append(int(y))
+    seen = np.zeros(len(vertices), dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = adj[frontier].any(axis=0) & ~seen
     if not seen.all():
         missing = [vertices[i] for i in np.flatnonzero(~seen)]
         raise NotConnected(f"graph is not connected; unreachable from {vertices[0]!r}: {missing}")
@@ -198,7 +194,8 @@ def boundary_of(graph: WeightedGraph, interior: Iterable[Vertex]) -> DomainParti
     """Partition the graph into ``interior`` and its vertex boundary.
 
     The boundary is every vertex outside the interior adjacent to it.
-    Interior must be a nonempty strict subset of the vertex set.
+    Interior must be a nonempty strict subset of the vertex set that
+    induces a connected subgraph.
     """
     wanted = set(interior)
     unknown = wanted - set(graph.vertices)
@@ -210,6 +207,11 @@ def boundary_of(graph: WeightedGraph, interior: Iterable[Vertex]) -> DomainParti
         raise InteriorNotSubset("interior must be a strict subset of the vertex set")
     interior_idx = np.array([i for i, v in enumerate(graph.vertices) if v in wanted], dtype=int)
     adj = graph.adjacency
+    try:
+        _require_connected([graph.vertices[i] for i in interior_idx],
+                           adj[interior_idx][:, interior_idx])
+    except NotConnected as exc:
+        raise NotConnected(f"interior does not induce a connected subgraph: {exc}") from None
     touched = adj[interior_idx].any(axis=0)
     boundary_mask = touched.copy()
     boundary_mask[interior_idx] = False

@@ -1,14 +1,23 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
 import csv
+import dataclasses
+import importlib.util
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphlv
+import graphlv.classify
+from graphlv import CompetitionParams, Problem, classify_neumann, integrate
 from graphlv.cli import main
+from graphlv.fixtures import triangle_example
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -85,6 +94,30 @@ class TestSimulate:
         code = main(["simulate", "--config", cfg, "--out", out, "--dt", "1e9"])
         assert code == 3
         assert "StepSizeUnstable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u0", [1e308, 1e8])
+    def test_huge_initial_data_exits_three(self, tmp_path, u0):
+        cfg = write_config(tmp_path, triangle_doc(initial={"u": u0, "v": 1.0}))
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphlv.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphlv.cli", "simulate", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 3
+        assert "StepSizeUnstable" in proc.stderr
+
+    def test_disconnected_interior_is_a_config_error(self, tmp_path, capsys):
+        doc = absorbing_doc()
+        doc["graph"] = {
+            "vertices": ["x1", "x2", "x3", "x4"],
+            "edges": [["x1", "x2", 1.0], ["x2", "x3", 1.0], ["x3", "x4", 1.0]],
+            "interior": ["x1", "x3", "x4"],
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid" in err and "connected" in err
 
     def test_bad_config_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, triangle_doc())
@@ -239,7 +272,7 @@ class TestSweep:
         doc = self.sweep_doc({"a1": [0.5, 2.0], "a2": [0.5, 2.0]})
         cfg = write_config(tmp_path, doc)
         out = str(tmp_path / "o")
-        assert main(["sweep", "--config", cfg, "--out", out, "--workers", "1"]) == 0
+        assert main(["sweep", "--config", cfg, "--out", out]) == 0
         rows = read_csv(out + "/sweep.csv")
         assert rows[0] == ["a1", "a2", "kind", "margin", "pred_u", "pred_v",
                            "u_min", "u_max", "v_min", "v_max", "sup_err", "agree"]
@@ -259,21 +292,60 @@ class TestSweep:
         doc = self.sweep_doc({"a1": [2.0]})
         cfg = write_config(tmp_path, doc)
         out = str(tmp_path / "o")
-        assert main(["sweep", "--config", cfg, "--out", out, "--workers", "1"]) == 0
+        assert main(["sweep", "--config", cfg, "--out", out]) == 0
         rows = read_csv(out + "/sweep.csv")
         assert len(rows) == 2
 
-    def test_parallel_matches_serial(self, tmp_path):
-        doc = self.sweep_doc({"a1": [0.5, 2.0]})
+    def test_rows_match_pointwise_runs(self, tmp_path):
+        doc = self.sweep_doc({"a1": [0.5, 1.0, 2.0], "a2": [0.5, 1.0, 2.0]})
         cfg = write_config(tmp_path, doc)
-        out_serial, out_par = str(tmp_path / "s"), str(tmp_path / "p")
-        assert main(["sweep", "--config", cfg, "--out", out_serial,
-                     "--workers", "1"]) == 0
-        assert main(["sweep", "--config", cfg, "--out", out_par,
-                     "--workers", "2"]) == 0
-        serial = (tmp_path / "s" / "sweep.csv").read_bytes()
-        parallel = (tmp_path / "p" / "sweep.csv").read_bytes()
-        assert serial == parallel
+        out = str(tmp_path / "o")
+        assert main(["sweep", "--config", cfg, "--out", out]) == 0
+        with open(out + "/sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        base = CompetitionParams(**doc["params"])
+        for row in rows:
+            params = dataclasses.replace(base, a1=float(row["a1"]), a2=float(row["a2"]))
+            regime = classify_neumann(params)
+            margin = min(abs(c.margin) for c in regime.certificates)
+            final = integrate(Problem(triangle_example(), params), (1.0, 1.0), 60.0,
+                              max_samples=2).final
+            expected = {"u_min": final.u.min(), "u_max": final.u.max(),
+                        "v_min": final.v.min(), "v_max": final.v.max()}
+            agree = "exempt"
+            if regime.predicted is not None:
+                expected["pred_u"], expected["pred_v"] = regime.predicted.u, regime.predicted.v
+                expected["sup_err"] = max(np.max(np.abs(final.u - regime.predicted.u)),
+                                          np.max(np.abs(final.v - regime.predicted.v)))
+                if margin > 0.05:
+                    agree = "yes" if expected["sup_err"] <= 1e-2 else "no"
+            assert row["kind"] == regime.kind.value
+            assert float(row["margin"]) == margin
+            assert row["agree"] == agree
+            for column, value in expected.items():
+                assert abs(float(row[column]) - value) <= 1e-9, column
+
+    def test_one_integrate_and_one_eigen_solve_per_species(self, tmp_path, monkeypatch):
+        calls = []
+        for module, name in ((graphlv.cli, "integrate"),
+                             (graphlv.classify, "smallest_dirichlet_eigenpair")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        doc = absorbing_doc()
+        doc["sweep"] = {"grid": {"a1": [0.05, 0.5, 2.0], "d2": [0.1, 1.0]}, "t_end": 5.0}
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(read_csv(str(tmp_path / "o" / "sweep.csv"))) == 7
+        assert sorted(calls) == ["integrate"] + ["smallest_dirichlet_eigenpair"] * 2
+
+    def test_workers_flag_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, self.sweep_doc({"a1": [2.0]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"])
+        assert exc.value.code == 2
 
     def test_oversized_grid_rejected(self, tmp_path, capsys):
         doc = self.sweep_doc({"a1": [0.5, 1.0], "a2": [0.5, 1.0]}, max_points=2)
@@ -320,7 +392,7 @@ def test_non_numeric_config_value_is_a_config_error(tmp_path, capsys, case):
     mutate(doc)
     cfg = write_config(tmp_path, doc)
     argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
-    assert main(argv + (["--workers", "1"] if command == "sweep" else [])) == 2
+    assert main(argv) == 2
     assert "ConfigInvalid" in capsys.readouterr().err
 
 
@@ -336,3 +408,21 @@ def test_console_entry_point():
     proc = subprocess.run(["graphlv", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "reproduce" in proc.stdout
+
+
+def test_regime_sweep_script(tmp_path, monkeypatch):
+    """The 11x11 (a1, a2) sweep of scripts/regime_sweep.py, end to end."""
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "regime_sweep.py"
+    spec = importlib.util.spec_from_file_location("regime_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), str(tmp_path)])
+    assert script.main() == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 121
+    assert not [row for row in rows if row["agree"] == "no"]
+    base = CompetitionParams(**script.DOC["params"])
+    for row in rows:
+        params = dataclasses.replace(base, a1=float(row["a1"]), a2=float(row["a2"]))
+        assert row["kind"] == classify_neumann(params).kind.value

@@ -1,7 +1,10 @@
 """Problem construction, invariant rectangle, and the explicit integrator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import random_connected_graph, random_connected_interior
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from graphlv.errors import (
     NegativeInitial,
     StepSizeUnstable,
 )
+from graphlv.fixtures import reflecting_example, triangle_example
 from graphlv.graphs import DomainPartition, boundary_of, build_graph
 
 PARAMS_I = CompetitionParams(a1=1.0, b1=2.0, c1=2.0, a2=1.0, b2=1.0, c2=1.0)
@@ -35,6 +39,20 @@ class TestParams:
     def test_positive_finite_required(self, bad):
         with pytest.raises(InputError):
             CompetitionParams(a1=bad, b1=1.0, c1=1.0, a2=1.0, b2=1.0, c2=1.0)
+
+    @pytest.mark.parametrize("fields", [
+        {"a1": np.array([1.0, 2.0]), "c2": np.array([1.0, 2.0, 3.0])},
+        {"a1": np.ones((2, 2))},
+        {"a1": np.array([])},
+        {"a1": np.array([1, 2])},
+        {"a1": np.array([1.0, np.nan])},
+        {"a1": np.array([1.0, np.inf])},
+        {"a1": np.array([1.0, 0.0])},
+        {"d2": np.array([1.0, -1.0])},
+    ], ids=["lengths", "2d", "empty", "int", "nan", "inf", "zero", "negative"])
+    def test_batch_fields_validated(self, fields):
+        with pytest.raises(InputError):
+            dataclasses.replace(PARAMS_I, **fields)
 
     def test_diffusion_defaults_to_one(self):
         assert PARAMS_I.d1 == 1.0 and PARAMS_I.d2 == 1.0
@@ -216,3 +234,69 @@ class TestIntegrate:
         assert md["n_steps"] > 0 and md["dt"] > 0.0
         assert md["bc"] == "none"
         assert traj.final is traj.states[-1]
+
+
+def _dirichlet_case():
+    rng = np.random.default_rng(11)
+    graph = random_connected_graph(rng, split_weights=True, random_measure=True)
+    part = random_connected_interior(rng, graph)
+    initial = np.zeros((2, graph.n))
+    initial[:, part.interior_idx] = rng.uniform(0.1, 1.0, (2, part.interior_idx.size))
+    return Problem(graph, PARAMS_I, bc=BoundaryCondition.DIRICHLET, partition=part), initial
+
+
+REFLECTING = reflecting_example()
+BATCH_CASES = {
+    "triangle": (Problem(triangle_example(), PARAMS_I),
+                 (np.array([0.7, 0.6, 0.5]), np.array([0.4, 0.3, 0.2]))),
+    "neumann": (Problem(REFLECTING[0], PARAMS_I, bc=BoundaryCondition.NEUMANN,
+                        partition=REFLECTING[1]),
+                ({"x1": 0.7, "x2": 0.6, "x3": 0.5}, {"x1": 0.4, "x2": 0.3, "x3": 0.2})),
+    "dirichlet": _dirichlet_case(),
+}
+
+
+class TestBatch:
+    A1 = np.array([0.5, 1.0, 2.0, 3.0])
+    C2 = np.array([0.5, 1.0, 1.0, 2.0])
+    D1 = np.array([0.1, 1.0, 0.5, 2.0])
+
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_columns_match_scalar_runs(self, case):
+        problem, initial = BATCH_CASES[case]
+        batch = dataclasses.replace(problem.params, a1=self.A1, c2=self.C2, d1=self.D1)
+        traj = integrate(dataclasses.replace(problem, params=batch), initial,
+                         t_end=1.0, dt=1e-3, max_samples=6)
+        assert traj.final.u.shape == (problem.graph.n, self.A1.size)
+        for j in range(self.A1.size):
+            point = dataclasses.replace(problem.params, a1=self.A1[j], c2=self.C2[j],
+                                        d1=self.D1[j])
+            single = integrate(dataclasses.replace(problem, params=point), initial,
+                               t_end=1.0, dt=1e-3, max_samples=6)
+            assert np.array_equal(single.times, traj.times)
+            for s_single, s_batch in zip(single.states, traj.states):
+                assert np.max(np.abs(s_batch.u[:, j] - s_single.u)) <= 1e-12
+                assert np.max(np.abs(s_batch.v[:, j] - s_single.v)) <= 1e-12
+
+    def test_stable_dt_is_the_smallest_in_the_batch(self, triangle):
+        batch = dataclasses.replace(PARAMS_I, a1=self.A1)
+        prob = Problem(triangle, batch)
+        m_u, m_v = invariant_rectangle(batch, np.ones(3), np.ones(3))
+        singles = [stable_dt(Problem(triangle, dataclasses.replace(PARAMS_I, a1=a1)),
+                             *invariant_rectangle(dataclasses.replace(PARAMS_I, a1=a1),
+                                                  np.ones(3), np.ones(3)))
+                   for a1 in self.A1]
+        assert stable_dt(prob, m_u, m_v) == min(singles)
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize("u0", [1e308, 1e8])
+    def test_huge_initial_data_fails_before_stepping(self, triangle, u0):
+        prob = Problem(triangle, PARAMS_I)
+        with pytest.raises(StepSizeUnstable):
+            integrate(prob, (np.full(3, u0), np.ones(3)), t_end=1.0)
+
+    def test_explicit_step_over_budget(self, triangle):
+        prob = Problem(triangle, PARAMS_I)
+        with pytest.raises(StepSizeUnstable):
+            integrate(prob, (np.ones(3), np.ones(3)), t_end=100.0, dt=1e-6)

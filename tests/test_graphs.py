@@ -111,6 +111,14 @@ class TestBoundaryOf:
         part = boundary_of(g, ["a"])
         assert part.boundary == ("b",)
 
+    def test_disconnected_interior_rejected(self):
+        g = build_graph(
+            ["x1", "x2", "x3", "x4"],
+            [("x1", "x2", 1.0), ("x2", "x3", 1.0), ("x3", "x4", 1.0)],
+        )
+        with pytest.raises(NotConnected):
+            boundary_of(g, ["x1", "x3", "x4"])
+
 
 class TestFieldArray:
     def test_mapping_fills_missing_with_nan(self, triangle):
