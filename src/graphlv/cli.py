@@ -70,8 +70,7 @@ def _write_report(path: str, report: dict) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = config_from_document(load_document(args.config),
-                               t_end=args.t_end, dt=args.dt, tol=args.tol)
+    cfg = config_from_document(load_document(args.config), t_end=args.t_end, dt=args.dt)
     started = time.perf_counter()
     traj = integrate(cfg.problem, (cfg.initial_u, cfg.initial_v), cfg.t_end, dt=cfg.dt)
     elapsed = time.perf_counter() - started
@@ -297,30 +296,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, config=True, out=None):
+    def add(name, help_text, overrides, config=True, out=None):
         cmd = sub.add_parser(name, help=help_text)
         if config:
             cmd.add_argument("--config", required=True, help="JSON problem description")
         if out is not None:
             cmd.add_argument("--out", default=out, help="output directory")
-        cmd.add_argument("--t-end", type=float, default=None, dest="t_end",
-                         help="override the time horizon")
-        cmd.add_argument("--dt", type=float, default=None,
-                         help="override the time step (default: stability bound)")
-        cmd.add_argument("--tol", type=float, default=None, help="override the tolerance")
+        if "t_end" in overrides:
+            cmd.add_argument("--t-end", type=float, default=None, dest="t_end",
+                             help="override the time horizon")
+        if "dt" in overrides:
+            cmd.add_argument("--dt", type=float, default=None,
+                             help="override the time step (default: stability bound)")
+        if "tol" in overrides:
+            cmd.add_argument("--tol", type=float, default=None, help="override the tolerance")
         return cmd
 
-    add("simulate", "integrate a configured problem and emit trajectory.csv", out="out")
-    add("classify", "print the predicted long-time regime with its margins", out="out")
-    eigen = add("eigen", "print the smallest absorbing-boundary eigenpairs as CSV")
+    add("simulate", "integrate a configured problem and emit trajectory.csv",
+        ("t_end", "dt"), out="out")
+    add("classify", "print the predicted long-time regime with its margins", (), out="out")
+    eigen = add("eigen", "print the smallest absorbing-boundary eigenpairs as CSV", ())
     eigen.add_argument("--out", default=None, help="also write eigen.csv here")
-    steady = add("steady", "solve steady states under the absorbing boundary", out="out")
+    steady = add("steady", "solve steady states under the absorbing boundary", ("tol",),
+                 out="out")
     steady.add_argument("--bounds", action="store_true",
                         help="emit coexistence bounds instead of logistic states")
     reproduce = add("reproduce", "run a built-in example against its known limit",
-                    config=False)
+                    ("t_end", "dt", "tol"), config=False)
     reproduce.add_argument("id", help='one of the built-in case ids, or "all"')
-    add("sweep", "classify and simulate over a parameter grid", out="out")
+    add("sweep", "classify and simulate over a parameter grid", ("t_end", "tol"), out="out")
     return parser
 
 

@@ -283,25 +283,25 @@ def integrate(
     raises StepSizeUnstable. Batched params give each state a trailing
     axis of length P, and the batch shares one step and sample schedule.
     """
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise InputError(f"t_end must be positive and finite, got {t_end}")
+    return next(_windows(problem, initial, t_end, t_end, dt, max_samples, forced_times))[1]
+
+
+def _windows(problem: Problem, initial, window: float, t_max: float, dt: float | None = None,
+             max_samples: int = 250, forced_times=()):
+    """Yield (t_done, Trajectory) per window of min(window, t_max - t_done), each restarted
+    from the last final state like a fresh integrate call; the step budget spans all windows."""
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise InputError(f"t_end must be positive and finite, got {t_max}")
     p = problem.params
     ops = reduced_operators(problem)
-    u_full, v_full = _coerce_initial(problem, initial)
-    m_u, m_v = invariant_rectangle(p, u_full[problem.closure_idx], v_full[problem.closure_idx])
-    if dt is None:
-        dt = stable_dt(problem, m_u, m_v)
-    elif not (math.isfinite(dt) and dt > 0):
+    u0, v0 = _coerce_initial(problem, initial)
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise InputError(f"dt must be positive and finite, got {dt}")
-    if not (math.isfinite(dt) and dt > 0) or t_end / dt > _MAX_STEPS:
-        raise StepSizeUnstable(f"step {dt:.3e} up to t={t_end:.6g} exceeds the budget "
-                               f"of {_MAX_STEPS} steps")
-    dt_min = dt * 2.0**-20
 
     red1, red2 = ops.red1, ops.red2
     d1, d2 = p.d1, p.d2
     # one column per parameter set when the params are a batch
-    y = np.multiply.outer(np.concatenate([u_full[ops.act], v_full[ops.act]]),
+    y = np.multiply.outer(np.concatenate([u0[ops.act], v0[ops.act]]),
                           np.ones(np.broadcast(*vars(p).values()).shape))
     n_act = ops.act.size
 
@@ -311,59 +311,71 @@ def integrate(
         f1, f2 = reaction(p, u, v)
         return np.concatenate([d1 * (red1 @ u) + f1, d2 * (red2 @ v) + f2])
 
-    targets = sample_times(t_end, dt, max_samples=max_samples, forced=forced_times)
-    states = [_materialize(problem, ops, y[:n_act], y[n_act:])]
-    n_steps = 0
-    n_clamped = 0
-    n_halvings = 0
-    dt_cur = dt
-    t = 0.0
-    for target in targets[1:]:
-        while t < target - 1e-12 * max(1.0, target):
-            if n_steps >= _MAX_STEPS:
-                raise StepSizeUnstable(f"budget of {_MAX_STEPS} steps spent at t={t:.6g}")
-            h = min(dt_cur, target - t)
-            while True:
-                k1 = rhs(y)
-                k2 = rhs(y + 0.5 * h * k1)
-                k3 = rhs(y + 0.5 * h * k2)
-                k4 = rhs(y + h * k3)
-                y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                low = float(y_new.min())
-                out_u = np.any(y_new[:n_act].max(axis=0) > m_u + _RECT_SLACK)
-                out_v = np.any(y_new[n_act:].max(axis=0) > m_v + _RECT_SLACK)
-                if low <= -_CLAMP or out_u or out_v:
-                    dt_cur *= 0.5
-                    n_halvings += 1
-                    if dt_cur < dt_min:
-                        raise StepSizeUnstable(
-                            f"state left [0, {np.max(m_u):.6g}] x [0, {np.max(m_v):.6g}] "
-                            f"at t={t:.6g} and halving reached dt={dt_cur:.3e}"
-                        )
-                    h = min(dt_cur, target - t)
-                    continue
-                break
-            undershoot = (y_new < 0.0)
-            if undershoot.any():
-                n_clamped += int(undershoot.sum())
-                y_new[undershoot] = 0.0
-            y = y_new
-            t += h
-            n_steps += 1
-        t = float(target)
-        states.append(_materialize(problem, ops, y[:n_act], y[n_act:]))
-
-    return Trajectory(
-        times=targets,
-        states=states,
-        metadata={
-            "dt": dt,
-            "dt_final": dt_cur,
-            "n_steps": n_steps,
-            "n_clamped": n_clamped,
-            "n_halvings": n_halvings,
-            "m_u": m_u,
-            "m_v": m_v,
-            "bc": problem.bc.value,
-        },
-    )
+    n_spent = 0
+    t_done = 0.0
+    while t_done < t_max:
+        span = min(window, t_max - t_done)
+        m_u, m_v = invariant_rectangle(p, u0[problem.closure_idx], v0[problem.closure_idx])
+        step = stable_dt(problem, m_u, m_v) if dt is None else dt
+        if not (math.isfinite(step) and step > 0) or span / step > _MAX_STEPS - n_spent:
+            raise StepSizeUnstable(f"step {step:.3e} up to t={t_done + span:.6g} exceeds the "
+                                   f"budget of {_MAX_STEPS} steps")
+        targets = sample_times(span, step, max_samples=max_samples, forced=forced_times)
+        states = [_materialize(problem, ops, y[:n_act], y[n_act:])]
+        n_steps = 0
+        n_clamped = 0
+        n_halvings = 0
+        dt_cur = step
+        t = 0.0
+        for target in targets[1:]:
+            while t < target - 1e-12 * max(1.0, target):
+                if n_spent + n_steps >= _MAX_STEPS:
+                    raise StepSizeUnstable(f"budget of {_MAX_STEPS} steps spent at "
+                                           f"t={t_done + t:.6g}")
+                h = min(dt_cur, target - t)
+                while True:
+                    k1 = rhs(y)
+                    k2 = rhs(y + 0.5 * h * k1)
+                    k3 = rhs(y + 0.5 * h * k2)
+                    k4 = rhs(y + h * k3)
+                    y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                    low = float(y_new.min())
+                    out_u = np.any(y_new[:n_act].max(axis=0) > m_u + _RECT_SLACK)
+                    out_v = np.any(y_new[n_act:].max(axis=0) > m_v + _RECT_SLACK)
+                    if low <= -_CLAMP or out_u or out_v:
+                        dt_cur *= 0.5
+                        n_halvings += 1
+                        if dt_cur < step * 2.0**-20:
+                            raise StepSizeUnstable(
+                                f"state left [0, {np.max(m_u):.6g}] x [0, {np.max(m_v):.6g}] "
+                                f"at t={t_done + t:.6g} and halving reached dt={dt_cur:.3e}"
+                            )
+                        h = min(dt_cur, target - t)
+                        continue
+                    break
+                undershoot = (y_new < 0.0)
+                if undershoot.any():
+                    n_clamped += int(undershoot.sum())
+                    y_new[undershoot] = 0.0
+                y = y_new
+                t += h
+                n_steps += 1
+            t = float(target)
+            states.append(_materialize(problem, ops, y[:n_act], y[n_act:]))
+        n_spent += n_steps
+        t_done += span
+        u0, v0 = states[-1].u, states[-1].v
+        yield t_done, Trajectory(
+            times=targets,
+            states=states,
+            metadata={
+                "dt": step,
+                "dt_final": dt_cur,
+                "n_steps": n_steps,
+                "n_clamped": n_clamped,
+                "n_halvings": n_halvings,
+                "m_u": m_u,
+                "m_v": m_v,
+                "bc": problem.bc.value,
+            },
+        )

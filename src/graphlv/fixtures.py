@@ -9,12 +9,13 @@ with both basins), giving ten named cases with known constant limits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BoundaryCondition, CompetitionParams, FieldPair, Problem, integrate
-from .errors import UnknownExample
+from .dynamics import BoundaryCondition, CompetitionParams, FieldPair, Problem, _windows
+from .errors import InputError, UnknownExample
 from .graphs import DomainPartition, WeightedGraph, boundary_of, build_graph
 
 
@@ -127,26 +128,21 @@ def _make_params(values: dict) -> CompetitionParams:
 
 
 def run_reproduce(case_id: str, tol: float = 1e-3, t_max: float = 1000.0,
-                  dt: float | None = None, window: float = 10.0) -> ReproduceResult:
+                  dt: float | None = None) -> ReproduceResult:
     """Integrate a named case until it sits within tol of its known limit.
 
-    The run proceeds in windows and stops early once the sup-norm
+    The run proceeds in windows of 10 and stops early once the sup-norm
     distance to the expected constant limit, over the closure, drops
     below tol. Reaching t_max without converging is reported, not
     raised.
     """
     case = get_case(case_id)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be positive and finite, got {tol}")
     expected_u, expected_v = case.expected
-    state = (case.initial_u, case.initial_v)
-    t_done = 0.0
-    error = np.inf
-    final = None
-    while t_done < t_max:
-        span = min(window, t_max - t_done)
-        traj = integrate(case.problem, state, span, dt=dt, max_samples=2)
+    for t_done, traj in _windows(case.problem, (case.initial_u, case.initial_v), 10.0, t_max,
+                                 dt=dt, max_samples=2):
         final = traj.final
-        state = final
-        t_done += span
         error = max(float(np.max(np.abs(final.u - expected_u))),
                     float(np.max(np.abs(final.v - expected_v))))
         if error <= tol:

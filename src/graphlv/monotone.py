@@ -30,7 +30,7 @@ from .dynamics import (
     _materialize,
     _Operators,
     _pair_arrays,
-    integrate,
+    _windows,
     reaction,
     reduced_operators,
 )
@@ -591,23 +591,20 @@ def _march(problem: Problem, ops: _Operators, start: FieldPair, direction_u: int
     """Integrate until steady, asserting per-sample monotonicity per species."""
     ii = ops.act
     p = problem.params
-    state = start
-    t_done = 0.0
-    while t_done < t_max:
-        traj = integrate(problem, state, 1.0, max_samples=6, forced_times=(0.25, 0.5, 0.75))
+    for t_done, traj in _windows(problem, start, 1.0, t_max, max_samples=6,
+                                 forced_times=(0.25, 0.5, 0.75)):
         for prev, cur in zip(traj.states, traj.states[1:]):
             du = (cur.u - prev.u)[ii] * direction_u
             dv = (cur.v - prev.v)[ii] * direction_v
             if np.any(du < -_ORDER_SLACK) or np.any(dv < -_ORDER_SLACK):
                 raise NoConvergence(
-                    f"ordered march lost monotonicity near t={t_done:.6g}"
+                    f"ordered march lost monotonicity before t={t_done:.6g}"
                 )
         diffs = max(
             float(np.max(np.abs((cur.u - prev.u)[ii])) + np.max(np.abs((cur.v - prev.v)[ii])))
             for prev, cur in zip(traj.states, traj.states[1:])
         )
         state = traj.final
-        t_done += 1.0
         u_i, v_i = state.u[ii], state.v[ii]
         f1, f2 = reaction(p, u_i, v_i)
         res_u = float(np.max(np.abs(p.d1 * (ops.red1 @ u_i) + f1)))

@@ -258,6 +258,13 @@ class TestReproduce:
         assert code == 4
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [("--t-end", "-5"), ("--t-end", "nan"),
+                                             ("--t-end", "inf"), ("--tol", "-1"),
+                                             ("--tol", "nan"), ("--tol", "0")])
+    def test_bad_override_is_an_input_error(self, capsys, flag, value):
+        assert main(["reproduce", "neumann-i", flag, value]) == 2
+        assert "InputError" in capsys.readouterr().err
+
 
 class TestSweep:
     def sweep_doc(self, grid, max_points=2000):
@@ -394,6 +401,16 @@ def test_non_numeric_config_value_is_a_config_error(tmp_path, capsys, case):
     argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert "ConfigInvalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["classify", "--t-end", "-5"], ["eigen", "--tol", "1"],
+                                  ["steady", "--dt", "1"], ["sweep", "--dt", "1e9"],
+                                  ["simulate", "--tol", "1"]])
+def test_options_no_handler_reads_are_rejected(tmp_path, argv):
+    cfg = write_config(tmp_path, absorbing_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", cfg, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
 
 
 def test_help_exits_zero():

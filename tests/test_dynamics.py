@@ -21,7 +21,8 @@ from graphlv import (
     sample_times,
     stable_dt,
 )
-from graphlv.dynamics import reduced_operators
+from graphlv import dynamics
+from graphlv.dynamics import _windows, reduced_operators
 from graphlv.errors import (
     InputError,
     IsolatedBoundaryVertex,
@@ -125,6 +126,22 @@ class TestInitialData:
             t_end=0.1,
         )
         assert np.all(traj.states[0].u[part.boundary_idx] == 0.0)
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.NEUMANN, BoundaryCondition.DIRICHLET])
+    def test_vertices_outside_the_closure_take_no_part(self, bc):
+        # path a-b-c-d with interior {a}: the closure {a, b} leaves c and d out
+        graph = build_graph(("a", "b", "c", "d"),
+                            [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)])
+        prob = Problem(graph, PARAMS_I, bc=bc, partition=boundary_of(graph, ("a",)))
+        b0 = 0.0 if bc is BoundaryCondition.DIRICHLET else 1.0
+        far = integrate(prob, ({"a": 1.0, "b": b0, "c": 9.0, "d": 9.0},
+                               {"a": 0.5, "b": b0, "c": 9.0, "d": 9.0}), t_end=1.0)
+        near = integrate(prob, ({"a": 1.0, "b": b0, "c": 0.0, "d": 0.0},
+                                {"a": 0.5, "b": b0, "c": 0.0, "d": 0.0}), t_end=1.0)
+        assert far.metadata == near.metadata
+        for s_far, s_near in zip(far.states, near.states):
+            assert np.array_equal(s_far.u, s_near.u) and np.array_equal(s_far.v, s_near.v)
+            assert np.all(s_far.u[2:] == 0.0) and np.all(s_far.v[2:] == 0.0)
 
     def test_scalar_t_end_validated(self, triangle):
         prob = Problem(triangle, PARAMS_I)
@@ -300,3 +317,43 @@ class TestStepBudget:
         prob = Problem(triangle, PARAMS_I)
         with pytest.raises(StepSizeUnstable):
             integrate(prob, (np.ones(3), np.ones(3)), t_end=100.0, dt=1e-6)
+
+
+class TestWindows:
+    """``_windows`` against public ``integrate`` calls chained from each last final state."""
+
+    FORCED = (0.25, 0.5, 0.75)
+
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_matches_chained_integrate(self, case, dt):
+        problem, initial = BATCH_CASES[case]
+        windows = list(_windows(problem, initial, 1.0, 3.5, dt=dt, max_samples=6,
+                                forced_times=self.FORCED))
+        assert len(windows) == 4
+        state, t_done = initial, 0.0
+        for got_t, got in windows:
+            span = min(1.0, 3.5 - t_done)
+            ref = integrate(problem, state, span, dt=dt, max_samples=6,
+                            forced_times=self.FORCED)
+            state, t_done = ref.final, t_done + span
+            assert got_t == t_done
+            assert np.array_equal(got.times, ref.times)
+            assert got.metadata == ref.metadata
+            assert len(got.states) == len(ref.states)
+            for s_got, s_ref in zip(got.states, ref.states):
+                assert np.array_equal(s_got.u, s_ref.u) and np.array_equal(s_got.v, s_ref.v)
+
+    @pytest.mark.parametrize("t_max", [0.0, -5.0, np.nan, np.inf])
+    def test_horizon_validated(self, triangle, t_max):
+        with pytest.raises(InputError):
+            next(_windows(Problem(triangle, PARAMS_I), (1.0, 1.0), 1.0, t_max))
+
+    def test_step_budget_spans_windows(self, triangle, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 250)
+        prob = Problem(triangle, PARAMS_I)
+        initial = (np.ones(3), np.ones(3))
+        assert integrate(prob, initial, 1.0, dt=0.01).metadata["n_steps"] <= 250
+        with pytest.raises(StepSizeUnstable):
+            for _ in _windows(prob, initial, 1.0, 10.0, dt=0.01):
+                pass

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from graphlv import BoundaryCondition, RegimeKind, classify_bistable_basin, classify_neumann
-from graphlv.errors import UnknownExample
+from graphlv import dynamics
+from graphlv.errors import InputError, StepSizeUnstable, UnknownExample
 from graphlv.fixtures import get_case, reproduce_ids, run_reproduce
 
 ALL_IDS = [
@@ -64,3 +65,26 @@ def test_reproduce_fails_honestly_when_cut_short():
     result = run_reproduce("neumann-i", tol=1e-6, t_max=1.0)
     assert not result.passed
     assert result.error > 1e-6
+
+
+def test_reproduce_builds_the_operators_once(monkeypatch):
+    calls = []
+    build = dynamics.reduced_operators
+    monkeypatch.setattr(dynamics, "reduced_operators",
+                        lambda problem: calls.append(problem) or build(problem))
+    result = run_reproduce("neumann-i", tol=1e-8, t_max=100.0)
+    assert result.passed and result.t_reached > 10.0
+    assert len(calls) == 1
+
+
+def test_reproduce_step_budget_spans_windows(monkeypatch):
+    # each 10-unit window fits the budget on its own; the run as a whole does not
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 2000)
+    with pytest.raises(StepSizeUnstable):
+        run_reproduce("neumann-i", tol=1e-20, t_max=1000.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_reproduce_tolerance_validated(tol):
+    with pytest.raises(InputError):
+        run_reproduce("neumann-i", tol=tol)

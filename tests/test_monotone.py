@@ -26,6 +26,7 @@ from graphlv import (
     verify_coupled_pair,
     whole_laplacian,
 )
+from graphlv import dynamics, monotone
 from graphlv.dynamics import reduced_operators
 from graphlv.errors import (
     ConditionK1Violated,
@@ -391,6 +392,23 @@ class TestCoexistenceBounds:
         u, v = bounds.s_upper, bounds.r_upper
         res_u = p.d1 * (l_ii @ u) + u * (p.a1 - p.b1 * u - p.c1 * v)
         assert np.linalg.norm(res_u, ord=np.inf) <= 1e-7
+
+    def test_operators_built_at_most_three_times(self, reflecting, monkeypatch):
+        graph, part = reflecting
+        prob = Problem(graph, BOUNDS_PARAMS, bc=BoundaryCondition.DIRICHLET,
+                       partition=part)
+        calls = []
+        build = dynamics.reduced_operators
+
+        def counted(problem):
+            calls.append(problem)
+            return build(problem)
+
+        monkeypatch.setattr(dynamics, "reduced_operators", counted)
+        monkeypatch.setattr(monotone, "reduced_operators", counted)
+        bounds = coexistence_bounds(prob, tol=1e-8)
+        assert min(bounds.info["march_times"]) > 1.0
+        assert len(calls) <= 3
 
     def test_needs_absorbing_boundary(self, reflecting):
         graph, part = reflecting
