@@ -26,6 +26,9 @@ from .errors import (
 from .graphs import (
     DomainPartition,
     WeightedGraph,
+    _csr_block,
+    _csr_blocks,
+    _divide_rows,
     dirichlet_blocks,
     field_array,
     whole_laplacian,
@@ -136,7 +139,7 @@ def invariant_rectangle(params: CompetitionParams, u0, v0) -> tuple[float, float
 
 @dataclass(frozen=True, eq=False)
 class _Operators:
-    """Reduced diffusion matrices and boundary materialization data."""
+    """Reduced diffusion matrices and boundary materialization data, dense or CSR."""
 
     act: np.ndarray
     red1: np.ndarray
@@ -146,40 +149,62 @@ class _Operators:
     proj2: np.ndarray | None = None
 
 
-def _projection_matrix(graph: WeightedGraph, species: int, partition: DomainPartition) -> np.ndarray:
+# Operator storage. One CSR matvec costs about 4 us at any size below 400 vertices, while a
+# dense one is cheaper up to about 144 active vertices and grows as n_act**2 beyond; with more
+# than one nonzero in eight entries, dense wins at any size (1 BLAS thread, lattices, paths
+# and random graphs).
+_CSR_MIN_ENTRIES = 144 * 144
+_CSR_MAX_FILL = 1 / 8
+
+
+def _csr_edges(problem: Problem):
+    """The (row, col) positions of the graph's nonzero weights when the reduced operators
+    are stored as CSR, else None: CSR when the active block has at least _CSR_MIN_ENTRIES
+    entries and at most _CSR_MAX_FILL of them are nonzero."""
+    n_act = problem.active_idx.size
+    if n_act * n_act < _CSR_MIN_ENTRIES:
+        return None
+    edges = np.nonzero(problem.graph.w1)     # both species share one edge set
+    active = np.zeros(problem.graph.n, dtype=bool)
+    active[problem.active_idx] = True
+    nnz = n_act + np.count_nonzero(active[edges[0]] & active[edges[1]])
+    return edges if nnz <= _CSR_MAX_FILL * n_act * n_act else None
+
+
+def _projection_matrix(graph: WeightedGraph, species: int, partition: DomainPartition,
+                       edges=None):
+    """Boundary-to-interior weights scaled to unit row sums; CSR from ``edges`` when given."""
     w = graph.weights(species)
-    rows = w[np.ix_(partition.boundary_idx, partition.interior_idx)]
+    bb, ii = partition.boundary_idx, partition.interior_idx
+    rows = w[np.ix_(bb, ii)] if edges is None else _csr_block(w, edges, bb, ii)
     sums = rows.sum(axis=1)
     dead = np.flatnonzero(sums == 0.0)
     if dead.size:
         names = [partition.boundary[i] for i in dead]
         raise IsolatedBoundaryVertex(f"boundary vertices with no interior neighbour: {names}")
-    return rows / sums[:, None]
+    return _divide_rows(rows, sums)
 
 
 def reduced_operators(problem: Problem) -> _Operators:
-    """Diffusion restricted to the active set, boundary handling included."""
-    if problem.bc is BoundaryCondition.NO_BOUNDARY:
-        return _Operators(
-            act=np.arange(problem.graph.n),
-            red1=whole_laplacian(problem.graph, 1),
-            red2=whole_laplacian(problem.graph, 2),
-        )
-    part = problem.partition
-    l1_ii, l1_ib = dirichlet_blocks(problem.graph, 1, part)
-    l2_ii, l2_ib = dirichlet_blocks(problem.graph, 2, part)
-    if problem.bc is BoundaryCondition.DIRICHLET:
-        return _Operators(act=part.interior_idx, red1=l1_ii, red2=l2_ii, bnd=part.boundary_idx)
-    p1 = _projection_matrix(problem.graph, 1, part)
-    p2 = _projection_matrix(problem.graph, 2, part)
-    return _Operators(
-        act=part.interior_idx,
-        red1=l1_ii + l1_ib @ p1,
-        red2=l2_ii + l2_ib @ p2,
-        bnd=part.boundary_idx,
-        proj1=p1,
-        proj2=p2,
-    )
+    """Diffusion restricted to the active set, boundary handling included.
+
+    The matrices are CSR on large sparse graphs (see ``_csr_edges``) and dense otherwise.
+    """
+    graph, part = problem.graph, problem.partition
+    edges = _csr_edges(problem)
+    if edges is not None:
+        (l1, l1_ib), (l2, l2_ib) = (_csr_blocks(graph, s, part, edges) for s in (1, 2))
+    elif part is None:
+        l1, l2 = whole_laplacian(graph, 1), whole_laplacian(graph, 2)
+    else:
+        (l1, l1_ib), (l2, l2_ib) = (dirichlet_blocks(graph, s, part) for s in (1, 2))
+    act, bnd = problem.active_idx, None if part is None else part.boundary_idx
+    if problem.bc is not BoundaryCondition.NEUMANN:
+        return _Operators(act=act, red1=l1, red2=l2, bnd=bnd)
+    p1 = _projection_matrix(graph, 1, part, edges)
+    p2 = _projection_matrix(graph, 2, part, edges)
+    return _Operators(act=act, red1=l1 + l1_ib @ p1, red2=l2 + l2_ib @ p2, bnd=bnd,
+                      proj1=p1, proj2=p2)
 
 
 def neumann_project(problem: Problem, state: FieldPair) -> FieldPair:
@@ -187,8 +212,9 @@ def neumann_project(problem: Problem, state: FieldPair) -> FieldPair:
     if problem.bc is not BoundaryCondition.NEUMANN:
         raise InputError("projection only applies to the reflecting boundary condition")
     part = problem.partition
-    p1 = _projection_matrix(problem.graph, 1, part)
-    p2 = _projection_matrix(problem.graph, 2, part)
+    edges = _csr_edges(problem)
+    p1 = _projection_matrix(problem.graph, 1, part, edges)
+    p2 = _projection_matrix(problem.graph, 2, part, edges)
     u = np.asarray(state.u, dtype=float).copy()
     v = np.asarray(state.v, dtype=float).copy()
     u[part.boundary_idx] = p1 @ u[part.interior_idx]
@@ -196,8 +222,8 @@ def neumann_project(problem: Problem, state: FieldPair) -> FieldPair:
     return FieldPair(u=u, v=v)
 
 
-def stable_dt(problem: Problem, m_u, m_v) -> float:
-    """Step cap: 0.5 over (diffusion rate + reaction Lipschitz bound), smallest over a batch."""
+def _diffusion_rate(problem: Problem):
+    """Largest d * (closure degree / measure) over the active vertices and both species."""
     p = problem.params
     closure = problem.closure_idx
     diff = 0.0
@@ -206,9 +232,18 @@ def stable_dt(problem: Problem, m_u, m_v) -> float:
         mu = problem.graph.measure(species)
         rows = w[np.ix_(problem.active_idx, closure)].sum(axis=1) / mu[problem.active_idx]
         diff = np.maximum(diff, d * float(rows.max()))
+    return diff
+
+
+def _step_cap(p: CompetitionParams, diff, m_u, m_v) -> float:
     with np.errstate(over="ignore"):     # huge data: lf = inf, step 0, rejected by integrate
         lf = p.a1 + 2 * p.b1 * m_u + p.c1 * m_v + p.a2 + p.b2 * m_u + 2 * p.c2 * m_v
     return float(np.min(0.5 / (diff + lf)))
+
+
+def stable_dt(problem: Problem, m_u, m_v) -> float:
+    """Step cap: 0.5 over (diffusion rate + reaction Lipschitz bound), smallest over a batch."""
+    return _step_cap(problem.params, _diffusion_rate(problem), m_u, m_v)
 
 
 def _pair_arrays(pair, graph: WeightedGraph | None = None, required_idx=None):
@@ -311,12 +346,13 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
         f1, f2 = reaction(p, u, v)
         return np.concatenate([d1 * (red1 @ u) + f1, d2 * (red2 @ v) + f2])
 
+    rate = _diffusion_rate(problem) if dt is None else None
     n_spent = 0
     t_done = 0.0
     while t_done < t_max:
         span = min(window, t_max - t_done)
         m_u, m_v = invariant_rectangle(p, u0[problem.closure_idx], v0[problem.closure_idx])
-        step = stable_dt(problem, m_u, m_v) if dt is None else dt
+        step = _step_cap(p, rate, m_u, m_v) if dt is None else dt
         if not (math.isfinite(step) and step > 0) or span / step > _MAX_STEPS - n_spent:
             raise StepSizeUnstable(f"step {step:.3e} up to t={t_done + span:.6g} exceeds the "
                                    f"budget of {_MAX_STEPS} steps")

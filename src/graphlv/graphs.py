@@ -280,6 +280,43 @@ def dirichlet_blocks(
     return l_ii, l_ib
 
 
+def _csr_block(w: np.ndarray, edges, rows: np.ndarray, cols: np.ndarray):
+    """CSR copy of w[np.ix_(rows, cols)] built from ``edges``, the (row, col) positions of
+    the nonzeros of w, with no dense block in between."""
+    import scipy.sparse as sp    # here only: dense-stored runs never pay its memory
+
+    src, dst = edges
+    at_row = np.full(w.shape[0], -1)
+    at_row[rows] = np.arange(rows.size)
+    at_col = np.full(w.shape[0], -1)
+    at_col[cols] = np.arange(cols.size)
+    keep = (at_row[src] >= 0) & (at_col[dst] >= 0)
+    src, dst = src[keep], dst[keep]
+    return sp.csr_array((w[src, dst], (at_row[src], at_col[dst])), shape=(rows.size, cols.size))
+
+
+def _divide_rows(mat, scale: np.ndarray):
+    """mat / scale[:, None] for a dense or CSR matrix, dividing (not multiplying) the entries."""
+    if isinstance(mat, np.ndarray):
+        return mat / scale[:, None]
+    mat.data /= np.repeat(scale, np.diff(mat.indptr))
+    return mat
+
+
+def _csr_blocks(graph: WeightedGraph, species: int, partition: DomainPartition | None, edges):
+    """``dirichlet_blocks`` as CSR, or ``(whole_laplacian, None)`` with no partition, built
+    from ``edges``, the nonzero positions of the weights."""
+    import scipy.sparse as sp
+
+    w, mu = graph.weights(species), graph.measure(species)
+    ii = np.arange(graph.n) if partition is None else partition.interior_idx
+    bb = ii[:0] if partition is None else partition.boundary_idx
+    w_ii, w_ib = _csr_block(w, edges, ii, ii), _csr_block(w, edges, ii, bb)
+    closure_deg = w_ii.sum(axis=1) + w_ib.sum(axis=1)
+    l_ii = _divide_rows((w_ii - sp.diags_array(closure_deg)).tocsr(), mu[ii])
+    return l_ii, None if partition is None else _divide_rows(w_ib, mu[ii])
+
+
 def _closure_laplacian(graph: WeightedGraph, species: int,
                        partition: DomainPartition | None = None):
     """The Laplacian at the active rows, as a map on full-order fields.

@@ -56,6 +56,8 @@ from .graphs import (
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
 _ORDER_SLACK = 1e-12
+# monotone_solve keeps several dense n_act x n_act propagators per species and step length
+_MONOTONE_MAX_ACTIVE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +708,11 @@ def coexistence_bounds(
 # monotone parabolic solver
 # ---------------------------------------------------------------------------
 
+def _dense(op) -> np.ndarray:
+    """A reduced operator as a dense array, whichever its storage."""
+    return op.toarray() if hasattr(op, "toarray") else np.asarray(op)
+
+
 def _propagators(a_mat: np.ndarray, h: float):
     """expm(A h) with the first two forcing integrals, all entrywise >= 0."""
     e_mat = scipy.linalg.expm(a_mat * h)
@@ -755,13 +762,17 @@ def monotone_solve(
     range; too small an M breaks the monotone squeeze and is reported as
     NoConvergence. Returns the common limit sampled at ``t_grid``, with
     iteration diagnostics (including the worst sandwich slack) in the
-    metadata.
+    metadata. The propagators are dense, so more than 1024 active
+    vertices raise InputError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise InputError("t_grid must be an increasing array with at least two times")
     if abs(float(t_grid[0]) - pair.t0) > 1e-12:
         raise InputError("t_grid must start at the pair's t0")
+    if problem.active_idx.size > _MONOTONE_MAX_ACTIVE:
+        raise InputError(f"monotone_solve forms dense propagators; {problem.active_idx.size} "
+                         f"active vertices exceed its cap of {_MONOTONE_MAX_ACTIVE}")
 
     report = verify_coupled_pair(problem, pair, t_grid, initial=initial)
     if not report.passed:
@@ -801,8 +812,9 @@ def monotone_solve(
             out.append(prop_cache[key])
         return out
 
-    a1_mat = p.d1 * ops.red1 - m_const * np.eye(n_act)
-    a2_mat = p.d2 * ops.red2 - m_const * np.eye(n_act)
+    # expm needs dense operators; its propagators are entrywise >= 0, which the squeeze needs
+    a1_mat = p.d1 * _dense(ops.red1) - m_const * np.eye(n_act)
+    a2_mat = p.d2 * _dense(ops.red2) - m_const * np.eye(n_act)
     props1 = props_for(1, a1_mat)
     props2 = props_for(2, a2_mat)
 

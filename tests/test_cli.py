@@ -360,6 +360,24 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "GridTooLarge" in capsys.readouterr().err
 
+    def test_small_runs_never_import_scipy_sparse(self, tmp_path):
+        """Triangle and fixture problems keep dense operators, so the sparse module (and its
+        memory) stays out of a process that only runs them."""
+        doc = self.sweep_doc({"a1": [0.5, 2.0], "a2": [0.5, 2.0]})
+        cfg = write_config(tmp_path, doc)
+        script = (
+            "import sys\n"
+            "from graphlv.cli import main\n"
+            "assert main(['reproduce', 'all']) == 0\n"
+            f"assert main(['sweep', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphlv.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 def _set(path, value):
     def mutate(doc):

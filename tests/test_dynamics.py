@@ -357,3 +357,115 @@ class TestWindows:
         with pytest.raises(StepSizeUnstable):
             for _ in _windows(prob, initial, 1.0, 10.0, dt=0.01):
                 pass
+
+
+def _lattice_problem(side, bc, params=PARAMS_I, seed=12, split_weights=True):
+    """Seeded side x side four-neighbour lattice; the interior is everything off the ring."""
+    rng = np.random.default_rng(seed)
+    names = [f"r{r}c{c}" for r in range(side) for c in range(side)]
+    pairs = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    pairs += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    edges1 = [(names[i], names[j], float(rng.uniform(0.5, 1.5))) for i, j in pairs]
+    edges2 = ([(a, b, float(rng.uniform(0.5, 1.5))) for a, b, _ in edges1]
+              if split_weights else None)
+    measure = rng.uniform(1.0, 4.0, side * side) if split_weights else None
+    graph = build_graph(names, edges1, edges2, measure1=measure)
+    if bc is BoundaryCondition.NO_BOUNDARY:
+        return Problem(graph, params)
+    interior = [f"r{r}c{c}" for r in range(1, side - 1) for c in range(1, side - 1)]
+    return Problem(graph, params, bc=bc, partition=boundary_of(graph, interior))
+
+
+def _stored(monkeypatch, fn, csr: bool):
+    """fn() with the operator storage forced to CSR or to dense."""
+    monkeypatch.setattr(dynamics, "_CSR_MIN_ENTRIES", 0 if csr else np.inf)
+    monkeypatch.setattr(dynamics, "_CSR_MAX_FILL", 1.0)
+    return fn()
+
+
+def _is_csr(mat) -> bool:
+    return hasattr(mat, "toarray")
+
+
+class TestOperatorStorage:
+    """CSR-stored operators give the dense results up to roundoff."""
+
+    BCS = list(BoundaryCondition)
+
+    @pytest.mark.parametrize("bc", BCS, ids=[bc.value for bc in BCS])
+    def test_reduced_operators_agree(self, bc, monkeypatch):
+        prob = _lattice_problem(12, bc)
+        sparse = _stored(monkeypatch, lambda: reduced_operators(prob), csr=True)
+        dense = _stored(monkeypatch, lambda: reduced_operators(prob), csr=False)
+        assert np.array_equal(sparse.act, dense.act)
+        assert (sparse.bnd is None) == (dense.bnd is None)
+        for name in ("red1", "red2", "proj1", "proj2"):
+            got, want = getattr(sparse, name), getattr(dense, name)
+            if want is None:
+                assert got is None
+                continue
+            assert _is_csr(got) and not _is_csr(want)
+            assert np.max(np.abs(got.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bc", BCS, ids=[bc.value for bc in BCS])
+    def test_windows_agree(self, bc, monkeypatch):
+        prob = _lattice_problem(12, bc)
+        rng = np.random.default_rng(3)
+        u0, v0 = rng.uniform(0.1, 1.0, prob.graph.n), rng.uniform(0.1, 1.0, prob.graph.n)
+        if bc is BoundaryCondition.DIRICHLET:
+            u0[prob.partition.boundary_idx] = v0[prob.partition.boundary_idx] = 0.0
+
+        def run():
+            return list(_windows(prob, (u0, v0), 0.5, 1.0, max_samples=8))
+
+        sparse = _stored(monkeypatch, run, csr=True)
+        dense = _stored(monkeypatch, run, csr=False)
+        assert len(sparse) == len(dense) == 2
+        for (t_s, traj_s), (t_d, traj_d) in zip(sparse, dense):
+            assert t_s == t_d
+            assert traj_s.metadata == traj_d.metadata
+            for s, d in zip(traj_s.states, traj_d.states):
+                assert np.max(np.abs(s.u - d.u)) <= 1e-12
+                assert np.max(np.abs(s.v - d.v)) <= 1e-12
+
+    def test_neumann_project_agrees(self, monkeypatch):
+        prob = _lattice_problem(12, BoundaryCondition.NEUMANN)
+        rng = np.random.default_rng(4)
+        state = FieldPair(u=rng.uniform(0.1, 1.0, prob.graph.n),
+                          v=rng.uniform(0.1, 1.0, prob.graph.n))
+        sparse = _stored(monkeypatch, lambda: neumann_project(prob, state), csr=True)
+        dense = _stored(monkeypatch, lambda: neumann_project(prob, state), csr=False)
+        assert np.max(np.abs(sparse.u - dense.u)) <= 1e-15
+        assert np.max(np.abs(sparse.v - dense.v)) <= 1e-15
+
+    def test_coexistence_bounds_agree(self, monkeypatch):
+        from graphlv import coexistence_bounds
+
+        params = CompetitionParams(a1=2.0, b1=1.0, c1=0.05, a2=2.0, b2=0.05, c2=1.0,
+                                   d1=0.1, d2=0.1)
+        prob = _lattice_problem(6, BoundaryCondition.DIRICHLET, params, split_weights=False)
+        assert _stored(monkeypatch, lambda: _is_csr(reduced_operators(prob).red1), csr=True)
+        sparse = _stored(monkeypatch, lambda: coexistence_bounds(prob), csr=True)
+        dense = _stored(monkeypatch, lambda: coexistence_bounds(prob), csr=False)
+        for name in ("s_lower", "s_upper", "r_lower", "r_upper"):
+            assert np.max(np.abs(getattr(sparse, name) - getattr(dense, name))) <= 1e-12
+        assert sparse.unique == dense.unique
+
+    def test_rule_picks_csr_for_large_lattices_only(self):
+        from graphlv.fixtures import get_case, reproduce_ids
+
+        big = reduced_operators(_lattice_problem(40, BoundaryCondition.NEUMANN,
+                                                 split_weights=False))
+        assert all(_is_csr(m) for m in (big.red1, big.red2, big.proj1, big.proj2))
+        small = [Problem(triangle_example(), PARAMS_I)]
+        small += [get_case(case_id).problem for case_id in reproduce_ids()]
+        for prob in small:
+            ops = reduced_operators(prob)
+            assert not any(_is_csr(m) for m in (ops.red1, ops.red2, ops.proj1, ops.proj2))
+
+    def test_rule_keeps_dense_graphs_dense(self):
+        n = 160
+        names = [f"v{i}" for i in range(n)]
+        complete = build_graph(names, [(names[i], names[j], 1.0)
+                                       for i in range(n) for j in range(i + 1, n)])
+        assert not _is_csr(reduced_operators(Problem(complete, PARAMS_I)).red1)

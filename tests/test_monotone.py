@@ -471,6 +471,13 @@ class TestMonotoneSolve:
         with pytest.raises(PairInvalid):
             monotone_solve(prob, pair, above, np.array([0.0, 0.5, 1.0]))
 
+    def test_size_cap_rejects_before_densifying(self, triangle, monkeypatch):
+        monkeypatch.setattr(monotone, "_MONOTONE_MAX_ACTIVE", 2)
+        prob = Problem(triangle, SET_I)
+        pair = constant_pair((2.0, 3.0), (0.0, 0.0), t_end=1.0)
+        with pytest.raises(InputError, match="cap of 2"):
+            monotone_solve(prob, pair, (np.ones(3), np.ones(3)), np.array([0.0, 0.5, 1.0]))
+
     def test_grid_validation(self, triangle):
         prob = Problem(triangle, SET_I)
         pair = constant_pair((2.0, 3.0), (0.0, 0.0), t_end=1.0)
