@@ -88,7 +88,8 @@ def _cmd_simulate(args) -> int:
         },
         "rectangle": {"m_u": traj.metadata["m_u"], "m_v": traj.metadata["m_v"]},
         "steps": {k: traj.metadata[k] for k in
-                  ("dt", "dt_final", "n_steps", "n_clamped", "n_halvings")},
+                  ("dt", "dt_final", "n_steps", "n_clamped", "n_halvings", "n_rejected",
+                   "n_rhs")},
         "boundary": cfg.problem.bc.value,
         "elapsed_seconds": elapsed,
         "files": {"trajectory": traj_path},

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,27 @@ from .graphs import (
 _CLAMP = 1e-12
 _RECT_SLACK = 1e-9
 _MAX_STEPS = 10**7
+_MAX_SECONDS = 300.0
+_CLOCK_EVERY = 256        # steps between wall-clock reads
+
+# Dormand & Prince (1980) 5(4) pair: the stage rows below the first, the fifth-order weights
+# (which are also the last stage's row, so that stage is the next step's first: FSAL), and
+# the fifth-minus-fourth-order weights of the error estimate.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# error-per-step controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
+_RTOL = 1e-8
+_ATOL = 1e-10
+_SAFETY = 0.9
+_GROW_MIN = 0.2
+_GROW_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -225,12 +247,13 @@ def neumann_project(problem: Problem, state: FieldPair) -> FieldPair:
 def _diffusion_rate(problem: Problem):
     """Largest d * (closure degree / measure) over the active vertices and both species."""
     p = problem.params
-    closure = problem.closure_idx
+    act = problem.active_idx
+    closure_mask = np.zeros(problem.graph.n)
+    closure_mask[problem.closure_idx] = 1.0
     diff = 0.0
     for species, d in ((1, p.d1), (2, p.d2)):
-        w = problem.graph.weights(species)
-        mu = problem.graph.measure(species)
-        rows = w[np.ix_(problem.active_idx, closure)].sum(axis=1) / mu[problem.active_idx]
+        degree = problem.graph.weights(species) @ closure_mask
+        rows = degree[act] / problem.graph.measure(species)[act]
         diff = np.maximum(diff, d * float(rows.max()))
     return diff
 
@@ -309,22 +332,37 @@ def integrate(
     max_samples: int = 250,
     forced_times=(),
 ) -> Trajectory:
-    """Fixed-step fourth-order Runge-Kutta run up to t_end.
+    """Run up to t_end: adaptive Dormand-Prince 5(4) steps, or fixed-step RK4 given dt.
 
-    Steps that push the state out of the invariant rectangle (or below
-    -1e-12) are rejected and retried at half the step for the rest of
-    the run; roundoff undershoots in (-1e-12, 0) are clamped to zero and
-    counted in the metadata. A run that would need more than 10**7 steps
-    raises StepSizeUnstable. Batched params give each state a trailing
-    axis of length P, and the batch shares one step and sample schedule.
+    The adaptive steps keep an error estimate within rtol 1e-8 and atol
+    1e-10 of the state. Steps that push the state out of the invariant
+    rectangle (or below -1e-12) are rejected and retried at half the
+    step; under fixed steps the halved step holds for the rest of the
+    run. Roundoff undershoots in (-1e-12, 0) are clamped to zero and
+    counted in the metadata. A run that would need more than 10**7
+    steps of the stability cap, or that runs longer than 300 s, raises
+    StepSizeUnstable. Batched params give each state a trailing axis of
+    length P, and the batch shares one step and sample schedule.
     """
     return next(_windows(problem, initial, t_end, t_end, dt, max_samples, forced_times))[1]
 
 
+def _combine(coefs, ks):
+    """sum(c * k) over the nonzero coefficients."""
+    return sum(c * k for c, k in zip(coefs, ks) if c)
+
+
 def _windows(problem: Problem, initial, window: float, t_max: float, dt: float | None = None,
-             max_samples: int = 250, forced_times=()):
+             max_samples: int = 250, forced_times=(), adaptive: bool = True):
     """Yield (t_done, Trajectory) per window of min(window, t_max - t_done), each restarted
-    from the last final state like a fresh integrate call; the step budget spans all windows."""
+    from the last final state like a fresh integrate call; the step and wall-time budgets
+    span all windows.
+
+    Without dt the steps are adaptive DP5(4) from the stability cap, or, when ``adaptive``
+    is false, fixed RK4 steps of the cap: the ordered march of ``coexistence_bounds`` asks
+    for monotone samples and a 1e-10 residual, which step-size chatter at the controller
+    tolerance can break.
+    """
     if not (math.isfinite(t_max) and t_max > 0):
         raise InputError(f"t_end must be positive and finite, got {t_max}")
     p = problem.params
@@ -346,7 +384,9 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
         f1, f2 = reaction(p, u, v)
         return np.concatenate([d1 * (red1 @ u) + f1, d2 * (red2 @ v) + f2])
 
+    dp5 = dt is None and adaptive
     rate = _diffusion_rate(problem) if dt is None else None
+    started = time.perf_counter()
     n_spent = 0
     t_done = 0.0
     while t_done < t_max:
@@ -361,6 +401,9 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
         n_steps = 0
         n_clamped = 0
         n_halvings = 0
+        n_rejected = 0
+        n_rhs = 0
+        k1 = None
         dt_cur = step
         t = 0.0
         for target in targets[1:]:
@@ -368,31 +411,65 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                 if n_spent + n_steps >= _MAX_STEPS:
                     raise StepSizeUnstable(f"budget of {_MAX_STEPS} steps spent at "
                                            f"t={t_done + t:.6g}")
-                h = min(dt_cur, target - t)
-                while True:
+                if ((n_spent + n_steps) % _CLOCK_EVERY == 0
+                        and time.perf_counter() - started > _MAX_SECONDS):
+                    raise StepSizeUnstable(f"wall-time budget of {_MAX_SECONDS:g} s spent at "
+                                           f"t={t_done + t:.6g}")
+                if k1 is None:
                     k1 = rhs(y)
-                    k2 = rhs(y + 0.5 * h * k1)
-                    k3 = rhs(y + 0.5 * h * k2)
-                    k4 = rhs(y + h * k3)
-                    y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                    n_rhs += 1
+                grow = _GROW_MAX
+                while True:
+                    h = min(dt_cur, target - t)
+                    if dp5:
+                        ks = [k1]
+                        for row in _DP_A:
+                            ks.append(rhs(y + h * _combine(row, ks)))
+                        y_new = y + h * _combine(_DP_B, ks)
+                        n_rhs += len(_DP_A)
+                    else:
+                        k2 = rhs(y + 0.5 * h * k1)
+                        k3 = rhs(y + 0.5 * h * k2)
+                        k4 = rhs(y + h * k3)
+                        y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                        n_rhs += 3
                     low = float(y_new.min())
                     out_u = np.any(y_new[:n_act].max(axis=0) > m_u + _RECT_SLACK)
                     out_v = np.any(y_new[n_act:].max(axis=0) > m_v + _RECT_SLACK)
                     if low <= -_CLAMP or out_u or out_v:
-                        dt_cur *= 0.5
+                        # fixed steps keep the halved step; adaptive ones halve the attempt
+                        dt_cur = (h if dp5 else dt_cur) * 0.5
                         n_halvings += 1
-                        if dt_cur < step * 2.0**-20:
-                            raise StepSizeUnstable(
-                                f"state left [0, {np.max(m_u):.6g}] x [0, {np.max(m_v):.6g}] "
-                                f"at t={t_done + t:.6g} and halving reached dt={dt_cur:.3e}"
-                            )
-                        h = min(dt_cur, target - t)
-                        continue
-                    break
+                        why = f"state left [0, {np.max(m_u):.6g}] x [0, {np.max(m_v):.6g}]"
+                    elif not dp5:
+                        break
+                    else:
+                        ks.append(rhs(y_new))
+                        n_rhs += 1
+                        scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new))
+                        ratio = h * _combine(_DP_E, ks) / scale
+                        err = float(np.max(np.sqrt(np.mean(ratio * ratio, axis=0))))
+                        factor = _SAFETY * err ** -0.2 if err > 0.0 else _GROW_MAX
+                        if err <= 1.0:
+                            proposal = h * min(grow, factor)
+                            # a step cut short to land on a sample says nothing against dt_cur
+                            dt_cur = max(dt_cur, proposal) if h < dt_cur else proposal
+                            break
+                        # a nan estimate fails both tests and takes the smallest factor
+                        dt_cur = h * (max(_GROW_MIN, factor) if err > 1.0 else _GROW_MIN)
+                        n_rejected += 1
+                        why = f"error estimate {err:.3e} times the tolerance"
+                    grow = 1.0      # no growth right after a rejection
+                    if dt_cur < step * 2.0**-20:
+                        raise StepSizeUnstable(f"{why} at t={t_done + t:.6g} and the step fell "
+                                               f"to dt={dt_cur:.3e}")
                 undershoot = (y_new < 0.0)
                 if undershoot.any():
                     n_clamped += int(undershoot.sum())
                     y_new[undershoot] = 0.0
+                    k1 = None
+                else:
+                    k1 = ks[-1] if dp5 else None
                 y = y_new
                 t += h
                 n_steps += 1
@@ -406,10 +483,12 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
             states=states,
             metadata={
                 "dt": step,
-                "dt_final": dt_cur,
+                "dt_final": float(dt_cur),
                 "n_steps": n_steps,
                 "n_clamped": n_clamped,
                 "n_halvings": n_halvings,
+                "n_rejected": n_rejected,
+                "n_rhs": n_rhs,
                 "m_u": m_u,
                 "m_v": m_v,
                 "bc": problem.bc.value,

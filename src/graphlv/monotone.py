@@ -537,7 +537,14 @@ def logistic_steady_state(
     w <- (-d Lap + M)^-1 (f(prev) + M prev). Both sequences must stay
     monotone and ordered or the solve is reported as failed.
     """
-    eig = smallest_dirichlet_eigenpair(graph, species, partition)
+    return _logistic_steady_state(graph, partition, species, d, a, e,
+                                  smallest_dirichlet_eigenpair(graph, species, partition),
+                                  tol, max_iters)
+
+
+def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
+                           tol: float = 1e-10, max_iters: int = 10_000) -> SteadyState:
+    """``logistic_steady_state`` given the species' Dirichlet eigenpair."""
     margin = a - eig.lambda0 * d
     if margin <= 0.0:
         raise NoPositiveState(
@@ -594,7 +601,7 @@ def _march(problem: Problem, ops: _Operators, start: FieldPair, direction_u: int
     ii = ops.act
     p = problem.params
     for t_done, traj in _windows(problem, start, 1.0, t_max, max_samples=6,
-                                 forced_times=(0.25, 0.5, 0.75)):
+                                 forced_times=(0.25, 0.5, 0.75), adaptive=False):
         for prev, cur in zip(traj.states, traj.states[1:]):
             du = (cur.u - prev.u)[ii] * direction_u
             dv = (cur.v - prev.v)[ii] * direction_v
@@ -649,8 +656,8 @@ def coexistence_bounds(
             f"margins are {k1:.6g} and {k2:.6g}"
         )
     steady_tol = min(tol, 1e-10)
-    s1 = logistic_steady_state(problem.graph, part, 1, d=p.d1, a=p.a1, e=p.b1, tol=steady_tol)
-    s2 = logistic_steady_state(problem.graph, part, 2, d=p.d2, a=p.a2, e=p.c2, tol=steady_tol)
+    s1 = _logistic_steady_state(problem.graph, part, 1, p.d1, p.a1, p.b1, eig1, tol=steady_tol)
+    s2 = _logistic_steady_state(problem.graph, part, 2, p.d2, p.a2, p.c2, eig2, tol=steady_tol)
 
     eps_cap = min((p.b1 / (p.a1 * p.b2)) * g2 - 1.0, (p.c2 / (p.a2 * p.c1)) * g1 - 1.0)
     if epsilon is None:

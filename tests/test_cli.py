@@ -74,6 +74,8 @@ class TestSimulate:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["boundary"] == "none"
         assert report["steps"]["n_steps"] > 0
+        assert report["steps"]["n_rhs"] >= 6 * report["steps"]["n_steps"]
+        assert report["steps"]["n_rejected"] >= 0
         # dominant v drives u out by t=30
         assert abs(report["final"]["u"]["x1"]) < 1e-2
         assert abs(report["final"]["v"]["x1"] - 1.0) < 1e-2
@@ -330,8 +332,12 @@ class TestSweep:
             assert row["kind"] == regime.kind.value
             assert float(row["margin"]) == margin
             assert row["agree"] == agree
+            # the batch takes the largest error norm over its columns, so its steps differ from
+            # the scalar run's; both keep each step within rtol 1e-8, and the flow contracts
+            # toward the limit, so the states differ by a small multiple of rtol
             for column, value in expected.items():
-                assert abs(float(row[column]) - value) <= 1e-9, column
+                bound = 1e-9 if column.startswith("pred_") else 1e-7
+                assert abs(float(row[column]) - value) <= bound, column
 
     def test_one_integrate_and_one_eigen_solve_per_species(self, tmp_path, monkeypatch):
         calls = []

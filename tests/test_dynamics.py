@@ -251,6 +251,29 @@ class TestIntegrate:
         assert md["n_steps"] > 0 and md["dt"] > 0.0
         assert md["bc"] == "none"
         assert traj.final is traj.states[-1]
+        # FSAL: one first stage, then six evaluations per attempted step
+        assert md["n_halvings"] == md["n_clamped"] == 0
+        assert md["n_rhs"] == 1 + 6 * (md["n_steps"] + md["n_rejected"])
+        fixed = integrate(prob, (np.ones(3), np.ones(3)), t_end=1.0, dt=0.01).metadata
+        assert fixed["n_rhs"] == 4 * fixed["n_steps"] and fixed["n_rejected"] == 0
+
+    @pytest.mark.parametrize("bc", list(BoundaryCondition),
+                             ids=[bc.value for bc in BoundaryCondition])
+    def test_diffusion_rate_matches_gathered_degrees(self, bc):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            graph = random_connected_graph(rng, max_vertices=12, split_weights=True,
+                                           random_measure=True)
+            part = None
+            if bc is not BoundaryCondition.NO_BOUNDARY:
+                part = random_connected_interior(rng, graph)
+            prob = Problem(graph, dataclasses.replace(PARAMS_I, d1=0.3, d2=1.7), bc=bc,
+                           partition=part)
+            act, closure = prob.active_idx, prob.closure_idx
+            want = max(d * float((graph.weights(s)[np.ix_(act, closure)].sum(axis=1)
+                                  / graph.measure(s)[act]).max())
+                       for s, d in ((1, 0.3), (2, 1.7)))
+            assert dynamics._diffusion_rate(prob) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def _dirichlet_case():
@@ -359,6 +382,40 @@ class TestWindows:
                 pass
 
 
+class TestAdaptive:
+    """DP5(4) steps against fine fixed RK4 steps and against the scalar run of each point."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bc=st.sampled_from(list(BoundaryCondition)),
+           points=st.integers(1, 3), t_end=st.floats(0.05, 1.0))
+    def test_matches_rk4_and_scalar_runs(self, seed, bc, points, t_end):
+        rng = np.random.default_rng(seed)
+        graph = random_connected_graph(rng, max_vertices=12, split_weights=True,
+                                       random_measure=True)
+        part = None
+        if bc is not BoundaryCondition.NO_BOUNDARY:
+            part = random_connected_interior(rng, graph)
+        fields = {name: rng.uniform(0.5, 2.0, points) for name in ("a1", "b1", "c1", "a2", "b2",
+                                                                    "c2")}
+        fields.update(d1=rng.uniform(0.1, 1.0, points), d2=rng.uniform(0.1, 1.0, points))
+        problem = Problem(graph, CompetitionParams(**fields), bc=bc, partition=part)
+        u0, v0 = rng.uniform(0.0, 2.0, (2, graph.n))
+        if bc is BoundaryCondition.DIRICHLET:
+            u0[part.boundary_idx] = v0[part.boundary_idx] = 0.0
+        # weights <= 3, measures >= 0.5 and at most 12 vertices keep the stability cap above
+        # 4e-3, so RK4 at 1e-3 is well inside its stability region
+        adaptive = integrate(problem, (u0, v0), t_end, max_samples=2).final
+        fixed = integrate(problem, (u0, v0), t_end, dt=1e-3, max_samples=2).final
+        assert np.max(np.abs(adaptive.u - fixed.u)) <= 1e-7
+        assert np.max(np.abs(adaptive.v - fixed.v)) <= 1e-7
+        for j in range(points):
+            point = CompetitionParams(**{name: float(val[j]) for name, val in fields.items()})
+            single = integrate(dataclasses.replace(problem, params=point), (u0, v0), t_end,
+                               max_samples=2).final
+            assert np.max(np.abs(adaptive.u[:, j] - single.u)) <= 1e-7
+            assert np.max(np.abs(adaptive.v[:, j] - single.v)) <= 1e-7
+
+
 def _lattice_problem(side, bc, params=PARAMS_I, seed=12, split_weights=True):
     """Seeded side x side four-neighbour lattice; the interior is everything off the ring."""
     rng = np.random.default_rng(seed)
@@ -407,8 +464,9 @@ class TestOperatorStorage:
             assert _is_csr(got) and not _is_csr(want)
             assert np.max(np.abs(got.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("bc", BCS, ids=[bc.value for bc in BCS])
-    def test_windows_agree(self, bc, monkeypatch):
+    @staticmethod
+    def _windows_both(bc, monkeypatch, dt):
+        """Two 0.5-unit windows of a lattice run under CSR and under dense storage."""
         prob = _lattice_problem(12, bc)
         rng = np.random.default_rng(3)
         u0, v0 = rng.uniform(0.1, 1.0, prob.graph.n), rng.uniform(0.1, 1.0, prob.graph.n)
@@ -416,17 +474,37 @@ class TestOperatorStorage:
             u0[prob.partition.boundary_idx] = v0[prob.partition.boundary_idx] = 0.0
 
         def run():
-            return list(_windows(prob, (u0, v0), 0.5, 1.0, max_samples=8))
+            return list(_windows(prob, (u0, v0), 0.5, 1.0, dt=dt, max_samples=8))
 
         sparse = _stored(monkeypatch, run, csr=True)
         dense = _stored(monkeypatch, run, csr=False)
         assert len(sparse) == len(dense) == 2
         for (t_s, traj_s), (t_d, traj_d) in zip(sparse, dense):
             assert t_s == t_d
-            assert traj_s.metadata == traj_d.metadata
             for s, d in zip(traj_s.states, traj_d.states):
                 assert np.max(np.abs(s.u - d.u)) <= 1e-12
                 assert np.max(np.abs(s.v - d.v)) <= 1e-12
+        return [(a.metadata, b.metadata) for (_, a), (_, b) in zip(sparse, dense)]
+
+    @pytest.mark.parametrize("bc", BCS, ids=[bc.value for bc in BCS])
+    def test_windows_agree(self, bc, monkeypatch):
+        # adaptive steps: counters agree exactly, the state-derived rectangle and step to
+        # roundoff; the error estimate is a cancelling sum of size rtol * |y|, so its
+        # roundoff is about eps / rtol = 2e-8 relative, and the proposed next step inherits
+        # a fifth of it (dt ~ err**-0.2); 5e-12 is measured here
+        for got, want in self._windows_both(bc, monkeypatch, dt=None):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, (int, str)):
+                    assert got[key] == value, key
+                else:
+                    rel = 1e-8 if key == "dt_final" else 1e-12
+                    assert got[key] == pytest.approx(value, rel=rel, abs=0.0), key
+
+    @pytest.mark.parametrize("bc", BCS, ids=[bc.value for bc in BCS])
+    def test_fixed_step_windows_agree(self, bc, monkeypatch):
+        for got, want in self._windows_both(bc, monkeypatch, dt=0.01):
+            assert got == want
 
     def test_neumann_project_agrees(self, monkeypatch):
         prob = _lattice_problem(12, BoundaryCondition.NEUMANN)

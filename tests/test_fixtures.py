@@ -1,10 +1,13 @@
 """Bundled example graphs and the long-time reproduction harness."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
 from graphlv import BoundaryCondition, RegimeKind, classify_bistable_basin, classify_neumann
-from graphlv import dynamics
+from graphlv import dynamics, fixtures
 from graphlv.errors import InputError, StepSizeUnstable, UnknownExample
 from graphlv.fixtures import get_case, reproduce_ids, run_reproduce
 
@@ -78,10 +81,52 @@ def test_reproduce_builds_the_operators_once(monkeypatch):
 
 
 def test_reproduce_step_budget_spans_windows(monkeypatch):
-    # each 10-unit window fits the budget on its own; the run as a whole does not
-    monkeypatch.setattr(dynamics, "_MAX_STEPS", 2000)
+    # each 10-unit window fits the budget on its own; the run as a whole does not. A window
+    # needs its steps and, before it starts, room for 10 / dt steps of the stability cap.
+    case = get_case("neumann-i")
+    spent = need_alone = need_run = 0
+    for _, traj in dynamics._windows(case.problem, (case.initial_u, case.initial_v), 10.0,
+                                     1000.0, max_samples=2):
+        need = max(traj.metadata["n_steps"], math.ceil(10.0 / traj.metadata["dt"]))
+        need_alone = max(need_alone, need)
+        need_run = max(need_run, spent + need)
+        spent += traj.metadata["n_steps"]
+    assert need_run > need_alone
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", need_alone)
     with pytest.raises(StepSizeUnstable):
         run_reproduce("neumann-i", tol=1e-20, t_max=1000.0)
+
+
+def test_reproduce_wall_time_budget(monkeypatch):
+    # the step budget alone would take many minutes to spend on this run; cut to a few
+    # seconds' worth, so that a missing clock check fails here instead of hanging
+    monkeypatch.setattr(dynamics, "_MAX_SECONDS", 0.2)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 20_000)
+    started = time.perf_counter()
+    with pytest.raises(StepSizeUnstable, match="wall-time budget"):
+        run_reproduce("neumann-i", tol=1e-20, t_max=1e9)
+    assert time.perf_counter() - started < 5.0
+
+
+def test_reproduce_all_spends_a_third_of_the_rk4_work(monkeypatch):
+    windows = dynamics._windows
+
+    def spent(adaptive):
+        counts = []
+
+        def counted(*args, **kwargs):
+            for t_done, traj in windows(*args, adaptive=adaptive, **kwargs):
+                counts.append(traj.metadata["n_rhs"])
+                yield t_done, traj
+
+        monkeypatch.setattr(fixtures, "_windows", counted)
+        reached = [run_reproduce(case_id).t_reached for case_id in ALL_IDS]
+        return sum(counts), reached
+
+    adaptive, reached = spent(True)
+    fixed, fixed_reached = spent(False)
+    assert reached == fixed_reached
+    assert 3 * adaptive <= fixed
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])

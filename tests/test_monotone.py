@@ -410,6 +410,25 @@ class TestCoexistenceBounds:
         assert min(bounds.info["march_times"]) > 1.0
         assert len(calls) <= 3
 
+    def test_two_eigen_solves(self, reflecting, monkeypatch):
+        graph, part = reflecting
+        prob = Problem(graph, BOUNDS_PARAMS, bc=BoundaryCondition.DIRICHLET,
+                       partition=part)
+        calls = []
+        solve = monotone.smallest_dirichlet_eigenpair
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(monotone, "smallest_dirichlet_eigenpair", counted)
+        bounds = coexistence_bounds(prob, tol=1e-8)
+        assert len(calls) == 2
+        p = BOUNDS_PARAMS
+        s1 = logistic_steady_state(graph, part, 1, d=p.d1, a=p.a1, e=p.b1, tol=1e-10)
+        assert bounds.info["s1_iterations"] == s1.iterations
+        assert s1.lambda0 == bounds.eig1.lambda0
+
     def test_needs_absorbing_boundary(self, reflecting):
         graph, part = reflecting
         prob = Problem(graph, BOUNDS_PARAMS, bc=BoundaryCondition.NEUMANN,
