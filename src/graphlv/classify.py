@@ -123,6 +123,8 @@ def classify_bistable_basin(params: CompetitionParams, initial) -> Regime:
     u0, v0 = _pair_arrays(initial)
     u0 = u0[~np.isnan(u0)]
     v0 = v0[~np.isnan(v0)]
+    if u0.size == 0 or v0.size == 0:
+        raise InputError("initial data need at least one value per species")
     u_box = (
         Certificate("min u0 - xi", float(u0.min() - point.xi), bool(u0.min() > point.xi)),
         Certificate("a1/b1 - max u0", float(params.a1 / params.b1 - u0.max()),

@@ -20,19 +20,16 @@ import numpy as np
 
 from .errors import (
     InputError,
-    IsolatedBoundaryVertex,
     NegativeInitial,
     StepSizeUnstable,
 )
 from .graphs import (
     DomainPartition,
     WeightedGraph,
-    _csr_block,
-    _csr_blocks,
-    _divide_rows,
-    dirichlet_blocks,
+    _as_floats,
+    _blocks,
+    _projection_matrix,
     field_array,
-    whole_laplacian,
 )
 
 _CLAMP = 1e-12
@@ -171,60 +168,17 @@ class _Operators:
     proj2: np.ndarray | None = None
 
 
-# Operator storage. One CSR matvec costs about 4 us at any size below 400 vertices, while a
-# dense one is cheaper up to about 144 active vertices and grows as n_act**2 beyond; with more
-# than one nonzero in eight entries, dense wins at any size (1 BLAS thread, lattices, paths
-# and random graphs).
-_CSR_MIN_ENTRIES = 144 * 144
-_CSR_MAX_FILL = 1 / 8
-
-
-def _csr_edges(problem: Problem):
-    """The (row, col) positions of the graph's nonzero weights when the reduced operators
-    are stored as CSR, else None: CSR when the active block has at least _CSR_MIN_ENTRIES
-    entries and at most _CSR_MAX_FILL of them are nonzero."""
-    n_act = problem.active_idx.size
-    if n_act * n_act < _CSR_MIN_ENTRIES:
-        return None
-    edges = np.nonzero(problem.graph.w1)     # both species share one edge set
-    active = np.zeros(problem.graph.n, dtype=bool)
-    active[problem.active_idx] = True
-    nnz = n_act + np.count_nonzero(active[edges[0]] & active[edges[1]])
-    return edges if nnz <= _CSR_MAX_FILL * n_act * n_act else None
-
-
-def _projection_matrix(graph: WeightedGraph, species: int, partition: DomainPartition,
-                       edges=None):
-    """Boundary-to-interior weights scaled to unit row sums; CSR from ``edges`` when given."""
-    w = graph.weights(species)
-    bb, ii = partition.boundary_idx, partition.interior_idx
-    rows = w[np.ix_(bb, ii)] if edges is None else _csr_block(w, edges, bb, ii)
-    sums = rows.sum(axis=1)
-    dead = np.flatnonzero(sums == 0.0)
-    if dead.size:
-        names = [partition.boundary[i] for i in dead]
-        raise IsolatedBoundaryVertex(f"boundary vertices with no interior neighbour: {names}")
-    return _divide_rows(rows, sums)
-
-
 def reduced_operators(problem: Problem) -> _Operators:
     """Diffusion restricted to the active set, boundary handling included.
 
-    The matrices are CSR on large sparse graphs (see ``_csr_edges``) and dense otherwise.
+    The matrices are stored as ``graphs._stores_csr`` picks: CSR on large sparse graphs.
     """
     graph, part = problem.graph, problem.partition
-    edges = _csr_edges(problem)
-    if edges is not None:
-        (l1, l1_ib), (l2, l2_ib) = (_csr_blocks(graph, s, part, edges) for s in (1, 2))
-    elif part is None:
-        l1, l2 = whole_laplacian(graph, 1), whole_laplacian(graph, 2)
-    else:
-        (l1, l1_ib), (l2, l2_ib) = (dirichlet_blocks(graph, s, part) for s in (1, 2))
+    (l1, l1_ib), (l2, l2_ib) = (_blocks(graph, s, part) for s in (1, 2))
     act, bnd = problem.active_idx, None if part is None else part.boundary_idx
     if problem.bc is not BoundaryCondition.NEUMANN:
         return _Operators(act=act, red1=l1, red2=l2, bnd=bnd)
-    p1 = _projection_matrix(graph, 1, part, edges)
-    p2 = _projection_matrix(graph, 2, part, edges)
+    p1, p2 = (_projection_matrix(graph, s, part) for s in (1, 2))
     return _Operators(act=act, red1=l1 + l1_ib @ p1, red2=l2 + l2_ib @ p2, bnd=bnd,
                       proj1=p1, proj2=p2)
 
@@ -234,27 +188,20 @@ def neumann_project(problem: Problem, state: FieldPair) -> FieldPair:
     if problem.bc is not BoundaryCondition.NEUMANN:
         raise InputError("projection only applies to the reflecting boundary condition")
     part = problem.partition
-    edges = _csr_edges(problem)
-    p1 = _projection_matrix(problem.graph, 1, part, edges)
-    p2 = _projection_matrix(problem.graph, 2, part, edges)
-    u = np.asarray(state.u, dtype=float).copy()
-    v = np.asarray(state.v, dtype=float).copy()
-    u[part.boundary_idx] = p1 @ u[part.interior_idx]
-    v[part.boundary_idx] = p2 @ v[part.interior_idx]
+    u, v = np.array(state.u, dtype=float), np.array(state.v, dtype=float)
+    for species, x in ((1, u), (2, v)):
+        proj = _projection_matrix(problem.graph, species, part)
+        x[part.boundary_idx] = proj @ x[part.interior_idx]
     return FieldPair(u=u, v=v)
 
 
 def _diffusion_rate(problem: Problem):
     """Largest d * (closure degree / measure) over the active vertices and both species."""
     p = problem.params
-    act = problem.active_idx
-    closure_mask = np.zeros(problem.graph.n)
-    closure_mask[problem.closure_idx] = 1.0
     diff = 0.0
     for species, d in ((1, p.d1), (2, p.d2)):
-        degree = problem.graph.weights(species) @ closure_mask
-        rows = degree[act] / problem.graph.measure(species)[act]
-        diff = np.maximum(diff, d * float(rows.max()))
+        l_ii = _blocks(problem.graph, species, problem.partition)[0]
+        diff = np.maximum(diff, d * float(-l_ii.diagonal().min()))
     return diff
 
 
@@ -279,7 +226,7 @@ def _pair_arrays(pair, graph: WeightedGraph | None = None, required_idx=None):
     if graph is not None:
         return (field_array(graph, u, required_idx=required_idx),
                 field_array(graph, v, required_idx=required_idx))
-    return np.atleast_1d(np.asarray(u, dtype=float)), np.atleast_1d(np.asarray(v, dtype=float))
+    return np.atleast_1d(_as_floats(u, "u")), np.atleast_1d(_as_floats(v, "v"))
 
 
 def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
@@ -301,6 +248,9 @@ def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_times(t_end: float, dt: float, max_samples: int = 250, forced=()) -> np.ndarray:
     """Geometric schedule, dense early; forced times and t_end always land."""
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"{name} must be positive and finite, got {value}")
     pts = {0.0, float(t_end)}
     for f in forced:
         f = float(f)
@@ -339,10 +289,13 @@ def integrate(
     rectangle (or below -1e-12) are rejected and retried at half the
     step; under fixed steps the halved step holds for the rest of the
     run. Roundoff undershoots in (-1e-12, 0) are clamped to zero and
-    counted in the metadata. A run that would need more than 10**7
-    steps of the stability cap, or that runs longer than 300 s, raises
-    StepSizeUnstable. Batched params give each state a trailing axis of
-    length P, and the batch shares one step and sample schedule.
+    counted in the metadata. A run that takes more than 10**7 steps, or
+    that runs longer than 300 s, raises StepSizeUnstable; so does, up
+    front, a fixed-step run that would need more than 10**7 steps, or an
+    adaptive one whose stability cap needs more than 10**7 steps for its
+    first 10 time units (huge initial data). Batched params give each
+    state a trailing axis of length P, and the batch shares one step and
+    sample schedule.
     """
     return next(_windows(problem, initial, t_end, t_end, dt, max_samples, forced_times))[1]
 
@@ -393,8 +346,11 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
         span = min(window, t_max - t_done)
         m_u, m_v = invariant_rectangle(p, u0[problem.closure_idx], v0[problem.closure_idx])
         step = _step_cap(p, rate, m_u, m_v) if dt is None else dt
-        if not (math.isfinite(step) and step > 0) or span / step > _MAX_STEPS - n_spent:
-            raise StepSizeUnstable(f"step {step:.3e} up to t={t_done + span:.6g} exceeds the "
+        # fixed steps know their count up front; adaptive ones outgrow the cap as the state
+        # settles, so only their first 10 time units are counted (huge data still fail here)
+        horizon = min(span, 10.0) if dp5 else span
+        if not (math.isfinite(step) and step > 0) or horizon / step > _MAX_STEPS - n_spent:
+            raise StepSizeUnstable(f"step {step:.3e} up to t={t_done + horizon:.6g} exceeds the "
                                    f"budget of {_MAX_STEPS} steps")
         targets = sample_times(span, step, max_samples=max_samples, forced=forced_times)
         states = [_materialize(problem, ops, y[:n_act], y[n_act:])]

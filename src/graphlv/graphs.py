@@ -19,6 +19,7 @@ from .errors import (
     EmptyBoundary,
     InputError,
     InteriorNotSubset,
+    IsolatedBoundaryVertex,
     MismatchedTopology,
     MissingVertexValue,
     NonpositiveMeasure,
@@ -40,7 +41,8 @@ class WeightedGraph:
     """Vertex-ordered graph with per-species weights and measures.
 
     Weight matrices are dense symmetric with zero diagonal; both induce
-    the same edge set. Measures are strictly positive.
+    the same edge set, whose (row, col) positions ``build_graph`` records
+    as ``_edges``. Measures are strictly positive.
     """
 
     vertices: tuple[Vertex, ...]
@@ -104,13 +106,25 @@ def _as_float(value, what: str) -> float:
         raise InputError(f"{what} must be a number, got {value!r}") from None
 
 
-def _weight_matrix(vertices, index, table, label: str) -> np.ndarray:
+def _as_floats(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be numbers, got {values!r}") from None
+
+
+def _weight_matrix(vertices, index, table, label: str):
+    """The dense weight matrix of ``table`` and the (row, col) positions it fills."""
     n = len(vertices)
     w = np.zeros((n, n))
-    if isinstance(table, Mapping):
-        items = [(a, b, val) for (a, b), val in table.items()]
-    else:
-        items = [(a, b, val) for a, b, val in table]
+    try:
+        if isinstance(table, Mapping):
+            items = [(a, b, val) for (a, b), val in table.items()]
+        else:
+            items = [(a, b, val) for a, b, val in table]
+    except (TypeError, ValueError):
+        raise InputError(f"{label}: edges must be (a, b, weight) triples") from None
+    src, dst = [], []
     for a, b, val in items:
         if a == b:
             raise SelfLoop(f"{label}: self-loop at {a!r}")
@@ -125,8 +139,11 @@ def _weight_matrix(vertices, index, table, label: str) -> np.ndarray:
                 raise AsymmetricWeight(
                     f"{label}: edge ({a!r}, {b!r}) given twice with different weights"
                 )
+        if w[i, j] == 0.0:        # a repeated edge is recorded once
+            src += (i, j)
+            dst += (j, i)
         w[i, j] = w[j, i] = val
-    return w
+    return w, (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
 
 
 def _measure_vector(vertices, index, measure, weights: np.ndarray, label: str) -> np.ndarray:
@@ -138,10 +155,7 @@ def _measure_vector(vertices, index, measure, weights: np.ndarray, label: str) -
             raise MissingVertexValue(f"{label}: no measure for {missing}")
         mu = np.array([_as_float(measure[v], f"{label}: measure of {v!r}") for v in vertices])
     else:
-        try:
-            mu = np.asarray(measure, dtype=float)
-        except (TypeError, ValueError):
-            raise InputError(f"{label}: measure values must be numbers") from None
+        mu = _as_floats(measure, f"{label}: measure values")
         if mu.shape != (len(vertices),):
             raise InputError(f"{label}: measure must have one value per vertex")
     if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
@@ -168,14 +182,18 @@ def build_graph(
     if len(set(vertices)) != len(vertices):
         raise InputError("duplicate vertex names")
     index = {v: i for i, v in enumerate(vertices)}
-    w1 = _weight_matrix(vertices, index, weights1, "weights1")
-    w2 = w1.copy() if weights2 is None else _weight_matrix(vertices, index, weights2, "weights2")
-    if not np.array_equal(w1 > 0, w2 > 0):
-        raise MismatchedTopology("weights1 and weights2 induce different edge sets")
+    w1, edges = _weight_matrix(vertices, index, weights1, "weights1")
+    w2 = w1.copy()
+    if weights2 is not None:
+        w2 = _weight_matrix(vertices, index, weights2, "weights2")[0]
+        if not np.array_equal(w1 > 0, w2 > 0):
+            raise MismatchedTopology("weights1 and weights2 induce different edge sets")
     mu1 = _measure_vector(vertices, index, measure1, w1, "measure1")
     mu2 = _measure_vector(vertices, index, measure2, w2, "measure2")
     _require_connected(vertices, w1 > 0)
-    return WeightedGraph(vertices, w1, w2, mu1, mu2)
+    graph = WeightedGraph(vertices, w1, w2, mu1, mu2)
+    object.__setattr__(graph, "_edges", edges)
+    return graph
 
 
 def _require_connected(vertices, adj: np.ndarray) -> None:
@@ -213,9 +231,8 @@ def boundary_of(graph: WeightedGraph, interior: Iterable[Vertex]) -> DomainParti
     except NotConnected as exc:
         raise NotConnected(f"interior does not induce a connected subgraph: {exc}") from None
     touched = adj[interior_idx].any(axis=0)
-    boundary_mask = touched.copy()
-    boundary_mask[interior_idx] = False
-    boundary_idx = np.flatnonzero(boundary_mask)
+    touched[interior_idx] = False
+    boundary_idx = np.flatnonzero(touched)
     if boundary_idx.size == 0:
         raise EmptyBoundary("interior has no adjacent exterior vertex")
     return DomainPartition(
@@ -235,11 +252,11 @@ def field_array(graph: WeightedGraph, data, required_idx=None) -> np.ndarray:
     if isinstance(data, Mapping):
         out = np.full(graph.n, np.nan)
         for name, val in data.items():
-            out[graph.index(name)] = float(val)
+            out[graph.index(name)] = _as_float(val, f"field value at {name!r}")
     elif np.isscalar(data):
-        out = np.full(graph.n, float(data))
+        out = np.full(graph.n, _as_float(data, "field value"))
     else:
-        out = np.asarray(data, dtype=float)
+        out = _as_floats(data, "field values")
         if out.shape != (graph.n,):
             raise InputError(f"field must have {graph.n} entries, got shape {out.shape}")
         out = out.copy()
@@ -252,44 +269,40 @@ def field_array(graph: WeightedGraph, data, required_idx=None) -> np.ndarray:
     return out
 
 
-def whole_laplacian(graph: WeightedGraph, species: int) -> np.ndarray:
-    """Dense matrix L with (L u)(x) = sum_y (u(y) - u(x)) w_yx / mu(x)."""
+# Operator storage. One CSR matvec costs about 4 us at any size below 400 vertices, while a
+# dense one is cheaper up to about 144 active vertices and grows as n_act**2 beyond; with more
+# than one nonzero in eight entries, dense wins at any size (1 BLAS thread, lattices, paths
+# and random graphs). CSR at every size would slow the set-up of tiny problems about tenfold.
+_CSR_MIN_ENTRIES = 144 * 144
+_CSR_MAX_FILL = 1 / 8
+
+
+def _stores_csr(graph: WeightedGraph, partition: DomainPartition | None) -> bool:
+    """Whether operators on the active rows (the interior, or all) are stored as CSR: when
+    their block has at least _CSR_MIN_ENTRIES entries, at most _CSR_MAX_FILL of them nonzero."""
+    n_act = graph.n if partition is None else partition.interior_idx.size
+    if n_act * n_act < _CSR_MIN_ENTRIES:
+        return False
+    src, dst = graph._edges
+    active = np.zeros(graph.n, dtype=bool)
+    active[slice(None) if partition is None else partition.interior_idx] = True
+    nnz = n_act + np.count_nonzero(active[src] & active[dst])
+    return nnz <= _CSR_MAX_FILL * n_act * n_act
+
+
+def _weight_block(graph: WeightedGraph, species: int, rows, cols, csr: bool):
+    """w[np.ix_(rows, cols)] of one species, dense or as CSR built from the recorded edges
+    with no dense block in between; rows = cols = None is the whole matrix."""
     w = graph.weights(species)
-    mu = graph.measure(species)
-    lap = w / mu[:, None]
-    np.fill_diagonal(lap, -w.sum(axis=1) / mu)
-    return lap
+    if not csr:
+        return w if rows is None else w[np.ix_(rows, cols)]
+    import scipy.sparse as sp    # imported late: dense-stored runs never pay its memory
 
-
-def dirichlet_blocks(
-    graph: WeightedGraph, species: int, partition: DomainPartition
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interior rows of the subgraph Laplacian, split by column support.
-
-    Returns (L_II, L_IB) so that the subgraph Laplacian of a field u at
-    the interior is L_II @ u[interior] + L_IB @ u[boundary]; sums range
-    over the closure only.
-    """
-    w = graph.weights(species)
-    mu = graph.measure(species)
-    ii, bb = partition.interior_idx, partition.boundary_idx
-    closure_deg = w[np.ix_(ii, np.concatenate([ii, bb]))].sum(axis=1)
-    l_ii = w[np.ix_(ii, ii)] / mu[ii, None]
-    np.fill_diagonal(l_ii, np.diag(l_ii) - closure_deg / mu[ii])
-    l_ib = w[np.ix_(ii, bb)] / mu[ii, None]
-    return l_ii, l_ib
-
-
-def _csr_block(w: np.ndarray, edges, rows: np.ndarray, cols: np.ndarray):
-    """CSR copy of w[np.ix_(rows, cols)] built from ``edges``, the (row, col) positions of
-    the nonzeros of w, with no dense block in between."""
-    import scipy.sparse as sp    # here only: dense-stored runs never pay its memory
-
-    src, dst = edges
-    at_row = np.full(w.shape[0], -1)
-    at_row[rows] = np.arange(rows.size)
-    at_col = np.full(w.shape[0], -1)
-    at_col[cols] = np.arange(cols.size)
+    if rows is None:
+        rows = cols = np.arange(graph.n)
+    src, dst = graph._edges
+    at_row, at_col = np.full(graph.n, -1), np.full(graph.n, -1)
+    at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
     keep = (at_row[src] >= 0) & (at_col[dst] >= 0)
     src, dst = src[keep], dst[keep]
     return sp.csr_array((w[src, dst], (at_row[src], at_col[dst])), shape=(rows.size, cols.size))
@@ -303,33 +316,58 @@ def _divide_rows(mat, scale: np.ndarray):
     return mat
 
 
-def _csr_blocks(graph: WeightedGraph, species: int, partition: DomainPartition | None, edges):
-    """``dirichlet_blocks`` as CSR, or ``(whole_laplacian, None)`` with no partition, built
-    from ``edges``, the nonzero positions of the weights."""
-    import scipy.sparse as sp
+def _blocks(graph: WeightedGraph, species: int, partition: DomainPartition | None = None,
+            csr: bool | None = None):
+    """(L_II, L_IB) as in ``dirichlet_blocks``, or (``whole_laplacian``, None) with no
+    partition; CSR or dense as ``csr`` says, or as the storage rule picks when it is None."""
+    if csr is None:
+        csr = _stores_csr(graph, partition)
+    rows, cols = (None, None) if partition is None else (partition.interior_idx,
+                                                         partition.closure_idx)
+    w = _weight_block(graph, species, rows, cols, csr)
+    mu = graph.measure(species) if rows is None else graph.measure(species)[rows]
+    diagonal = -w.sum(axis=1) / mu    # minus the closure degree over the measure
+    lap = _divide_rows(w, mu)
+    if csr:
+        import scipy.sparse as sp
+        k = diagonal.size
+        lap = lap + sp.csr_array((diagonal, np.arange(k), np.arange(k + 1)), shape=lap.shape)
+    else:
+        np.fill_diagonal(lap, diagonal)
+    if partition is None:
+        return lap, None
+    return lap[:, :rows.size], lap[:, rows.size:]
 
-    w, mu = graph.weights(species), graph.measure(species)
-    ii = np.arange(graph.n) if partition is None else partition.interior_idx
-    bb = ii[:0] if partition is None else partition.boundary_idx
-    w_ii, w_ib = _csr_block(w, edges, ii, ii), _csr_block(w, edges, ii, bb)
-    closure_deg = w_ii.sum(axis=1) + w_ib.sum(axis=1)
-    l_ii = _divide_rows((w_ii - sp.diags_array(closure_deg)).tocsr(), mu[ii])
-    return l_ii, None if partition is None else _divide_rows(w_ib, mu[ii])
+
+def whole_laplacian(graph: WeightedGraph, species: int) -> np.ndarray:
+    """Dense matrix L with (L u)(x) = sum_y (u(y) - u(x)) w_yx / mu(x)."""
+    return _blocks(graph, species, csr=False)[0]
+
+
+def dirichlet_blocks(
+    graph: WeightedGraph, species: int, partition: DomainPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interior rows of the subgraph Laplacian, split by column support.
+
+    Returns dense (L_II, L_IB) so that the subgraph Laplacian of a field
+    u at the interior is L_II @ u[interior] + L_IB @ u[boundary]; sums
+    range over the closure only.
+    """
+    return _blocks(graph, species, partition, csr=False)
 
 
 def _closure_laplacian(graph: WeightedGraph, species: int,
                        partition: DomainPartition | None = None):
     """The Laplacian at the active rows, as a map on full-order fields.
 
-    The returned function takes fields of shape (..., n) in graph vertex
-    order. With no partition it is the whole-graph operator at every
-    vertex; with one it gives the subgraph operator at the interior
+    The returned function takes fields of shape (n,) or (T, n) in graph
+    vertex order. With no partition it is the whole-graph operator at
+    every vertex; with one it gives the subgraph operator at the interior
     vertices, reading the field on the closure only.
     """
+    l_ii, l_ib = _blocks(graph, species, partition)
     if partition is None:
-        lap = whole_laplacian(graph, species)
-        return lambda u: u @ lap.T
-    l_ii, l_ib = dirichlet_blocks(graph, species, partition)
+        return lambda u: u @ l_ii.T
     ii, bb = partition.interior_idx, partition.boundary_idx
     return lambda u: u[..., ii] @ l_ii.T + u[..., bb] @ l_ib.T
 
@@ -337,15 +375,28 @@ def _closure_laplacian(graph: WeightedGraph, species: int,
 def _boundary_normal(graph: WeightedGraph, species: int, partition: DomainPartition):
     """The outward normal derivative at every boundary vertex, as a map.
 
-    The returned function takes fields of shape (..., n) in graph vertex
-    order and gives sum over interior y of (u(x) - u(y)) w_xy / mu(x) at
-    each boundary vertex x, in partition order.
+    The returned function takes fields of shape (n,) or (T, n) in graph
+    vertex order and gives sum over interior y of (u(x) - u(y)) w_xy /
+    mu(x) at each boundary vertex x, in partition order.
     """
     ii, bb = partition.interior_idx, partition.boundary_idx
-    w_bi = graph.weights(species)[np.ix_(bb, ii)]
+    w_bi = _weight_block(graph, species, bb, ii, _stores_csr(graph, partition))
     rowsum = w_bi.sum(axis=1)
     mu_b = graph.measure(species)[bb]
     return lambda u: (u[..., bb] * rowsum - u[..., ii] @ w_bi.T) / mu_b
+
+
+def _projection_matrix(graph: WeightedGraph, species: int, partition: DomainPartition):
+    """Boundary-to-interior weights scaled to unit row sums: the reflecting condition's
+    boundary values as a map of the interior ones."""
+    w_bi = _weight_block(graph, species, partition.boundary_idx, partition.interior_idx,
+                         _stores_csr(graph, partition))
+    sums = w_bi.sum(axis=1)
+    dead = np.flatnonzero(sums == 0.0)
+    if dead.size:
+        names = [partition.boundary[i] for i in dead]
+        raise IsolatedBoundaryVertex(f"boundary vertices with no interior neighbour: {names}")
+    return _divide_rows(w_bi, sums)
 
 
 def laplacian_apply(

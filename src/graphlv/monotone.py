@@ -49,6 +49,7 @@ from .errors import (
 from .graphs import (
     DomainPartition,
     WeightedGraph,
+    _as_floats,
     _boundary_normal,
     _closure_laplacian,
     dirichlet_blocks,
@@ -317,7 +318,7 @@ def verify_coupled_pair(
     """
     p = problem.params
     n = problem.graph.n
-    grid = np.asarray(grid, dtype=float)
+    grid = _as_floats(grid, "grid")
     part = problem.partition
     interior_idx = problem.active_idx
     lap = {species: _closure_laplacian(problem.graph, species, part) for species in (1, 2)}
@@ -772,7 +773,9 @@ def monotone_solve(
     metadata. The propagators are dense, so more than 1024 active
     vertices raise InputError.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _as_floats(t_grid, "t_grid")
+    if substep is not None and not (math.isfinite(substep) and substep > 0):
+        raise InputError(f"substep must be positive and finite, got {substep}")
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise InputError("t_grid must be an increasing array with at least two times")
     if abs(float(t_grid[0]) - pair.t0) > 1e-12:

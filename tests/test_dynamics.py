@@ -21,7 +21,7 @@ from graphlv import (
     sample_times,
     stable_dt,
 )
-from graphlv import dynamics
+from graphlv import dynamics, graphs
 from graphlv.dynamics import _windows, reduced_operators
 from graphlv.errors import (
     InputError,
@@ -213,6 +213,13 @@ class TestSampling:
         times = sample_times(1000.0, 1e-6, max_samples=40)
         assert len(times) <= 42
 
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 0.0), (1.0, -0.1), (1.0, np.nan),
+                                           (1.0, np.inf), (0.0, 0.1), (-1.0, 0.1),
+                                           (np.inf, 0.1), (np.nan, 0.1)])
+    def test_invalid_horizon_or_step_rejected(self, t_end, dt):
+        with pytest.raises(InputError):
+            sample_times(t_end, dt)
+
 
 class TestIntegrate:
     def test_deterministic(self, triangle):
@@ -341,6 +348,18 @@ class TestStepBudget:
         with pytest.raises(StepSizeUnstable):
             integrate(prob, (np.ones(3), np.ones(3)), t_end=100.0, dt=1e-6)
 
+    def test_adaptive_run_not_refused_for_its_horizon(self, triangle, monkeypatch):
+        # the whole span is 200 / cap = 4200 steps of the stability cap, but only its first 10
+        # time units (210 cap steps) are counted up front, and DP5(4) needs about 170 steps
+        prob = Problem(triangle, PARAMS_I)
+        initial = (np.full(3, 0.7), np.full(3, 0.4))
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 1000)
+        traj = integrate(prob, initial, t_end=200.0)
+        assert traj.times[-1] == 200.0
+        assert 200.0 / traj.metadata["dt"] > 1000 > traj.metadata["n_steps"]
+        with pytest.raises(StepSizeUnstable):      # fixed steps of the cap still are
+            integrate(prob, initial, t_end=200.0, dt=traj.metadata["dt"])
+
 
 class TestWindows:
     """``_windows`` against public ``integrate`` calls chained from each last final state."""
@@ -435,8 +454,8 @@ def _lattice_problem(side, bc, params=PARAMS_I, seed=12, split_weights=True):
 
 def _stored(monkeypatch, fn, csr: bool):
     """fn() with the operator storage forced to CSR or to dense."""
-    monkeypatch.setattr(dynamics, "_CSR_MIN_ENTRIES", 0 if csr else np.inf)
-    monkeypatch.setattr(dynamics, "_CSR_MAX_FILL", 1.0)
+    monkeypatch.setattr(graphs, "_CSR_MIN_ENTRIES", 0 if csr else np.inf)
+    monkeypatch.setattr(graphs, "_CSR_MAX_FILL", 1.0)
     return fn()
 
 

@@ -1,5 +1,7 @@
 """Graph construction, partitions, and discrete Laplacians against naive sums."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,10 @@ from conftest import (
     random_connected_interior,
 )
 from graphlv import (
+    BoundaryCondition,
+    CompetitionParams,
     DomainMode,
+    Problem,
     boundary_of,
     build_graph,
     dirichlet_blocks,
@@ -33,7 +38,9 @@ from graphlv.errors import (
     NotConnected,
     SelfLoop,
 )
-from graphlv.graphs import _boundary_normal
+from graphlv import graphs
+from graphlv.dynamics import reduced_operators
+from graphlv.graphs import _blocks, _boundary_normal
 
 
 class TestBuildGraph:
@@ -87,6 +94,20 @@ class TestBuildGraph:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(InputError):
             build_graph(["a", "b"], [("a", "b", -1.0)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_recorded_edges_are_the_nonzeros(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, max_vertices=40, split_weights=True,
+                                   random_measure=True)
+        src, dst = g._edges
+        assert src.size == np.count_nonzero(g.w1)
+        assert set(zip(src.tolist(), dst.tolist())) == set(zip(*np.nonzero(g.w1)))
+
+    def test_repeated_edge_recorded_once(self):
+        g = build_graph(["a", "b", "c"], [("a", "b", 1.0), ("b", "a", 1.0), ("b", "c", 2.0)])
+        assert sorted(zip(*(e.tolist() for e in g._edges))) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 class TestBoundaryOf:
@@ -205,6 +226,95 @@ class TestLaplacians:
             l_ii, l_ib = dirichlet_blocks(g, 2, part)
             sub = l_ii @ c[part.interior_idx] + l_ib @ c[part.boundary_idx]
             assert np.allclose(sub, 0.0, atol=1e-13)
+
+
+@contextlib.contextmanager
+def _forced(csr: bool):
+    """A context in which the storage rule picks CSR (or dense) at every size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_CSR_MIN_ENTRIES", 0 if csr else np.inf)
+        mp.setattr(graphs, "_CSR_MAX_FILL", 1.0)
+        yield
+
+
+class TestBlockBuilder:
+    """The one block builder in both storages against the defining sums."""
+
+    PARAMS = CompetitionParams(a1=1.0, b1=1.0, c1=0.5, a2=1.0, b2=0.5, c2=1.0)
+
+    @staticmethod
+    def _drawn(seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, max_vertices=40, split_weights=True,
+                                   random_measure=True)
+        return rng, g, random_connected_interior(rng, g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), csr=st.booleans())
+    def test_blocks_match_naive(self, seed, csr):
+        rng, g, part = self._drawn(seed)
+        u = rng.normal(size=g.n)
+        ii, bb = part.interior_idx, part.boundary_idx
+        for species in (1, 2):
+            lap, none = _blocks(g, species, csr=csr)
+            assert none is None and hasattr(lap, "toarray") == csr
+            np.testing.assert_allclose(lap @ u, naive_whole_laplacian(g, species, u),
+                                       rtol=0, atol=1e-12)
+            l_ii, l_ib = _blocks(g, species, part, csr=csr)
+            np.testing.assert_allclose(l_ii @ u[ii] + l_ib @ u[bb],
+                                       naive_subgraph_laplacian(g, species, part, u),
+                                       rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), csr=st.booleans())
+    def test_reduced_operators_match_naive(self, seed, csr):
+        # each boundary condition's reduced operator, applied to interior values, is the
+        # naive Laplacian of the full field that condition implies
+        rng, g, part = self._drawn(seed)
+        u = rng.normal(size=g.n)
+        ii, bb = part.interior_idx, part.boundary_idx
+        with _forced(csr):
+            for bc in BoundaryCondition:
+                if bc is BoundaryCondition.NO_BOUNDARY:
+                    ops = reduced_operators(Problem(g, self.PARAMS))
+                    pairs = [(ops.red1, naive_whole_laplacian(g, 1, u)),
+                             (ops.red2, naive_whole_laplacian(g, 2, u))]
+                    values = u
+                else:
+                    ops = reduced_operators(Problem(g, self.PARAMS, bc=bc, partition=part))
+                    pairs = []
+                    for species, red in ((1, ops.red1), (2, ops.red2)):
+                        field = u.copy()
+                        w = g.weights(species)
+                        for x in bb:
+                            field[x] = (0.0 if bc is BoundaryCondition.DIRICHLET
+                                        else sum(w[x, y] * u[y] for y in ii)
+                                        / sum(w[x, y] for y in ii))
+                        pairs.append((red, naive_subgraph_laplacian(g, species, part, field)))
+                    values = u[ii]
+                for red, want in pairs:
+                    assert hasattr(red, "toarray") == csr
+                    np.testing.assert_allclose(red @ values, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), csr=st.booleans())
+    def test_boundary_normal_matches_naive(self, seed, csr):
+        rng, g, part = self._drawn(seed)
+        fields = rng.normal(size=(2, g.n))
+        with _forced(csr):
+            for species in (1, 2):
+                got = _boundary_normal(g, species, part)(fields)
+                for row, field in zip(got, fields):
+                    want = [naive_normal_derivative(g, species, part, field, x)
+                            for x in part.boundary_idx]
+                    np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+
+    def test_public_blocks_stay_dense_when_the_rule_picks_csr(self, reflecting):
+        graph, part = reflecting
+        with _forced(True):
+            assert hasattr(_blocks(graph, 1, part)[0], "toarray")
+            assert isinstance(whole_laplacian(graph, 1), np.ndarray)
+            assert all(isinstance(m, np.ndarray) for m in dirichlet_blocks(graph, 1, part))
 
 
 class TestNormalDerivative:
