@@ -71,15 +71,6 @@ def load_document(path: str) -> dict:
 
 
 def problem_from_document(doc: dict) -> Problem:
-    try:
-        return _build_problem(doc)
-    except ConfigInvalid:
-        raise
-    except InputError as exc:      # the library's own checks, reported as config errors
-        raise ConfigInvalid(str(exc)) from exc
-
-
-def _build_problem(doc: dict) -> Problem:
     graph_doc = _require(doc, "graph", dict)
     vertices = _require(graph_doc, "vertices", list)
     edges = _require(graph_doc, "edges", list)
@@ -88,14 +79,26 @@ def _build_problem(doc: dict) -> Problem:
     for entry in edges:
         if not isinstance(entry, list) or len(entry) not in (3, 4):
             raise ConfigInvalid(f"edge entries are [a, b, w] or [a, b, w1, w2], got {entry!r}")
-        weights1.append(tuple(entry[:3]))
-        weights2.append((entry[0], entry[1], entry[-1]))
-        split_weights |= len(entry) == 4
+        a, b = entry[0], entry[1]
+        weights1.append((a, b, entry[2]))
+        if len(entry) == 4:
+            split_weights = True
+            weights2.append((a, b, entry[3]))
+        else:
+            weights2.append((a, b, entry[2]))
     measures = graph_doc.get("measures") or {}
     if not isinstance(measures, dict) or not set(measures) <= {"1", "2"}:
         raise ConfigInvalid('"measures" must be an object with keys "1" and/or "2"')
-    graph = build_graph(vertices, weights1, weights2 if split_weights else None,
-                        measure1=measures.get("1"), measure2=measures.get("2"))
+    try:
+        graph = build_graph(
+            vertices,
+            weights1,
+            weights2 if split_weights else None,
+            measure1=measures.get("1"),
+            measure2=measures.get("2"),
+        )
+    except InputError as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
     bc_name = doc.get("bc", "none")
     bc = _BC_NAMES.get(bc_name)
@@ -110,7 +113,10 @@ def _build_problem(doc: dict) -> Problem:
     else:
         if interior is None:
             raise ConfigInvalid(f'bc {bc_name!r} needs graph.interior')
-        partition = boundary_of(graph, interior)
+        try:
+            partition = boundary_of(graph, interior)
+        except InputError as exc:
+            raise ConfigInvalid(str(exc)) from exc
 
     params_doc = _require(doc, "params", dict)
     unknown = set(params_doc) - set(_PARAM_KEYS)
@@ -120,7 +126,15 @@ def _build_problem(doc: dict) -> Problem:
     for key in ("a1", "b1", "c1", "a2", "b2", "c2"):
         if key not in values:
             raise ConfigInvalid(f'params.{key} is required')
-    return Problem(graph=graph, params=CompetitionParams(**values), bc=bc, partition=partition)
+    try:
+        params = CompetitionParams(**values)
+    except InputError as exc:
+        raise ConfigInvalid(str(exc)) from exc
+
+    try:
+        return Problem(graph=graph, params=params, bc=bc, partition=partition)
+    except InputError as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
 
 def config_from_document(

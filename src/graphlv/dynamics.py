@@ -37,6 +37,10 @@ _RECT_SLACK = 1e-9
 _MAX_STEPS = 10**7
 _MAX_SECONDS = 300.0
 _CLOCK_EVERY = 256        # steps between wall-clock reads
+# Adaptive steps outgrow the stability cap as the state settles, so before each window an
+# adaptive run counts the cap's steps over at most this many time units (huge initial data
+# still fail there). It is also the ``reproduce`` window, which is so counted whole.
+_COUNTED_SPAN = 10.0
 
 # Dormand & Prince (1980) 5(4) pair: the stage rows below the first, the fifth-order weights
 # (which are also the last stage's row, so that stage is the next step's first: FSAL), and
@@ -158,11 +162,13 @@ def invariant_rectangle(params: CompetitionParams, u0, v0) -> tuple[float, float
 
 @dataclass(frozen=True, eq=False)
 class _Operators:
-    """Reduced diffusion matrices and boundary materialization data, dense or CSR."""
+    """Reduced diffusion matrices, dense or CSR, the largest closure degree over measure
+    of each species at the active vertices, and boundary materialization data."""
 
     act: np.ndarray
     red1: np.ndarray
     red2: np.ndarray
+    degrees: tuple[float, float]
     bnd: np.ndarray | None = None
     proj1: np.ndarray | None = None
     proj2: np.ndarray | None = None
@@ -175,12 +181,13 @@ def reduced_operators(problem: Problem) -> _Operators:
     """
     graph, part = problem.graph, problem.partition
     (l1, l1_ib), (l2, l2_ib) = (_blocks(graph, s, part) for s in (1, 2))
+    degrees = (float(-l1.diagonal().min()), float(-l2.diagonal().min()))
     act, bnd = problem.active_idx, None if part is None else part.boundary_idx
     if problem.bc is not BoundaryCondition.NEUMANN:
-        return _Operators(act=act, red1=l1, red2=l2, bnd=bnd)
+        return _Operators(act=act, red1=l1, red2=l2, degrees=degrees, bnd=bnd)
     p1, p2 = (_projection_matrix(graph, s, part) for s in (1, 2))
-    return _Operators(act=act, red1=l1 + l1_ib @ p1, red2=l2 + l2_ib @ p2, bnd=bnd,
-                      proj1=p1, proj2=p2)
+    return _Operators(act=act, red1=l1 + l1_ib @ p1, red2=l2 + l2_ib @ p2, degrees=degrees,
+                      bnd=bnd, proj1=p1, proj2=p2)
 
 
 def neumann_project(problem: Problem, state: FieldPair) -> FieldPair:
@@ -195,14 +202,10 @@ def neumann_project(problem: Problem, state: FieldPair) -> FieldPair:
     return FieldPair(u=u, v=v)
 
 
-def _diffusion_rate(problem: Problem):
+def _diffusion_rate(problem: Problem, ops: _Operators | None = None):
     """Largest d * (closure degree / measure) over the active vertices and both species."""
-    p = problem.params
-    diff = 0.0
-    for species, d in ((1, p.d1), (2, p.d2)):
-        l_ii = _blocks(problem.graph, species, problem.partition)[0]
-        diff = np.maximum(diff, d * float(-l_ii.diagonal().min()))
-    return diff
+    deg1, deg2 = (reduced_operators(problem) if ops is None else ops).degrees
+    return np.maximum(problem.params.d1 * deg1, problem.params.d2 * deg2)
 
 
 def _step_cap(p: CompetitionParams, diff, m_u, m_v) -> float:
@@ -306,10 +309,11 @@ def _combine(coefs, ks):
 
 
 def _windows(problem: Problem, initial, window: float, t_max: float, dt: float | None = None,
-             max_samples: int = 250, forced_times=(), adaptive: bool = True):
+             max_samples: int = 250, forced_times=(), adaptive: bool = True,
+             ops: _Operators | None = None):
     """Yield (t_done, Trajectory) per window of min(window, t_max - t_done), each restarted
     from the last final state like a fresh integrate call; the step and wall-time budgets
-    span all windows.
+    span all windows. ``ops`` are the problem's reduced operators, built here when None.
 
     Without dt the steps are adaptive DP5(4) from the stability cap, or, when ``adaptive``
     is false, fixed RK4 steps of the cap: the ordered march of ``coexistence_bounds`` asks
@@ -319,7 +323,7 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     if not (math.isfinite(t_max) and t_max > 0):
         raise InputError(f"t_end must be positive and finite, got {t_max}")
     p = problem.params
-    ops = reduced_operators(problem)
+    ops = reduced_operators(problem) if ops is None else ops
     u0, v0 = _coerce_initial(problem, initial)
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise InputError(f"dt must be positive and finite, got {dt}")
@@ -338,7 +342,7 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
         return np.concatenate([d1 * (red1 @ u) + f1, d2 * (red2 @ v) + f2])
 
     dp5 = dt is None and adaptive
-    rate = _diffusion_rate(problem) if dt is None else None
+    rate = _diffusion_rate(problem, ops) if dt is None else None
     started = time.perf_counter()
     n_spent = 0
     t_done = 0.0
@@ -346,9 +350,7 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
         span = min(window, t_max - t_done)
         m_u, m_v = invariant_rectangle(p, u0[problem.closure_idx], v0[problem.closure_idx])
         step = _step_cap(p, rate, m_u, m_v) if dt is None else dt
-        # fixed steps know their count up front; adaptive ones outgrow the cap as the state
-        # settles, so only their first 10 time units are counted (huge data still fail here)
-        horizon = min(span, 10.0) if dp5 else span
+        horizon = min(span, _COUNTED_SPAN) if dp5 else span    # fixed steps: all counted
         if not (math.isfinite(step) and step > 0) or horizon / step > _MAX_STEPS - n_spent:
             raise StepSizeUnstable(f"step {step:.3e} up to t={t_done + horizon:.6g} exceeds the "
                                    f"budget of {_MAX_STEPS} steps")

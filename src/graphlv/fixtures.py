@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BoundaryCondition, CompetitionParams, FieldPair, Problem, _windows
+from .dynamics import (_COUNTED_SPAN, BoundaryCondition, CompetitionParams, FieldPair, Problem,
+                       _windows)
 from .errors import InputError, UnknownExample
 from .graphs import DomainPartition, WeightedGraph, boundary_of, build_graph
 
@@ -140,8 +141,9 @@ def run_reproduce(case_id: str, tol: float = 1e-3, t_max: float = 1000.0,
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be positive and finite, got {tol}")
     expected_u, expected_v = case.expected
-    for t_done, traj in _windows(case.problem, (case.initial_u, case.initial_v), 10.0, t_max,
-                                 dt=dt, max_samples=2):
+    # each window is counted whole against the step budget before it starts
+    for t_done, traj in _windows(case.problem, (case.initial_u, case.initial_v), _COUNTED_SPAN,
+                                 t_max, dt=dt, max_samples=2):
         final = traj.final
         error = max(float(np.max(np.abs(final.u - expected_u))),
                     float(np.max(np.abs(final.v - expected_v))))

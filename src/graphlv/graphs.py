@@ -41,8 +41,7 @@ class WeightedGraph:
     """Vertex-ordered graph with per-species weights and measures.
 
     Weight matrices are dense symmetric with zero diagonal; both induce
-    the same edge set, whose (row, col) positions ``build_graph`` records
-    as ``_edges``. Measures are strictly positive.
+    the same edge set. Measures are strictly positive.
     """
 
     vertices: tuple[Vertex, ...]
@@ -53,6 +52,14 @@ class WeightedGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
+        object.__setattr__(self, "_edges", None)    # build_graph records them
+
+    def _edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, col) positions of the edges, both directions: as ``build_graph``
+        recorded them, or, for a graph made any other way, from one scan of w1."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", np.nonzero(self.w1))
+        return self._edges
 
     @property
     def n(self) -> int:
@@ -231,8 +238,9 @@ def boundary_of(graph: WeightedGraph, interior: Iterable[Vertex]) -> DomainParti
     except NotConnected as exc:
         raise NotConnected(f"interior does not induce a connected subgraph: {exc}") from None
     touched = adj[interior_idx].any(axis=0)
-    touched[interior_idx] = False
-    boundary_idx = np.flatnonzero(touched)
+    boundary_mask = touched.copy()
+    boundary_mask[interior_idx] = False
+    boundary_idx = np.flatnonzero(boundary_mask)
     if boundary_idx.size == 0:
         raise EmptyBoundary("interior has no adjacent exterior vertex")
     return DomainPartition(
@@ -283,7 +291,7 @@ def _stores_csr(graph: WeightedGraph, partition: DomainPartition | None) -> bool
     n_act = graph.n if partition is None else partition.interior_idx.size
     if n_act * n_act < _CSR_MIN_ENTRIES:
         return False
-    src, dst = graph._edges
+    src, dst = graph._edge_positions()
     active = np.zeros(graph.n, dtype=bool)
     active[slice(None) if partition is None else partition.interior_idx] = True
     nnz = n_act + np.count_nonzero(active[src] & active[dst])
@@ -300,7 +308,7 @@ def _weight_block(graph: WeightedGraph, species: int, rows, cols, csr: bool):
 
     if rows is None:
         rows = cols = np.arange(graph.n)
-    src, dst = graph._edges
+    src, dst = graph._edge_positions()
     at_row, at_col = np.full(graph.n, -1), np.full(graph.n, -1)
     at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
     keep = (at_row[src] >= 0) & (at_col[dst] >= 0)

@@ -602,7 +602,7 @@ def _march(problem: Problem, ops: _Operators, start: FieldPair, direction_u: int
     ii = ops.act
     p = problem.params
     for t_done, traj in _windows(problem, start, 1.0, t_max, max_samples=6,
-                                 forced_times=(0.25, 0.5, 0.75), adaptive=False):
+                                 forced_times=(0.25, 0.5, 0.75), adaptive=False, ops=ops):
         for prev, cur in zip(traj.states, traj.states[1:]):
             du = (cur.u - prev.u)[ii] * direction_u
             dv = (cur.v - prev.v)[ii] * direction_v

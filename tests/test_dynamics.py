@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from graphlv import (
     BoundaryCondition,
     CompetitionParams,
+    DomainMode,
     FieldPair,
     Problem,
+    WeightedGraph,
     integrate,
     invariant_rectangle,
+    laplacian_apply,
     neumann_project,
     normal_derivative,
     reaction,
@@ -559,6 +562,25 @@ class TestOperatorStorage:
         for prob in small:
             ops = reduced_operators(prob)
             assert not any(_is_csr(m) for m in (ops.red1, ops.red2, ops.proj1, ops.proj2))
+
+    @pytest.mark.parametrize("made", ["constructor", "replace"])
+    def test_graph_made_without_build_graph(self, made):
+        # such a graph has no recorded edges: the rule and the CSR gathers scan its weights
+        prob = _lattice_problem(40, BoundaryCondition.NEUMANN)
+        g, part = prob.graph, prob.partition
+        other = (WeightedGraph(g.vertices, g.w1, g.w2, g.mu1, g.mu2) if made == "constructor"
+                 else dataclasses.replace(g, mu1=g.mu1.copy()))
+        want = reduced_operators(prob)
+        got = reduced_operators(dataclasses.replace(prob, graph=other))
+        for name in ("red1", "red2", "proj1", "proj2"):
+            assert _is_csr(getattr(got, name))
+            assert abs(getattr(got, name) - getattr(want, name)).max() <= 1e-15
+        u = np.random.default_rng(3).uniform(size=g.n)
+        for species in (1, 2):
+            for mode in DomainMode:
+                np.testing.assert_allclose(
+                    laplacian_apply(other, species, u, mode, part),
+                    laplacian_apply(g, species, u, mode, part), rtol=0, atol=1e-14)
 
     def test_rule_keeps_dense_graphs_dense(self):
         n = 160
