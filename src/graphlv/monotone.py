@@ -49,6 +49,7 @@ from .errors import (
 from .graphs import (
     DomainPartition,
     WeightedGraph,
+    _as_float,
     _as_floats,
     _boundary_normal,
     _closure_laplacian,
@@ -57,8 +58,10 @@ from .graphs import (
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
 _ORDER_SLACK = 1e-12
-# monotone_solve keeps several dense n_act x n_act propagators per species and step length
+# monotone_solve keeps a dense n_act x n_act propagator per species and step length
 _MONOTONE_MAX_ACTIVE = 1024
+# fine points times active vertices: 8 MiB per (T, n_act) array; a solve holds about 45
+_MONOTONE_MAX_FINE = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -721,31 +724,34 @@ def _dense(op) -> np.ndarray:
     return op.toarray() if hasattr(op, "toarray") else np.asarray(op)
 
 
-def _propagators(a_mat: np.ndarray, h: float):
-    """expm(A h) with the first two forcing integrals, all entrywise >= 0."""
-    e_mat = scipy.linalg.expm(a_mat * h)
-    lu = scipy.linalg.lu_factor(a_mat)
-    eye = np.eye(a_mat.shape[0])
-    p0 = scipy.linalg.lu_solve(lu, e_mat - eye)
-    p1 = scipy.linalg.lu_solve(lu, p0 - h * eye)
-    return e_mat, p0, p1
-
-
-def _sweep(props, grid_h, g_samples, y0):
+def _sweep(lu, steps, grid_h, g_samples, y0):
     """March the linear sweep: y' = A y + g(t), g piecewise linear on the grid.
 
-    ``g_samples`` has shape (T, n, k); the k columns are independent
-    right-hand sides integrated at once.
+    ``steps`` lists (E, h, indices) for each distinct fine step length, with
+    E = expm(A h) and ``lu`` the LU factors of A. ``g_samples`` has shape
+    (T, n, k); the k columns are independent right-hand sides integrated at
+    once. Every step's forcing is known up front, so the integrals
+    A^-1 (E - I) g_i + A^-1 (A^-1 (E - I) - h I) gdot_i are formed for all
+    steps of one length together; only y <- E y + F_i runs step by step.
     """
-    t_count = g_samples.shape[0]
+    t_count, n, k = g_samples.shape
+    gdot = np.diff(g_samples, axis=0) / grid_h[:, None, None]
+    forcing = np.empty_like(gdot)
+    step_e = [None] * (t_count - 1)
+    for e_mat, h, idx in steps:
+        cols = idx.size * k
+        block = np.concatenate([g_samples[idx], gdot[idx]]).transpose(1, 0, 2).reshape(n, -1)
+        moved = e_mat @ block - block
+        inner = scipy.linalg.lu_solve(lu, moved[:, cols:])
+        f = scipy.linalg.lu_solve(lu, moved[:, :cols] + inner - h * block[:, cols:])
+        forcing[idx] = f.reshape(n, idx.size, k).transpose(1, 0, 2)
+        for i in idx:
+            step_e[i] = e_mat
     out = np.empty_like(g_samples)
     y = y0
     out[0] = y
     for i in range(t_count - 1):
-        e_mat, p0, p1 = props[i]
-        h = grid_h[i]
-        gdot = (g_samples[i + 1] - g_samples[i]) / h
-        y = e_mat @ y + p0 @ g_samples[i] + p1 @ gdot
+        y = step_e[i] @ y + forcing[i]
         out[i + 1] = y
     return out
 
@@ -770,19 +776,42 @@ def monotone_solve(
     range; too small an M breaks the monotone squeeze and is reported as
     NoConvergence. Returns the common limit sampled at ``t_grid``, with
     iteration diagnostics (including the worst sandwich slack) in the
-    metadata. The propagators are dense, so more than 1024 active
-    vertices raise InputError.
+    metadata, with the gap after each iteration in ``gaps``. Only the
+    propagator expm(A h) is dense; the forcing integrals go through the LU
+    factors of A, applied to every fine step at once. More than 1024
+    active vertices, or more than 2**20 fine points times active vertices,
+    raise InputError.
     """
     t_grid = _as_floats(t_grid, "t_grid")
-    if substep is not None and not (math.isfinite(substep) and substep > 0):
-        raise InputError(f"substep must be positive and finite, got {substep}")
-    if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
-        raise InputError("t_grid must be an increasing array with at least two times")
+    if substep is not None:
+        substep = _as_float(substep, "substep")
+        if not (math.isfinite(substep) and substep > 0):
+            raise InputError(f"substep must be positive and finite, got {substep}")
+    if m_const is not None:
+        m_const = _as_float(m_const, "m_const")
+        if not math.isfinite(m_const):
+            raise InputError(f"m_const must be finite, got {m_const}")
+    tol = _as_float(tol, "tol")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be positive and finite, got {tol}")
+    if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
+            or max_iters < 1):
+        raise InputError(f"max_iters must be a positive integer, got {max_iters!r}")
+    if (t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid))
+            or np.any(np.diff(t_grid) <= 0)):
+        raise InputError("t_grid must be a finite increasing array with at least two times")
     if abs(float(t_grid[0]) - pair.t0) > 1e-12:
         raise InputError("t_grid must start at the pair's t0")
-    if problem.active_idx.size > _MONOTONE_MAX_ACTIVE:
-        raise InputError(f"monotone_solve forms dense propagators; {problem.active_idx.size} "
+    n_act = problem.active_idx.size
+    if n_act > _MONOTONE_MAX_ACTIVE:
+        raise InputError(f"monotone_solve forms dense propagators; {n_act} "
                          f"active vertices exceed its cap of {_MONOTONE_MAX_ACTIVE}")
+    spans = np.diff(t_grid)
+    counts = np.ones(spans.size) if substep is None else np.maximum(1.0, np.ceil(spans / substep))
+    if (1.0 + counts.sum()) * n_act > _MONOTONE_MAX_FINE:
+        raise InputError(f"{1.0 + counts.sum():.3g} fine points times {n_act} active vertices "
+                         f"exceed the cap of {_MONOTONE_MAX_FINE}; use a coarser substep")
+    counts = counts.astype(np.int64)
 
     report = verify_coupled_pair(problem, pair, t_grid, initial=initial)
     if not report.passed:
@@ -791,18 +820,11 @@ def monotone_solve(
 
     p = problem.params
     ops = reduced_operators(problem)
-    n_act = ops.act.size
     n = problem.graph.n
 
-    fine = [float(t_grid[0])]
-    grid_index = [0]
-    for t_a, t_b in zip(t_grid, t_grid[1:]):
-        span = float(t_b - t_a)
-        k = 1 if substep is None else max(1, int(np.ceil(span / substep)))
-        for j in range(1, k + 1):
-            fine.append(float(t_a) + span * j / k)
-        grid_index.append(len(fine) - 1)
-    fine = np.asarray(fine)
+    fine = np.concatenate([t_grid[:1]] + [t_a + span * np.arange(1, k + 1) / k
+                                          for t_a, span, k in zip(t_grid, spans, counts)])
+    grid_index = np.concatenate([[0], np.cumsum(counts)])
     grid_h = np.diff(fine)
 
     m_u = max(float(np.max(_tf_value(pair.u_upper, float(t), n))) for t in t_grid)
@@ -811,22 +833,23 @@ def monotone_solve(
         m_const = max(p.a1 + 2 * p.b1 * m_u + p.c1 * m_v,
                       p.a2 + p.b2 * m_u + 2 * p.c2 * m_v)
 
-    prop_cache: dict[tuple[int, float], tuple] = {}
+    # fine steps of one length share a propagator
+    by_length: dict[float, list[int]] = {}
+    for i, h in enumerate(grid_h.tolist()):
+        by_length.setdefault(round(h, 15), []).append(i)
+    lengths = [(float(grid_h[idx[0]]), np.array(idx)) for idx in by_length.values()]
 
-    def props_for(species: int, a_mat: np.ndarray):
-        out = []
-        for h in grid_h:
-            key = (species, round(float(h), 15))
-            if key not in prop_cache:
-                prop_cache[key] = _propagators(a_mat, float(h))
-            out.append(prop_cache[key])
-        return out
+    def propagators(a_mat: np.ndarray):
+        # expm of the dense operator is entrywise >= 0, which the squeeze needs
+        steps = [(scipy.linalg.expm(a_mat * h), h, idx) for h, idx in lengths]
+        return scipy.linalg.lu_factor(a_mat), steps
 
-    # expm needs dense operators; its propagators are entrywise >= 0, which the squeeze needs
     a1_mat = p.d1 * _dense(ops.red1) - m_const * np.eye(n_act)
     a2_mat = p.d2 * _dense(ops.red2) - m_const * np.eye(n_act)
-    props1 = props_for(1, a1_mat)
-    props2 = props_for(2, a2_mat)
+    # species with one operator (same weights, measures and diffusion) share one sweep
+    shared = np.array_equal(a1_mat, a2_mat)
+    props1 = propagators(a1_mat)
+    props2 = props1 if shared else propagators(a2_mat)
 
     u0_full, v0_full = _coerce_initial(problem, initial)
     u0 = u0_full[ops.act]
@@ -841,15 +864,20 @@ def monotone_solve(
     lower_v = eval_on_fine(pair.v_lower)
 
     min_slack = np.inf
-    iterations = 0
+    gaps = []
     gap = np.inf
     for iterations in range(1, max_iters + 1):
         f_upper_u, f_lower_v = reaction(p, upper_u, lower_v)
         f_lower_u, f_upper_v = reaction(p, lower_u, upper_v)
         g_u = np.stack([f_upper_u + m_const * upper_u, f_lower_u + m_const * lower_u], axis=-1)
         g_v = np.stack([f_upper_v + m_const * upper_v, f_lower_v + m_const * lower_v], axis=-1)
-        out_u = _sweep(props1, grid_h, g_u, np.stack([u0, u0], axis=-1))
-        out_v = _sweep(props2, grid_h, g_v, np.stack([v0, v0], axis=-1))
+        if shared:
+            out = _sweep(*props1, grid_h, np.concatenate([g_u, g_v], axis=-1),
+                         np.stack([u0, u0, v0, v0], axis=-1))
+            out_u, out_v = out[..., :2], out[..., 2:]
+        else:
+            out_u = _sweep(*props1, grid_h, g_u, np.stack([u0, u0], axis=-1))
+            out_v = _sweep(*props2, grid_h, g_v, np.stack([v0, v0], axis=-1))
         new_upper_u, new_lower_u = out_u[..., 0], out_u[..., 1]
         new_upper_v, new_lower_v = out_v[..., 0], out_v[..., 1]
 
@@ -867,6 +895,7 @@ def monotone_solve(
         upper_u, lower_u = new_upper_u, new_lower_u
         upper_v, lower_v = new_upper_v, new_lower_v
         gap = max(float(np.max(upper_u - lower_u)), float(np.max(upper_v - lower_v)))
+        gaps.append(gap)
         if gap < tol:
             break
     else:
@@ -881,6 +910,7 @@ def monotone_solve(
         metadata={
             "iterations": iterations,
             "gap": gap,
+            "gaps": gaps,
             "m_const": m_const,
             "min_sandwich_slack": min_slack,
             "n_fine": int(fine.size),

@@ -38,6 +38,18 @@ CASES = {
     "solve-zero-substep": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, substep=0.0),
     "solve-nan-substep": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID,
                                                 substep=np.nan),
+    "solve-text-substep": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, substep="x"),
+    "solve-nan-shift": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, m_const=np.nan),
+    "solve-inf-shift": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, m_const=np.inf),
+    "solve-text-shift": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, m_const="x"),
+    "solve-fractional-iterations": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID,
+                                                          max_iters=2.5),
+    "solve-zero-iterations": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID,
+                                                    max_iters=0),
+    "solve-negative-iterations": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID,
+                                                        max_iters=-3),
+    "solve-nan-tol": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, tol=np.nan),
+    "solve-negative-tol": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, tol=-1.0),
     "verify-text-grid": lambda: verify_coupled_pair(_problem(), PAIR, ["a"]),
 }
 

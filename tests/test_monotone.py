@@ -1,8 +1,13 @@
 """Comparison machinery: max principle, pairs, steady states, monotone sweeps."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import random_connected_graph, random_connected_interior, reference_monotone_solve
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlv import (
     BoundaryCondition,
@@ -19,6 +24,7 @@ from graphlv import (
     constant_pair,
     dirichlet_blocks,
     integrate,
+    invariant_rectangle,
     logistic_steady_state,
     maximum_principle_check,
     monotone_solve,
@@ -466,6 +472,9 @@ class TestMonotoneSolve:
         sol = monotone_solve(prob, pair, (state.u, state.v), t_grid, substep=1e-3)
         assert sol.metadata["min_sandwich_slack"] >= -1e-12
         assert sol.metadata["gap"] < 1e-8
+        gaps = sol.metadata["gaps"]
+        assert len(gaps) == sol.metadata["iterations"]
+        assert gaps[-1] == sol.metadata["gap"]
         ref = integrate(prob, (state.u, state.v), t_end=0.2, dt=1e-4,
                         forced_times=(0.1,))
         for t, state_m in zip(sol.times, sol.states):
@@ -505,3 +514,78 @@ class TestMonotoneSolve:
             monotone_solve(prob, pair, inside, np.array([0.5, 1.0]))
         with pytest.raises(InputError):
             monotone_solve(prob, pair, inside, np.array([0.0]))
+
+    def test_tiny_substep_is_refused_up_front(self, reflecting):
+        graph, part = reflecting
+        prob = Problem(graph, SET_I, bc=BoundaryCondition.NEUMANN, partition=part)
+        pair = constant_pair((2.0, 3.0), (0.0, 0.0), t0=2.0, t_end=2.2)
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="fine points"):
+            monotone_solve(prob, pair, (np.ones(5), np.ones(5)), np.array([2.0, 2.1, 2.2]),
+                           substep=1e-9)
+        assert time.perf_counter() - start < 2.0
+
+    def test_forcing_solves_never_take_a_dense_identity(self, monkeypatch):
+        """The forcing integrals solve against fine-step blocks, never against E - I."""
+        side = 20
+        names = [f"r{r}c{c}" for r in range(side) for c in range(side)]
+        edges = [(f"r{r}c{c}", f"r{r}c{c + 1}", 1.0) for r in range(side) for c in range(side - 1)]
+        edges += [(f"r{r}c{c}", f"r{r + 1}c{c}", 1.0) for r in range(side - 1) for c in range(side)]
+        graph = build_graph(names, edges)
+        interior = [f"r{r}c{c}" for r in range(1, side - 1) for c in range(1, side - 1)]
+        prob = Problem(graph, BOUNDS_PARAMS, bc=BoundaryCondition.DIRICHLET,
+                       partition=boundary_of(graph, interior))
+        u0 = np.zeros(graph.n)
+        u0[prob.active_idx] = 1.0
+        pair = constant_pair(invariant_rectangle(BOUNDS_PARAMS, u0, u0), (0.0, 0.0),
+                             t_end=0.01)
+        widths = []
+        real_solve = scipy.linalg.lu_solve
+
+        def counting_solve(lu, b, *args, **kwargs):
+            widths.append(np.shape(b)[1] if np.ndim(b) == 2 else 1)
+            return real_solve(lu, b, *args, **kwargs)
+
+        monkeypatch.setattr(monotone.scipy.linalg, "lu_solve", counting_solve)
+        sol = monotone_solve(prob, pair, (u0, u0), np.array([0.0, 0.005, 0.01]), substep=5e-4)
+        assert sol.metadata["gap"] < 1e-8
+        assert widths and prob.active_idx.size not in widths
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bc=st.sampled_from(list(BoundaryCondition)),
+       substep=st.one_of(st.none(), st.floats(0.002, 0.02)), shared=st.booleans())
+def test_monotone_solve_matches_dense_forcing_reference(seed, bc, substep, shared):
+    """Batched forcing integrals against dense p0/p1 matrices applied step by step.
+
+    ``shared`` draws one weight table, unit measures and d1 = d2, so both
+    species have one operator; otherwise weights and measures are split.
+    """
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, max_vertices=12, split_weights=not shared,
+                                   random_measure=not shared)
+    part = None if bc is BoundaryCondition.NO_BOUNDARY else random_connected_interior(rng, graph)
+    a1, b1, c1, a2, b2, c2 = rng.uniform(0.5, 2.0, 6)
+    d1, d2 = rng.uniform(0.1, 2.0, 2)
+    params = CompetitionParams(a1=a1, b1=b1, c1=c1, a2=a2, b2=b2, c2=c2,
+                               d1=d1, d2=d1 if shared else d2)
+    prob = Problem(graph, params, bc=bc, partition=part)
+    closure = prob.closure_idx
+    u0, v0 = np.zeros(graph.n), np.zeros(graph.n)
+    u0[closure], v0[closure] = rng.uniform(0.0, 2.0, (2, closure.size))
+    if bc is BoundaryCondition.DIRICHLET:
+        u0[part.boundary_idx] = v0[part.boundary_idx] = 0.0
+    t0 = float(rng.uniform(0.0, 2.0))
+    t_grid = t0 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.05,
+                                                             int(rng.integers(1, 4))))])
+    pair = constant_pair(invariant_rectangle(params, u0[closure], v0[closure]), (0.0, 0.0),
+                         t0=t0, t_end=float(t_grid[-1]))
+
+    sol = monotone_solve(prob, pair, (u0, v0), t_grid, substep=substep)
+    ref_u, ref_v, ref_iterations = reference_monotone_solve(prob, pair, (u0, v0), t_grid,
+                                                            substep=substep)
+    assert sol.metadata["iterations"] == ref_iterations
+    act = prob.active_idx
+    for state, want_u, want_v in zip(sol.states, ref_u, ref_v):
+        assert np.max(np.abs(state.u[act] - want_u)) <= 1e-12 * np.max(np.abs(want_u))
+        assert np.max(np.abs(state.v[act] - want_v)) <= 1e-12 * np.max(np.abs(want_v))

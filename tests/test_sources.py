@@ -16,3 +16,11 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in {found}"
+
+
+def test_propagators_stay_dense_expm():
+    """The monotone squeeze needs entrywise-nonnegative propagators, which a dense
+    expm gives; a Krylov action of the exponential does not promise them."""
+    found = [path.name for path in sorted(PACKAGE.rglob("*.py"))
+             if "expm_multiply" in path.read_text(encoding="utf-8")]
+    assert not found, f"expm_multiply used in {found}"
