@@ -42,6 +42,7 @@ from .errors import (
     RequiresSteadySolve,
 )
 from .fixtures import reproduce_ids, run_reproduce
+from .graphs import _positive
 from .monotone import coexistence_bounds, logistic_steady_state
 
 
@@ -180,7 +181,7 @@ def _cmd_steady(args) -> int:
         raise ConfigInvalid("steady states are defined for the absorbing boundary; "
                             'set bc to "dirichlet"')
     p = problem.params
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = 1e-10 if args.tol is None else _positive(args.tol, "--tol")
     out = _ensure_dir(args.out)
     interior = [problem.graph.vertices[i] for i in problem.partition.interior_idx]
     if args.bounds:

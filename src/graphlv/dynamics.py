@@ -28,6 +28,7 @@ from .graphs import (
     WeightedGraph,
     _as_floats,
     _blocks,
+    _positive,
     _projection_matrix,
     field_array,
 )
@@ -251,9 +252,7 @@ def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_times(t_end: float, dt: float, max_samples: int = 250, forced=()) -> np.ndarray:
     """Geometric schedule, dense early; forced times and t_end always land."""
-    for name, value in (("t_end", t_end), ("dt", dt)):
-        if not (math.isfinite(value) and value > 0):
-            raise InputError(f"{name} must be positive and finite, got {value}")
+    t_end, dt = _positive(t_end, "t_end"), _positive(dt, "dt")
     pts = {0.0, float(t_end)}
     for f in forced:
         f = float(f)
@@ -320,13 +319,12 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     for monotone samples and a 1e-10 residual, which step-size chatter at the controller
     tolerance can break.
     """
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise InputError(f"t_end must be positive and finite, got {t_max}")
+    t_max = _positive(t_max, "t_end")
     p = problem.params
     ops = reduced_operators(problem) if ops is None else ops
     u0, v0 = _coerce_initial(problem, initial)
-    if dt is not None and not (math.isfinite(dt) and dt > 0):
-        raise InputError(f"dt must be positive and finite, got {dt}")
+    if dt is not None:
+        dt = _positive(dt, "dt")
 
     red1, red2 = ops.red1, ops.red2
     d1, d2 = p.d1, p.d2

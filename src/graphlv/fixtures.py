@@ -9,15 +9,14 @@ with both basins), giving ten named cases with known constant limits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (_COUNTED_SPAN, BoundaryCondition, CompetitionParams, FieldPair, Problem,
                        _windows)
-from .errors import InputError, UnknownExample
-from .graphs import DomainPartition, WeightedGraph, boundary_of, build_graph
+from .errors import UnknownExample
+from .graphs import DomainPartition, WeightedGraph, _positive, boundary_of, build_graph
 
 
 def reflecting_example() -> tuple[WeightedGraph, DomainPartition]:
@@ -138,8 +137,7 @@ def run_reproduce(case_id: str, tol: float = 1e-3, t_max: float = 1000.0,
     raised.
     """
     case = get_case(case_id)
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError(f"tol must be positive and finite, got {tol}")
+    tol = _positive(tol, "tol")
     expected_u, expected_v = case.expected
     # each window is counted whole against the step budget before it starts
     for t_done, traj in _windows(case.problem, (case.initial_u, case.initial_v), _COUNTED_SPAN,

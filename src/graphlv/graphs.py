@@ -113,6 +113,14 @@ def _as_float(value, what: str) -> float:
         raise InputError(f"{what} must be a number, got {value!r}") from None
 
 
+def _positive(value, what: str) -> float:
+    """``value`` as a float, which must be positive and finite."""
+    value = _as_float(value, what)
+    if not (np.isfinite(value) and value > 0.0):
+        raise InputError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
 def _as_floats(values, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)

@@ -53,6 +53,7 @@ from .graphs import (
     _as_floats,
     _boundary_normal,
     _closure_laplacian,
+    _positive,
     dirichlet_blocks,
 )
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
@@ -425,13 +426,9 @@ def analytic_envelopes(
     else:
         raise InputError(f"regime must be 1, 2, or 3, got {regime!r}")
 
-    if epsilon is None:
-        epsilon = 0.5 * cap
-    elif epsilon >= cap:
-        raise EpsilonTooLarge(f"epsilon must be below {cap:.6g}, got {epsilon:.6g}")
-    elif epsilon <= 0.0:
-        raise InputError("epsilon must be positive")
-    eps = float(epsilon)
+    eps = 0.5 * cap if epsilon is None else _positive(epsilon, "epsilon")
+    if eps >= cap:
+        raise EpsilonTooLarge(f"epsilon must be below {cap:.6g}, got {eps:.6g}")
 
     if state_at_t0 is None:
         raise InputError("state_at_t0 is required to anchor the envelopes")
@@ -504,6 +501,14 @@ def analytic_envelopes(
                        t0=t0, t_end=float(t_end), info=info)
 
 
+def _iteration_budget(max_iters) -> int:
+    """``max_iters``, which must be a positive integer (not a bool or a float)."""
+    if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
+            or max_iters < 1):
+        raise InputError(f"max_iters must be a positive integer, got {max_iters!r}")
+    return max_iters
+
+
 def _exp_field(amplitude: float, offset: float, rate: float, t0: float) -> TimeField:
     """offset + amplitude * exp(-rate * (t - t0)) with its exact derivative."""
     return TimeField(
@@ -539,8 +544,13 @@ def logistic_steady_state(
     Exists iff a > lambda0 * d. Monotone iteration with shift M = a:
     lower start 0.5 * (a - lambda0 d)/e * phi, upper start a/e, update
     w <- (-d Lap + M)^-1 (f(prev) + M prev). Both sequences must stay
-    monotone and ordered or the solve is reported as failed.
+    monotone and ordered or the solve is reported as failed. d, e and tol
+    must be positive and finite, a finite, and max_iters a positive integer.
     """
+    d, e, tol = _positive(d, "d"), _positive(e, "e"), _positive(tol, "tol")
+    a, max_iters = _as_float(a, "a"), _iteration_budget(max_iters)
+    if not math.isfinite(a):
+        raise InputError(f"a must be finite, got {a}")
     return _logistic_steady_state(graph, partition, species, d, a, e,
                                   smallest_dirichlet_eigenpair(graph, species, partition),
                                   tol, max_iters)
@@ -646,6 +656,7 @@ def coexistence_bounds(
     """
     if problem.bc is not BoundaryCondition.DIRICHLET:
         raise InputError("coexistence bounds need the absorbing boundary condition")
+    tol = _positive(tol, "tol")
     p = problem.params
     part = problem.partition
     eig1 = smallest_dirichlet_eigenpair(problem.graph, 1, part)
@@ -664,21 +675,15 @@ def coexistence_bounds(
     s2 = _logistic_steady_state(problem.graph, part, 2, p.d2, p.a2, p.c2, eig2, tol=steady_tol)
 
     eps_cap = min((p.b1 / (p.a1 * p.b2)) * g2 - 1.0, (p.c2 / (p.a2 * p.c1)) * g1 - 1.0)
-    if epsilon is None:
-        epsilon = 0.5 * eps_cap
-    elif epsilon >= eps_cap:
+    epsilon = 0.5 * eps_cap if epsilon is None else _positive(epsilon, "epsilon")
+    if epsilon >= eps_cap:
         raise EpsilonTooLarge(f"epsilon must be below {eps_cap:.6g}, got {epsilon:.6g}")
-    elif epsilon <= 0.0:
-        raise InputError("epsilon must be positive")
     big_e = (g2 - (1.0 + epsilon) * (p.a1 / p.b1) * p.b2) / p.c2
     big_f = (g1 - (1.0 + epsilon) * (p.a2 / p.c2) * p.c1) / p.b1
     delta_cap = min(big_e, big_f)
-    if delta is None:
-        delta = 0.5 * delta_cap
-    elif delta > delta_cap:
+    delta = 0.5 * delta_cap if delta is None else _positive(delta, "delta")
+    if delta > delta_cap:
         raise DeltaTooLarge(f"delta must be at most {delta_cap:.6g}, got {delta:.6g}")
-    elif delta <= 0.0:
-        raise InputError("delta must be positive")
 
     ops = reduced_operators(problem)
     ii = ops.act
@@ -784,19 +789,12 @@ def monotone_solve(
     """
     t_grid = _as_floats(t_grid, "t_grid")
     if substep is not None:
-        substep = _as_float(substep, "substep")
-        if not (math.isfinite(substep) and substep > 0):
-            raise InputError(f"substep must be positive and finite, got {substep}")
+        substep = _positive(substep, "substep")
     if m_const is not None:
         m_const = _as_float(m_const, "m_const")
         if not math.isfinite(m_const):
             raise InputError(f"m_const must be finite, got {m_const}")
-    tol = _as_float(tol, "tol")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError(f"tol must be positive and finite, got {tol}")
-    if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
-            or max_iters < 1):
-        raise InputError(f"max_iters must be a positive integer, got {max_iters!r}")
+    tol, max_iters = _positive(tol, "tol"), _iteration_budget(max_iters)
     if (t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid))
             or np.any(np.diff(t_grid) <= 0)):
         raise InputError("t_grid must be a finite increasing array with at least two times")

@@ -2,8 +2,10 @@
 
 The operator -Laplacian with zero boundary data is self-adjoint in the
 mu-weighted inner product, so conjugating by diag(sqrt(mu)) gives a
-symmetric positive definite matrix whose extreme eigenpair is safe to
-chase with inverse power iteration. The returned eigenvector is the
+symmetric positive definite matrix. Its smallest eigenpair comes from one
+library call on the interior block, stored as the graph storage rule
+picks: LAPACK's MRRR ``eigh`` on a dense block, ARPACK shift-invert
+``eigsh`` at sigma = 0 on a CSR one. The returned eigenvector is the
 positive principal one, normalized to max = 1.
 """
 
@@ -15,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EmptyBoundary, NoConvergence
-from .graphs import DomainPartition, WeightedGraph, dirichlet_blocks
+from .graphs import DomainPartition, WeightedGraph, _blocks, _positive
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,77 +34,40 @@ def smallest_dirichlet_eigenpair(
     species: int,
     partition: DomainPartition,
     tol: float = 1e-10,
-    max_iters: int = 10_000,
 ) -> EigenPair:
     """Solve -Lap_Omega phi = lambda0 phi with phi = 0 on the boundary.
 
-    Inverse power iteration on the symmetrized interior matrix, then a
-    shifted refinement pass: once the Rayleigh quotient has settled, the
-    residual norm bounds the distance to the true eigenvalue, so a shift
-    just below it keeps the matrix positive definite while making the
-    contraction ratio tiny. The final eigenvalue is the mu-weighted
-    Rayleigh quotient of the de-symmetrized vector and the residual is
-    measured on the original (nonsymmetric) operator.
+    The symmetrized interior matrix goes to ``scipy.linalg.eigh`` for its
+    lowest eigenpair when the block is dense, and to
+    ``scipy.sparse.linalg.eigsh`` in shift-invert mode about 0 when it is
+    CSR, started from sqrt(mu) (the symmetrized constant field) so that
+    repeated solves are bit-identical. The final eigenvalue is the
+    mu-weighted Rayleigh quotient of the de-symmetrized vector, and the
+    residual, measured on the original (nonsymmetric) operator, must be
+    within max(tol, 1e-12) * max(1, lambda0).
     """
+    tol = _positive(tol, "tol")
     if len(partition.boundary) == 0:
         raise EmptyBoundary("Dirichlet eigenproblem needs a nonempty boundary")
-    l_ii, _ = dirichlet_blocks(graph, species, partition)
+    l_ii, _ = _blocks(graph, species, partition)
     a = -l_ii
     mu = graph.measure(species)[partition.interior_idx]
     root = np.sqrt(mu)
     sym = a * root[:, None] / root[None, :]
     sym = 0.5 * (sym + sym.T)
-    m = sym.shape[0]
     try:
-        cho = scipy.linalg.cho_factor(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"interior operator is not positive definite: {exc}") from exc
+        if isinstance(sym, np.ndarray):
+            lams, vecs = scipy.linalg.eigh(sym, subset_by_index=[0, 0])
+        else:
+            from scipy.sparse.linalg import eigsh    # late: dense runs never load scipy.sparse
 
-    gate = max(tol, 1e-13)
-    x = np.full(m, 1.0 / np.sqrt(m))
-    lam = np.inf
-    res = np.inf
-    iters_left = max_iters
-    for _ in range(max_iters):
-        iters_left -= 1
-        y = scipy.linalg.cho_solve(cho, x)
-        y /= np.linalg.norm(y)
-        lam_new = float(y @ sym @ y)
-        x = y
-        res = float(np.linalg.norm(sym @ y - lam_new * y))
-        settled = abs(lam_new - lam) < 1e-4 * max(1.0, abs(lam_new))
-        lam = lam_new
-        if res <= 0.1 * gate * max(1.0, lam):
-            break
-        if settled:
-            break
-    else:
-        raise NoConvergence(f"inverse power iteration did not converge in {max_iters} iterations")
+            lams, vecs = eigsh(sym.tocsc(), k=1, sigma=0, which="LM", v0=root)
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        raise NoConvergence(f"interior eigen solve failed: {exc}") from exc
+    if not lams[0] > 0:
+        raise NoConvergence(f"interior operator is not positive definite (lambda {lams[0]:.3e})")
 
-    while res > 0.1 * gate * max(1.0, lam) and iters_left > 0:
-        # |lam - lambda0| <= res for symmetric matrices, so this shift
-        # sits strictly below lambda0 and S - shift*I stays SPD.
-        shift = lam - 2.0 * res - 1e-13 * max(1.0, lam)
-        try:
-            cho_shift = scipy.linalg.cho_factor(sym - shift * np.eye(m))
-        except np.linalg.LinAlgError:
-            shift = lam - 4.0 * res - 1e-10 * max(1.0, lam)
-            cho_shift = scipy.linalg.cho_factor(sym - shift * np.eye(m))
-        while iters_left > 0:
-            iters_left -= 1
-            y = scipy.linalg.cho_solve(cho_shift, x)
-            y /= np.linalg.norm(y)
-            lam = float(y @ sym @ y)
-            x = y
-            res_new = float(np.linalg.norm(sym @ y - lam * y))
-            if res_new <= 0.1 * gate * max(1.0, lam) or res_new >= 0.5 * res:
-                res = res_new
-                break
-            res = res_new
-    if res > gate * max(1.0, lam):
-        raise NoConvergence(f"eigen residual {res:.3e} above tolerance after refinement")
-
-    phi = x / root
+    phi = vecs[:, 0] / root
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi
     if not np.all(phi > 0):

@@ -244,6 +244,14 @@ class TestSteady:
         assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "dirichlet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", [[], ["--bounds"]], ids=["logistic", "bounds"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, form, tol):
+        cfg = write_config(tmp_path, absorbing_doc())
+        argv = ["steady", "--config", cfg, "--out", str(tmp_path / "o"), f"--tol={tol}"]
+        assert main(argv + form) == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_single_case_passes(self, capsys):
@@ -371,18 +379,30 @@ class TestSweep:
         memory) stays out of a process that only runs them."""
         doc = self.sweep_doc({"a1": [0.5, 2.0], "a2": [0.5, 2.0]})
         cfg = write_config(tmp_path, doc)
-        script = (
-            "import sys\n"
-            "from graphlv.cli import main\n"
-            "assert main(['reproduce', 'all']) == 0\n"
-            f"assert main(['sweep', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-            "print('scipy.sparse' in sys.modules)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphlv.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert not imports_scipy_sparse([["reproduce", "all"],
+                                         ["sweep", "--config", cfg, "--out", str(tmp_path / "o")]])
+
+    def test_small_dirichlet_runs_never_import_scipy_sparse(self, tmp_path):
+        """A 5-vertex absorbing problem keeps its interior block dense, so its eigen solve
+        is LAPACK's and no command that solves it loads the sparse module."""
+        cfg = write_config(tmp_path, absorbing_doc())
+        out = str(tmp_path / "o")
+        assert not imports_scipy_sparse([["eigen", "--config", cfg],
+                                         ["steady", "--config", cfg, "--out", out],
+                                         ["steady", "--config", cfg, "--out", out, "--bounds"]])
+
+
+def imports_scipy_sparse(commands) -> bool:
+    """Whether a fresh process that runs every CLI command (each must exit 0) imports
+    scipy.sparse."""
+    script = "import sys\nfrom graphlv.cli import main\n"
+    script += "".join(f"assert main({argv!r}) == 0\n" for argv in commands)
+    script += "print('scipy.sparse' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphlv.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
 
 
 def _set(path, value):

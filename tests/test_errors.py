@@ -4,27 +4,50 @@ import numpy as np
 import pytest
 
 from graphlv import (
+    BoundaryCondition,
     CompetitionParams,
     Problem,
+    analytic_envelopes,
     build_graph,
     classify_bistable_basin,
+    coexistence_bounds,
     constant_pair,
     field_array,
+    logistic_steady_state,
     monotone_solve,
+    smallest_dirichlet_eigenpair,
     verify_coupled_pair,
 )
 from graphlv.errors import InputError
-from graphlv.fixtures import triangle_example
+from graphlv.fixtures import reflecting_example, triangle_example
 
 SET_I = CompetitionParams(a1=1.0, b1=2.0, c1=2.0, a2=1.0, b2=1.0, c2=1.0)
 SET_IV = CompetitionParams(a1=2.0, b1=1.0, c1=3.0, a2=1.0, b2=1.0, c2=1.0)
 PAIR = constant_pair((2.0, 3.0), (0.0, 0.0), t_end=1.0)
 INSIDE = (np.ones(3), np.ones(3))
 GRID = np.array([0.0, 0.5, 1.0])
+BOUNDS = CompetitionParams(a1=2.0, b1=1.0, c1=0.05, a2=2.0, b2=0.05, c2=1.0, d1=0.1, d2=0.1)
 
 
 def _problem():
     return Problem(triangle_example(), SET_I)
+
+
+def _eigen(**kwargs):
+    graph, part = reflecting_example()
+    return smallest_dirichlet_eigenpair(graph, 1, part, **kwargs)
+
+
+def _steady(**overrides):
+    """Species 1 of BOUNDS on the reflecting fixture under its absorbing partition."""
+    graph, part = reflecting_example()
+    return logistic_steady_state(graph, part, 1, **{"d": 0.1, "a": 2.0, "e": 1.0, **overrides})
+
+
+def _bounds(**kwargs):
+    graph, part = reflecting_example()
+    return coexistence_bounds(Problem(graph, BOUNDS, bc=BoundaryCondition.DIRICHLET,
+                                      partition=part), **kwargs)
 
 
 CASES = {
@@ -51,6 +74,22 @@ CASES = {
     "solve-nan-tol": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, tol=np.nan),
     "solve-negative-tol": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, tol=-1.0),
     "verify-text-grid": lambda: verify_coupled_pair(_problem(), PAIR, ["a"]),
+    "eigen-nan-tol": lambda: _eigen(tol=np.nan),
+    "eigen-zero-tol": lambda: _eigen(tol=0.0),
+    "steady-nan-tol": lambda: _steady(tol=np.nan),
+    "steady-negative-tol": lambda: _steady(tol=-1.0),
+    "steady-zero-tol": lambda: _steady(tol=0.0),
+    "steady-fractional-iterations": lambda: _steady(max_iters=2.5),
+    "steady-nan-diffusion": lambda: _steady(d=np.nan),
+    "steady-zero-self-limitation": lambda: _steady(e=0.0),
+    "steady-nan-growth": lambda: _steady(a=np.nan),
+    "bounds-nan-tol": lambda: _bounds(tol=np.nan),
+    "bounds-negative-tol": lambda: _bounds(tol=-1.0),
+    "bounds-nan-epsilon": lambda: _bounds(epsilon=np.nan),
+    "bounds-nan-delta": lambda: _bounds(delta=np.nan),
+    "envelopes-nan-epsilon": lambda: analytic_envelopes(1, SET_I, epsilon=np.nan,
+                                                        state_at_t0=(np.full(3, 0.3),
+                                                                     np.full(3, 0.3))),
 }
 
 
@@ -58,3 +97,10 @@ CASES = {
 def test_malformed_input_is_an_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("name", ["epsilon", "delta"])
+def test_nan_bound_constant_is_named(name):
+    """A NaN epsilon or delta is reported as such, not as a field with missing values."""
+    with pytest.raises(InputError, match=f"{name} must be positive and finite"):
+        _bounds(**{name: np.nan})

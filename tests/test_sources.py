@@ -24,3 +24,29 @@ def test_propagators_stay_dense_expm():
     found = [path.name for path in sorted(PACKAGE.rglob("*.py"))
              if "expm_multiply" in path.read_text(encoding="utf-8")]
     assert not found, f"expm_multiply used in {found}"
+
+
+def _import_time_nodes(node):
+    """Every node that runs when the module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_scipy_sparse_is_imported_late():
+    """Dense-stored runs (every small problem) never load scipy.sparse and its memory, so no
+    module imports it at import time; the CSR branches import it where they need it."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in _import_time_nodes(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"module-level scipy.sparse imports in {found}"
