@@ -37,6 +37,7 @@ from .errors import (
     ConfigInvalid,
     GraphLVError,
     GridTooLarge,
+    InputError,
     NoPositiveState,
     NumericalError,
     RequiresSteadySolve,
@@ -185,7 +186,9 @@ def _cmd_steady(args) -> int:
     out = _ensure_dir(args.out)
     interior = [problem.graph.vertices[i] for i in problem.partition.interior_idx]
     if args.bounds:
-        bounds = coexistence_bounds(problem, tol=max(tol, 1e-10))
+        if tol < 1e-10:    # the finest residual the fixed-step ordered marches support
+            raise InputError(f"steady --bounds needs --tol of at least 1e-10, got {tol:g}")
+        bounds = coexistence_bounds(problem, tol=tol)
         path = os.path.join(out, "coexistence_bounds.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("vertex,s_lo,s_hi,r_lo,r_hi\n")
@@ -245,7 +248,8 @@ def _cmd_sweep(args) -> int:
         raise GridTooLarge(f"grid has {len(points)} points, cap is {spec['max_points']} "
                            "(raise sweep.max_points to allow this)")
     t_end = args.t_end if args.t_end is not None else spec["t_end"]
-    agree_tol = args.tol if args.tol is not None else spec["tol"]
+    agree_tol = (_positive(spec["tol"], "sweep.tol") if args.tol is None
+                 else _positive(args.tol, "--tol"))
     cfg = config_from_document(doc, t_end=t_end)
     problem = cfg.problem
     eigs = eigenpairs_for(problem) if problem.bc is BoundaryCondition.DIRICHLET else None

@@ -1,9 +1,10 @@
 """Finite weighted graphs, vertex-subset partitions, and discrete Laplacians.
 
-A graph carries two independent edge-weight tables and two vertex
-measures, one per species, over a single shared edge set. All vector
-quantities downstream are indexed by the vertex insertion order fixed
-here, so this module is the coordinate system for the whole package.
+A graph is stored as its edge list, one weight vector and one vertex
+measure per species over a single shared edge set; no n x n matrix is
+kept. All vector quantities downstream are indexed by the vertex
+insertion order fixed here, so this module is the coordinate system
+for the whole package.
 """
 
 from __future__ import annotations
@@ -38,13 +39,17 @@ class DomainMode(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Vertex-ordered graph with per-species weights and measures.
+    """Vertex-ordered graph stored as its edge list, with per-species weights and measures.
 
-    Weight matrices are dense symmetric with zero diagonal; both induce
-    the same edge set. Measures are strictly positive.
+    Edge k runs from vertex ``src[k]`` to vertex ``dst[k]`` (positions in ``vertices``);
+    each undirected edge is listed once in each direction, in order of first appearance.
+    ``w1[k]`` and ``w2[k]`` are its positive weights for the two species. Measures are
+    strictly positive, one per vertex.
     """
 
     vertices: tuple[Vertex, ...]
+    src: np.ndarray
+    dst: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
     mu1: np.ndarray
@@ -52,14 +57,6 @@ class WeightedGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
-        object.__setattr__(self, "_edges", None)    # build_graph records them
-
-    def _edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (row, col) positions of the edges, both directions: as ``build_graph``
-        recorded them, or, for a graph made any other way, from one scan of w1."""
-        if self._edges is None:
-            object.__setattr__(self, "_edges", np.nonzero(self.w1))
-        return self._edges
 
     @property
     def n(self) -> int:
@@ -76,10 +73,6 @@ class WeightedGraph:
 
     def measure(self, species: int) -> np.ndarray:
         return self.mu1 if _check_species(species) == 1 else self.mu2
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        return self.w1 > 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +121,9 @@ def _as_floats(values, what: str) -> np.ndarray:
         raise InputError(f"{what} must be numbers, got {values!r}") from None
 
 
-def _weight_matrix(vertices, index, table, label: str):
-    """The dense weight matrix of ``table`` and the (row, col) positions it fills."""
-    n = len(vertices)
-    w = np.zeros((n, n))
+def _weight_table(index, table, label: str) -> dict[tuple[int, int], float]:
+    """``table`` validated as ``{(i, j): w}`` over vertex positions, each edge under both
+    orders, in order of first appearance."""
     try:
         if isinstance(table, Mapping):
             items = [(a, b, val) for (a, b), val in table.items()]
@@ -139,7 +131,7 @@ def _weight_matrix(vertices, index, table, label: str):
             items = [(a, b, val) for a, b, val in table]
     except (TypeError, ValueError):
         raise InputError(f"{label}: edges must be (a, b, weight) triples") from None
-    src, dst = [], []
+    out = {}
     for a, b, val in items:
         if a == b:
             raise SelfLoop(f"{label}: self-loop at {a!r}")
@@ -149,21 +141,16 @@ def _weight_matrix(vertices, index, table, label: str):
         if not np.isfinite(val) or val <= 0.0:
             raise InputError(f"{label}: edge ({a!r}, {b!r}) needs a positive finite weight, got {val}")
         i, j = index[a], index[b]
-        for x, y in ((i, j), (j, i)):
-            if w[x, y] != 0.0 and w[x, y] != val:
-                raise AsymmetricWeight(
-                    f"{label}: edge ({a!r}, {b!r}) given twice with different weights"
-                )
-        if w[i, j] == 0.0:        # a repeated edge is recorded once
-            src += (i, j)
-            dst += (j, i)
-        w[i, j] = w[j, i] = val
-    return w, (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
+        if out.get((i, j), val) != val:
+            raise AsymmetricWeight(f"{label}: edge ({a!r}, {b!r}) given twice with different weights")
+        out[i, j] = out[j, i] = val    # a repeated edge keeps its first place
+    return out
 
 
-def _measure_vector(vertices, index, measure, weights: np.ndarray, label: str) -> np.ndarray:
+def _measure_vector(vertices, measure, degree: np.ndarray, label: str) -> np.ndarray:
+    """``measure`` as one positive value per vertex; None is the weighted ``degree``."""
     if measure is None:
-        mu = weights.sum(axis=1)
+        mu = degree
     elif isinstance(measure, Mapping):
         missing = [v for v in vertices if v not in measure]
         if missing:
@@ -197,27 +184,32 @@ def build_graph(
     if len(set(vertices)) != len(vertices):
         raise InputError("duplicate vertex names")
     index = {v: i for i, v in enumerate(vertices)}
-    w1, edges = _weight_matrix(vertices, index, weights1, "weights1")
-    w2 = w1.copy()
+    table1 = _weight_table(index, weights1, "weights1")
+    table2 = table1
     if weights2 is not None:
-        w2 = _weight_matrix(vertices, index, weights2, "weights2")[0]
-        if not np.array_equal(w1 > 0, w2 > 0):
+        table2 = _weight_table(index, weights2, "weights2")
+        if table2.keys() != table1.keys():
             raise MismatchedTopology("weights1 and weights2 induce different edge sets")
-    mu1 = _measure_vector(vertices, index, measure1, w1, "measure1")
-    mu2 = _measure_vector(vertices, index, measure2, w2, "measure2")
-    _require_connected(vertices, w1 > 0)
-    graph = WeightedGraph(vertices, w1, w2, mu1, mu2)
-    object.__setattr__(graph, "_edges", edges)
-    return graph
+    src, dst = np.array(list(zip(*table1)), dtype=np.intp).reshape(2, -1)
+    w1 = np.fromiter(table1.values(), float, len(table1))
+    w2 = np.fromiter((table2[e] for e in table1), float, len(table1))
+    n = len(vertices)
+    mu1 = _measure_vector(vertices, measure1, np.bincount(src, weights=w1, minlength=n), "measure1")
+    mu2 = _measure_vector(vertices, measure2, np.bincount(src, weights=w2, minlength=n), "measure2")
+    _require_connected(vertices, src, dst)
+    return WeightedGraph(vertices, src, dst, w1, w2, mu1, mu2)
 
 
-def _require_connected(vertices, adj: np.ndarray) -> None:
+def _require_connected(vertices, src: np.ndarray, dst: np.ndarray) -> None:
+    """Raise NotConnected unless the edges src[k] -> dst[k] reach every vertex from the first."""
     seen = np.zeros(len(vertices), dtype=bool)
     frontier = seen.copy()
     frontier[0] = True
     while frontier.any():
         seen |= frontier
-        frontier = adj[frontier].any(axis=0) & ~seen
+        reached = np.zeros_like(seen)
+        reached[dst[frontier[src]]] = True
+        frontier = reached & ~seen
     if not seen.all():
         missing = [vertices[i] for i in np.flatnonzero(~seen)]
         raise NotConnected(f"graph is not connected; unreachable from {vertices[0]!r}: {missing}")
@@ -239,14 +231,17 @@ def boundary_of(graph: WeightedGraph, interior: Iterable[Vertex]) -> DomainParti
     if len(wanted) == graph.n:
         raise InteriorNotSubset("interior must be a strict subset of the vertex set")
     interior_idx = np.array([i for i, v in enumerate(graph.vertices) if v in wanted], dtype=int)
-    adj = graph.adjacency
+    at = np.full(graph.n, -1)
+    at[interior_idx] = np.arange(interior_idx.size)
+    from_inside = at[graph.src] >= 0
+    induced = from_inside & (at[graph.dst] >= 0)
     try:
         _require_connected([graph.vertices[i] for i in interior_idx],
-                           adj[interior_idx][:, interior_idx])
+                           at[graph.src[induced]], at[graph.dst[induced]])
     except NotConnected as exc:
         raise NotConnected(f"interior does not induce a connected subgraph: {exc}") from None
-    touched = adj[interior_idx].any(axis=0)
-    boundary_mask = touched.copy()
+    boundary_mask = np.zeros(graph.n, dtype=bool)
+    boundary_mask[graph.dst[from_inside]] = True
     boundary_mask[interior_idx] = False
     boundary_idx = np.flatnonzero(boundary_mask)
     if boundary_idx.size == 0:
@@ -299,29 +294,28 @@ def _stores_csr(graph: WeightedGraph, partition: DomainPartition | None) -> bool
     n_act = graph.n if partition is None else partition.interior_idx.size
     if n_act * n_act < _CSR_MIN_ENTRIES:
         return False
-    src, dst = graph._edge_positions()
     active = np.zeros(graph.n, dtype=bool)
     active[slice(None) if partition is None else partition.interior_idx] = True
-    nnz = n_act + np.count_nonzero(active[src] & active[dst])
+    nnz = n_act + np.count_nonzero(active[graph.src] & active[graph.dst])
     return nnz <= _CSR_MAX_FILL * n_act * n_act
 
 
 def _weight_block(graph: WeightedGraph, species: int, rows, cols, csr: bool):
-    """w[np.ix_(rows, cols)] of one species, dense or as CSR built from the recorded edges
-    with no dense block in between; rows = cols = None is the whole matrix."""
-    w = graph.weights(species)
-    if not csr:
-        return w if rows is None else w[np.ix_(rows, cols)]
-    import scipy.sparse as sp    # imported late: dense-stored runs never pay its memory
-
-    if rows is None:
-        rows = cols = np.arange(graph.n)
-    src, dst = graph._edge_positions()
-    at_row, at_col = np.full(graph.n, -1), np.full(graph.n, -1)
-    at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
-    keep = (at_row[src] >= 0) & (at_col[dst] >= 0)
-    src, dst = src[keep], dst[keep]
-    return sp.csr_array((w[src, dst], (at_row[src], at_col[dst])), shape=(rows.size, cols.size))
+    """w[np.ix_(rows, cols)] of one species, gathered from the edge list and stored dense
+    or as CSR; rows = cols = None is the whole matrix."""
+    src, dst, w = graph.src, graph.dst, graph.weights(species)
+    shape = (graph.n, graph.n) if rows is None else (rows.size, cols.size)
+    if rows is not None:
+        at_row, at_col = np.full(graph.n, -1), np.full(graph.n, -1)
+        at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
+        keep = (at_row[src] >= 0) & (at_col[dst] >= 0)
+        src, dst, w = at_row[src[keep]], at_col[dst[keep]], w[keep]
+    if csr:
+        import scipy.sparse as sp    # imported late: dense-stored runs never pay its memory
+        return sp.csr_array((w, (src, dst)), shape=shape)
+    out = np.zeros(shape)
+    out[src, dst] = w
+    return out
 
 
 def _divide_rows(mat, scale: np.ndarray):

@@ -30,8 +30,15 @@ def triangle():
 # naive reference operators (defining sums, no vectorization)
 # ---------------------------------------------------------------------------
 
+def dense_weights(graph, species):
+    """The n x n weight matrix of one species, scattered from the graph's edge list."""
+    w = np.zeros((graph.n, graph.n))
+    w[graph.src, graph.dst] = graph.weights(species)
+    return w
+
+
 def naive_whole_laplacian(graph, species, field):
-    w = graph.weights(species)
+    w = dense_weights(graph, species)
     mu = graph.measure(species)
     out = np.zeros(graph.n)
     for x in range(graph.n):
@@ -44,7 +51,7 @@ def naive_whole_laplacian(graph, species, field):
 
 def naive_subgraph_laplacian(graph, species, partition, field):
     """Interior values of the subgraph operator; sums range over the closure."""
-    w = graph.weights(species)
+    w = dense_weights(graph, species)
     mu = graph.measure(species)
     closure = list(partition.interior_idx) + list(partition.boundary_idx)
     out = np.zeros(len(partition.interior_idx))
@@ -57,7 +64,7 @@ def naive_subgraph_laplacian(graph, species, partition, field):
 
 
 def naive_normal_derivative(graph, species, partition, field, x):
-    w = graph.weights(species)
+    w = dense_weights(graph, species)
     mu = graph.measure(species)
     acc = 0.0
     for y in partition.interior_idx:
@@ -72,6 +79,12 @@ def naive_normal_derivative(graph, species, partition, field, x):
 def random_connected_graph(rng, max_vertices=8, split_weights=False,
                            random_measure=False):
     """Random spanning tree plus extra edges; optionally two weight tables."""
+    return build_graph(*random_graph_tables(rng, max_vertices, split_weights, random_measure))
+
+
+def random_graph_tables(rng, max_vertices=8, split_weights=False, random_measure=False):
+    """The ``build_graph`` arguments behind ``random_connected_graph``: (names, weights1,
+    weights2, measure1, measure2), with each edge listed once as (a, b, w)."""
     n = int(rng.integers(2, max_vertices + 1))
     names = tuple(f"v{i}" for i in range(n))
     edges = set()
@@ -93,7 +106,7 @@ def random_connected_graph(rng, max_vertices=8, split_weights=False,
     if random_measure:
         measure1 = {v: float(rng.uniform(0.5, 2.0)) for v in names}
         measure2 = {v: float(rng.uniform(0.5, 2.0)) for v in names}
-    return build_graph(names, weights1, weights2, measure1=measure1, measure2=measure2)
+    return names, weights1, weights2, measure1, measure2
 
 
 def random_connected_interior(rng, graph, max_interior=None):
@@ -102,7 +115,7 @@ def random_connected_interior(rng, graph, max_interior=None):
     Grows the interior from a random seed vertex along existing edges,
     so the induced subgraph is connected by construction.
     """
-    adj = graph.adjacency
+    adj = dense_weights(graph, 1) > 0.0
     cap = graph.n - 1 if max_interior is None else min(max_interior, graph.n - 1)
     size = int(rng.integers(1, cap + 1))
     start = int(rng.integers(0, graph.n))

@@ -252,6 +252,16 @@ class TestSteady:
         assert main(argv + form) == 2
         assert "tol must be positive and finite" in capsys.readouterr().err
 
+    def test_bounds_tol_has_a_floor(self, tmp_path, capsys):
+        # the floor applies to --bounds only; the logistic solve takes any positive tol
+        cfg = write_config(tmp_path, absorbing_doc())
+        argv = ["steady", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(argv + ["--bounds", "--tol", "1e-12"]) == 2
+        err = capsys.readouterr().err
+        assert "InputError" in err and "at least 1e-10" in err
+        assert main(argv + ["--bounds", "--tol", "1e-10"]) == 0
+        assert main(argv + ["--tol", "1e-12"]) == 0
+
 
 class TestReproduce:
     def test_single_case_passes(self, capsys):
@@ -367,6 +377,20 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("form, value", [("doc", -1), ("doc", 0), ("flag", "nan"),
+                                             ("flag", "-1"), ("flag", "inf")])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, form, value):
+        doc = self.sweep_doc({"a1": [0.5, 2.0], "a2": [0.5, 2.0]})
+        argv = ["--out", str(tmp_path / "o")]
+        if form == "doc":
+            doc["sweep"]["tol"] = value
+        else:
+            argv += ["--tol", value]
+        assert main(["sweep", "--config", write_config(tmp_path, doc)] + argv) == 2
+        err = capsys.readouterr().err
+        assert "InputError" in err and "tol must be positive and finite" in err
+        assert not (tmp_path / "o" / "sweep.csv").exists()
 
     def test_oversized_grid_rejected(self, tmp_path, capsys):
         doc = self.sweep_doc({"a1": [0.5, 1.0], "a2": [0.5, 1.0]}, max_points=2)

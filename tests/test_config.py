@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import dense_weights
 
 from graphlv import BoundaryCondition
 from graphlv.config import (
@@ -80,7 +81,7 @@ class TestProblemFromDocument:
             ["x1", "x2", 1.0, 2.0], ["x2", "x3", 1.0, 2.0], ["x1", "x3", 1.0, 2.0],
         ]
         prob = problem_from_document(doc)
-        assert prob.graph.w2[0, 1] == 2.0
+        assert dense_weights(prob.graph, 2)[0, 1] == 2.0
 
     def test_measures_override(self):
         doc = base_doc()

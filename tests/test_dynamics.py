@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import random_connected_graph, random_connected_interior
+from conftest import dense_weights, random_connected_graph, random_connected_interior
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -280,7 +280,7 @@ class TestIntegrate:
             prob = Problem(graph, dataclasses.replace(PARAMS_I, d1=0.3, d2=1.7), bc=bc,
                            partition=part)
             act, closure = prob.active_idx, prob.closure_idx
-            want = max(d * float((graph.weights(s)[np.ix_(act, closure)].sum(axis=1)
+            want = max(d * float((dense_weights(graph, s)[np.ix_(act, closure)].sum(axis=1)
                                   / graph.measure(s)[act]).max())
                        for s, d in ((1, 0.3), (2, 1.7)))
             assert dynamics._diffusion_rate(prob) == pytest.approx(want, rel=1e-15, abs=0.0)
@@ -565,10 +565,11 @@ class TestOperatorStorage:
 
     @pytest.mark.parametrize("made", ["constructor", "replace"])
     def test_graph_made_without_build_graph(self, made):
-        # such a graph has no recorded edges: the rule and the CSR gathers scan its weights
+        # the operators read only the graph's fields, however the graph was made
         prob = _lattice_problem(40, BoundaryCondition.NEUMANN)
         g, part = prob.graph, prob.partition
-        other = (WeightedGraph(g.vertices, g.w1, g.w2, g.mu1, g.mu2) if made == "constructor"
+        other = (WeightedGraph(g.vertices, g.src, g.dst, g.w1, g.w2, g.mu1, g.mu2)
+                 if made == "constructor"
                  else dataclasses.replace(g, mu1=g.mu1.copy()))
         want = reduced_operators(prob)
         got = reduced_operators(dataclasses.replace(prob, graph=other))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dense_weights,
     naive_normal_derivative,
     naive_subgraph_laplacian,
     naive_whole_laplacian,
@@ -60,8 +61,8 @@ class TestBuildGraph:
 
     def test_split_weights_same_topology(self):
         g = build_graph(["a", "b"], [("a", "b", 3.0)], [("a", "b", 1.5)])
-        assert g.w1[0, 1] == 3.0
-        assert g.w2[0, 1] == 1.5
+        assert dense_weights(g, 1)[0, 1] == 3.0
+        assert dense_weights(g, 2)[0, 1] == 1.5
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
@@ -95,19 +96,10 @@ class TestBuildGraph:
         with pytest.raises(InputError):
             build_graph(["a", "b"], [("a", "b", -1.0)])
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_recorded_edges_are_the_nonzeros(self, seed):
-        rng = np.random.default_rng(seed)
-        g = random_connected_graph(rng, max_vertices=40, split_weights=True,
-                                   random_measure=True)
-        src, dst = g._edges
-        assert src.size == np.count_nonzero(g.w1)
-        assert set(zip(src.tolist(), dst.tolist())) == set(zip(*np.nonzero(g.w1)))
-
     def test_repeated_edge_recorded_once(self):
         g = build_graph(["a", "b", "c"], [("a", "b", 1.0), ("b", "a", 1.0), ("b", "c", 2.0)])
-        assert sorted(zip(*(e.tolist() for e in g._edges))) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert list(zip(g.src.tolist(), g.dst.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert g.w1.tolist() == [1.0, 1.0, 2.0, 2.0]
 
 
 class TestBoundaryOf:
@@ -285,7 +277,7 @@ class TestBlockBuilder:
                     pairs = []
                     for species, red in ((1, ops.red1), (2, ops.red2)):
                         field = u.copy()
-                        w = g.weights(species)
+                        w = dense_weights(g, species)
                         for x in bb:
                             field[x] = (0.0 if bc is BoundaryCondition.DIRICHLET
                                         else sum(w[x, y] * u[y] for y in ii)
