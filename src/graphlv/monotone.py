@@ -7,7 +7,8 @@ vice versa. This module checks such pairs, constructs the closed-form
 exponential envelopes for the three resolved parameter regimes, builds
 steady profiles by monotone elliptic iteration, squeezes coexistence
 bounds from ordered time marches, and solves the parabolic system by
-monotone Picard sweeps with exact exponential propagators.
+monotone Picard sweeps with uniformized exponential propagators, which
+are entrywise nonnegative at every truncation of their series.
 """
 
 from __future__ import annotations
@@ -51,16 +52,19 @@ from .graphs import (
     WeightedGraph,
     _as_float,
     _as_floats,
+    _blocks,
     _boundary_normal,
     _closure_laplacian,
     _positive,
-    dirichlet_blocks,
 )
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
 _ORDER_SLACK = 1e-12
-# monotone_solve keeps a dense n_act x n_act propagator per species and step length
-_MONOTONE_MAX_ACTIVE = 1024
+# uniformization: the series stops once its Poisson tail is below _POISSON_TAIL, and a CSR
+# step with q h above _MAX_POISSON_MEAN is split into equal substeps (e^-50 is far from
+# underflow; the series then has about 110 terms)
+_POISSON_TAIL = 1e-16
+_MAX_POISSON_MEAN = 50.0
 # fine points times active vertices: 8 MiB per (T, n_act) array; a solve holds about 45
 _MONOTONE_MAX_FINE = 2**20
 
@@ -518,6 +522,79 @@ def _exp_field(amplitude: float, offset: float, rate: float, t0: float) -> TimeF
 
 
 # ---------------------------------------------------------------------------
+# shifted operators, their solves and their exponentials, dense or CSR
+# ---------------------------------------------------------------------------
+
+def _add_identity(mat, c: float):
+    """mat + c I in mat's storage: a dense mat gains c on its diagonal in place, a CSR one
+    is added to a sparse identity and never densified."""
+    if isinstance(mat, np.ndarray):
+        mat[np.diag_indices_from(mat)] += c
+        return mat
+    import scipy.sparse as sp    # imported late: dense-stored runs never pay its memory
+    return mat + c * sp.eye_array(mat.shape[0], format="csr")
+
+
+def _factor(mat) -> Callable[[np.ndarray], np.ndarray]:
+    """b -> mat^-1 b, factored once: SuperLU for a CSR mat, LAPACK LU for a dense one."""
+    if isinstance(mat, np.ndarray):
+        lu = scipy.linalg.lu_factor(mat)
+        return lambda b: scipy.linalg.lu_solve(lu, b)
+    from scipy.sparse.linalg import splu
+
+    # the operators are structurally symmetric: a minimum-degree order on A^T + A fills least
+    return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+
+
+def _poisson_weights(lam: float) -> list[float]:
+    """Poisson(lam) probabilities of 0, 1, ..., K, with K the first count whose tail
+    beyond it is below _POISSON_TAIL (bounded by a geometric series once K + 2 > lam)."""
+    weights = [math.exp(-lam)]
+    while True:
+        k = len(weights)
+        nxt = weights[-1] * lam / k
+        if k + 1 > lam and nxt / (1.0 - lam / (k + 1)) < _POISSON_TAIL:
+            return weights
+        weights.append(nxt)
+
+
+def _propagator(a_mat, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> expm(A h) x for a Metzler A (off-diagonal entries >= 0), by uniformization.
+
+    With q = max(-A_ii), P = I + A/q is entrywise >= 0 and expm(A h) is the Poisson(q h)
+    mixture sum_k w_k P^k, so every truncation maps nonnegative x to nonnegative values.
+    A CSR A is applied term by term, K sparse products per substep, with no n x n matrix
+    formed, and a step with q h above _MAX_POISSON_MEAN is taken as equal substeps. A dense
+    A has its series summed once into a dense matrix over 2**s substeps of q h at most 1,
+    joined by s squarings (a long series costs more matrix products than the squarings).
+    """
+    q = float(-a_mat.diagonal().min())
+    dense = isinstance(a_mat, np.ndarray)
+    if dense:
+        reps = 2 ** max(0, math.ceil(math.log2(q * h)))
+    else:
+        reps = max(1, math.ceil(q * h / _MAX_POISSON_MEAN))
+    weights = _poisson_weights(q * h / reps)
+    p_mat = _add_identity(a_mat / q, 1.0)    # dividing makes the smallest diagonal exactly 0
+
+    def series(x):
+        term, out = x, weights[0] * x
+        for w in weights[1:]:
+            term = p_mat @ term
+            out = out + w * term
+        return out
+
+    if dense:
+        return np.linalg.matrix_power(series(np.eye(a_mat.shape[0])), reps).__matmul__
+
+    def propagate(x):
+        for _ in range(reps):
+            x = series(x)
+        return x
+    return propagate
+
+
+# ---------------------------------------------------------------------------
 # scalar logistic steady state (monotone elliptic iteration)
 # ---------------------------------------------------------------------------
 
@@ -543,8 +620,10 @@ def logistic_steady_state(
 
     Exists iff a > lambda0 * d. Monotone iteration with shift M = a:
     lower start 0.5 * (a - lambda0 d)/e * phi, upper start a/e, update
-    w <- (-d Lap + M)^-1 (f(prev) + M prev). Both sequences must stay
-    monotone and ordered or the solve is reported as failed. d, e and tol
+    w <- (-d Lap + M)^-1 (f(prev) + M prev), with -d Lap + M stored as
+    ``graphs._stores_csr`` picks and factored once (SuperLU on CSR). Both
+    sequences must stay monotone and ordered or the solve is reported as
+    failed. d, e and tol
     must be positive and finite, a finite, and max_iters a positive integer.
     """
     d, e, tol = _positive(d, "d"), _positive(e, "e"), _positive(tol, "tol")
@@ -564,16 +643,16 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
         raise NoPositiveState(
             f"a - lambda0*d = {margin:.6g} <= 0: only the zero state is nonnegative"
         )
-    l_ii, _ = dirichlet_blocks(graph, species, partition)
+    l_ii, _ = _blocks(graph, species, partition)
     n = l_ii.shape[0]
     shift = a
-    lu = scipy.linalg.lu_factor(-d * l_ii + shift * np.eye(n))
+    solve = _factor(_add_identity(-d * l_ii, shift))
 
     lower = (0.5 * margin / e) * eig.phi
     upper = np.full(n, a / e)
     for it in range(1, max_iters + 1):
-        new_lower = scipy.linalg.lu_solve(lu, lower * (a - e * lower) + shift * lower)
-        new_upper = scipy.linalg.lu_solve(lu, upper * (a - e * upper) + shift * upper)
+        new_lower = solve(lower * (a - e * lower) + shift * lower)
+        new_upper = solve(upper * (a - e * upper) + shift * upper)
         if (np.any(new_lower < lower - _ORDER_SLACK)
                 or np.any(new_upper > upper + _ORDER_SLACK)
                 or np.any(new_lower > new_upper + _ORDER_SLACK)):
@@ -724,39 +803,43 @@ def coexistence_bounds(
 # monotone parabolic solver
 # ---------------------------------------------------------------------------
 
-def _dense(op) -> np.ndarray:
-    """A reduced operator as a dense array, whichever its storage."""
-    return op.toarray() if hasattr(op, "toarray") else np.asarray(op)
+def _tf_samples(tf: TimeField, times: np.ndarray, n: int, act: np.ndarray) -> np.ndarray:
+    """tf at every time on the vertices ``act``, as one (T, act.size) array."""
+    values = [tf.value(t) for t in times.tolist()]
+    if all(np.isscalar(v) for v in values):
+        return np.repeat(np.array(values, dtype=float)[:, None], act.size, axis=1)
+    return np.stack([np.full(n, float(v)) if np.isscalar(v) else np.asarray(v, dtype=float)
+                     for v in values])[:, act]
 
 
-def _sweep(lu, steps, grid_h, g_samples, y0):
+def _sweep(solve, steps, grid_h, g_samples, y0):
     """March the linear sweep: y' = A y + g(t), g piecewise linear on the grid.
 
-    ``steps`` lists (E, h, indices) for each distinct fine step length, with
-    E = expm(A h) and ``lu`` the LU factors of A. ``g_samples`` has shape
+    ``steps`` lists (propagate, h, indices) for each distinct fine step length, with
+    propagate(x) = expm(A h) x, and ``solve(b)`` = A^-1 b. ``g_samples`` has shape
     (T, n, k); the k columns are independent right-hand sides integrated at
     once. Every step's forcing is known up front, so the integrals
-    A^-1 (E - I) g_i + A^-1 (A^-1 (E - I) - h I) gdot_i are formed for all
-    steps of one length together; only y <- E y + F_i runs step by step.
+    A^-1 (E - I) g_i + A^-1 (A^-1 (E - I) - h I) gdot_i, E = expm(A h), are formed for
+    all steps of one length together; only y <- E y + F_i runs step by step.
     """
     t_count, n, k = g_samples.shape
     gdot = np.diff(g_samples, axis=0) / grid_h[:, None, None]
     forcing = np.empty_like(gdot)
-    step_e = [None] * (t_count - 1)
-    for e_mat, h, idx in steps:
+    step_prop = [None] * (t_count - 1)
+    for propagate, h, idx in steps:
         cols = idx.size * k
         block = np.concatenate([g_samples[idx], gdot[idx]]).transpose(1, 0, 2).reshape(n, -1)
-        moved = e_mat @ block - block
-        inner = scipy.linalg.lu_solve(lu, moved[:, cols:])
-        f = scipy.linalg.lu_solve(lu, moved[:, :cols] + inner - h * block[:, cols:])
+        moved = propagate(block) - block
+        inner = solve(moved[:, cols:])
+        f = solve(moved[:, :cols] + inner - h * block[:, cols:])
         forcing[idx] = f.reshape(n, idx.size, k).transpose(1, 0, 2)
         for i in idx:
-            step_e[i] = e_mat
+            step_prop[i] = propagate
     out = np.empty_like(g_samples)
     y = y0
     out[0] = y
     for i in range(t_count - 1):
-        y = step_e[i] @ y + forcing[i]
+        y = step_prop[i](y) + forcing[i]
         out[i + 1] = y
     return out
 
@@ -775,25 +858,25 @@ def monotone_solve(
 
     Starting from a verified coupled pair, each iteration solves four
     linear parabolic problems (upper u with lower v frozen, and the
-    three mirrored ones) with exact exponential propagators on a fine
-    uniform grid; the sweeps squeeze monotonically onto the solution.
-    The shift M defaults to the reaction Lipschitz bound over the pair's
-    range; too small an M breaks the monotone squeeze and is reported as
-    NoConvergence. Returns the common limit sampled at ``t_grid``, with
-    iteration diagnostics (including the worst sandwich slack) in the
-    metadata, with the gap after each iteration in ``gaps``. Only the
-    propagator expm(A h) is dense; the forcing integrals go through the LU
-    factors of A, applied to every fine step at once. More than 1024
-    active vertices, or more than 2**20 fine points times active vertices,
-    raise InputError.
+    three mirrored ones) with exponential propagators on a fine uniform
+    grid; the sweeps squeeze monotonically onto the solution. The shift M,
+    which must be positive and finite, defaults to the reaction Lipschitz
+    bound over the pair's range; too small an M breaks the monotone squeeze
+    and is reported as NoConvergence. Returns the common limit sampled at
+    ``t_grid``, with iteration diagnostics (including the worst sandwich
+    slack) in the metadata, with the gap after each iteration in ``gaps``.
+    The propagator expm(A h), A = d L - M I, is its uniformization series,
+    entrywise nonnegative at every truncation; the forcing integrals go
+    through one factorization of A, applied to every fine step at once.
+    Operators keep the storage ``graphs._stores_csr`` picks, so large
+    sparse graphs form no n x n matrix. More than 2**20 fine points times
+    active vertices raise InputError.
     """
     t_grid = _as_floats(t_grid, "t_grid")
     if substep is not None:
         substep = _positive(substep, "substep")
     if m_const is not None:
-        m_const = _as_float(m_const, "m_const")
-        if not math.isfinite(m_const):
-            raise InputError(f"m_const must be finite, got {m_const}")
+        m_const = _positive(m_const, "m_const")
     tol, max_iters = _positive(tol, "tol"), _iteration_budget(max_iters)
     if (t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid))
             or np.any(np.diff(t_grid) <= 0)):
@@ -801,9 +884,6 @@ def monotone_solve(
     if abs(float(t_grid[0]) - pair.t0) > 1e-12:
         raise InputError("t_grid must start at the pair's t0")
     n_act = problem.active_idx.size
-    if n_act > _MONOTONE_MAX_ACTIVE:
-        raise InputError(f"monotone_solve forms dense propagators; {n_act} "
-                         f"active vertices exceed its cap of {_MONOTONE_MAX_ACTIVE}")
     spans = np.diff(t_grid)
     counts = np.ones(spans.size) if substep is None else np.maximum(1.0, np.ceil(spans / substep))
     if (1.0 + counts.sum()) * n_act > _MONOTONE_MAX_FINE:
@@ -837,29 +917,22 @@ def monotone_solve(
         by_length.setdefault(round(h, 15), []).append(i)
     lengths = [(float(grid_h[idx[0]]), np.array(idx)) for idx in by_length.values()]
 
-    def propagators(a_mat: np.ndarray):
-        # expm of the dense operator is entrywise >= 0, which the squeeze needs
-        steps = [(scipy.linalg.expm(a_mat * h), h, idx) for h, idx in lengths]
-        return scipy.linalg.lu_factor(a_mat), steps
-
-    a1_mat = p.d1 * _dense(ops.red1) - m_const * np.eye(n_act)
-    a2_mat = p.d2 * _dense(ops.red2) - m_const * np.eye(n_act)
-    # species with one operator (same weights, measures and diffusion) share one sweep
-    shared = np.array_equal(a1_mat, a2_mat)
-    props1 = propagators(a1_mat)
-    props2 = props1 if shared else propagators(a2_mat)
+    a1_mat = _add_identity(p.d1 * ops.red1, -m_const)
+    a2_mat = _add_identity(p.d2 * ops.red2, -m_const)
+    # species with one operator (same weights, measures and diffusion) share one sweep;
+    # a CSR comparison is itself CSR, so neither storage densifies here
+    unequal = a1_mat != a2_mat
+    shared = not (unequal.any() if isinstance(unequal, np.ndarray) else unequal.nnz)
+    props = [(_factor(a), [(_propagator(a, h), h, idx) for h, idx in lengths])
+             for a in ([a1_mat] if shared else [a1_mat, a2_mat])]
+    props1, props2 = props[0], props[-1]
 
     u0_full, v0_full = _coerce_initial(problem, initial)
     u0 = u0_full[ops.act]
     v0 = v0_full[ops.act]
 
-    def eval_on_fine(tf: TimeField) -> np.ndarray:
-        return np.stack([_tf_value(tf, float(t), n)[ops.act] for t in fine])
-
-    upper_u = eval_on_fine(pair.u_upper)
-    upper_v = eval_on_fine(pair.v_upper)
-    lower_u = eval_on_fine(pair.u_lower)
-    lower_v = eval_on_fine(pair.v_lower)
+    upper_u, upper_v, lower_u, lower_v = (_tf_samples(tf, fine, n, ops.act) for tf in (
+        pair.u_upper, pair.v_upper, pair.u_lower, pair.v_lower))
 
     min_slack = np.inf
     gaps = []

@@ -7,11 +7,13 @@ no code path with the vectorized operators they check.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from graphlv import boundary_of, build_graph
+from graphlv import boundary_of, build_graph, graphs
 from graphlv.dynamics import reduced_operators
 from graphlv.fixtures import reflecting_example, triangle_example
 
@@ -129,6 +131,15 @@ def random_connected_interior(rng, graph, max_interior=None):
     # a connected graph with a strict subset interior always has a boundary
     interior = [graph.vertices[i] for i in chosen]
     return boundary_of(graph, interior)
+
+
+@contextlib.contextmanager
+def stored(csr: bool):
+    """A context in which the storage rule picks CSR (or dense) for every block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_CSR_MIN_ENTRIES", 0 if csr else np.inf)
+        mp.setattr(graphs, "_CSR_MAX_FILL", 1.0)
+        yield
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """The Dirichlet eigen solve under both operator storages: LAPACK on dense blocks, ARPACK
 shift-invert on CSR ones."""
 
-import contextlib
 import json
 
 import numpy as np
-import pytest
 import scipy.linalg
-from conftest import random_connected_graph, random_connected_interior
+from conftest import random_connected_graph, random_connected_interior, stored
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,15 +33,6 @@ def lattice_doc(side, seed=5):
         "params": {"a1": 2.0, "b1": 1.0, "c1": 0.05, "a2": 2.0, "b2": 0.05, "c2": 1.0},
         "initial": {"u": 0.5, "v": 0.5},
     }
-
-
-@contextlib.contextmanager
-def stored(csr: bool):
-    """A context in which the storage rule picks CSR (or dense) for every block."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_CSR_MIN_ENTRIES", 0 if csr else np.inf)
-        mp.setattr(graphs, "_CSR_MAX_FILL", 1.0)
-        yield
 
 
 class TestCsrDeterminism:

@@ -65,6 +65,9 @@ CASES = {
     "solve-nan-shift": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, m_const=np.nan),
     "solve-inf-shift": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, m_const=np.inf),
     "solve-text-shift": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, m_const="x"),
+    "solve-zero-shift": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID, m_const=0.0),
+    "solve-negative-shift": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID,
+                                                   m_const=-2.0),
     "solve-fractional-iterations": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID,
                                                           max_iters=2.5),
     "solve-zero-iterations": lambda: monotone_solve(_problem(), PAIR, INSIDE, GRID,

@@ -5,7 +5,12 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import random_connected_graph, random_connected_interior, reference_monotone_solve
+from conftest import (
+    random_connected_graph,
+    random_connected_interior,
+    reference_monotone_solve,
+    stored,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +37,7 @@ from graphlv import (
     verify_coupled_pair,
     whole_laplacian,
 )
-from graphlv import dynamics, monotone
+from graphlv import dynamics, graphs, monotone
 from graphlv.dynamics import reduced_operators
 from graphlv.errors import (
     ConditionK1Violated,
@@ -54,6 +59,21 @@ SET_III = CompetitionParams(a1=2.0, b1=1.0, c1=1.0, a2=3.0, b2=1.0, c2=2.0)
 BOUNDS_PARAMS = CompetitionParams(
     a1=2.0, b1=1.0, c1=0.05, a2=2.0, b2=0.05, c2=1.0, d1=0.1, d2=0.1
 )
+
+
+def absorbing_lattice(side):
+    """A side x side unit-weight lattice absorbing on its outer ring under BOUNDS_PARAMS,
+    with initial data 1 on the interior."""
+    names = [f"r{r}c{c}" for r in range(side) for c in range(side)]
+    edges = [(f"r{r}c{c}", f"r{r}c{c + 1}", 1.0) for r in range(side) for c in range(side - 1)]
+    edges += [(f"r{r}c{c}", f"r{r + 1}c{c}", 1.0) for r in range(side - 1) for c in range(side)]
+    graph = build_graph(names, edges)
+    interior = [f"r{r}c{c}" for r in range(1, side - 1) for c in range(1, side - 1)]
+    prob = Problem(graph, BOUNDS_PARAMS, bc=BoundaryCondition.DIRICHLET,
+                   partition=boundary_of(graph, interior))
+    u0 = np.zeros(graph.n)
+    u0[prob.active_idx] = 1.0
+    return prob, u0
 
 
 def exact_linear_fields(system, u0_stack, times):
@@ -499,13 +519,6 @@ class TestMonotoneSolve:
         with pytest.raises(PairInvalid):
             monotone_solve(prob, pair, above, np.array([0.0, 0.5, 1.0]))
 
-    def test_size_cap_rejects_before_densifying(self, triangle, monkeypatch):
-        monkeypatch.setattr(monotone, "_MONOTONE_MAX_ACTIVE", 2)
-        prob = Problem(triangle, SET_I)
-        pair = constant_pair((2.0, 3.0), (0.0, 0.0), t_end=1.0)
-        with pytest.raises(InputError, match="cap of 2"):
-            monotone_solve(prob, pair, (np.ones(3), np.ones(3)), np.array([0.0, 0.5, 1.0]))
-
     def test_grid_validation(self, triangle):
         prob = Problem(triangle, SET_I)
         pair = constant_pair((2.0, 3.0), (0.0, 0.0), t_end=1.0)
@@ -527,39 +540,54 @@ class TestMonotoneSolve:
 
     def test_forcing_solves_never_take_a_dense_identity(self, monkeypatch):
         """The forcing integrals solve against fine-step blocks, never against E - I."""
-        side = 20
-        names = [f"r{r}c{c}" for r in range(side) for c in range(side)]
-        edges = [(f"r{r}c{c}", f"r{r}c{c + 1}", 1.0) for r in range(side) for c in range(side - 1)]
-        edges += [(f"r{r}c{c}", f"r{r + 1}c{c}", 1.0) for r in range(side - 1) for c in range(side)]
-        graph = build_graph(names, edges)
-        interior = [f"r{r}c{c}" for r in range(1, side - 1) for c in range(1, side - 1)]
-        prob = Problem(graph, BOUNDS_PARAMS, bc=BoundaryCondition.DIRICHLET,
-                       partition=boundary_of(graph, interior))
-        u0 = np.zeros(graph.n)
-        u0[prob.active_idx] = 1.0
+        prob, u0 = absorbing_lattice(20)
         pair = constant_pair(invariant_rectangle(BOUNDS_PARAMS, u0, u0), (0.0, 0.0),
                              t_end=0.01)
         widths = []
-        real_solve = scipy.linalg.lu_solve
+        factor = monotone._factor
 
-        def counting_solve(lu, b, *args, **kwargs):
-            widths.append(np.shape(b)[1] if np.ndim(b) == 2 else 1)
-            return real_solve(lu, b, *args, **kwargs)
+        def counting_factor(mat):
+            solve = factor(mat)
 
-        monkeypatch.setattr(monotone.scipy.linalg, "lu_solve", counting_solve)
+            def counting_solve(b):
+                widths.append(np.shape(b)[1] if np.ndim(b) == 2 else 1)
+                return solve(b)
+            return counting_solve
+
+        monkeypatch.setattr(monotone, "_factor", counting_factor)
         sol = monotone_solve(prob, pair, (u0, u0), np.array([0.0, 0.005, 0.01]), substep=5e-4)
         assert sol.metadata["gap"] < 1e-8
         assert widths and prob.active_idx.size not in widths
 
+    def test_lattice_above_the_old_dense_cap(self):
+        """1444 active vertices, above the 1024 that dense propagators allowed, stay CSR
+        and solve within criterion 4's 1e-6 of the integrator."""
+        prob, u0 = absorbing_lattice(40)
+        assert prob.active_idx.size == 1444
+        assert graphs._stores_csr(prob.graph, prob.partition)
+        grid = np.array([0.0, 0.005, 0.01])
+        pair = constant_pair(invariant_rectangle(BOUNDS_PARAMS, u0, u0), (0.0, 0.0),
+                             t_end=float(grid[-1]))
+        sol = monotone_solve(prob, pair, (u0, u0), grid, substep=5e-4)
+        assert sol.metadata["min_sandwich_slack"] >= -1e-12
+        ref = integrate(prob, (u0, u0), t_end=0.01, dt=1e-4, forced_times=(0.005,))
+        for t, state in zip(sol.times, sol.states):
+            j = int(np.argmin(np.abs(ref.times - t)))
+            assert abs(ref.times[j] - t) < 1e-9
+            assert np.max(np.abs(state.u - ref.states[j].u)) <= 1e-6
+            assert np.max(np.abs(state.v - ref.states[j].v)) <= 1e-6
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), bc=st.sampled_from(list(BoundaryCondition)),
-       substep=st.one_of(st.none(), st.floats(0.002, 0.02)), shared=st.booleans())
-def test_monotone_solve_matches_dense_forcing_reference(seed, bc, substep, shared):
-    """Batched forcing integrals against dense p0/p1 matrices applied step by step.
+       substep=st.one_of(st.none(), st.floats(0.002, 0.02)), shared=st.booleans(),
+       csr=st.booleans())
+def test_monotone_solve_matches_dense_forcing_reference(seed, bc, substep, shared, csr):
+    """Batched forcing integrals against dense expm and p0/p1 matrices applied step by step.
 
     ``shared`` draws one weight table, unit measures and d1 = d2, so both
     species have one operator; otherwise weights and measures are split.
+    ``csr`` stores the solver's operators as CSR, or dense.
     """
     rng = np.random.default_rng(seed)
     graph = random_connected_graph(rng, max_vertices=12, split_weights=not shared,
@@ -581,7 +609,8 @@ def test_monotone_solve_matches_dense_forcing_reference(seed, bc, substep, share
     pair = constant_pair(invariant_rectangle(params, u0[closure], v0[closure]), (0.0, 0.0),
                          t0=t0, t_end=float(t_grid[-1]))
 
-    sol = monotone_solve(prob, pair, (u0, v0), t_grid, substep=substep)
+    with stored(csr):
+        sol = monotone_solve(prob, pair, (u0, v0), t_grid, substep=substep)
     ref_u, ref_v, ref_iterations = reference_monotone_solve(prob, pair, (u0, v0), t_grid,
                                                             substep=substep)
     assert sol.metadata["iterations"] == ref_iterations
@@ -589,3 +618,57 @@ def test_monotone_solve_matches_dense_forcing_reference(seed, bc, substep, share
     for state, want_u, want_v in zip(sol.states, ref_u, ref_v):
         assert np.max(np.abs(state.u[act] - want_u)) <= 1e-12 * np.max(np.abs(want_u))
         assert np.max(np.abs(state.v[act] - want_v)) <= 1e-12 * np.max(np.abs(want_v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bc=st.sampled_from(list(BoundaryCondition)))
+def test_uniformized_propagator_against_expm(seed, bc):
+    """Under both storages the propagator keeps nonnegative blocks nonnegative and agrees
+    with a dense expm to 1e-13 of the block's largest entry (it is an inf-norm
+    contraction), on a short step and on one with q h > 50 that is split into substeps."""
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, max_vertices=12, split_weights=True,
+                                   random_measure=True)
+    part = None if bc is BoundaryCondition.NO_BOUNDARY else random_connected_interior(rng, graph)
+    prob = Problem(graph, SET_I, bc=bc, partition=part)
+    d, shift = rng.uniform(0.1, 3.0), rng.uniform(0.01, 1.0)
+    x = rng.uniform(0.0, 2.0, (prob.active_idx.size, 3))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    for csr in (True, False):
+        with stored(csr):
+            a_mat = monotone._add_identity(d * reduced_operators(prob).red1, -shift)
+        assert isinstance(a_mat, np.ndarray) != csr
+        dense = a_mat.toarray() if csr else a_mat
+        q = float(-dense.diagonal().min())
+        long_step = rng.uniform(1.02, 3.0) * monotone._MAX_POISSON_MEAN / q
+        assert q * long_step > monotone._MAX_POISSON_MEAN
+        for h in (rng.uniform(1e-4, 0.05), long_step):
+            got = monotone._propagator(a_mat, h)(x)
+            assert np.all(got >= 0.0)
+            want = scipy.linalg.expm(dense * h) @ x
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_logistic_steady_state_under_both_storages(seed):
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, max_vertices=40, split_weights=True,
+                                   random_measure=True)
+    while graph.n < 3:
+        graph = random_connected_graph(rng, max_vertices=40, split_weights=True,
+                                       random_measure=True)
+    part = random_connected_interior(rng, graph)
+    while part.interior_idx.size < 2:    # ARPACK, forced onto CSR, needs k = 1 below n
+        part = random_connected_interior(rng, graph)
+    species, d, e = int(rng.integers(1, 3)), rng.uniform(0.05, 1.0), rng.uniform(0.5, 2.0)
+    lam = monotone.smallest_dirichlet_eigenpair(graph, species, part).lambda0
+    a = lam * d + rng.uniform(0.1, 2.0)
+    states = []
+    for csr in (True, False):
+        with stored(csr):
+            assert graphs._stores_csr(graph, part) == csr
+            states.append(logistic_steady_state(graph, part, species, d, a, e))
+    sparse, dense = states
+    assert sparse.iterations == dense.iterations
+    assert np.max(np.abs(sparse.values - dense.values)) <= 1e-10

@@ -19,11 +19,34 @@ def test_no_assert_statements():
 
 
 def test_propagators_stay_dense_expm():
-    """The monotone squeeze needs entrywise-nonnegative propagators, which a dense
-    expm gives; a Krylov action of the exponential does not promise them."""
+    """The monotone squeeze needs entrywise-nonnegative propagators, which the
+    uniformization series gives at every truncation; a Krylov action of the
+    exponential does not promise them."""
     found = [path.name for path in sorted(PACKAGE.rglob("*.py"))
              if "expm_multiply" in path.read_text(encoding="utf-8")]
     assert not found, f"expm_multiply used in {found}"
+
+
+def test_no_dense_expm_or_dense_blocks():
+    """Propagators are uniformized and operators keep the storage rule's choice, so no
+    module uses scipy.linalg.expm, and only graphs.py (its home) calls the dense
+    dirichlet_blocks."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg":
+                bad = any(alias.name == "expm" for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                bad = node.attr == "expm"
+            elif isinstance(node, ast.Call) and path.name != "graphs.py":
+                bad = "dirichlet_blocks" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None))
+            else:
+                continue
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"dense expm or dirichlet_blocks in {found}"
 
 
 def _import_time_nodes(node):
