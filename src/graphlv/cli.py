@@ -58,11 +58,11 @@ def _ensure_dir(path: str) -> str:
 
 def _write_trajectory(path: str, vertices, traj: Trajectory) -> None:
     header = ",".join(["t"] + [f"u@{v}" for v in vertices] + [f"v@{v}" for v in vertices])
+    row = ",".join(["%.17g"] * (1 + 2 * len(vertices))) + "\n"    # _fmt on every value
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for t, state in zip(traj.times, traj.states):
-            row = [_fmt(t)] + [_fmt(x) for x in state.u] + [_fmt(x) for x in state.v]
-            fh.write(",".join(row) + "\n")
+            fh.write(row % tuple(np.concatenate(([t], state.u, state.v)).tolist()))
 
 
 def _write_report(path: str, report: dict) -> None:
@@ -186,7 +186,7 @@ def _cmd_steady(args) -> int:
     out = _ensure_dir(args.out)
     interior = [problem.graph.vertices[i] for i in problem.partition.interior_idx]
     if args.bounds:
-        if tol < 1e-10:    # the finest residual the fixed-step ordered marches support
+        if tol < 1e-10:    # absolute residuals: finer ones drown in roundoff at large scales
             raise InputError(f"steady --bounds needs --tol of at least 1e-10, got {tol:g}")
         bounds = coexistence_bounds(problem, tol=tol)
         path = os.path.join(out, "coexistence_bounds.csv")

@@ -308,20 +308,17 @@ def _combine(coefs, ks):
 
 
 def _windows(problem: Problem, initial, window: float, t_max: float, dt: float | None = None,
-             max_samples: int = 250, forced_times=(), adaptive: bool = True,
-             ops: _Operators | None = None):
+             max_samples: int = 250, forced_times=(), adaptive: bool = True):
     """Yield (t_done, Trajectory) per window of min(window, t_max - t_done), each restarted
     from the last final state like a fresh integrate call; the step and wall-time budgets
-    span all windows. ``ops`` are the problem's reduced operators, built here when None.
+    span all windows.
 
     Without dt the steps are adaptive DP5(4) from the stability cap, or, when ``adaptive``
-    is false, fixed RK4 steps of the cap: the ordered march of ``coexistence_bounds`` asks
-    for monotone samples and a 1e-10 residual, which step-size chatter at the controller
-    tolerance can break.
+    is false, fixed RK4 steps of the cap, a reference free of step-size control.
     """
     t_max = _positive(t_max, "t_end")
     p = problem.params
-    ops = reduced_operators(problem) if ops is None else ops
+    ops = reduced_operators(problem)
     u0, v0 = _coerce_initial(problem, initial)
     if dt is not None:
         dt = _positive(dt, "dt")

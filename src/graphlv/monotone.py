@@ -5,10 +5,11 @@ is nonincreasing in the other), so upper/lower bounds come in coupled
 pairs: the upper bound for u is paired with the lower bound for v and
 vice versa. This module checks such pairs, constructs the closed-form
 exponential envelopes for the three resolved parameter regimes, builds
-steady profiles by monotone elliptic iteration, squeezes coexistence
-bounds from ordered time marches, and solves the parabolic system by
-monotone Picard sweeps with uniformized exponential propagators, which
-are entrywise nonnegative at every truncation of their series.
+steady profiles and coexistence bounds by monotone elliptic iteration
+(one species, then the coupled upper and lower pairs), and solves the
+parabolic system by monotone Picard sweeps with uniformized exponential
+propagators, which are entrywise nonnegative at every truncation of
+their series.
 """
 
 from __future__ import annotations
@@ -22,16 +23,14 @@ import scipy.linalg
 
 from .classify import coexistence_point
 from .dynamics import (
+    _MAX_STEPS,
     BoundaryCondition,
     CompetitionParams,
-    FieldPair,
     Problem,
     Trajectory,
     _coerce_initial,
     _materialize,
-    _Operators,
     _pair_arrays,
-    _windows,
     reaction,
     reduced_operators,
 )
@@ -110,17 +109,23 @@ def constant_pair(upper: tuple[float, float], lower: tuple[float, float],
 def pair_from_trajectory(traj: Trajectory) -> OrderedPair:
     """Duplicate a sampled solution as both halves of a pair.
 
-    Values interpolate linearly between samples. Derivatives are left
-    None; exact-solution pairs should be built by the caller with
-    analytic derivatives when slack at machine precision matters.
+    Values interpolate linearly between samples, every vertex at once by
+    np.interp's rule: exact at the sample times and held at the end
+    samples outside them. Derivatives are left None; exact-solution pairs
+    should be built by the caller with analytic derivatives when slack at
+    machine precision matters.
     """
-    times = traj.times
+    times = np.asarray(traj.times, dtype=float)
     u_samples = np.stack([s.u for s in traj.states])
     v_samples = np.stack([s.v for s in traj.states])
 
     def interp(samples):
         def value(t):
-            return np.array([np.interp(t, times, samples[:, j]) for j in range(samples.shape[1])])
+            j = int(np.searchsorted(times, t, side="right")) - 1    # times[j] <= t < times[j+1]
+            if j < 0 or j >= times.size - 1:
+                return samples[min(max(j, 0), times.size - 1)].copy()
+            slope = (samples[j + 1] - samples[j]) / (times[j + 1] - times[j])
+            return slope * (t - times[j]) + samples[j]
         return TimeField(value=value)
 
     return OrderedPair(
@@ -535,11 +540,20 @@ def _add_identity(mat, c: float):
     return mat + c * sp.eye_array(mat.shape[0], format="csr")
 
 
+def _equal(a, b) -> bool:
+    """Whether two dense or CSR matrices agree entrywise; a CSR comparison is itself CSR,
+    so neither storage densifies."""
+    unequal = a != b
+    return not (unequal.any() if isinstance(unequal, np.ndarray) else unequal.nnz)
+
+
 def _factor(mat) -> Callable[[np.ndarray], np.ndarray]:
-    """b -> mat^-1 b, factored once: SuperLU for a CSR mat, LAPACK LU for a dense one."""
+    """b -> mat^-1 b, factored once: SuperLU for a CSR mat, LAPACK LU for a dense one (getrs
+    called directly: ``lu_solve``'s checks cost several times the solve on a small block)."""
     if isinstance(mat, np.ndarray):
-        lu = scipy.linalg.lu_factor(mat)
-        return lambda b: scipy.linalg.lu_solve(lu, b)
+        lu, piv = scipy.linalg.lu_factor(mat)
+        getrs = scipy.linalg.lapack.dgetrs
+        return lambda b: getrs(lu, piv, b)[0]
     from scipy.sparse.linalg import splu
 
     # the operators are structurally symmetric: a minimum-degree order on A^T + A fills least
@@ -688,34 +702,6 @@ class CoexistenceBounds:
     info: dict
 
 
-def _march(problem: Problem, ops: _Operators, start: FieldPair, direction_u: int, direction_v: int,
-           tol: float, t_max: float):
-    """Integrate until steady, asserting per-sample monotonicity per species."""
-    ii = ops.act
-    p = problem.params
-    for t_done, traj in _windows(problem, start, 1.0, t_max, max_samples=6,
-                                 forced_times=(0.25, 0.5, 0.75), adaptive=False, ops=ops):
-        for prev, cur in zip(traj.states, traj.states[1:]):
-            du = (cur.u - prev.u)[ii] * direction_u
-            dv = (cur.v - prev.v)[ii] * direction_v
-            if np.any(du < -_ORDER_SLACK) or np.any(dv < -_ORDER_SLACK):
-                raise NoConvergence(
-                    f"ordered march lost monotonicity before t={t_done:.6g}"
-                )
-        diffs = max(
-            float(np.max(np.abs((cur.u - prev.u)[ii])) + np.max(np.abs((cur.v - prev.v)[ii])))
-            for prev, cur in zip(traj.states, traj.states[1:])
-        )
-        state = traj.final
-        u_i, v_i = state.u[ii], state.v[ii]
-        f1, f2 = reaction(p, u_i, v_i)
-        res_u = float(np.max(np.abs(p.d1 * (ops.red1 @ u_i) + f1)))
-        res_v = float(np.max(np.abs(p.d2 * (ops.red2 @ v_i) + f2)))
-        if diffs < tol and res_u <= tol and res_v <= tol:
-            return state, res_u, res_v, t_done
-    raise NoConvergence(f"ordered march did not settle within t_max={t_max}")
-
-
 def coexistence_bounds(
     problem: Problem,
     epsilon: float | None = None,
@@ -723,23 +709,31 @@ def coexistence_bounds(
     tol: float = 1e-8,
     t_max: float = 2000.0,
 ) -> CoexistenceBounds:
-    """Steady coexistence bounds from two ordered time marches.
+    """Steady coexistence bounds from the coupled monotone upper/lower iteration.
 
     Requires the absorbing boundary, both species supercritical, and the
-    cross-competition smallness condition. The upper march starts at
+    cross-competition smallness condition. The upper pair starts at
     ((1+eps) s1, delta phi2) and decreases in u while increasing in v;
-    the lower march mirrors it. When both weight structures coincide and
-    the collapse condition 2 b1 s_lower > a1 - lambda0_1 d1 (and its v
-    counterpart) holds, the bounds must agree to 10*tol and the result
-    is flagged unique.
+    the lower pair starts at (delta phi1, (1+eps) s2) and mirrors it.
+    Both advance together by u <- (-d1 L + M1)^-1 (M1 u + f1(u, v)) and
+    v <- (-d2 L + M2)^-1 (M2 v + f2(u, v)), linearly implicit Euler steps
+    of pseudo-step 1/M with shifts M that bound the kinetics' slopes
+    over both pairs (at least 1; refactored when the bound halves). They
+    stop once each pair moves by less than tol and all four residuals
+    are at most tol; losing the order, or passing ``t_max`` of
+    pseudo-time (the sum of min(1/M1, 1/M2)) or 10**7 iterations, raises
+    NoConvergence. When both weight structures coincide and the collapse
+    condition 2 b1 s_lower > a1 - lambda0_1 d1 (and its v counterpart)
+    holds, the bounds must agree to 10*tol and the result is flagged
+    unique.
     """
     if problem.bc is not BoundaryCondition.DIRICHLET:
         raise InputError("coexistence bounds need the absorbing boundary condition")
-    tol = _positive(tol, "tol")
+    tol, t_max = _positive(tol, "tol"), _positive(t_max, "t_max")
     p = problem.params
-    part = problem.partition
-    eig1 = smallest_dirichlet_eigenpair(problem.graph, 1, part)
-    eig2 = smallest_dirichlet_eigenpair(problem.graph, 2, part)
+    graph, part = problem.graph, problem.partition
+    eig1 = smallest_dirichlet_eigenpair(graph, 1, part)
+    eig2 = smallest_dirichlet_eigenpair(graph, 2, part)
     g1 = p.a1 - eig1.lambda0 * p.d1
     g2 = p.a2 - eig2.lambda0 * p.d2
     k1 = g1 - (p.c1 / p.c2) * p.a2
@@ -750,8 +744,8 @@ def coexistence_bounds(
             f"margins are {k1:.6g} and {k2:.6g}"
         )
     steady_tol = min(tol, 1e-10)
-    s1 = _logistic_steady_state(problem.graph, part, 1, p.d1, p.a1, p.b1, eig1, tol=steady_tol)
-    s2 = _logistic_steady_state(problem.graph, part, 2, p.d2, p.a2, p.c2, eig2, tol=steady_tol)
+    s1 = _logistic_steady_state(graph, part, 1, p.d1, p.a1, p.b1, eig1, tol=steady_tol)
+    s2 = _logistic_steady_state(graph, part, 2, p.d2, p.a2, p.c2, eig2, tol=steady_tol)
 
     eps_cap = min((p.b1 / (p.a1 * p.b2)) * g2 - 1.0, (p.c2 / (p.a2 * p.c1)) * g1 - 1.0)
     epsilon = 0.5 * eps_cap if epsilon is None else _positive(epsilon, "epsilon")
@@ -764,19 +758,56 @@ def coexistence_bounds(
     if delta > delta_cap:
         raise DeltaTooLarge(f"delta must be at most {delta_cap:.6g}, got {delta:.6g}")
 
-    ops = reduced_operators(problem)
-    ii = ops.act
-    upper_start = _materialize(problem, ops, (1.0 + epsilon) * s1.values, delta * eig2.phi)
-    lower_start = _materialize(problem, ops, delta * eig1.phi, (1.0 + epsilon) * s2.values)
+    # column 0 is the upper pair, column 1 the lower pair; u moves by the sign in `rise`
+    # in each column and v the other way
+    u = np.stack([(1.0 + epsilon) * s1.values, delta * eig1.phi], axis=1)
+    v = np.stack([delta * eig2.phi, (1.0 + epsilon) * s2.values], axis=1)
+    rise = np.array([-1.0, 1.0])
+    l1, l2 = (_blocks(graph, species, part)[0] for species in (1, 2))
+    diffusion = (p.d1 * l1, p.d2 * l2)
+    shared = _equal(*diffusion)
+    shifts, solves = [np.inf, np.inf], [None, None]
+    pseudo, settle_times, gaps = 0.0, [None, None], []
+    f1, f2 = reaction(p, u, v)
+    for it in range(1, _MAX_STEPS + 1):
+        u_max, v_max = float(u.max()), float(v.max())
+        needs = (2.0 * p.b1 * u_max + p.c1 * v_max - p.a1,
+                 2.0 * p.c2 * v_max + p.b2 * u_max - p.a2)
+        for k, need in enumerate(needs):
+            need = max(need, 1.0)
+            if need < 0.5 * shifts[k]:
+                shifts[k] = need
+                # species with one operator and one shift share one factorization
+                solves[k] = (solves[0] if k and shared and need == shifts[0]
+                             else _factor(_add_identity(-diffusion[k], need)))
+        new_u = solves[0](shifts[0] * u + f1)
+        new_v = solves[1](shifts[1] * v + f2)
+        pseudo += 1.0 / max(shifts)
+        du, dv = new_u - u, new_v - v
+        if np.any(du * rise < -_ORDER_SLACK) or np.any(dv * rise > _ORDER_SLACK):
+            raise NoConvergence(f"ordered iteration lost monotonicity at iteration {it} "
+                                f"(pseudo-time {pseudo:.6g})")
+        u, v = new_u, new_v
+        gaps.append(max(float(np.max(u[:, 0] - u[:, 1])), float(np.max(v[:, 1] - v[:, 0]))))
+        f1, f2 = reaction(p, u, v)
+        res_u = np.max(np.abs(p.d1 * (l1 @ u) + f1), axis=0)
+        res_v = np.max(np.abs(p.d2 * (l2 @ v) + f2), axis=0)
+        settled = ((np.max(np.abs(du), axis=0) + np.max(np.abs(dv), axis=0) < tol)
+                   & (res_u <= tol) & (res_v <= tol))
+        for j in np.flatnonzero(settled):
+            settle_times[j] = settle_times[j] or pseudo
+        if settled.all():
+            break
+        if pseudo > t_max:
+            raise NoConvergence(f"ordered iteration did not settle within pseudo-time "
+                                f"t_max={t_max}")
+    else:
+        raise NoConvergence(f"ordered iteration did not settle in {_MAX_STEPS} iterations")
 
-    state_a, res_au, res_av, t_a = _march(problem, ops, upper_start, -1, +1, tol, t_max)
-    state_b, res_bu, res_bv, t_b = _march(problem, ops, lower_start, +1, -1, tol, t_max)
-
-    s_upper, r_lower = state_a.u[ii], state_a.v[ii]
-    s_lower, r_upper = state_b.u[ii], state_b.v[ii]
-
-    same_weights = (np.array_equal(problem.graph.w1, problem.graph.w2)
-                    and np.array_equal(problem.graph.mu1, problem.graph.mu2))
+    s_upper, s_lower = u[:, 0], u[:, 1]
+    r_lower, r_upper = v[:, 0], v[:, 1]
+    same_weights = (np.array_equal(graph.w1, graph.w2)
+                    and np.array_equal(graph.mu1, graph.mu2))
     collapse = (np.all(2.0 * p.b1 * s_lower > g1) and np.all(2.0 * p.c2 * r_lower > g2))
     unique = bool(same_weights and collapse)
     if unique:
@@ -789,12 +820,13 @@ def coexistence_bounds(
 
     return CoexistenceBounds(
         s_lower=s_lower, s_upper=s_upper, r_lower=r_lower, r_upper=r_upper,
-        residuals={"upper_u": res_au, "lower_v": res_av, "lower_u": res_bu, "upper_v": res_bv},
+        residuals={"upper_u": float(res_u[0]), "lower_v": float(res_v[0]),
+                   "lower_u": float(res_u[1]), "upper_v": float(res_v[1])},
         eig1=eig1, eig2=eig2, epsilon=float(epsilon), delta=float(delta), unique=unique,
         info={
             "k1_margins": (k1, k2), "epsilon_cap": eps_cap, "delta_cap": delta_cap,
-            "march_times": (t_a, t_b), "s1_iterations": s1.iterations,
-            "s2_iterations": s2.iterations,
+            "march_times": tuple(settle_times), "march_iterations": it, "march_gaps": gaps,
+            "s1_iterations": s1.iterations, "s2_iterations": s2.iterations,
         },
     )
 
@@ -919,10 +951,8 @@ def monotone_solve(
 
     a1_mat = _add_identity(p.d1 * ops.red1, -m_const)
     a2_mat = _add_identity(p.d2 * ops.red2, -m_const)
-    # species with one operator (same weights, measures and diffusion) share one sweep;
-    # a CSR comparison is itself CSR, so neither storage densifies here
-    unequal = a1_mat != a2_mat
-    shared = not (unequal.any() if isinstance(unequal, np.ndarray) else unequal.nnz)
+    # species with one operator (same weights, measures and diffusion) share one sweep
+    shared = _equal(a1_mat, a2_mat)
     props = [(_factor(a), [(_propagator(a, h), h, idx) for h, idx in lengths])
              for a in ([a1_mat] if shared else [a1_mat, a2_mat])]
     props1, props2 = props[0], props[-1]

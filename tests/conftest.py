@@ -13,8 +13,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from graphlv import boundary_of, build_graph, graphs
-from graphlv.dynamics import reduced_operators
+from graphlv import (
+    boundary_of,
+    build_graph,
+    graphs,
+    logistic_steady_state,
+    smallest_dirichlet_eigenpair,
+)
+from graphlv.dynamics import _windows, reaction, reduced_operators
 from graphlv.fixtures import reflecting_example, triangle_example
 
 
@@ -220,3 +226,58 @@ def reference_monotone_solve(problem, pair, initial, t_grid, substep=None, tol=1
             break
     mid_u, mid_v = 0.5 * (hi_u + lo_u), 0.5 * (hi_v + lo_v)
     return mid_u[grid_index], mid_v[grid_index], iterations
+
+
+# ---------------------------------------------------------------------------
+# reference coexistence bounds (two explicit RK4 marches to the steady states)
+# ---------------------------------------------------------------------------
+
+def reference_coexistence_bounds(problem, epsilon, delta, tol=1e-8, t_max=2000.0):
+    """Ordered time marches from ((1+eps) s1, delta phi2) and (delta phi1, (1+eps) s2).
+
+    Each march takes fixed RK4 steps of the stability cap in windows of one time unit,
+    sampled at quarters, checks that u and v move monotonically (the upper march lowers u
+    and raises v, the lower one mirrors it) and stops once the samples of a window move
+    by less than tol and both steady residuals are at most tol. Returns the active values
+    (s_lower, s_upper, r_lower, r_upper) and the unique flag.
+    """
+    p = problem.params
+    graph, part = problem.graph, problem.partition
+    act = problem.active_idx
+    ops = reduced_operators(problem)
+    eig = [smallest_dirichlet_eigenpair(graph, species, part) for species in (1, 2)]
+    s1 = logistic_steady_state(graph, part, 1, p.d1, p.a1, p.b1, tol=min(tol, 1e-10)).values
+    s2 = logistic_steady_state(graph, part, 2, p.d2, p.a2, p.c2, tol=min(tol, 1e-10)).values
+
+    def full(x):
+        out = np.zeros(graph.n)
+        out[act] = x
+        return out
+
+    def march(u0, v0, direction_u, direction_v):
+        for _, traj in _windows(problem, (full(u0), full(v0)), 1.0, t_max, max_samples=6,
+                                forced_times=(0.25, 0.5, 0.75), adaptive=False):
+            steps = list(zip(traj.states, traj.states[1:]))
+            for prev, cur in steps:
+                if (np.any((cur.u - prev.u)[act] * direction_u < -1e-12)
+                        or np.any((cur.v - prev.v)[act] * direction_v < -1e-12)):
+                    raise AssertionError("reference march lost monotonicity")
+            diffs = max(float(np.max(np.abs((cur.u - prev.u)[act]))
+                              + np.max(np.abs((cur.v - prev.v)[act]))) for prev, cur in steps)
+            u, v = traj.final.u[act], traj.final.v[act]
+            f1, f2 = reaction(p, u, v)
+            res_u = float(np.max(np.abs(p.d1 * (ops.red1 @ u) + f1)))
+            res_v = float(np.max(np.abs(p.d2 * (ops.red2 @ v) + f2)))
+            if diffs < tol and res_u <= tol and res_v <= tol:
+                return u, v
+        raise AssertionError("reference march did not settle")
+
+    s_upper, r_lower = march((1.0 + epsilon) * s1, delta * eig[1].phi, -1, +1)
+    s_lower, r_upper = march(delta * eig[0].phi, (1.0 + epsilon) * s2, +1, -1)
+    g1 = p.a1 - eig[0].lambda0 * p.d1
+    g2 = p.a2 - eig[1].lambda0 * p.d2
+    same_weights = (np.array_equal(graph.w1, graph.w2)
+                    and np.array_equal(graph.mu1, graph.mu2))
+    unique = bool(same_weights and np.all(2.0 * p.b1 * s_lower > g1)
+                  and np.all(2.0 * p.c2 * r_lower > g2))
+    return s_lower, s_upper, r_lower, r_upper, unique

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -89,6 +90,46 @@ class TestSimulate:
         traj_a = (tmp_path / "a" / "trajectory.csv").read_bytes()
         traj_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert traj_a == traj_b
+
+    @staticmethod
+    def _per_value_writer(path, vertices, traj):
+        """The trajectory writer as it was: one "%.17g" format per value."""
+        fmt = lambda x: "%.17g" % float(x)
+        header = ",".join(["t"] + [f"u@{v}" for v in vertices] + [f"v@{v}" for v in vertices])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header + "\n")
+            for t, state in zip(traj.times, traj.states):
+                row = [fmt(t)] + [fmt(x) for x in state.u] + [fmt(x) for x in state.v]
+                fh.write(",".join(row) + "\n")
+
+    @pytest.mark.parametrize("case", ["triangle", "lattice", "extremes"])
+    def test_trajectory_csv_matches_the_per_value_writer(self, tmp_path, case):
+        rng = np.random.default_rng(40)
+        if case == "extremes":
+            vertices = ["a", "b", "c"]
+            values = [0.0, -0.0, 5e-324, 1e-300, 1e308, np.inf, np.nan, 1 / 3, 2.0**53 + 1]
+            states = [graphlv.FieldPair(u=np.array(values[k:k + 3]),
+                                        v=np.array(values[::-1][k:k + 3])) for k in range(7)]
+            traj = graphlv.Trajectory(times=np.linspace(0.0, 0.1, 7), states=states)
+        else:
+            if case == "triangle":
+                graph = triangle_example()
+            else:
+                names = [f"r{r}c{c}" for r in range(40) for c in range(40)]
+                edges = [(f"r{r}c{c}", f"r{r}c{c + 1}", float(rng.uniform(0.8, 1.2)))
+                         for r in range(40) for c in range(39)]
+                edges += [(f"r{r}c{c}", f"r{r + 1}c{c}", float(rng.uniform(0.8, 1.2)))
+                          for r in range(39) for c in range(40)]
+                graph = graphlv.build_graph(names, edges)
+            params = CompetitionParams(a1=1.0, b1=2.0, c1=2.0, a2=1.0, b2=1.0, c2=1.0)
+            initial = (rng.uniform(0.0, 0.5, graph.n), rng.uniform(0.0, 1.0, graph.n))
+            traj = integrate(Problem(graph, params), initial, t_end=0.2, max_samples=12)
+            vertices = graph.vertices
+        graphlv.cli._write_trajectory(str(tmp_path / "new.csv"), vertices, traj)
+        self._per_value_writer(str(tmp_path / "old.csv"), vertices, traj)
+        digest = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("new.csv", "old.csv")]
+        assert digest[0] == digest[1]
 
     def test_unstable_step_is_a_numerical_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, triangle_doc())
@@ -251,6 +292,15 @@ class TestSteady:
         argv = ["steady", "--config", cfg, "--out", str(tmp_path / "o"), f"--tol={tol}"]
         assert main(argv + form) == 2
         assert "tol must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", [[], ["--bounds"]], ids=["logistic", "bounds"])
+    def test_overflowing_growth_is_a_numerical_error(self, tmp_path, capsys, form):
+        """Growth rates near the float limit overflow the logistic iterate: exit 3, not a
+        bare ValueError from the dense solve's finiteness check."""
+        cfg = write_config(tmp_path, absorbing_doc(a1=1e300, a2=1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")] + form) == 3
+        assert "NoConvergence" in capsys.readouterr().err
 
     def test_bounds_tol_has_a_floor(self, tmp_path, capsys):
         # the floor applies to --bounds only; the logistic solve takes any positive tol

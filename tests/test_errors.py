@@ -14,6 +14,7 @@ from graphlv import (
     constant_pair,
     field_array,
     logistic_steady_state,
+    monotone,
     monotone_solve,
     smallest_dirichlet_eigenpair,
     verify_coupled_pair,
@@ -90,6 +91,9 @@ CASES = {
     "bounds-negative-tol": lambda: _bounds(tol=-1.0),
     "bounds-nan-epsilon": lambda: _bounds(epsilon=np.nan),
     "bounds-nan-delta": lambda: _bounds(delta=np.nan),
+    "bounds-nan-horizon": lambda: _bounds(t_max=np.nan),
+    "bounds-zero-horizon": lambda: _bounds(t_max=0.0),
+    "bounds-negative-horizon": lambda: _bounds(t_max=-1.0),
     "envelopes-nan-epsilon": lambda: analytic_envelopes(1, SET_I, epsilon=np.nan,
                                                         state_at_t0=(np.full(3, 0.3),
                                                                      np.full(3, 0.3))),
@@ -100,6 +104,17 @@ CASES = {
 def test_malformed_input_is_an_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("t_max", [np.nan, 0.0, -1.0])
+def test_bad_bounds_horizon_is_named_before_any_solve(t_max, monkeypatch):
+    """A bad t_max is refused under its own name before the eigen and logistic solves."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before checking t_max")
+
+    monkeypatch.setattr(monotone, "smallest_dirichlet_eigenpair", unreachable)
+    with pytest.raises(InputError, match="t_max must be positive and finite"):
+        _bounds(t_max=t_max)
 
 
 @pytest.mark.parametrize("name", ["epsilon", "delta"])

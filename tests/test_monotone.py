@@ -8,6 +8,7 @@ import scipy.linalg
 from conftest import (
     random_connected_graph,
     random_connected_interior,
+    reference_coexistence_bounds,
     reference_monotone_solve,
     stored,
 )
@@ -22,6 +23,7 @@ from graphlv import (
     OrderedPair,
     Problem,
     TimeField,
+    Trajectory,
     analytic_envelopes,
     boundary_of,
     build_graph,
@@ -481,6 +483,74 @@ class TestCoexistenceBounds:
         with pytest.raises(InputError):
             coexistence_bounds(prob, epsilon=-1.0)
 
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "split"])
+    def test_info_records_the_iteration(self, shared):
+        prob = _bounds_problem(np.random.default_rng(7), shared)
+        bounds = coexistence_bounds(prob, tol=1e-9)
+        info = bounds.info
+        times, gaps = info["march_times"], info["march_gaps"]
+        assert len(times) == 2 and all(isinstance(t, float) and 0.0 < t <= 2000.0
+                                       for t in times)
+        assert info["march_iterations"] == len(gaps) >= 1
+        assert np.all(np.diff(gaps) <= 0.0)
+        assert gaps[-1] == max(float(np.max(bounds.s_upper - bounds.s_lower)),
+                               float(np.max(bounds.r_upper - bounds.r_lower)))
+
+    def test_pseudo_time_budget(self, reflecting):
+        graph, part = reflecting
+        prob = Problem(graph, BOUNDS_PARAMS, bc=BoundaryCondition.DIRICHLET,
+                       partition=part)
+        settled = max(coexistence_bounds(prob, tol=1e-8).info["march_times"])
+        with pytest.raises(NoConvergence, match="pseudo-time"):
+            coexistence_bounds(prob, tol=1e-8, t_max=0.5 * settled)
+
+
+def _bounds_problem(rng, shared):
+    """A seeded absorbing problem on at most 12 vertices that meets the bounds' hypotheses.
+
+    ``shared`` draws one weight table and unit measures (the bounds may collapse);
+    otherwise weights and measures are split. The interior has at least two vertices,
+    which ARPACK needs when the storage is forced to CSR. The diffusions are drawn
+    below the cross-competition margins, so both K1 margins are positive.
+    """
+    graph = random_connected_graph(rng, max_vertices=12, split_weights=not shared,
+                                   random_measure=not shared)
+    while graph.n < 3:
+        graph = random_connected_graph(rng, max_vertices=12, split_weights=not shared,
+                                       random_measure=not shared)
+    part = random_connected_interior(rng, graph)
+    while part.interior_idx.size < 2:
+        part = random_connected_interior(rng, graph)
+    lam1, lam2 = (monotone.smallest_dirichlet_eigenpair(graph, s, part).lambda0 for s in (1, 2))
+    a1, a2, b1, c2 = rng.uniform(0.5, 3.0, 4)
+    c1 = rng.uniform(0.01, 0.5) * c2 * a1 / a2     # (c1/c2) a2 below a1
+    b2 = rng.uniform(0.01, 0.5) * b1 * a2 / a1     # (b2/b1) a1 below a2
+    d1 = rng.uniform(0.1, 0.8) * (a1 - (c1 / c2) * a2) / lam1
+    d2 = rng.uniform(0.1, 0.8) * (a2 - (b2 / b1) * a1) / lam2
+    params = CompetitionParams(a1=a1, b1=b1, c1=c1, a2=a2, b2=b2, c2=c2, d1=d1, d2=d2)
+    return Problem(graph, params, bc=BoundaryCondition.DIRICHLET, partition=part)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shared=st.booleans())
+def test_coexistence_bounds_match_rk4_marches(seed, shared):
+    """The implicit monotone iteration, under both storages, against two explicit RK4
+    marches at the stability cap: the same bounds to 1e-7 at tol 1e-9 and the same unique
+    flag. Both stop at residuals of 1e-9, so they differ by the steady problem's
+    sensitivity to them: at most 1.2e-8 over 500 problems drawn as here (seeds 0-249,
+    shared and split)."""
+    prob = _bounds_problem(np.random.default_rng(seed), shared)
+    for csr in (False, True):
+        with stored(csr):
+            bounds = coexistence_bounds(prob, tol=1e-9)
+        if not csr:
+            *want, unique = reference_coexistence_bounds(prob, bounds.epsilon, bounds.delta,
+                                                         tol=1e-9)
+        assert bounds.unique == unique
+        for got, ref in zip((bounds.s_lower, bounds.s_upper, bounds.r_lower, bounds.r_upper),
+                            want):
+            assert np.max(np.abs(got - ref)) <= 1e-7
+
 
 class TestMonotoneSolve:
     def test_matches_integrator(self, triangle):
@@ -576,6 +646,35 @@ class TestMonotoneSolve:
             assert abs(ref.times[j] - t) < 1e-9
             assert np.max(np.abs(state.u - ref.states[j].u)) <= 1e-6
             assert np.max(np.abs(state.v - ref.states[j].v)) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 12), n=st.integers(1, 30),
+       scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]))
+def test_pair_from_trajectory_interpolates_like_np_interp(seed, n_samples, n, scale):
+    """All vertices at once against one np.interp per vertex: exact at the sample times,
+    held at the end samples outside [t0, t_end], and within 1e-15 of the larger bracketing
+    sample in between."""
+    rng = np.random.default_rng(seed)
+    times = float(rng.uniform(-5.0, 5.0)) + np.concatenate(
+        [[0.0], np.cumsum(rng.uniform(1e-3, 2.0, n_samples - 1))])
+    u, v = scale * rng.uniform(-1.0, 1.0, (2, n_samples, n))
+    traj = Trajectory(times=times, states=[FieldPair(u=a, v=b) for a, b in zip(u, v)])
+    pair = pair_from_trajectory(traj)
+    span = times[-1] - times[0] + 1.0
+    before, after = span * rng.uniform(1e-9, 2.0, 2)
+    outside = [times[0] - before, times[-1] + after, -np.inf, np.inf]
+    inside = rng.uniform(times[0], times[-1], 8) if n_samples > 1 else []
+    for field, samples in ((pair.u_upper, u), (pair.v_lower, v)):
+        for t in [*times, *outside, *inside]:
+            got = field.value(t)
+            want = np.array([np.interp(t, times, samples[:, j]) for j in range(n)])
+            if t in times or not times[0] <= t <= times[-1]:
+                assert np.array_equal(got, want)
+            else:
+                j = int(np.searchsorted(times, t)) - 1
+                bound = np.maximum(np.abs(samples[j]), np.abs(samples[j + 1]))
+                assert np.all(np.abs(got - want) <= 1e-15 * bound)
 
 
 @settings(max_examples=25, deadline=None)

@@ -73,3 +73,10 @@ def test_scipy_sparse_is_imported_late():
             if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"module-level scipy.sparse imports in {found}"
+
+
+def test_bounds_run_no_explicit_march():
+    """The coexistence bounds come from the implicit monotone iteration, which has no
+    diffusion stability cap, so monotone.py never calls back into the explicit stepper."""
+    source = (PACKAGE / "monotone.py").read_text(encoding="utf-8")
+    assert "_windows" not in source
