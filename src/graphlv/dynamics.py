@@ -43,18 +43,20 @@ _CLOCK_EVERY = 256        # steps between wall-clock reads
 # still fail there). It is also the ``reproduce`` window, which is so counted whole.
 _COUNTED_SPAN = 10.0
 
-# Dormand & Prince (1980) 5(4) pair: the stage rows below the first, the fifth-order weights
-# (which are also the last stage's row, so that stage is the next step's first: FSAL), and
-# the fifth-minus-fourth-order weights of the error estimate.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand & Prince (1980) 5(4) pair as one tableau: row i < 7 holds stage i's coefficients
+# on the stages before it; row 6, the fifth-order weights, is also the last stage's row, so
+# that stage is the next step's first (FSAL); row 7 holds the fifth-minus-fourth-order
+# weights of the error estimate.
+_DP = np.array([
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
+])
 # error-per-step controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
 _RTOL = 1e-8
 _ATOL = 1e-10
@@ -297,14 +299,12 @@ def integrate(
     adaptive one whose stability cap needs more than 10**7 steps for its
     first 10 time units (huge initial data). Batched params give each
     state a trailing axis of length P, and the batch shares one step and
-    sample schedule.
+    sample schedule. Each DP5 stage input, the new state and the error
+    estimate are one product of a tableau row with the stored stages, so
+    adaptive states differ from a term-by-term stage sum at roundoff;
+    fixed RK4 states are bit-identical to it.
     """
     return next(_windows(problem, initial, t_end, t_end, dt, max_samples, forced_times))[1]
-
-
-def _combine(coefs, ks):
-    """sum(c * k) over the nonzero coefficients."""
-    return sum(c * k for c, k in zip(coefs, ks) if c)
 
 
 def _windows(problem: Problem, initial, window: float, t_max: float, dt: float | None = None,
@@ -315,6 +315,12 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
 
     Without dt the steps are adaptive DP5(4) from the stability cap, or, when ``adaptive``
     is false, fixed RK4 steps of the cap, a reference free of step-size control.
+
+    The slopes of the seven stages are rows of one preallocated (7, 2 n_act, ...) array,
+    written in place by the right-hand side. A DP5 stage input is y plus the product of
+    h times its tableau row with the earlier stages flattened; the fifth-order row gives
+    the new state and the error row the estimate, and on acceptance the last stage is
+    copied to the first (FSAL). RK4 forms its stage inputs term by term as before.
     """
     t_max = _positive(t_max, "t_end")
     p = problem.params
@@ -329,12 +335,16 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     y = np.multiply.outer(np.concatenate([u0[ops.act], v0[ops.act]]),
                           np.ones(np.broadcast(*vars(p).values()).shape))
     n_act = ops.act.size
+    # the slopes of the seven stages, and the same memory with each stage flattened
+    stages = np.empty((len(_DP) - 1,) + y.shape)
+    flat = stages.reshape(len(stages), -1)
 
-    def rhs(state: np.ndarray) -> np.ndarray:
+    def rhs(state: np.ndarray, out: np.ndarray) -> None:
         u = state[:n_act]
         v = state[n_act:]
         f1, f2 = reaction(p, u, v)
-        return np.concatenate([d1 * (red1 @ u) + f1, d2 * (red2 @ v) + f2])
+        np.add(d1 * (red1 @ u), f1, out=out[:n_act])
+        np.add(d2 * (red2 @ v), f2, out=out[n_act:])
 
     dp5 = dt is None and adaptive
     rate = _diffusion_rate(problem, ops) if dt is None else None
@@ -344,6 +354,7 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     while t_done < t_max:
         span = min(window, t_max - t_done)
         m_u, m_v = invariant_rectangle(p, u0[problem.closure_idx], v0[problem.closure_idx])
+        cap_u, cap_v = m_u + _RECT_SLACK, m_v + _RECT_SLACK
         step = _step_cap(p, rate, m_u, m_v) if dt is None else dt
         horizon = min(span, _COUNTED_SPAN) if dp5 else span    # fixed steps: all counted
         if not (math.isfinite(step) and step > 0) or horizon / step > _MAX_STEPS - n_spent:
@@ -356,7 +367,7 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
         n_halvings = 0
         n_rejected = 0
         n_rhs = 0
-        k1 = None
+        fsal = False        # stages[0] holds the slope at y
         dt_cur = step
         t = 0.0
         for target in targets[1:]:
@@ -368,28 +379,27 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                         and time.perf_counter() - started > _MAX_SECONDS):
                     raise StepSizeUnstable(f"wall-time budget of {_MAX_SECONDS:g} s spent at "
                                            f"t={t_done + t:.6g}")
-                if k1 is None:
-                    k1 = rhs(y)
+                if not fsal:
+                    rhs(y, stages[0])
                     n_rhs += 1
                 grow = _GROW_MAX
                 while True:
                     h = min(dt_cur, target - t)
                     if dp5:
-                        ks = [k1]
-                        for row in _DP_A:
-                            ks.append(rhs(y + h * _combine(row, ks)))
-                        y_new = y + h * _combine(_DP_B, ks)
-                        n_rhs += len(_DP_A)
+                        coefs = h * _DP
+                        for i in range(1, 6):
+                            rhs(y + (coefs[i, :i] @ flat[:i]).reshape(y.shape), stages[i])
+                        y_new = y + (coefs[6, :6] @ flat[:6]).reshape(y.shape)
+                        n_rhs += 5
                     else:
-                        k2 = rhs(y + 0.5 * h * k1)
-                        k3 = rhs(y + 0.5 * h * k2)
-                        k4 = rhs(y + h * k3)
+                        k1, k2, k3, k4 = stages[:4]
+                        rhs(y + 0.5 * h * k1, k2)
+                        rhs(y + 0.5 * h * k2, k3)
+                        rhs(y + h * k3, k4)
                         y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                         n_rhs += 3
-                    low = float(y_new.min())
-                    out_u = np.any(y_new[:n_act].max(axis=0) > m_u + _RECT_SLACK)
-                    out_v = np.any(y_new[n_act:].max(axis=0) > m_v + _RECT_SLACK)
-                    if low <= -_CLAMP or out_u or out_v:
+                    if (y_new.min() <= -_CLAMP or (y_new[:n_act].max(axis=0) > cap_u).any()
+                            or (y_new[n_act:].max(axis=0) > cap_v).any()):
                         # fixed steps keep the halved step; adaptive ones halve the attempt
                         dt_cur = (h if dp5 else dt_cur) * 0.5
                         n_halvings += 1
@@ -397,11 +407,11 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                     elif not dp5:
                         break
                     else:
-                        ks.append(rhs(y_new))
+                        rhs(y_new, stages[6])
                         n_rhs += 1
                         scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new))
-                        ratio = h * _combine(_DP_E, ks) / scale
-                        err = float(np.max(np.sqrt(np.mean(ratio * ratio, axis=0))))
+                        ratio = (coefs[7] @ flat).reshape(y.shape) / scale
+                        err = float(np.sqrt((ratio * ratio).sum(axis=0) / len(ratio)).max())
                         factor = _SAFETY * err ** -0.2 if err > 0.0 else _GROW_MAX
                         if err <= 1.0:
                             proposal = h * min(grow, factor)
@@ -416,13 +426,14 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                     if dt_cur < step * 2.0**-20:
                         raise StepSizeUnstable(f"{why} at t={t_done + t:.6g} and the step fell "
                                                f"to dt={dt_cur:.3e}")
-                undershoot = (y_new < 0.0)
-                if undershoot.any():
+                undershoot = y_new < 0.0
+                clamped = undershoot.any()
+                if clamped:
                     n_clamped += int(undershoot.sum())
                     y_new[undershoot] = 0.0
-                    k1 = None
-                else:
-                    k1 = ks[-1] if dp5 else None
+                elif dp5:
+                    stages[0] = stages[6]
+                fsal = dp5 and not clamped
                 y = y_new
                 t += h
                 n_steps += 1

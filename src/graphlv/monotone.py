@@ -66,6 +66,9 @@ _POISSON_TAIL = 1e-16
 _MAX_POISSON_MEAN = 50.0
 # fine points times active vertices: 8 MiB per (T, n_act) array; a solve holds about 45
 _MONOTONE_MAX_FINE = 2**20
+# the ordered iteration has stalled once both pairs move by less than tol for this many
+# iterations in a row with no new minimum of the largest residual
+_STALL_ITERS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +723,13 @@ def coexistence_bounds(
     of pseudo-step 1/M with shifts M that bound the kinetics' slopes
     over both pairs (at least 1; refactored when the bound halves). They
     stop once each pair moves by less than tol and all four residuals
-    are at most tol; losing the order, or passing ``t_max`` of
-    pseudo-time (the sum of min(1/M1, 1/M2)) or 10**7 iterations, raises
-    NoConvergence. When both weight structures coincide and the collapse
+    are at most tol; losing the order, passing ``t_max`` of pseudo-time
+    (the sum of min(1/M1, 1/M2)) or 10**7 iterations, or stalling (both
+    pairs moving by less than tol for 100 iterations in a row while the
+    largest residual makes no new minimum: a tol the residual cannot
+    reach) raises NoConvergence. Species with one weight structure share
+    their eigenpair, and also their logistic steady state when (d, a, e)
+    agree. When both weight structures coincide and the collapse
     condition 2 b1 s_lower > a1 - lambda0_1 d1 (and its v counterpart)
     holds, the bounds must agree to 10*tol and the result is flagged
     unique.
@@ -732,8 +739,12 @@ def coexistence_bounds(
     tol, t_max = _positive(tol, "tol"), _positive(t_max, "t_max")
     p = problem.params
     graph, part = problem.graph, problem.partition
+    # species with one weight structure share their eigenpair and blocks, and their
+    # logistic steady state when their coefficients agree too
+    same_weights = (np.array_equal(graph.w1, graph.w2)
+                    and np.array_equal(graph.mu1, graph.mu2))
     eig1 = smallest_dirichlet_eigenpair(graph, 1, part)
-    eig2 = smallest_dirichlet_eigenpair(graph, 2, part)
+    eig2 = eig1 if same_weights else smallest_dirichlet_eigenpair(graph, 2, part)
     g1 = p.a1 - eig1.lambda0 * p.d1
     g2 = p.a2 - eig2.lambda0 * p.d2
     k1 = g1 - (p.c1 / p.c2) * p.a2
@@ -745,7 +756,8 @@ def coexistence_bounds(
         )
     steady_tol = min(tol, 1e-10)
     s1 = _logistic_steady_state(graph, part, 1, p.d1, p.a1, p.b1, eig1, tol=steady_tol)
-    s2 = _logistic_steady_state(graph, part, 2, p.d2, p.a2, p.c2, eig2, tol=steady_tol)
+    s2 = (s1 if same_weights and (p.d1, p.a1, p.b1) == (p.d2, p.a2, p.c2)
+          else _logistic_steady_state(graph, part, 2, p.d2, p.a2, p.c2, eig2, tol=steady_tol))
 
     eps_cap = min((p.b1 / (p.a1 * p.b2)) * g2 - 1.0, (p.c2 / (p.a2 * p.c1)) * g1 - 1.0)
     epsilon = 0.5 * eps_cap if epsilon is None else _positive(epsilon, "epsilon")
@@ -763,11 +775,13 @@ def coexistence_bounds(
     u = np.stack([(1.0 + epsilon) * s1.values, delta * eig1.phi], axis=1)
     v = np.stack([delta * eig2.phi, (1.0 + epsilon) * s2.values], axis=1)
     rise = np.array([-1.0, 1.0])
-    l1, l2 = (_blocks(graph, species, part)[0] for species in (1, 2))
+    l1 = _blocks(graph, 1, part)[0]
+    l2 = l1 if same_weights else _blocks(graph, 2, part)[0]
     diffusion = (p.d1 * l1, p.d2 * l2)
     shared = _equal(*diffusion)
     shifts, solves = [np.inf, np.inf], [None, None]
     pseudo, settle_times, gaps = 0.0, [None, None], []
+    least, idle = np.inf, 0
     f1, f2 = reaction(p, u, v)
     for it in range(1, _MAX_STEPS + 1):
         u_max, v_max = float(u.max()), float(v.max())
@@ -792,12 +806,20 @@ def coexistence_bounds(
         f1, f2 = reaction(p, u, v)
         res_u = np.max(np.abs(p.d1 * (l1 @ u) + f1), axis=0)
         res_v = np.max(np.abs(p.d2 * (l2 @ v) + f2), axis=0)
-        settled = ((np.max(np.abs(du), axis=0) + np.max(np.abs(dv), axis=0) < tol)
-                   & (res_u <= tol) & (res_v <= tol))
+        still = np.max(np.abs(du), axis=0) + np.max(np.abs(dv), axis=0) < tol
+        settled = still & (res_u <= tol) & (res_v <= tol)
         for j in np.flatnonzero(settled):
             settle_times[j] = settle_times[j] or pseudo
         if settled.all():
             break
+        worst = max(float(res_u.max()), float(res_v.max()))
+        if worst < least:
+            least, idle = worst, 0
+        else:
+            idle = idle + 1 if still.all() else 0
+            if idle >= _STALL_ITERS:
+                raise NoConvergence(f"ordered iteration stalled at iteration {it}: residual "
+                                    f"{least:.3e} above tol={tol:.1e}")
         if pseudo > t_max:
             raise NoConvergence(f"ordered iteration did not settle within pseudo-time "
                                 f"t_max={t_max}")
@@ -806,8 +828,6 @@ def coexistence_bounds(
 
     s_upper, s_lower = u[:, 0], u[:, 1]
     r_lower, r_upper = v[:, 0], v[:, 1]
-    same_weights = (np.array_equal(graph.w1, graph.w2)
-                    and np.array_equal(graph.mu1, graph.mu2))
     collapse = (np.all(2.0 * p.b1 * s_lower > g1) and np.all(2.0 * p.c2 * r_lower > g2))
     unique = bool(same_weights and collapse)
     if unique:

@@ -20,6 +20,7 @@ from graphlv import (
     logistic_steady_state,
     smallest_dirichlet_eigenpair,
 )
+from graphlv import dynamics
 from graphlv.dynamics import _windows, reaction, reduced_operators
 from graphlv.fixtures import reflecting_example, triangle_example
 
@@ -281,3 +282,113 @@ def reference_coexistence_bounds(problem, epsilon, delta, tol=1e-8, t_max=2000.0
     unique = bool(same_weights and np.all(2.0 * p.b1 * s_lower > g1)
                   and np.all(2.0 * p.c2 * r_lower > g2))
     return s_lower, s_upper, r_lower, r_upper, unique
+
+
+# ---------------------------------------------------------------------------
+# reference stepper (one generator sum per stage, as the tableau is written)
+# ---------------------------------------------------------------------------
+
+_REF_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_REF_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_REF_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _combine(coefs, ks):
+    """sum(c * k) over the nonzero coefficients."""
+    return sum(c * k for c, k in zip(coefs, ks) if c)
+
+
+def reference_integrate(problem, initial, t_end, dt=None, max_samples=250):
+    """One ``integrate`` run, each DP5(4) stage formed by a Python sum over the stages.
+
+    The same controller, rectangle rejection, clamp and counters as ``dynamics._windows``
+    over one window, without its step and wall-time budgets. Returns the sampled active
+    states as one (samples, 2 n_act, ...) array, and the counters.
+    """
+    p = problem.params
+    ops = reduced_operators(problem)
+    u0, v0 = dynamics._coerce_initial(problem, initial)
+    red1, red2, d1, d2 = ops.red1, ops.red2, p.d1, p.d2
+    y = np.multiply.outer(np.concatenate([u0[ops.act], v0[ops.act]]),
+                          np.ones(np.broadcast(*vars(p).values()).shape))
+    n_act = ops.act.size
+
+    def rhs(state):
+        u, v = state[:n_act], state[n_act:]
+        f1, f2 = reaction(p, u, v)
+        return np.concatenate([d1 * (red1 @ u) + f1, d2 * (red2 @ v) + f2])
+
+    dp5 = dt is None
+    m_u, m_v = dynamics.invariant_rectangle(p, u0[problem.closure_idx],
+                                            v0[problem.closure_idx])
+    rate = dynamics._diffusion_rate(problem, ops)
+    step = dynamics._step_cap(p, rate, m_u, m_v) if dp5 else dt
+    targets = dynamics.sample_times(t_end, step, max_samples=max_samples)
+    states = [y]
+    counts = dict(n_steps=0, n_clamped=0, n_halvings=0, n_rejected=0, n_rhs=0)
+    k1 = None
+    dt_cur = step
+    t = 0.0
+    for target in targets[1:]:
+        while t < target - 1e-12 * max(1.0, target):
+            if k1 is None:
+                k1 = rhs(y)
+                counts["n_rhs"] += 1
+            grow = dynamics._GROW_MAX
+            while True:
+                h = min(dt_cur, target - t)
+                if dp5:
+                    ks = [k1]
+                    for row in _REF_DP_A:
+                        ks.append(rhs(y + h * _combine(row, ks)))
+                    y_new = y + h * _combine(_REF_DP_B, ks)
+                    counts["n_rhs"] += len(_REF_DP_A)
+                else:
+                    k2 = rhs(y + 0.5 * h * k1)
+                    k3 = rhs(y + 0.5 * h * k2)
+                    k4 = rhs(y + h * k3)
+                    y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                    counts["n_rhs"] += 3
+                out_u = np.any(y_new[:n_act].max(axis=0) > m_u + dynamics._RECT_SLACK)
+                out_v = np.any(y_new[n_act:].max(axis=0) > m_v + dynamics._RECT_SLACK)
+                if float(y_new.min()) <= -dynamics._CLAMP or out_u or out_v:
+                    dt_cur = (h if dp5 else dt_cur) * 0.5
+                    counts["n_halvings"] += 1
+                elif not dp5:
+                    break
+                else:
+                    ks.append(rhs(y_new))
+                    counts["n_rhs"] += 1
+                    scale = dynamics._ATOL + dynamics._RTOL * np.maximum(np.abs(y), np.abs(y_new))
+                    ratio = h * _combine(_REF_DP_E, ks) / scale
+                    err = float(np.max(np.sqrt(np.mean(ratio * ratio, axis=0))))
+                    factor = dynamics._SAFETY * err ** -0.2 if err > 0.0 else dynamics._GROW_MAX
+                    if err <= 1.0:
+                        proposal = h * min(grow, factor)
+                        dt_cur = max(dt_cur, proposal) if h < dt_cur else proposal
+                        break
+                    dt_cur = h * (max(dynamics._GROW_MIN, factor) if err > 1.0
+                                  else dynamics._GROW_MIN)
+                    counts["n_rejected"] += 1
+                grow = 1.0
+                if dt_cur < step * 2.0**-20:
+                    raise AssertionError("reference step collapsed")
+            undershoot = y_new < 0.0
+            if undershoot.any():
+                counts["n_clamped"] += int(undershoot.sum())
+                y_new[undershoot] = 0.0
+                k1 = None
+            else:
+                k1 = ks[-1] if dp5 else None
+            y = y_new
+            t += h
+            counts["n_steps"] += 1
+        t = float(target)
+        states.append(y)
+    return np.stack(states), counts

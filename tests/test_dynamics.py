@@ -589,3 +589,56 @@ class TestOperatorStorage:
         complete = build_graph(names, [(names[i], names[j], 1.0)
                                        for i in range(n) for j in range(i + 1, n)])
         assert not _is_csr(reduced_operators(Problem(complete, PARAMS_I)).red1)
+
+
+def _oracle_case(kind, seed):
+    """A seeded problem and initial data for the stepper oracle; ``batch`` draws three
+    parameter sets whose diffusions are arrays too."""
+    rng = np.random.default_rng([seed, len(kind)])
+    if kind == "lattice":
+        prob = _lattice_problem(12, BoundaryCondition.NEUMANN, seed=seed)
+    elif kind == "dirichlet":
+        graph = random_connected_graph(rng, split_weights=True, random_measure=True)
+        prob = Problem(graph, PARAMS_I, bc=BoundaryCondition.DIRICHLET,
+                       partition=random_connected_interior(rng, graph))
+    elif kind == "reflecting":
+        prob = Problem(REFLECTING[0], PARAMS_I, bc=BoundaryCondition.NEUMANN,
+                       partition=REFLECTING[1])
+    else:
+        prob = Problem(triangle_example(), PARAMS_I)
+    size = (3,) if kind == "batch" else ()
+    draw = {name: rng.uniform(0.5, 3.0, size) for name in ("a1", "b1", "c1", "a2", "b2", "c2")}
+    draw.update(d1=rng.uniform(0.05, 2.0, size), d2=rng.uniform(0.05, 2.0, size))
+    params = CompetitionParams(**{k: v if size else float(v) for k, v in draw.items()})
+    initial = rng.uniform(0.0, 2.0, (2, prob.graph.n))
+    if prob.bc is BoundaryCondition.DIRICHLET:
+        initial[:, prob.partition.boundary_idx] = 0.0
+    return dataclasses.replace(prob, params=params), initial
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["triangle", "batch", "reflecting", "dirichlet", "lattice"])
+def test_stepper_matches_per_stage_sums(kind, seed):
+    """The tableau-product stepper against the per-stage generator sums it replaced:
+    equal step, rejection, halving and clamp counts, DP5 states to 1e-12 of the largest
+    value, and RK4 states at a step coarse enough to be halved bit for bit. The 12 x 12
+    lattice runs on CSR. DP5 runs stop at t = 10: later, where a species dies out, the
+    step chatters at DP5's stability limit and any change of rounding moves the counts
+    (states stay within the tolerance)."""
+    from conftest import reference_integrate, stored
+
+    prob, initial = _oracle_case(kind, seed)
+    act = prob.active_idx
+    with stored(kind == "lattice"):
+        assert _is_csr(reduced_operators(prob).red1) == (kind == "lattice")
+        for dt, t_end in ((None, 10.0), (0.25, 30.0)):
+            t_end = min(t_end, 2.0) if kind == "lattice" else t_end
+            traj = integrate(prob, initial, t_end, dt=dt, max_samples=40)
+            want, counts = reference_integrate(prob, initial, t_end, dt=dt, max_samples=40)
+            assert {key: traj.metadata[key] for key in counts} == counts
+            got = np.stack([np.concatenate([s.u[act], s.v[act]]) for s in traj.states])
+            if dt is None:
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=1e-12 * float(np.max(np.abs(want))))
+            else:
+                assert got.tobytes() == want.tobytes()

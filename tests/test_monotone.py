@@ -1,5 +1,6 @@
 """Comparison machinery: max principle, pairs, steady states, monotone sweeps."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -439,7 +440,9 @@ class TestCoexistenceBounds:
         assert len(calls) <= 3
 
     def test_two_eigen_solves(self, reflecting, monkeypatch):
+        # species 2 has its own weights, so each species needs its own eigenpair
         graph, part = reflecting
+        graph = dataclasses.replace(graph, w2=1.5 * graph.w2)
         prob = Problem(graph, BOUNDS_PARAMS, bc=BoundaryCondition.DIRICHLET,
                        partition=part)
         calls = []
@@ -495,6 +498,52 @@ class TestCoexistenceBounds:
         assert np.all(np.diff(gaps) <= 0.0)
         assert gaps[-1] == max(float(np.max(bounds.s_upper - bounds.s_lower)),
                                float(np.max(bounds.r_upper - bounds.r_lower)))
+
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_symmetric_species_are_solved_once(self, csr, monkeypatch):
+        """One weight table with d1 = d2, a1 = a2 and b1 = c2, as on the benchmark's
+        absorbing lattice: one eigen solve, one logistic solve and one block build for the
+        iteration, and every reused result is bit for bit the species-2 solve it stands
+        for."""
+        prob, _ = absorbing_lattice(8)
+        graph, part, p = prob.graph, prob.partition, prob.params
+        calls = {"eigen": 0, "logistic": 0, "blocks": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(monotone, "smallest_dirichlet_eigenpair",
+                            counted("eigen", monotone.smallest_dirichlet_eigenpair))
+        monkeypatch.setattr(monotone, "_logistic_steady_state",
+                            counted("logistic", monotone._logistic_steady_state))
+        monkeypatch.setattr(monotone, "_blocks", counted("blocks", monotone._blocks))
+        with stored(csr):
+            bounds = coexistence_bounds(prob, tol=1e-8)
+            assert calls == {"eigen": 1, "logistic": 1, "blocks": 2}
+            eig = [monotone.smallest_dirichlet_eigenpair(graph, s, part) for s in (1, 2)]
+            steady = [logistic_steady_state(graph, part, s, d, a, e, tol=1e-10)
+                      for s, d, a, e in ((1, p.d1, p.a1, p.b1), (2, p.d2, p.a2, p.c2))]
+            blocks = [graphs._blocks(graph, s, part)[0] for s in (1, 2)]
+        assert bounds.eig2.lambda0 == eig[1].lambda0 == eig[0].lambda0
+        assert bounds.eig2.phi.tobytes() == eig[1].phi.tobytes() == eig[0].phi.tobytes()
+        assert steady[0].values.tobytes() == steady[1].values.tobytes()
+        assert bounds.info["s2_iterations"] == steady[1].iterations
+        assert abs(blocks[0] - blocks[1]).max() == 0.0
+        assert bounds.unique
+
+    def test_unreachable_tolerance_stalls(self, reflecting):
+        # at capacity 200 the absolute residual floors near 1.1e-11: 1e-12 is out of reach
+        graph, part = reflecting
+        params = dataclasses.replace(BOUNDS_PARAMS, a1=200.0, a2=200.0)
+        prob = Problem(graph, params, bc=BoundaryCondition.DIRICHLET, partition=part)
+        started = time.perf_counter()
+        with pytest.raises(NoConvergence, match="stalled"):
+            coexistence_bounds(prob, tol=1e-12)
+        assert time.perf_counter() - started < 1.0
+        assert max(coexistence_bounds(prob, tol=1e-10).residuals.values()) <= 1e-10
 
     def test_pseudo_time_budget(self, reflecting):
         graph, part = reflecting
