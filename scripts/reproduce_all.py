@@ -3,15 +3,14 @@
 
 import sys
 
-from graphlv.fixtures import reproduce_ids, run_reproduce
+from graphlv.fixtures import _run_cases, reproduce_ids
 
 
 def main() -> int:
     failures = 0
-    for case_id in reproduce_ids():
-        result = run_reproduce(case_id)
+    for result in _run_cases(reproduce_ids()):
         status = "PASS" if result.passed else "FAIL"
-        print(f"{case_id:12s} {status}  sup-error {result.error:.3e}  "
+        print(f"{result.case_id:12s} {status}  sup-error {result.error:.3e}  "
               f"t={result.t_reached:<6g} limit {result.expected}")
         failures += (not result.passed)
     return 1 if failures else 0

@@ -42,7 +42,7 @@ from .errors import (
     NumericalError,
     RequiresSteadySolve,
 )
-from .fixtures import reproduce_ids, run_reproduce
+from .fixtures import _run_cases, reproduce_ids
 from .graphs import _positive
 from .monotone import coexistence_bounds, logistic_steady_state
 
@@ -225,15 +225,14 @@ def _cmd_reproduce(args) -> int:
     tol = args.tol if args.tol is not None else 1e-3
     t_max = args.t_end if args.t_end is not None else 1000.0
     failures = 0
-    for case_id in ids:
-        result = run_reproduce(case_id, tol=tol, t_max=t_max, dt=args.dt)
+    for result in _run_cases(ids, tol=tol, t_max=t_max, dt=args.dt):
         expected = f"({_fmt(result.expected[0])}, {_fmt(result.expected[1])})"
         if result.passed:
-            print(f"{case_id}: PASS sup-error {result.error:.3e} <= {tol:g} "
+            print(f"{result.case_id}: PASS sup-error {result.error:.3e} <= {tol:g} "
                   f"at t={result.t_reached:g}, limit {expected}")
         else:
             failures += 1
-            print(f"{case_id}: FAIL sup-error {result.error:.3e} > {tol:g} "
+            print(f"{result.case_id}: FAIL sup-error {result.error:.3e} > {tol:g} "
                   f"at t={result.t_reached:g}, limit {expected}")
     return 4 if failures else 0
 

@@ -157,9 +157,13 @@ def reaction(params: CompetitionParams, u, v):
 
 
 def invariant_rectangle(params: CompetitionParams, u0, v0) -> tuple[float, float]:
-    """Componentwise bounds [0, M_u] x [0, M_v] preserved by the flow, per parameter set."""
-    m_u = np.maximum(params.a1 / params.b1, float(np.max(u0)))
-    m_v = np.maximum(float(np.max(v0)), params.a2 / params.c2)
+    """Componentwise bounds [0, M_u] x [0, M_v] preserved by the flow, per parameter set.
+
+    Initial data of shape (n, P), one column per state of a batch, give per-column bounds
+    from the column maxima; 1-D data give one bound from their maximum.
+    """
+    m_u = np.maximum(params.a1 / params.b1, np.max(np.atleast_1d(u0), axis=0))
+    m_v = np.maximum(np.max(np.atleast_1d(v0), axis=0), params.a2 / params.c2)
     return m_u, m_v
 
 
@@ -225,19 +229,33 @@ def stable_dt(problem: Problem, m_u, m_v) -> float:
 def _pair_arrays(pair, graph: WeightedGraph | None = None, required_idx=None):
     """Float arrays (u, v) from a FieldPair or a (u, v) tuple.
 
-    Given a graph, each side may be anything ``field_array`` accepts and
-    comes back as a full-order vector; otherwise it is read as an array.
+    Given a graph, each side may be anything ``field_array`` accepts, or an (n, P) array
+    whose columns it accepts, and comes back in full vertex order; otherwise it is read as
+    an array.
     """
     u, v = (pair.u, pair.v) if isinstance(pair, FieldPair) else pair
     if graph is not None:
-        return (field_array(graph, u, required_idx=required_idx),
-                field_array(graph, v, required_idx=required_idx))
+        return (_field_columns(graph, u, required_idx), _field_columns(graph, v, required_idx))
     return np.atleast_1d(_as_floats(u, "u")), np.atleast_1d(_as_floats(v, "v"))
 
 
+def _field_columns(graph: WeightedGraph, data, required_idx) -> np.ndarray:
+    """``field_array`` of the data, or of each column of a 2-D array."""
+    if not (isinstance(data, np.ndarray) and data.ndim == 2):
+        return field_array(graph, data, required_idx=required_idx)
+    columns = _as_floats(data, "field values").T
+    return np.stack([field_array(graph, col, required_idx=required_idx) for col in columns],
+                    axis=1)
+
+
 def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
+    """Full-order initial (u, v), zero off the closure: vectors, or (n, P) arrays with one
+    column per state of a batch. Every column must give each active vertex a value, be
+    nonnegative on the closure, and vanish on a Dirichlet boundary."""
     u, v = _pair_arrays(initial, problem.graph, required_idx=problem.active_idx)
-    full = np.zeros((2, problem.graph.n))
+    if u.shape != v.shape:
+        raise InputError(f"u and v initial data differ in shape: {u.shape} and {v.shape}")
+    full = np.zeros((2,) + u.shape)
     closure = problem.closure_idx
     for out, vals in zip(full, (u, v)):
         given = vals[closure]
@@ -297,9 +315,11 @@ def integrate(
     that runs longer than 300 s, raises StepSizeUnstable; so does, up
     front, a fixed-step run that would need more than 10**7 steps, or an
     adaptive one whose stability cap needs more than 10**7 steps for its
-    first 10 time units (huge initial data). Batched params give each
-    state a trailing axis of length P, and the batch shares one step and
-    sample schedule. Each DP5 stage input, the new state and the error
+    first 10 time units (huge initial data). Batched params, initial
+    data of shape (n, P) with one column per initial state, or both,
+    give each state a trailing axis of length P; the batch shares one
+    step and sample schedule, and the invariant rectangle is taken per
+    column. Each DP5 stage input, the new state and the error
     estimate are one product of a tableau row with the stored stages, so
     adaptive states differ from a term-by-term stage sum at roundoff;
     fixed RK4 states are bit-identical to it.
@@ -308,15 +328,21 @@ def integrate(
 
 
 def _windows(problem: Problem, initial, window: float, t_max: float, dt: float | None = None,
-             max_samples: int = 250, forced_times=(), adaptive: bool = True):
+             max_samples: int = 250, forced_times=(), adaptive: bool = True, settled=None):
     """Yield (t_done, Trajectory) per window of min(window, t_max - t_done), each restarted
     from the last final state like a fresh integrate call; the step and wall-time budgets
-    span all windows.
+    and the operators span all windows.
+
+    A batch carries its columns (parameter sets, (n, P) initial states, or both) through
+    the windows. Given ``settled``, a callable from a window's final FieldPair to a boolean
+    mask over its columns, each window that is not the last ends with that call: the
+    settled columns are dropped from the state, the params and the rectangle, so later
+    windows neither step nor yield them, and the run stops once every column has settled.
 
     Without dt the steps are adaptive DP5(4) from the stability cap, or, when ``adaptive``
     is false, fixed RK4 steps of the cap, a reference free of step-size control.
 
-    The slopes of the seven stages are rows of one preallocated (7, 2 n_act, ...) array,
+    The slopes of the seven stages are rows of one (7, 2 n_act, ...) array per window,
     written in place by the right-hand side. A DP5 stage input is y plus the product of
     h times its tableau row with the earlier stages flattened; the fifth-order row gives
     the new state and the error row the estimate, and on acceptance the last stage is
@@ -331,13 +357,14 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
 
     red1, red2 = ops.red1, ops.red2
     d1, d2 = p.d1, p.d2
-    # one column per parameter set when the params are a batch
-    y = np.multiply.outer(np.concatenate([u0[ops.act], v0[ops.act]]),
-                          np.ones(np.broadcast(*vars(p).values()).shape))
+    # one column per parameter set or initial state when either is a batch
+    y = np.concatenate([u0[ops.act], v0[ops.act]])
+    batch = np.broadcast(*vars(p).values()).shape
+    if y.ndim == 1:
+        y = np.multiply.outer(y, np.ones(batch))
+    elif batch not in ((), y.shape[1:]):
+        raise InputError(f"{y.shape[1]} initial states for {batch[0]} parameter sets")
     n_act = ops.act.size
-    # the slopes of the seven stages, and the same memory with each stage flattened
-    stages = np.empty((len(_DP) - 1,) + y.shape)
-    flat = stages.reshape(len(stages), -1)
 
     def rhs(state: np.ndarray, out: np.ndarray) -> None:
         u = state[:n_act]
@@ -361,6 +388,9 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
             raise StepSizeUnstable(f"step {step:.3e} up to t={t_done + horizon:.6g} exceeds the "
                                    f"budget of {_MAX_STEPS} steps")
         targets = sample_times(span, step, max_samples=max_samples, forced=forced_times)
+        # the slopes of the seven stages, and the same memory with each stage flattened
+        stages = np.empty((len(_DP) - 1,) + y.shape)
+        flat = stages.reshape(len(stages), -1)
         states = [_materialize(problem, ops, y[:n_act], y[n_act:])]
         n_steps = 0
         n_clamped = 0
@@ -458,3 +488,13 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                 "bc": problem.bc.value,
             },
         )
+        if settled is not None and t_done < t_max:
+            keep = ~np.asarray(settled(states[-1]), dtype=bool)
+            if not keep.any():
+                return
+            if not keep.all():
+                y, u0, v0 = y[:, keep], u0[:, keep], v0[:, keep]
+                p = CompetitionParams(**{name: val[keep] if isinstance(val, np.ndarray) else val
+                                         for name, val in vars(p).items()})
+                d1, d2 = p.d1, p.d2
+                rate = rate[keep] if np.ndim(rate) else rate

@@ -201,17 +201,26 @@ def build_graph(
 
 
 def _require_connected(vertices, src: np.ndarray, dst: np.ndarray) -> None:
-    """Raise NotConnected unless the edges src[k] -> dst[k] reach every vertex from the first."""
-    seen = np.zeros(len(vertices), dtype=bool)
-    frontier = seen.copy()
-    frontier[0] = True
-    while frontier.any():
-        seen |= frontier
-        reached = np.zeros_like(seen)
-        reached[dst[frontier[src]]] = True
-        frontier = reached & ~seen
-    if not seen.all():
-        missing = [vertices[i] for i in np.flatnonzero(~seen)]
+    """Raise NotConnected unless the edges src[k] -> dst[k] reach every vertex from the first.
+
+    The edges come in both orders. Labels form a forest in which every vertex points at
+    one of no larger index: each round hooks every root to the smallest root across its
+    edges (O(|E|)), then jumps pointers until every vertex points at its root (O(n) per
+    jump, log of the depth jumps). Once no edge joins two trees the roots are the
+    components, and vertex 0 roots its own, so the vertices it reaches are label 0.
+    """
+    label = np.arange(len(vertices))
+    while True:
+        np.minimum.at(label, label[src], label[dst])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if np.array_equal(label[src], label[dst]):
+            break
+    if label.any():
+        missing = [vertices[i] for i in np.flatnonzero(label)]
         raise NotConnected(f"graph is not connected; unreachable from {vertices[0]!r}: {missing}")
 
 

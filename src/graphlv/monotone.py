@@ -640,8 +640,11 @@ def logistic_steady_state(
     w <- (-d Lap + M)^-1 (f(prev) + M prev), with -d Lap + M stored as
     ``graphs._stores_csr`` picks and factored once (SuperLU on CSR). Both
     sequences must stay monotone and ordered or the solve is reported as
-    failed. d, e and tol
-    must be positive and finite, a finite, and max_iters a positive integer.
+    failed; so is a stalled solve, whose sequences move by less than tol
+    for 100 iterations in a row while the larger of gap and residual
+    makes no new minimum (a tol that roundoff at the state's scale cannot
+    reach). d, e and tol must be positive and finite, a finite, and
+    max_iters a positive integer.
     """
     d, e, tol = _positive(d, "d"), _positive(e, "e"), _positive(tol, "tol")
     a, max_iters = _as_float(a, "a"), _iteration_budget(max_iters)
@@ -667,6 +670,7 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
 
     lower = (0.5 * margin / e) * eig.phi
     upper = np.full(n, a / e)
+    least, idle = np.inf, 0
     for it in range(1, max_iters + 1):
         new_lower = solve(lower * (a - e * lower) + shift * lower)
         new_upper = solve(upper * (a - e * upper) + shift * upper)
@@ -674,6 +678,8 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
                 or np.any(new_upper > upper + _ORDER_SLACK)
                 or np.any(new_lower > new_upper + _ORDER_SLACK)):
             raise NoConvergence(f"monotone ordering violated at iteration {it}")
+        still = max(float(np.max(np.abs(new_lower - lower))),
+                    float(np.max(np.abs(new_upper - upper)))) < tol
         lower, upper = new_lower, new_upper
         gap = float(np.max(upper - lower))
         mid = 0.5 * (upper + lower)
@@ -681,6 +687,15 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
         if gap <= tol and residual <= tol:
             return SteadyState(values=mid, residual=residual, iterations=it,
                                lambda0=eig.lambda0)
+        # the stall rule of ``coexistence_bounds``: a tol the gap or residual cannot reach
+        worst = max(gap, residual)
+        if worst < least:
+            least, idle = worst, 0
+        else:
+            idle = idle + 1 if still else 0
+            if idle >= _STALL_ITERS:
+                raise NoConvergence(f"steady solve stalled at iteration {it}: gap or residual "
+                                    f"{least:.3e} above tol={tol:.1e}")
     raise NoConvergence(f"steady solve did not reach tol={tol:.1e} in {max_iters} iterations")
 
 

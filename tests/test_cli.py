@@ -18,7 +18,7 @@ import graphlv
 import graphlv.classify
 from graphlv import CompetitionParams, Problem, classify_neumann, integrate
 from graphlv.cli import main
-from graphlv.fixtures import triangle_example
+from graphlv.fixtures import reproduce_ids, triangle_example
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -302,6 +302,15 @@ class TestSteady:
             assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")] + form) == 3
         assert "NoConvergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", [[], ["--bounds"]], ids=["logistic", "bounds"])
+    def test_unreachable_tol_stalls(self, tmp_path, capsys, form):
+        """At capacity 2000 the logistic residual cannot reach the default 1e-10: exit 3
+        once the iterates stop moving, not after the whole iteration budget."""
+        cfg = write_config(tmp_path, absorbing_doc(a1=2000.0, a2=2000.0))
+        assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")] + form) == 3
+        err = capsys.readouterr().err
+        assert "NoConvergence" in err and "stalled" in err
+
     def test_bounds_tol_has_a_floor(self, tmp_path, capsys):
         # the floor applies to --bounds only; the logistic solve takes any positive tol
         cfg = write_config(tmp_path, absorbing_doc())
@@ -561,3 +570,15 @@ def test_regime_sweep_script(tmp_path, monkeypatch):
     for row in rows:
         params = dataclasses.replace(base, a1=float(row["a1"]), a2=float(row["a2"]))
         assert row["kind"] == classify_neumann(params).kind.value
+
+
+def test_reproduce_all_script(capsys):
+    """scripts/reproduce_all.py runs every built-in case and passes each."""
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "reproduce_all.py"
+    spec = importlib.util.spec_from_file_location("reproduce_all", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [[case_id, "PASS"]
+                                                    for case_id in reproduce_ids()]

@@ -29,6 +29,7 @@ from graphlv.dynamics import _windows, reduced_operators
 from graphlv.errors import (
     InputError,
     IsolatedBoundaryVertex,
+    MissingVertexValue,
     NegativeInitial,
     StepSizeUnstable,
 )
@@ -327,6 +328,73 @@ class TestBatch:
             for s_single, s_batch in zip(single.states, traj.states):
                 assert np.max(np.abs(s_batch.u[:, j] - s_single.u)) <= 1e-12
                 assert np.max(np.abs(s_batch.v[:, j] - s_single.v)) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_initial_columns_match_scalar_runs(self, case):
+        """(n, P) initial data next to a parameter batch: column j starts from its own
+        state with its own params."""
+        problem, initial = BATCH_CASES[case]
+        u0, v0 = dynamics._coerce_initial(problem, initial)
+        scales = np.array([0.5, 1.0, 2.5])
+        batch = dataclasses.replace(problem.params, a1=self.A1[:3], d1=self.D1[:3])
+        traj = integrate(dataclasses.replace(problem, params=batch),
+                         (np.multiply.outer(u0, scales), np.multiply.outer(v0, scales)),
+                         t_end=1.0, dt=1e-3, max_samples=6)
+        assert traj.final.u.shape == (problem.graph.n, scales.size)
+        for j, scale in enumerate(scales):
+            point = dataclasses.replace(problem.params, a1=self.A1[j], d1=self.D1[j])
+            single = integrate(dataclasses.replace(problem, params=point),
+                               (scale * u0, scale * v0), t_end=1.0, dt=1e-3, max_samples=6)
+            for s_single, s_batch in zip(single.states, traj.states):
+                assert np.max(np.abs(s_batch.u[:, j] - s_single.u)) <= 1e-12
+                assert np.max(np.abs(s_batch.v[:, j] - s_single.v)) <= 1e-12
+
+    def test_initial_columns_must_match_the_params(self, triangle):
+        batch = dataclasses.replace(PARAMS_I, a1=self.A1)
+        with pytest.raises(InputError, match="3 initial states for 4 parameter sets"):
+            integrate(Problem(triangle, batch), (np.ones((3, 3)), np.ones((3, 3))), t_end=1.0)
+
+    def test_rectangle_per_column(self):
+        data = np.array([[7.0, 0.1, 2.0], [0.5, 0.3, 3.0], [1.0, 0.2, 0.4]])
+        batch = dataclasses.replace(PARAMS_I, a1=self.A1[:3])
+        points = [dataclasses.replace(PARAMS_I, a1=a1) for a1 in self.A1[:3]]
+        for params, singles in ((PARAMS_I, [PARAMS_I] * 3), (batch, points)):
+            m_u, m_v = invariant_rectangle(params, data, data[::-1])
+            assert [(m_u[j], m_v[j]) for j in range(3)] == [
+                invariant_rectangle(single, data[:, j], data[::-1, j])
+                for j, single in enumerate(singles)]
+
+    def test_coerce_initial_per_column(self):
+        problem = BATCH_CASES["neumann"][0]
+        u_cols = np.array([[0.7, 0.1], [0.6, 0.2], [0.5, 0.3], [np.nan, 0.0], [0.0, 9.0]])
+        v_cols = u_cols[:, ::-1].copy()
+        u, v = dynamics._coerce_initial(problem, (u_cols, v_cols))
+        assert u.shape == v.shape == (5, 2)
+        for j in range(2):
+            want = dynamics._coerce_initial(problem, (u_cols[:, j], v_cols[:, j]))
+            assert np.array_equal(u[:, j], want[0]) and np.array_equal(v[:, j], want[1])
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_each_initial_check_rejects_a_bad_column(self, column):
+        graph, part = REFLECTING
+        neumann = Problem(graph, PARAMS_I, bc=BoundaryCondition.NEUMANN, partition=part)
+        dirichlet = Problem(graph, PARAMS_I, bc=BoundaryCondition.DIRICHLET, partition=part)
+        good = np.zeros((5, 2))
+        good[part.interior_idx] = 0.5
+        assert dynamics._coerce_initial(dirichlet, (good, good))[0].shape == (5, 2)
+        for problem, (vertex, value), error, message in [
+                (neumann, (part.interior_idx[1], np.nan), MissingVertexValue, "no value"),
+                (neumann, (part.interior_idx[2], -0.1), NegativeInitial, "nonnegative"),
+                (neumann, (part.boundary_idx[0], -0.1), NegativeInitial, "nonnegative"),
+                (dirichlet, (part.boundary_idx[1], 0.2), InputError, "vanish")]:
+            bad = good.copy()
+            bad[vertex, column] = value
+            with pytest.raises(error, match=message):
+                dynamics._coerce_initial(problem, (bad, good))
+            with pytest.raises(error, match=message):
+                dynamics._coerce_initial(problem, (good, bad))
+        with pytest.raises(InputError, match="differ in shape"):
+            dynamics._coerce_initial(neumann, (good, good[:, :1]))
 
     def test_stable_dt_is_the_smallest_in_the_batch(self, triangle):
         batch = dataclasses.replace(PARAMS_I, a1=self.A1)

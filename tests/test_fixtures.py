@@ -8,6 +8,7 @@ import pytest
 
 from graphlv import BoundaryCondition, RegimeKind, classify_bistable_basin, classify_neumann
 from graphlv import dynamics, fixtures
+from graphlv.cli import main
 from graphlv.errors import InputError, StepSizeUnstable, UnknownExample
 from graphlv.fixtures import get_case, reproduce_ids, run_reproduce
 
@@ -133,3 +134,58 @@ def test_reproduce_all_spends_a_third_of_the_rk4_work(monkeypatch):
 def test_reproduce_tolerance_validated(tol):
     with pytest.raises(InputError):
         run_reproduce("neumann-i", tol=tol)
+
+
+def test_batch_matches_solo_runs():
+    # a batch shares one step across its columns, so errors move at the step control's level
+    for batched, case_id in zip(fixtures._run_cases(ALL_IDS), ALL_IDS):
+        solo = run_reproduce(case_id)
+        assert batched.case_id == case_id
+        assert batched.passed and batched.t_reached == solo.t_reached
+        assert abs(batched.error - solo.error) <= 1e-9
+        assert np.abs(batched.final.u - solo.final.u).max() <= 1e-9
+        assert np.abs(batched.final.v - solo.final.v).max() <= 1e-9
+
+
+def test_reproduce_all_runs_one_batch_per_graph(monkeypatch, capsys):
+    builds, counts = [], []
+    build, windows = dynamics.reduced_operators, dynamics._windows
+
+    def counted(*args, **kwargs):
+        for t_done, traj in windows(*args, **kwargs):
+            counts.append(traj.metadata["n_rhs"])
+            yield t_done, traj
+
+    monkeypatch.setattr(dynamics, "reduced_operators",
+                        lambda problem: builds.append(problem) or build(problem))
+    monkeypatch.setattr(fixtures, "_windows", counted)
+    assert main(["reproduce", "all"]) == 0
+    assert capsys.readouterr().out.count(": PASS ") == len(ALL_IDS)
+    assert [problem.params.a1.size for problem in builds] == [5, 5]
+    assert sum(counts) <= 2000
+
+
+def test_settled_columns_are_not_stepped(monkeypatch):
+    # neumann-i settles after the first window and neumann-iii after the second: the second
+    # window evaluates the right-hand side on one column only
+    widths, ends = [], []
+    reaction, windows = dynamics.reaction, fixtures._windows
+
+    def counted(params, u, v):
+        widths.append(np.shape(u)[1])
+        return reaction(params, u, v)
+
+    def recorded(*args, **kwargs):
+        for t_done, traj in windows(*args, **kwargs):
+            ends.append((len(widths), traj))
+            yield t_done, traj
+
+    monkeypatch.setattr(dynamics, "reaction", counted)
+    monkeypatch.setattr(fixtures, "_windows", recorded)
+    results = fixtures._run_cases(["neumann-i", "neumann-iii"])
+    assert [r.t_reached for r in results] == [10.0, 20.0]
+    (first_end, first), (second_end, second) = ends
+    assert first_end == first.metadata["n_rhs"] and set(widths[:first_end]) == {2}
+    assert second_end - first_end == second.metadata["n_rhs"]
+    assert set(widths[first_end:]) == {1}
+    assert second.final.u.shape == (5, 1)

@@ -1,6 +1,7 @@
 """Graph construction, partitions, and discrete Laplacians against naive sums."""
 
 import contextlib
+import time
 
 import numpy as np
 import pytest
@@ -81,8 +82,23 @@ class TestBuildGraph:
             )
 
     def test_disconnected_rejected(self):
-        with pytest.raises(NotConnected):
+        with pytest.raises(NotConnected, match=r"unreachable from 'a': \['c', 'd'\]"):
             build_graph(["a", "b", "c", "d"], [("a", "b", 1.0), ("c", "d", 1.0)])
+
+    def test_long_path_is_checked_in_linear_time(self):
+        # a sweep from the first vertex needs one round per vertex of a path; hooking labels
+        # with pointer jumping needs a few rounds whatever the diameter and the vertex order
+        n = 10_000
+        order = np.random.default_rng(5).permutation(n)
+        names = [f"p{i}" for i in range(n)]
+        edges = [(names[a], names[b], 1.0) for a, b in zip(order, order[1:])]
+        started = time.perf_counter()
+        graph = build_graph(names, edges)
+        part = boundary_of(graph, [names[i] for i in order[1:-1]])
+        assert time.perf_counter() - started < 0.25
+        assert set(part.boundary) == {names[order[0]], names[order[-1]]}
+        with pytest.raises(NotConnected, match="unreachable"):
+            build_graph(names, edges[:n // 2] + edges[n // 2 + 1:])
 
     def test_nonpositive_measure_rejected(self):
         with pytest.raises(NonpositiveMeasure):

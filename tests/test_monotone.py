@@ -399,6 +399,17 @@ class TestLogisticSteadyState:
         hi = logistic_steady_state(graph, part, 1, d=1.0, a=1.5, e=1.0)
         assert np.all(hi.values > lo.values)
 
+    def test_unreachable_tolerance_stalls(self, reflecting):
+        # at capacity 2000 the residual of the converged iterate floors near 2.7e-10, so
+        # 1e-10 is out of reach; the solve ends when its iterates stop moving
+        graph, part = reflecting
+        started = time.perf_counter()
+        with pytest.raises(NoConvergence, match="stalled"):
+            logistic_steady_state(graph, part, 1, d=1.0, a=2000.0, e=1.0, tol=1e-10)
+        assert time.perf_counter() - started < 1.0
+        assert logistic_steady_state(graph, part, 1, d=1.0, a=2000.0, e=1.0,
+                                     tol=1e-8).residual <= 1e-8
+
 
 class TestCoexistenceBounds:
     def test_reference_fixture_collapses(self, reflecting):
