@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BoundaryCondition, CompetitionParams, FieldPair, Problem, _pair_arrays
+from .dynamics import BoundaryCondition, CompetitionParams, FieldPair, Problem, _state_extrema
 from .errors import DegenerateTriangle, InputError, RequiresSteadySolve
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
@@ -120,24 +120,20 @@ def classify_bistable_basin(params: CompetitionParams, initial) -> Regime:
     if base.kind is not RegimeKind.BISTABLE:
         raise InputError(f"parameters are not bistable (got {base.kind.value})")
     point = coexistence_point(params)
-    u0, v0 = _pair_arrays(initial)
-    u0 = u0[~np.isnan(u0)]
-    v0 = v0[~np.isnan(v0)]
-    if u0.size == 0 or v0.size == 0:
-        raise InputError("initial data need at least one value per species")
+    min_u, max_u, min_v, max_v = _state_extrema(initial)
     u_box = (
-        Certificate("min u0 - xi", float(u0.min() - point.xi), bool(u0.min() > point.xi)),
-        Certificate("a1/b1 - max u0", float(params.a1 / params.b1 - u0.max()),
-                    bool(u0.max() < params.a1 / params.b1)),
-        Certificate("min v0", float(v0.min()), bool(v0.min() > 0.0)),
-        Certificate("eta - max v0", float(point.eta - v0.max()), bool(v0.max() < point.eta)),
+        Certificate("min u0 - xi", float(min_u - point.xi), bool(min_u > point.xi)),
+        Certificate("a1/b1 - max u0", float(params.a1 / params.b1 - max_u),
+                    bool(max_u < params.a1 / params.b1)),
+        Certificate("min v0", min_v, min_v > 0.0),
+        Certificate("eta - max v0", float(point.eta - max_v), bool(max_v < point.eta)),
     )
     v_box = (
-        Certificate("min u0", float(u0.min()), bool(u0.min() > 0.0)),
-        Certificate("xi - max u0", float(point.xi - u0.max()), bool(u0.max() < point.xi)),
-        Certificate("min v0 - eta", float(v0.min() - point.eta), bool(v0.min() > point.eta)),
-        Certificate("a2/c2 - max v0", float(params.a2 / params.c2 - v0.max()),
-                    bool(v0.max() < params.a2 / params.c2)),
+        Certificate("min u0", min_u, min_u > 0.0),
+        Certificate("xi - max u0", float(point.xi - max_u), bool(max_u < point.xi)),
+        Certificate("min v0 - eta", float(min_v - point.eta), bool(min_v > point.eta)),
+        Certificate("a2/c2 - max v0", float(params.a2 / params.c2 - max_v),
+                    bool(max_v < params.a2 / params.c2)),
     )
     if all(c.satisfied for c in u_box):
         return Regime(

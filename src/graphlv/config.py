@@ -27,18 +27,19 @@ Schema (all physical quantities are unitless reals):
 
 Vector and matrix coordinates everywhere follow the order of the
 "vertices" list. Scalar initial data under the absorbing boundary means
-that constant on the interior with zero boundary; explicit nonzero
-boundary values are rejected.
+that constant on the interior with zero boundary. Initial data are then
+checked as every solver checks them (``dynamics._coerce_initial``), and
+values outside the closure are ignored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BoundaryCondition, CompetitionParams, Problem
+from .dynamics import BoundaryCondition, CompetitionParams, Problem, _coerce_initial
 from .errors import ConfigInvalid, InputError
 from .graphs import boundary_of, build_graph
 
@@ -54,7 +55,6 @@ class RunConfig:
     t_end: float
     dt: float | None
     tol: float
-    document: dict = field(repr=False, default_factory=dict)
 
 
 def load_document(path: str) -> dict:
@@ -150,6 +150,10 @@ def config_from_document(
         raise ConfigInvalid('"initial" must have exactly the keys "u" and "v"')
     initial_u = _initial_side(problem, initial_doc["u"], "u")
     initial_v = _initial_side(problem, initial_doc["v"], "v")
+    try:
+        _coerce_initial(problem, (initial_u, initial_v))
+    except InputError as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
     t_end = _number(doc.get("t_end", 10.0) if t_end is None else t_end, "t_end")
     if not np.isfinite(t_end) or t_end <= 0.0:
@@ -164,42 +168,21 @@ def config_from_document(
         raise ConfigInvalid(f"tol must be positive and finite, got {tol}")
 
     return RunConfig(problem=problem, initial_u=initial_u, initial_v=initial_v,
-                     t_end=t_end, dt=dt, tol=float(tol), document=doc)
+                     t_end=t_end, dt=dt, tol=float(tol))
 
 
 def _initial_side(problem: Problem, data, name: str):
-    graph = problem.graph
+    """One side of "initial" as numbers: a vertex map, or a scalar, which under the
+    absorbing boundary is that constant on the interior and zero on the boundary."""
     if isinstance(data, dict):
-        unknown = set(data) - set(graph.vertices)
-        if unknown:
-            raise ConfigInvalid(f"initial.{name} names unknown vertices: {sorted(unknown)}")
-        values = {k: _number(v, f"initial.{name}.{k}") for k, v in data.items()}
-        if any(not np.isfinite(v) or v < 0.0 for v in values.values()):
-            raise ConfigInvalid(f"initial.{name} must be nonnegative and finite")
-        missing = [graph.vertices[i] for i in problem.active_idx
-                   if graph.vertices[i] not in values]
-        if missing:
-            raise ConfigInvalid(f"initial.{name} is missing active vertices: {missing}")
-        if problem.bc is BoundaryCondition.DIRICHLET:
-            for i in problem.partition.boundary_idx:
-                vertex = graph.vertices[i]
-                if values.get(vertex, 0.0) != 0.0:
-                    raise ConfigInvalid(
-                        f"initial.{name} is nonzero at boundary vertex {vertex!r}; "
-                        "the absorbing boundary requires zero there"
-                    )
-        return values
-    try:
-        scalar = float(data)
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"initial.{name} must be a number or a vertex map") from None
-    if not np.isfinite(scalar) or scalar < 0.0:
-        raise ConfigInvalid(f"initial.{name} must be nonnegative and finite")
-    if problem.bc is BoundaryCondition.DIRICHLET:
-        out = {graph.vertices[i]: scalar for i in problem.partition.interior_idx}
-        out.update({graph.vertices[i]: 0.0 for i in problem.partition.boundary_idx})
-        return out
-    return scalar
+        return {k: _number(v, f"initial.{name}.{k}") for k, v in data.items()}
+    scalar = _number(data, f"initial.{name}")
+    if problem.bc is not BoundaryCondition.DIRICHLET:
+        return scalar
+    vertices, part = problem.graph.vertices, problem.partition
+    out = {vertices[i]: scalar for i in part.interior_idx}
+    out.update({vertices[i]: 0.0 for i in part.boundary_idx})
+    return out
 
 
 def sweep_spec_from_document(doc: dict) -> dict:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     InputError,
+    MissingVertexValue,
     NegativeInitial,
     StepSizeUnstable,
 )
@@ -226,48 +227,52 @@ def stable_dt(problem: Problem, m_u, m_v) -> float:
     return _step_cap(problem.params, _diffusion_rate(problem), m_u, m_v)
 
 
-def _pair_arrays(pair, graph: WeightedGraph | None = None, required_idx=None):
-    """Float arrays (u, v) from a FieldPair or a (u, v) tuple.
-
-    Given a graph, each side may be anything ``field_array`` accepts, or an (n, P) array
-    whose columns it accepts, and comes back in full vertex order; otherwise it is read as
-    an array.
-    """
+def _pair_arrays(pair) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays (u, v) from a FieldPair or a (u, v) tuple, with no graph."""
     u, v = (pair.u, pair.v) if isinstance(pair, FieldPair) else pair
-    if graph is not None:
-        return (_field_columns(graph, u, required_idx), _field_columns(graph, v, required_idx))
     return np.atleast_1d(_as_floats(u, "u")), np.atleast_1d(_as_floats(v, "v"))
 
 
-def _field_columns(graph: WeightedGraph, data, required_idx) -> np.ndarray:
-    """``field_array`` of the data, or of each column of a 2-D array."""
-    if not (isinstance(data, np.ndarray) and data.ndim == 2):
-        return field_array(graph, data, required_idx=required_idx)
-    columns = _as_floats(data, "field values").T
-    return np.stack([field_array(graph, col, required_idx=required_idx) for col in columns],
-                    axis=1)
+def _state_extrema(state) -> tuple[float, float, float, float]:
+    """(min u, max u, min v, max v) of a graph-free state, NaN meaning no value."""
+    u, v = (x[~np.isnan(x)] for x in _pair_arrays(state))
+    if u.size == 0 or v.size == 0:
+        raise InputError("a state needs at least one value per species")
+    return float(u.min()), float(u.max()), float(v.min()), float(v.max())
 
 
 def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
-    """Full-order initial (u, v), zero off the closure: vectors, or (n, P) arrays with one
-    column per state of a batch. Every column must give each active vertex a value, be
-    nonnegative on the closure, and vanish on a Dirichlet boundary."""
-    u, v = _pair_arrays(initial, problem.graph, required_idx=problem.active_idx)
+    """Full-order initial (u, v) from a FieldPair or a (u, v) pair, zero off the closure.
+
+    Each side is anything ``field_array`` accepts, or an (n, P) array with one column per
+    state of a batch. Every column must give each active vertex a value, be finite and
+    nonnegative on the closure and vanish on a Dirichlet boundary; other values are ignored.
+    """
+    try:
+        u, v = (initial.u, initial.v) if isinstance(initial, FieldPair) else initial
+    except (TypeError, ValueError):
+        raise InputError("initial data must be a FieldPair or a (u, v) pair") from None
+    graph, act, closure = problem.graph, problem.active_idx, problem.closure_idx
+    u, v = (np.stack([field_array(graph, col) for col in x.T], axis=1)
+            if isinstance(x, np.ndarray) and x.ndim == 2 else field_array(graph, x)
+            for x in (u, v))
     if u.shape != v.shape:
         raise InputError(f"u and v initial data differ in shape: {u.shape} and {v.shape}")
-    full = np.zeros((2,) + u.shape)
-    closure = problem.closure_idx
-    for out, vals in zip(full, (u, v)):
-        given = vals[closure]
-        out[closure] = np.where(np.isnan(given), 0.0, given)
-    u, v = full
-    if problem.bc is BoundaryCondition.DIRICHLET:
-        bnd = problem.partition.boundary_idx
-        if np.any(u[bnd] != 0.0) or np.any(v[bnd] != 0.0):
-            raise InputError("Dirichlet initial data must vanish on the boundary")
-    if np.any(u[closure] < 0.0) or np.any(v[closure] < 0.0):
+    given = np.stack([u, v])
+    missing = act[np.isnan(given[:, act]).reshape(2, act.size, -1).any(axis=(0, 2))]
+    if missing.size:
+        raise MissingVertexValue("initial data are missing active vertices: no value at "
+                                 f"{[graph.vertices[i] for i in missing]}")
+    full = np.zeros(given.shape)
+    full[:, closure] = np.where(np.isnan(given[:, closure]), 0.0, given[:, closure])
+    if np.isinf(full).any():
+        raise InputError("initial data must be finite on the closure")
+    if (problem.bc is BoundaryCondition.DIRICHLET
+            and np.any(full[:, problem.partition.boundary_idx] != 0.0)):
+        raise InputError("Dirichlet initial data must vanish on the boundary")
+    if np.any(full < 0.0):
         raise NegativeInitial("initial data must be nonnegative")
-    return u, v
+    return full[0], full[1]
 
 
 def sample_times(t_end: float, dt: float, max_samples: int = 250, forced=()) -> np.ndarray:
@@ -380,7 +385,10 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     t_done = 0.0
     while t_done < t_max:
         span = min(window, t_max - t_done)
-        m_u, m_v = invariant_rectangle(p, u0[problem.closure_idx], v0[problem.closure_idx])
+        # the rectangle of the state the window starts from, boundary values materialized
+        start = _materialize(problem, ops, y[:n_act], y[n_act:])
+        m_u, m_v = invariant_rectangle(p, start.u[problem.closure_idx],
+                                       start.v[problem.closure_idx])
         cap_u, cap_v = m_u + _RECT_SLACK, m_v + _RECT_SLACK
         step = _step_cap(p, rate, m_u, m_v) if dt is None else dt
         horizon = min(span, _COUNTED_SPAN) if dp5 else span    # fixed steps: all counted
@@ -391,7 +399,7 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
         # the slopes of the seven stages, and the same memory with each stage flattened
         stages = np.empty((len(_DP) - 1,) + y.shape)
         flat = stages.reshape(len(stages), -1)
-        states = [_materialize(problem, ops, y[:n_act], y[n_act:])]
+        states = [start]
         n_steps = 0
         n_clamped = 0
         n_halvings = 0
@@ -471,7 +479,6 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
             states.append(_materialize(problem, ops, y[:n_act], y[n_act:]))
         n_spent += n_steps
         t_done += span
-        u0, v0 = states[-1].u, states[-1].v
         yield t_done, Trajectory(
             times=targets,
             states=states,
@@ -493,7 +500,7 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
             if not keep.any():
                 return
             if not keep.all():
-                y, u0, v0 = y[:, keep], u0[:, keep], v0[:, keep]
+                y = y[:, keep]
                 p = CompetitionParams(**{name: val[keep] if isinstance(val, np.ndarray) else val
                                          for name, val in vars(p).items()})
                 d1, d2 = p.d1, p.d2

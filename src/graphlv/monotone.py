@@ -30,7 +30,7 @@ from .dynamics import (
     Trajectory,
     _coerce_initial,
     _materialize,
-    _pair_arrays,
+    _state_extrema,
     reaction,
     reduced_operators,
 )
@@ -66,9 +66,23 @@ _POISSON_TAIL = 1e-16
 _MAX_POISSON_MEAN = 50.0
 # fine points times active vertices: 8 MiB per (T, n_act) array; a solve holds about 45
 _MONOTONE_MAX_FINE = 2**20
-# the ordered iteration has stalled once both pairs move by less than tol for this many
-# iterations in a row with no new minimum of the largest residual
 _STALL_ITERS = 100
+
+
+class _Stall:
+    """The stall rule of the steady iterations, which ends a tol roundoff cannot reach:
+    true once the iterates moved by less than tol (``still``) for _STALL_ITERS iterations in
+    a row with no new minimum of the worst gap or residual, which it keeps as ``least``."""
+
+    def __init__(self) -> None:
+        self.least, self.idle = np.inf, 0
+
+    def __call__(self, worst: float, still: bool) -> bool:
+        if worst < self.least:
+            self.least, self.idle = worst, 0
+        else:
+            self.idle = self.idle + 1 if still else 0
+        return self.idle >= _STALL_ITERS
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +332,14 @@ class PairReport:
         return name, self.slacks[name]
 
 
+def _time_grid(grid, what: str) -> np.ndarray:
+    """``grid`` as floats, which must be a nonempty 1-D array of finite times."""
+    grid = _as_floats(grid, what)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise InputError(f"{what} must be a nonempty 1-D array of finite times")
+    return grid
+
+
 def verify_coupled_pair(
     problem: Problem,
     pair: OrderedPair,
@@ -330,11 +352,17 @@ def verify_coupled_pair(
     Reports the worst signed slack of each inequality family (positive
     means satisfied with room); the pair passes when every slack is
     >= -slack_tol. The upper u inequality uses the lower v and vice
-    versa, matching the mixed quasimonotone coupling.
+    versa, matching the mixed quasimonotone coupling. The grid must be a
+    nonempty 1-D array of finite times; ``initial``, if given, is one
+    state, read and checked as ``integrate`` reads it.
     """
     p = problem.params
     n = problem.graph.n
-    grid = _as_floats(grid, "grid")
+    grid = _time_grid(grid, "grid")
+    if initial is not None:
+        u0, v0 = _coerce_initial(problem, initial)
+        if u0.ndim != 1:
+            raise InputError(f"initial data must be one state, got shape {u0.shape}")
     part = problem.partition
     interior_idx = problem.active_idx
     lap = {species: _closure_laplacian(problem.graph, species, part) for species in (1, 2)}
@@ -382,7 +410,6 @@ def verify_coupled_pair(
                                                  float((sign * bval).min()))
 
     if initial is not None:
-        u0, v0 = _pair_arrays(initial)
         values = {name: _tf_value(tf, pair.t0, n) for name, tf in fields.items()}
         slacks["initial_u"] = float(min((values["upper_u"] - u0)[interior_idx].min(),
                                         (u0 - values["lower_u"])[interior_idx].min()))
@@ -396,13 +423,6 @@ def verify_coupled_pair(
 # ---------------------------------------------------------------------------
 # closed-form exponential envelopes for the three resolved regimes
 # ---------------------------------------------------------------------------
-
-def _state_extrema(state) -> tuple[float, float, float, float]:
-    u, v = _pair_arrays(state)
-    u = u[~np.isnan(u)]
-    v = v[~np.isnan(v)]
-    return float(u.min()), float(u.max()), float(v.min()), float(v.max())
-
 
 def analytic_envelopes(
     regime: int,
@@ -670,7 +690,7 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
 
     lower = (0.5 * margin / e) * eig.phi
     upper = np.full(n, a / e)
-    least, idle = np.inf, 0
+    stall = _Stall()
     for it in range(1, max_iters + 1):
         new_lower = solve(lower * (a - e * lower) + shift * lower)
         new_upper = solve(upper * (a - e * upper) + shift * upper)
@@ -687,15 +707,9 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
         if gap <= tol and residual <= tol:
             return SteadyState(values=mid, residual=residual, iterations=it,
                                lambda0=eig.lambda0)
-        # the stall rule of ``coexistence_bounds``: a tol the gap or residual cannot reach
-        worst = max(gap, residual)
-        if worst < least:
-            least, idle = worst, 0
-        else:
-            idle = idle + 1 if still else 0
-            if idle >= _STALL_ITERS:
-                raise NoConvergence(f"steady solve stalled at iteration {it}: gap or residual "
-                                    f"{least:.3e} above tol={tol:.1e}")
+        if stall(max(gap, residual), still):
+            raise NoConvergence(f"steady solve stalled at iteration {it}: gap or residual "
+                                f"{stall.least:.3e} above tol={tol:.1e}")
     raise NoConvergence(f"steady solve did not reach tol={tol:.1e} in {max_iters} iterations")
 
 
@@ -796,7 +810,7 @@ def coexistence_bounds(
     shared = _equal(*diffusion)
     shifts, solves = [np.inf, np.inf], [None, None]
     pseudo, settle_times, gaps = 0.0, [None, None], []
-    least, idle = np.inf, 0
+    stall = _Stall()
     f1, f2 = reaction(p, u, v)
     for it in range(1, _MAX_STEPS + 1):
         u_max, v_max = float(u.max()), float(v.max())
@@ -827,14 +841,9 @@ def coexistence_bounds(
             settle_times[j] = settle_times[j] or pseudo
         if settled.all():
             break
-        worst = max(float(res_u.max()), float(res_v.max()))
-        if worst < least:
-            least, idle = worst, 0
-        else:
-            idle = idle + 1 if still.all() else 0
-            if idle >= _STALL_ITERS:
-                raise NoConvergence(f"ordered iteration stalled at iteration {it}: residual "
-                                    f"{least:.3e} above tol={tol:.1e}")
+        if stall(max(float(res_u.max()), float(res_v.max())), still.all()):
+            raise NoConvergence(f"ordered iteration stalled at iteration {it}: residual "
+                                f"{stall.least:.3e} above tol={tol:.1e}")
         if pseudo > t_max:
             raise NoConvergence(f"ordered iteration did not settle within pseudo-time "
                                 f"t_max={t_max}")
@@ -939,14 +948,13 @@ def monotone_solve(
     sparse graphs form no n x n matrix. More than 2**20 fine points times
     active vertices raise InputError.
     """
-    t_grid = _as_floats(t_grid, "t_grid")
+    t_grid = _time_grid(t_grid, "t_grid")
     if substep is not None:
         substep = _positive(substep, "substep")
     if m_const is not None:
         m_const = _positive(m_const, "m_const")
     tol, max_iters = _positive(tol, "tol"), _iteration_budget(max_iters)
-    if (t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid))
-            or np.any(np.diff(t_grid) <= 0)):
+    if t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise InputError("t_grid must be a finite increasing array with at least two times")
     if abs(float(t_grid[0]) - pair.t0) > 1e-12:
         raise InputError("t_grid must start at the pair's t0")

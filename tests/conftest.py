@@ -325,8 +325,9 @@ def reference_integrate(problem, initial, t_end, dt=None, max_samples=250):
         return np.concatenate([d1 * (red1 @ u) + f1, d2 * (red2 @ v) + f2])
 
     dp5 = dt is None
-    m_u, m_v = dynamics.invariant_rectangle(p, u0[problem.closure_idx],
-                                            v0[problem.closure_idx])
+    start = dynamics._materialize(problem, ops, y[:n_act], y[n_act:])
+    m_u, m_v = dynamics.invariant_rectangle(p, start.u[problem.closure_idx],
+                                            start.v[problem.closure_idx])
     rate = dynamics._diffusion_rate(problem, ops)
     step = dynamics._step_cap(p, rate, m_u, m_v) if dp5 else dt
     targets = dynamics.sample_times(t_end, step, max_samples=max_samples)

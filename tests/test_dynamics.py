@@ -138,14 +138,16 @@ class TestInitialData:
                             [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)])
         prob = Problem(graph, PARAMS_I, bc=bc, partition=boundary_of(graph, ("a",)))
         b0 = 0.0 if bc is BoundaryCondition.DIRICHLET else 1.0
-        far = integrate(prob, ({"a": 1.0, "b": b0, "c": 9.0, "d": 9.0},
-                               {"a": 0.5, "b": b0, "c": 9.0, "d": 9.0}), t_end=1.0)
         near = integrate(prob, ({"a": 1.0, "b": b0, "c": 0.0, "d": 0.0},
                                 {"a": 0.5, "b": b0, "c": 0.0, "d": 0.0}), t_end=1.0)
-        assert far.metadata == near.metadata
-        for s_far, s_near in zip(far.states, near.states):
-            assert np.array_equal(s_far.u, s_near.u) and np.array_equal(s_far.v, s_near.v)
-            assert np.all(s_far.u[2:] == 0.0) and np.all(s_far.v[2:] == 0.0)
+        # values there are ignored, negative or infinite ones too
+        for c, d in ((9.0, 9.0), (-1.0, np.inf)):
+            far = integrate(prob, ({"a": 1.0, "b": b0, "c": c, "d": d},
+                                   {"a": 0.5, "b": b0, "c": c, "d": d}), t_end=1.0)
+            assert far.metadata == near.metadata
+            for s_far, s_near in zip(far.states, near.states):
+                assert np.array_equal(s_far.u, s_near.u) and np.array_equal(s_far.v, s_near.v)
+                assert np.all(s_far.u[2:] == 0.0) and np.all(s_far.v[2:] == 0.0)
 
     def test_scalar_t_end_validated(self, triangle):
         prob = Problem(triangle, PARAMS_I)

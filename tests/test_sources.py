@@ -80,3 +80,20 @@ def test_bounds_run_no_explicit_march():
     diffusion stability cap, so monotone.py never calls back into the explicit stepper."""
     source = (PACKAGE / "monotone.py").read_text(encoding="utf-8")
     assert "_windows" not in source
+
+
+def test_initial_data_have_one_reader():
+    """Initial data are read and checked by ``dynamics._coerce_initial`` and graph-free
+    states by ``dynamics._state_extrema``, so no other module names (imports or calls) the
+    private readers underneath them."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "dynamics.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                  and {"_pair_arrays", "_field_columns"} & {getattr(node, "id", None),
+                                                            getattr(node, "attr", None),
+                                                            getattr(node, "name", None)}]
+    assert not found, f"private initial-data readers used in {found}"
