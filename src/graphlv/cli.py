@@ -26,13 +26,14 @@ from .classify import (
     predicted_limit,
 )
 from .config import (
+    _run_config,
     config_from_document,
     load_document,
     problem_from_document,
     sweep_spec_from_document,
 )
-from .dynamics import BoundaryCondition, FieldPair, Trajectory, integrate, neumann_project
-from .dynamics import _coerce_initial
+from .dynamics import BoundaryCondition, Trajectory, integrate, reduced_operators
+from .dynamics import _coerce_initial, _materialize
 from .errors import (
     ConfigInvalid,
     GraphLVError,
@@ -101,12 +102,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _basin_initial(problem, cfg) -> tuple[np.ndarray, np.ndarray]:
-    u_full, v_full = _coerce_initial(problem, (cfg.initial_u, cfg.initial_v))
-    state = FieldPair(u=u_full, v=v_full)
+    """The closure values of the initial data, the reflecting boundary's projected."""
+    u, v = _coerce_initial(problem, (cfg.initial_u, cfg.initial_v))
     if problem.bc is BoundaryCondition.NEUMANN:
-        state = neumann_project(problem, state)
+        ops = reduced_operators(problem)
+        state = _materialize(problem, ops, u[ops.act], v[ops.act])
+        u, v = state.u, state.v
     idx = problem.closure_idx
-    return state.u[idx], state.v[idx]
+    return u[idx], v[idx]
 
 
 def _classify_problem(params, eigs, basin):
@@ -125,7 +128,7 @@ def _cmd_classify(args) -> int:
     eigs = eigenpairs_for(problem) if problem.bc is BoundaryCondition.DIRICHLET else None
     basin = None
     if "initial" in doc:
-        basin = lambda: _basin_initial(problem, config_from_document(doc))
+        basin = lambda: _basin_initial(problem, _run_config(problem, doc))
     regime = _classify_problem(problem.params, eigs, basin)
     print(f"regime: {regime.kind.value}")
     for cert in regime.certificates:

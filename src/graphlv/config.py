@@ -74,18 +74,14 @@ def problem_from_document(doc: dict) -> Problem:
     graph_doc = _require(doc, "graph", dict)
     vertices = _require(graph_doc, "vertices", list)
     edges = _require(graph_doc, "edges", list)
-    weights1, weights2 = [], []
-    split_weights = False
-    for entry in edges:
-        if not isinstance(entry, list) or len(entry) not in (3, 4):
-            raise ConfigInvalid(f"edge entries are [a, b, w] or [a, b, w1, w2], got {entry!r}")
-        a, b = entry[0], entry[1]
-        weights1.append((a, b, entry[2]))
-        if len(entry) == 4:
-            split_weights = True
-            weights2.append((a, b, entry[3]))
-        else:
-            weights2.append((a, b, entry[2]))
+    sizes = {len(entry) if isinstance(entry, list) else 0 for entry in edges}
+    if not sizes <= {3, 4}:
+        entry = next(e for e in edges if not isinstance(e, list) or len(e) not in (3, 4))
+        raise ConfigInvalid(f"edge entries are [a, b, w] or [a, b, w1, w2], got {entry!r}")
+    weights1, weights2 = edges, None
+    if 4 in sizes:    # [a, b, w] gives both species w
+        weights1 = [entry[:3] for entry in edges]
+        weights2 = [(entry[0], entry[1], entry[-1]) for entry in edges]
     measures = graph_doc.get("measures") or {}
     if not isinstance(measures, dict) or not set(measures) <= {"1", "2"}:
         raise ConfigInvalid('"measures" must be an object with keys "1" and/or "2"')
@@ -93,7 +89,7 @@ def problem_from_document(doc: dict) -> Problem:
         graph = build_graph(
             vertices,
             weights1,
-            weights2 if split_weights else None,
+            weights2,
             measure1=measures.get("1"),
             measure2=measures.get("2"),
         )
@@ -144,7 +140,12 @@ def config_from_document(
     tol: float | None = None,
 ) -> RunConfig:
     """Validate the document and apply command-line overrides."""
-    problem = problem_from_document(doc)
+    return _run_config(problem_from_document(doc), doc, t_end, dt, tol)
+
+
+def _run_config(problem: Problem, doc: dict, t_end=None, dt=None, tol=None) -> RunConfig:
+    """The rest of ``config_from_document`` for the problem already built from ``doc``:
+    its initial data, read and checked against ``problem``, and the run's budgets."""
     initial_doc = _require(doc, "initial", dict)
     if set(initial_doc) != {"u", "v"}:
         raise ConfigInvalid('"initial" must have exactly the keys "u" and "v"')

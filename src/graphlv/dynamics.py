@@ -31,6 +31,7 @@ from .graphs import (
     _blocks,
     _positive,
     _projection_matrix,
+    _same_species,
     field_array,
 )
 
@@ -188,14 +189,22 @@ def reduced_operators(problem: Problem) -> _Operators:
     The matrices are stored as ``graphs._stores_csr`` picks: CSR on large sparse graphs.
     """
     graph, part = problem.graph, problem.partition
-    (l1, l1_ib), (l2, l2_ib) = (_blocks(graph, s, part) for s in (1, 2))
+    same = _same_species(graph)    # then both species share every matrix
+    l1, l1_ib = _blocks(graph, 1, part)
+    l2, l2_ib = (l1, l1_ib) if same else _blocks(graph, 2, part)
     degrees = (float(-l1.diagonal().min()), float(-l2.diagonal().min()))
     act, bnd = problem.active_idx, None if part is None else part.boundary_idx
     if problem.bc is not BoundaryCondition.NEUMANN:
         return _Operators(act=act, red1=l1, red2=l2, degrees=degrees, bnd=bnd)
-    p1, p2 = (_projection_matrix(graph, s, part) for s in (1, 2))
-    return _Operators(act=act, red1=l1 + l1_ib @ p1, red2=l2 + l2_ib @ p2, degrees=degrees,
-                      bnd=bnd, proj1=p1, proj2=p2)
+    p1 = _projection_matrix(graph, 1, part)
+    red1 = l1 + l1_ib @ p1
+    if same:
+        p2, red2 = p1, red1
+    else:
+        p2 = _projection_matrix(graph, 2, part)
+        red2 = l2 + l2_ib @ p2
+    return _Operators(act=act, red1=red1, red2=red2, degrees=degrees, bnd=bnd,
+                      proj1=p1, proj2=p2)
 
 
 def neumann_project(problem: Problem, state: FieldPair) -> FieldPair:

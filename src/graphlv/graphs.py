@@ -10,8 +10,11 @@ for the whole package.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping
+import itertools
+import math
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +58,10 @@ class WeightedGraph:
     mu1: np.ndarray
     mu2: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
+    @cached_property
+    def _index(self) -> dict[Vertex, int]:
+        """Position of each vertex name; ``build_graph`` hands over the one it built."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def n(self) -> int:
@@ -65,7 +70,7 @@ class WeightedGraph:
     def index(self, name: Vertex) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InputError(f"unknown vertex {name!r}") from None
 
     def weights(self, species: int) -> np.ndarray:
@@ -99,10 +104,15 @@ def _check_species(species: int) -> int:
     return species
 
 
+def _same_species(graph: WeightedGraph) -> bool:
+    """Whether both species have one weight structure: equal weights and equal measures."""
+    return np.array_equal(graph.w1, graph.w2) and np.array_equal(graph.mu1, graph.mu2)
+
+
 def _as_float(value, what: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} must be a number, got {value!r}") from None
 
 
@@ -117,7 +127,7 @@ def _positive(value, what: str) -> float:
 def _as_floats(values, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} must be numbers, got {values!r}") from None
 
 
@@ -135,15 +145,20 @@ def _weight_table(index, table, label: str) -> dict[tuple[int, int], float]:
     for a, b, val in items:
         if a == b:
             raise SelfLoop(f"{label}: self-loop at {a!r}")
-        if a not in index or b not in index:
-            raise InputError(f"{label}: edge ({a!r}, {b!r}) uses an unknown vertex")
-        val = _as_float(val, f"{label}: edge ({a!r}, {b!r}) weight")
-        if not np.isfinite(val) or val <= 0.0:
+        try:
+            i, j = index[a], index[b]
+        except (KeyError, TypeError):    # an unhashable name is no vertex either
+            raise InputError(f"{label}: edge ({a!r}, {b!r}) uses an unknown vertex") from None
+        try:
+            val = float(val)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"{label}: edge ({a!r}, {b!r}) weight must be a number, "
+                             f"got {val!r}") from None
+        if not 0.0 < val < math.inf:    # NaN fails too
             raise InputError(f"{label}: edge ({a!r}, {b!r}) needs a positive finite weight, got {val}")
-        i, j = index[a], index[b]
-        if out.get((i, j), val) != val:
+        if out.setdefault((i, j), val) != val:
             raise AsymmetricWeight(f"{label}: edge ({a!r}, {b!r}) given twice with different weights")
-        out[i, j] = out[j, i] = val    # a repeated edge keeps its first place
+        out[j, i] = val    # a repeated edge keeps its first place
     return out
 
 
@@ -181,23 +196,30 @@ def build_graph(
     vertices = tuple(vertices)
     if len(vertices) == 0:
         raise InputError("graph needs at least one vertex")
-    if len(set(vertices)) != len(vertices):
+    try:
+        index = {v: i for i, v in enumerate(vertices)}
+    except TypeError:
+        bad = [v for v in vertices if not isinstance(v, Hashable)]
+        raise InputError(f"vertex names must be hashable, got {bad}") from None
+    if len(index) != len(vertices):
         raise InputError("duplicate vertex names")
-    index = {v: i for i, v in enumerate(vertices)}
     table1 = _weight_table(index, weights1, "weights1")
-    table2 = table1
+    w1 = np.fromiter(table1.values(), float, len(table1))
+    w2 = w1.copy()
     if weights2 is not None:
         table2 = _weight_table(index, weights2, "weights2")
         if table2.keys() != table1.keys():
             raise MismatchedTopology("weights1 and weights2 induce different edge sets")
-    src, dst = np.array(list(zip(*table1)), dtype=np.intp).reshape(2, -1)
-    w1 = np.fromiter(table1.values(), float, len(table1))
-    w2 = np.fromiter((table2[e] for e in table1), float, len(table1))
+        w2 = np.fromiter(map(table2.__getitem__, table1), float, len(table1))
+    ends = np.fromiter(itertools.chain.from_iterable(table1), np.intp, 2 * len(table1))
+    src, dst = ends.reshape(-1, 2).T.copy()
     n = len(vertices)
     mu1 = _measure_vector(vertices, measure1, np.bincount(src, weights=w1, minlength=n), "measure1")
     mu2 = _measure_vector(vertices, measure2, np.bincount(src, weights=w2, minlength=n), "measure2")
     _require_connected(vertices, src, dst)
-    return WeightedGraph(vertices, src, dst, w1, w2, mu1, mu2)
+    graph = WeightedGraph(vertices, src, dst, w1, w2, mu1, mu2)
+    graph.__dict__["_index"] = index    # fills the cached property
+    return graph
 
 
 def _require_connected(vertices, src: np.ndarray, dst: np.ndarray) -> None:
@@ -231,22 +253,33 @@ def boundary_of(graph: WeightedGraph, interior: Iterable[Vertex]) -> DomainParti
     Interior must be a nonempty strict subset of the vertex set that
     induces a connected subgraph.
     """
-    wanted = set(interior)
-    unknown = wanted - set(graph.vertices)
+    interior = tuple(interior)
+    try:
+        wanted = set(interior)
+    except TypeError:    # an unhashable name is no vertex
+        bad = [v for v in interior if not isinstance(v, Hashable)]
+        raise InteriorNotSubset(f"interior contains unknown vertices: {bad}") from None
+    unknown = wanted.difference(graph._index)
     if unknown:
-        raise InteriorNotSubset(f"interior contains unknown vertices: {sorted(unknown)}")
+        try:
+            unknown = sorted(unknown)
+        except TypeError:    # names of several types
+            unknown = sorted(unknown, key=repr)
+        raise InteriorNotSubset(f"interior contains unknown vertices: {unknown}")
     if not wanted:
         raise InteriorNotSubset("interior is empty")
     if len(wanted) == graph.n:
         raise InteriorNotSubset("interior must be a strict subset of the vertex set")
-    interior_idx = np.array([i for i, v in enumerate(graph.vertices) if v in wanted], dtype=int)
+    inside = np.zeros(graph.n, dtype=bool)
+    inside[np.fromiter(map(graph._index.__getitem__, wanted), np.intp, len(wanted))] = True
+    interior_idx = np.flatnonzero(inside)
+    names = tuple(map(graph.vertices.__getitem__, interior_idx.tolist()))
     at = np.full(graph.n, -1)
     at[interior_idx] = np.arange(interior_idx.size)
     from_inside = at[graph.src] >= 0
     induced = from_inside & (at[graph.dst] >= 0)
     try:
-        _require_connected([graph.vertices[i] for i in interior_idx],
-                           at[graph.src[induced]], at[graph.dst[induced]])
+        _require_connected(names, at[graph.src[induced]], at[graph.dst[induced]])
     except NotConnected as exc:
         raise NotConnected(f"interior does not induce a connected subgraph: {exc}") from None
     boundary_mask = np.zeros(graph.n, dtype=bool)
@@ -256,8 +289,8 @@ def boundary_of(graph: WeightedGraph, interior: Iterable[Vertex]) -> DomainParti
     if boundary_idx.size == 0:
         raise EmptyBoundary("interior has no adjacent exterior vertex")
     return DomainPartition(
-        interior=tuple(graph.vertices[i] for i in interior_idx),
-        boundary=tuple(graph.vertices[i] for i in boundary_idx),
+        interior=names,
+        boundary=tuple(map(graph.vertices.__getitem__, boundary_idx.tolist())),
         interior_idx=interior_idx,
         boundary_idx=boundary_idx,
     )

@@ -55,6 +55,7 @@ from .graphs import (
     _boundary_normal,
     _closure_laplacian,
     _positive,
+    _same_species,
 )
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
@@ -770,8 +771,7 @@ def coexistence_bounds(
     graph, part = problem.graph, problem.partition
     # species with one weight structure share their eigenpair and blocks, and their
     # logistic steady state when their coefficients agree too
-    same_weights = (np.array_equal(graph.w1, graph.w2)
-                    and np.array_equal(graph.mu1, graph.mu2))
+    same_weights = _same_species(graph)
     eig1 = smallest_dirichlet_eigenpair(graph, 1, part)
     eig2 = eig1 if same_weights else smallest_dirichlet_eigenpair(graph, 2, part)
     g1 = p.a1 - eig1.lambda0 * p.d1

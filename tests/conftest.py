@@ -140,6 +140,35 @@ def random_connected_interior(rng, graph, max_interior=None):
     return boundary_of(graph, interior)
 
 
+def reference_edge_arrays(vertices, weights1, weights2=None, measure1=None, measure2=None):
+    """(src, dst, w1, w2, mu1, mu2) of ``build_graph`` on valid input, by a dict keyed on
+    vertex positions that holds each edge under both orders in order of first appearance,
+    turned back into arrays pair by pair; a measure of None is the weighted degree."""
+    index = {v: i for i, v in enumerate(vertices)}
+
+    def table(weights):
+        items = (weights.items() if isinstance(weights, dict)
+                 else [((a, b), val) for a, b, val in weights])
+        out = {}
+        for (a, b), val in items:
+            i, j = index[a], index[b]
+            if out.get((i, j), val) != val:
+                raise ValueError(f"edge ({a!r}, {b!r}) given twice with different weights")
+            out[i, j] = out[j, i] = float(val)
+        return out
+
+    table1 = table(weights1)
+    table2 = table1 if weights2 is None else table(weights2)
+    assert table2.keys() == table1.keys()
+    src, dst = np.array(list(zip(*table1)), dtype=np.intp).reshape(2, -1)
+    w1 = np.array([table1[e] for e in table1])
+    w2 = np.array([table2[e] for e in table1])
+    mus = [np.bincount(src, weights=w, minlength=len(vertices)) if measure is None
+           else np.array([float(measure[v]) for v in vertices])
+           for measure, w in ((measure1, w1), (measure2, w2))]
+    return src, dst, w1, w2, *mus
+
+
 @contextlib.contextmanager
 def stored(csr: bool):
     """A context in which the storage rule picks CSR (or dense) for every block."""

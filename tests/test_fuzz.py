@@ -80,13 +80,15 @@ def _exit_code(argv) -> int:
 
 @settings(max_examples=100, deadline=DEADLINE)
 @given(doc=documents(),
-       command=st.sampled_from(["simulate", "classify", "eigen", "steady", "sweep"]))
+       command=st.sampled_from(["simulate", "classify", "eigen", "steady", "steady --bounds",
+                                "sweep"]))
 def test_config_documents_end_in_a_documented_exit_code(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        code = _exit_code([command, "--config", path, "--out", os.path.join(tmp, "out")])
+        code = _exit_code([*command.split(), "--config", path,
+                           "--out", os.path.join(tmp, "out")])
     assert code in EXIT_CODES
 
 
