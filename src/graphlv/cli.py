@@ -32,8 +32,7 @@ from .config import (
     problem_from_document,
     sweep_spec_from_document,
 )
-from .dynamics import BoundaryCondition, Trajectory, integrate, reduced_operators
-from .dynamics import _coerce_initial, _materialize
+from .dynamics import BoundaryCondition, Trajectory, _materialize, integrate, reduced_operators
 from .errors import (
     ConfigInvalid,
     GraphLVError,
@@ -101,9 +100,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _basin_initial(problem, cfg) -> tuple[np.ndarray, np.ndarray]:
+def _basin_initial(cfg) -> tuple[np.ndarray, np.ndarray]:
     """The closure values of the initial data, the reflecting boundary's projected."""
-    u, v = _coerce_initial(problem, (cfg.initial_u, cfg.initial_v))
+    problem, u, v = cfg.problem, cfg.initial_u, cfg.initial_v
     if problem.bc is BoundaryCondition.NEUMANN:
         ops = reduced_operators(problem)
         state = _materialize(problem, ops, u[ops.act], v[ops.act])
@@ -128,7 +127,7 @@ def _cmd_classify(args) -> int:
     eigs = eigenpairs_for(problem) if problem.bc is BoundaryCondition.DIRICHLET else None
     basin = None
     if "initial" in doc:
-        basin = lambda: _basin_initial(problem, _run_config(problem, doc))
+        basin = lambda: _basin_initial(_run_config(problem, doc))
     regime = _classify_problem(problem.params, eigs, basin)
     print(f"regime: {regime.kind.value}")
     for cert in regime.certificates:
@@ -255,7 +254,7 @@ def _cmd_sweep(args) -> int:
     cfg = config_from_document(doc, t_end=t_end)
     problem = cfg.problem
     eigs = eigenpairs_for(problem) if problem.bc is BoundaryCondition.DIRICHLET else None
-    basin = _basin_initial(problem, cfg)
+    basin = _basin_initial(cfg)
     batch = dataclasses.replace(problem.params, **dict(zip(names, np.array(points).T)))
     final = integrate(dataclasses.replace(problem, params=batch),
                       (cfg.initial_u, cfg.initial_v), cfg.t_end, max_samples=2).final

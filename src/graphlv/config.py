@@ -17,7 +17,6 @@ Schema (all physical quantities are unitless reals):
                   "v": ...},                       // active region
       "t_end": 10.0,                               // optional, flag overrides
       "dt": 0.001,                                 // optional, default CFL
-      "tol": 1e-8,                                 // optional
       "sweep": {                                   // sweep subcommand only
         "grid": {"a1": [0.5, 1.0, 1.5],            // explicit values, or
                  "a2": {"start": 0.5, "stop": 2.5, "count": 11}},
@@ -26,10 +25,12 @@ Schema (all physical quantities are unitless reals):
     }
 
 Vector and matrix coordinates everywhere follow the order of the
-"vertices" list. Scalar initial data under the absorbing boundary means
-that constant on the interior with zero boundary. Initial data are then
-checked as every solver checks them (``dynamics._coerce_initial``), and
-values outside the closure are ignored.
+"vertices" list. Each side of "initial" is a number or an object of
+vertex values, read once by the reader every solver uses
+(``dynamics._coerce_initial``): a number is that constant on the active
+vertices, so zero on an absorbing boundary, and values outside the
+closure are ignored. ``RunConfig`` keeps the result as full-order float
+arrays.
 """
 
 from __future__ import annotations
@@ -50,11 +51,10 @@ _PARAM_KEYS = ("a1", "b1", "c1", "a2", "b2", "c2", "d1", "d2")
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     problem: Problem
-    initial_u: object
-    initial_v: object
+    initial_u: np.ndarray
+    initial_v: np.ndarray
     t_end: float
     dt: float | None
-    tol: float
 
 
 def load_document(path: str) -> dict:
@@ -133,26 +133,24 @@ def problem_from_document(doc: dict) -> Problem:
         raise ConfigInvalid(str(exc)) from exc
 
 
-def config_from_document(
-    doc: dict,
-    t_end: float | None = None,
-    dt: float | None = None,
-    tol: float | None = None,
-) -> RunConfig:
+def config_from_document(doc: dict, t_end: float | None = None,
+                         dt: float | None = None) -> RunConfig:
     """Validate the document and apply command-line overrides."""
-    return _run_config(problem_from_document(doc), doc, t_end, dt, tol)
+    return _run_config(problem_from_document(doc), doc, t_end, dt)
 
 
-def _run_config(problem: Problem, doc: dict, t_end=None, dt=None, tol=None) -> RunConfig:
+def _run_config(problem: Problem, doc: dict, t_end=None, dt=None) -> RunConfig:
     """The rest of ``config_from_document`` for the problem already built from ``doc``:
     its initial data, read and checked against ``problem``, and the run's budgets."""
     initial_doc = _require(doc, "initial", dict)
     if set(initial_doc) != {"u", "v"}:
         raise ConfigInvalid('"initial" must have exactly the keys "u" and "v"')
-    initial_u = _initial_side(problem, initial_doc["u"], "u")
-    initial_v = _initial_side(problem, initial_doc["v"], "v")
+    for name, side in initial_doc.items():
+        if isinstance(side, bool) or not isinstance(side, (int, float, dict)):
+            raise ConfigInvalid(f"initial.{name} must be a number or an object of vertex "
+                                f"values, got {side!r}")
     try:
-        _coerce_initial(problem, (initial_u, initial_v))
+        initial_u, initial_v = _coerce_initial(problem, (initial_doc["u"], initial_doc["v"]))
     except InputError as exc:
         raise ConfigInvalid(str(exc)) from exc
 
@@ -163,27 +161,9 @@ def _run_config(problem: Problem, doc: dict, t_end=None, dt=None, tol=None) -> R
         dt = _number(doc["dt"], "dt")
     if dt is not None and (not np.isfinite(dt) or dt <= 0.0):
         raise ConfigInvalid(f"dt must be positive and finite, got {dt}")
-    if tol is None:
-        tol = _number(doc.get("tol", 1e-8), "tol")
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise ConfigInvalid(f"tol must be positive and finite, got {tol}")
 
     return RunConfig(problem=problem, initial_u=initial_u, initial_v=initial_v,
-                     t_end=t_end, dt=dt, tol=float(tol))
-
-
-def _initial_side(problem: Problem, data, name: str):
-    """One side of "initial" as numbers: a vertex map, or a scalar, which under the
-    absorbing boundary is that constant on the interior and zero on the boundary."""
-    if isinstance(data, dict):
-        return {k: _number(v, f"initial.{name}.{k}") for k, v in data.items()}
-    scalar = _number(data, f"initial.{name}")
-    if problem.bc is not BoundaryCondition.DIRICHLET:
-        return scalar
-    vertices, part = problem.graph.vertices, problem.partition
-    out = {vertices[i]: scalar for i in part.interior_idx}
-    out.update({vertices[i]: 0.0 for i in part.boundary_idx})
-    return out
+                     t_end=t_end, dt=dt)
 
 
 def sweep_spec_from_document(doc: dict) -> dict:

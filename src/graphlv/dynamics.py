@@ -253,18 +253,29 @@ def _state_extrema(state) -> tuple[float, float, float, float]:
 def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
     """Full-order initial (u, v) from a FieldPair or a (u, v) pair, zero off the closure.
 
-    Each side is anything ``field_array`` accepts, or an (n, P) array with one column per
-    state of a batch. Every column must give each active vertex a value, be finite and
-    nonnegative on the closure and vanish on a Dirichlet boundary; other values are ignored.
+    Each side is a scalar, which is that constant on the active vertices (so zero on a
+    Dirichlet boundary), anything else ``field_array`` accepts, or an (n, P) array with one
+    column per state of a batch. Every column must give each active vertex a value, be
+    finite and nonnegative on the closure and vanish on a Dirichlet boundary; other values
+    are ignored.
     """
     try:
         u, v = (initial.u, initial.v) if isinstance(initial, FieldPair) else initial
     except (TypeError, ValueError):
         raise InputError("initial data must be a FieldPair or a (u, v) pair") from None
     graph, act, closure = problem.graph, problem.active_idx, problem.closure_idx
-    u, v = (np.stack([field_array(graph, col) for col in x.T], axis=1)
-            if isinstance(x, np.ndarray) and x.ndim == 2 else field_array(graph, x)
-            for x in (u, v))
+    inactive = np.ones(graph.n, dtype=bool)
+    inactive[act] = False
+
+    def read(x):
+        if isinstance(x, np.ndarray) and x.ndim == 2:
+            return np.stack([field_array(graph, col) for col in x.T], axis=1)
+        full = field_array(graph, x)
+        if np.isscalar(x):    # no value off the active vertices, so zero on the closure
+            full[inactive] = np.nan
+        return full
+
+    u, v = read(u), read(v)
     if u.shape != v.shape:
         raise InputError(f"u and v initial data differ in shape: {u.shape} and {v.shape}")
     given = np.stack([u, v])

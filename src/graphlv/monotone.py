@@ -15,6 +15,7 @@ their series.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -153,26 +154,45 @@ def pair_from_trajectory(traj: Trajectory) -> OrderedPair:
     )
 
 
-def _tf_value(tf: TimeField, t: float, n: int) -> np.ndarray:
-    out = tf.value(t)
-    if np.isscalar(out):
-        return np.full(n, float(out))
-    return np.asarray(out, dtype=float)
+def _tf_samples(fn, times: np.ndarray, n: int, idx: np.ndarray) -> np.ndarray:
+    """``fn``, a TimeField's value or derivative, at every time on the vertices ``idx``, as
+    one (T, idx.size) array. Each result must be a finite number or n finite numbers."""
+    values = [fn(t) for t in times.tolist()]
+    scalars = all(isinstance(v, numbers.Real) for v in values)
+    if scalars:
+        out = np.array(values, dtype=float)[:, None]
+    else:
+        rows = [np.full(n, v) if isinstance(v, numbers.Real) else np.asarray(v) for v in values]
+        bad = next((row for row in rows if row.shape != (n,) or row.dtype.kind not in "biuf"),
+                   None)
+        if bad is not None:
+            raise InputError(f"a time field value must be a number or {n} numbers, got "
+                             f"{bad.dtype} values of shape {bad.shape}")
+        out = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise InputError("time field values must be finite")
+    return np.repeat(out, idx.size, axis=1) if scalars else out[:, idx]
 
 
-def _tf_derivative(tf: TimeField, t: float, n: int, t0: float, t_end: float) -> np.ndarray:
+def _tf_rates(tf: TimeField, times: np.ndarray, n: int, idx: np.ndarray,
+              t0: float, t_end: float) -> np.ndarray:
+    """The time derivative of ``tf`` as ``_tf_samples`` gives its value: its own derivative,
+    or second-order differences with step h = 1e-6 max(1, |t|), one-sided where a central
+    step would leave [t0, t_end]."""
     if tf.derivative is not None:
-        out = tf.derivative(t)
-        if np.isscalar(out):
-            return np.full(n, float(out))
-        return np.asarray(out, dtype=float)
-    h = 1e-6 * max(1.0, abs(t))
-    val = lambda s: _tf_value(tf, s, n)
-    if t - h < t0:
-        return (-3.0 * val(t) + 4.0 * val(t + h) - val(t + 2 * h)) / (2 * h)
-    if t + h > t_end:
-        return (3.0 * val(t) - 4.0 * val(t - h) + val(t - 2 * h)) / (2 * h)
-    return (val(t + h) - val(t - h)) / (2 * h)
+        return _tf_samples(tf.derivative, times, n, idx)
+    h = 1e-6 * np.maximum(1.0, np.abs(times))
+    forward = times - h < t0
+    central = ~forward & ~(times + h > t_end)
+    out = np.empty((times.size, idx.size))
+    t, hc = times[central], h[central]
+    out[central] = (_tf_samples(tf.value, t + hc, n, idx)
+                    - _tf_samples(tf.value, t - hc, n, idx)) / (2 * hc)[:, None]
+    # the backward stencil is the forward one with a negated step
+    t, s = times[~central], np.where(forward, h, -h)[~central]
+    f0, f1, f2 = (_tf_samples(tf.value, t + k * s, n, idx) for k in (0.0, 1.0, 2.0))
+    out[~central] = (-3.0 * f0 + 4.0 * f1 - f2) / (2 * s)[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +220,15 @@ class LinearCoupledSystem:
         m = len(self.d)
         if not (len(self.species) == len(self.bc) == m):
             raise InputError("d, species, and bc must have one entry per component")
-        h = np.asarray(self.coupling, dtype=float)
+        if not np.all(np.isfinite(_as_floats(self.d, "d"))):
+            raise InputError(f"d must be finite, got {self.d!r}")
+        h = _as_floats(self.coupling, "coupling")
         if h.shape == (m, m):
             h = np.repeat(h[:, :, None], self.graph.n, axis=2)
         if h.shape != (m, m, self.graph.n):
             raise InputError(f"coupling must have shape ({m}, {m}) or ({m}, {m}, n)")
+        if not np.all(np.isfinite(h)):
+            raise InputError("coupling must be finite")
         object.__setattr__(self, "coupling", h)
         has_domain = any(b is not BoundaryCondition.NO_BOUNDARY for b in self.bc)
         if has_domain and any(b is BoundaryCondition.NO_BOUNDARY for b in self.bc):
@@ -241,31 +265,37 @@ def maximum_principle_check(
     """Check the nonpositivity conclusion after verifying its hypotheses.
 
     ``fields`` has shape (m, T, n) over the full vertex order; values
-    outside each component's domain are ignored. Hypotheses (nonpositive
-    off-diagonal coupling, nonpositive initial data, the parabolic
-    inequality at interior vertices, nonpositive boundary operator) are
-    verified numerically on the grid and any violation raises
-    HypothesisNotMet; time derivatives come from ``dfields_dt`` when
-    given, else second-order finite differences on the grid. This is a
-    checker, not a prover: the verdict only covers the sampled grid.
+    outside each component's domain are ignored, but every value must be
+    finite. Hypotheses (nonpositive off-diagonal coupling, nonpositive
+    initial data, the parabolic inequality at interior vertices,
+    nonpositive boundary operator) are verified numerically on the grid
+    and any violation raises HypothesisNotMet; time derivatives come from
+    ``dfields_dt`` when given, else second-order finite differences on
+    the grid, which need at least two strictly increasing times. This is
+    a checker, not a prover: the verdict only covers the sampled grid.
     """
-    fields = np.asarray(fields, dtype=float)
-    times = np.asarray(times, dtype=float)
+    fields = _as_floats(fields, "fields")
+    times = _time_grid(times, "times")
     m = system.m
-    if fields.shape[0] != m or fields.shape[2] != system.graph.n:
+    if fields.ndim != 3 or fields.shape[0] != m or fields.shape[2] != system.graph.n:
         raise InputError(f"fields must have shape (m, T, n) = ({m}, ?, {system.graph.n})")
     if fields.shape[1] != times.size:
         raise InputError("fields and times disagree on the number of samples")
+    if dfields_dt is None:
+        if times.size < 2 or np.any(np.diff(times) <= 0):
+            raise InputError("differencing the fields needs at least two increasing times")
+        dfields_dt = np.gradient(fields, times, axis=1)
+    else:
+        dfields_dt = _as_floats(dfields_dt, "dfields_dt")
+        if dfields_dt.shape != fields.shape:
+            raise InputError(f"dfields_dt must have the shape of fields, {fields.shape}")
+    if not (np.all(np.isfinite(fields)) and np.all(np.isfinite(dfields_dt))):
+        raise InputError("fields and dfields_dt must be finite")
 
     h = system.coupling
     off = ~np.eye(m, dtype=bool)
     if np.any(h[off] > 0.0):
         raise HypothesisNotMet("off-diagonal coupling must be nonpositive")
-
-    if dfields_dt is None:
-        dfields_dt = np.gradient(fields, times, axis=1)
-    else:
-        dfields_dt = np.asarray(dfields_dt, dtype=float)
 
     part = system.partition
     whole = part is None
@@ -358,64 +388,50 @@ def verify_coupled_pair(
     state, read and checked as ``integrate`` reads it.
     """
     p = problem.params
-    n = problem.graph.n
+    graph, part, act = problem.graph, problem.partition, problem.active_idx
     grid = _time_grid(grid, "grid")
     if initial is not None:
         u0, v0 = _coerce_initial(problem, initial)
         if u0.ndim != 1:
             raise InputError(f"initial data must be one state, got shape {u0.shape}")
-    part = problem.partition
-    interior_idx = problem.active_idx
-    lap = {species: _closure_laplacian(problem.graph, species, part) for species in (1, 2)}
-    slacks = {
-        "upper_u_pde": np.inf, "upper_v_pde": np.inf,
-        "lower_u_pde": np.inf, "lower_v_pde": np.inf,
-        "order_u": np.inf, "order_v": np.inf,
-    }
-    if part is not None:
-        for name in ("upper_u", "upper_v", "lower_u", "lower_v"):
-            slacks[f"boundary_{name}"] = np.inf
-
-    if problem.bc is BoundaryCondition.NEUMANN:
-        normal = {species: _boundary_normal(problem.graph, species, part) for species in (1, 2)}
-
+    every = np.arange(graph.n)
     fields = {"upper_u": pair.u_upper, "upper_v": pair.v_upper,
               "lower_u": pair.u_lower, "lower_v": pair.v_lower}
+    # (T, n) values and (T, n_act) rates over the whole grid, one array per field
+    values = {name: _tf_samples(tf.value, grid, graph.n, every) for name, tf in fields.items()}
+    rates = {name: _tf_rates(tf, grid, graph.n, act, pair.t0, pair.t_end)
+             for name, tf in fields.items()}
+    on_act = {name: x[:, act] for name, x in values.items()}
+    kinetics = dict(zip(("upper_u", "lower_v"),
+                        reaction(p, on_act["upper_u"], on_act["lower_v"])))
+    kinetics.update(zip(("lower_u", "upper_v"),
+                        reaction(p, on_act["lower_u"], on_act["upper_v"])))
     species_of = {"upper_u": 1, "upper_v": 2, "lower_u": 1, "lower_v": 2}
     d_of = {"upper_u": p.d1, "upper_v": p.d2, "lower_u": p.d1, "lower_v": p.d2}
+    sign = {name: 1.0 if name.startswith("upper") else -1.0 for name in fields}
+    lap = {species: _closure_laplacian(graph, species, part) for species in (1, 2)}
+    boundary = {}
+    if problem.bc is BoundaryCondition.NEUMANN:
+        normal = {species: _boundary_normal(graph, species, part) for species in (1, 2)}
+        boundary = {name: normal[species_of[name]](values[name]) for name in fields}
+    elif part is not None:
+        boundary = {name: values[name][:, part.boundary_idx] for name in fields}
 
-    for t in grid:
-        values = {name: _tf_value(tf, float(t), n) for name, tf in fields.items()}
-        derivs = {name: _tf_derivative(tf, float(t), n, pair.t0, pair.t_end)
-                  for name, tf in fields.items()}
-        act = {name: v[interior_idx] for name, v in values.items()}
-        kinetics = dict(zip(("upper_u", "lower_v"), reaction(p, act["upper_u"], act["lower_v"])))
-        kinetics.update(zip(("lower_u", "upper_v"), reaction(p, act["lower_u"], act["upper_v"])))
-        for name in fields:
-            pde = derivs[name][interior_idx] - d_of[name] * lap[species_of[name]](values[name])
-            residual = pde - kinetics[name]
-            sign = 1.0 if name.startswith("upper") else -1.0
-            slacks[f"{name}_pde"] = min(slacks[f"{name}_pde"], float((sign * residual).min()))
-        slacks["order_u"] = min(slacks["order_u"],
-                                float((values["upper_u"] - values["lower_u"])[interior_idx].min()))
-        slacks["order_v"] = min(slacks["order_v"],
-                                float((values["upper_v"] - values["lower_v"])[interior_idx].min()))
-        if part is not None:
-            for name in fields:
-                sign = 1.0 if name.startswith("upper") else -1.0
-                if problem.bc is BoundaryCondition.NEUMANN:
-                    bval = normal[species_of[name]](values[name])
-                else:
-                    bval = values[name][part.boundary_idx]
-                slacks[f"boundary_{name}"] = min(slacks[f"boundary_{name}"],
-                                                 float((sign * bval).min()))
+    slacks = {f"{name}_pde": float((sign[name] * (
+        rates[name] - d_of[name] * lap[species_of[name]](values[name]) - kinetics[name])).min())
+        for name in fields}
+    slacks["order_u"] = float((on_act["upper_u"] - on_act["lower_u"]).min())
+    slacks["order_v"] = float((on_act["upper_v"] - on_act["lower_v"]).min())
+    slacks.update({f"boundary_{name}": float((sign[name] * bval).min())
+                   for name, bval in boundary.items()})
 
     if initial is not None:
-        values = {name: _tf_value(tf, pair.t0, n) for name, tf in fields.items()}
-        slacks["initial_u"] = float(min((values["upper_u"] - u0)[interior_idx].min(),
-                                        (u0 - values["lower_u"])[interior_idx].min()))
-        slacks["initial_v"] = float(min((values["upper_v"] - v0)[interior_idx].min(),
-                                        (v0 - values["lower_v"])[interior_idx].min()))
+        t0 = _time_grid([pair.t0], "the pair's t0")
+        at_t0 = {name: _tf_samples(tf.value, t0, graph.n, act)[0] for name, tf in fields.items()}
+        slacks["initial_u"] = float(min((at_t0["upper_u"] - u0[act]).min(),
+                                        (u0[act] - at_t0["lower_u"]).min()))
+        slacks["initial_v"] = float(min((at_t0["upper_v"] - v0[act]).min(),
+                                        (v0[act] - at_t0["lower_v"]).min()))
 
     passed = all(s >= -slack_tol for s in slacks.values())
     return PairReport(slacks=slacks, passed=passed, tol=slack_tol)
@@ -879,15 +895,6 @@ def coexistence_bounds(
 # monotone parabolic solver
 # ---------------------------------------------------------------------------
 
-def _tf_samples(tf: TimeField, times: np.ndarray, n: int, act: np.ndarray) -> np.ndarray:
-    """tf at every time on the vertices ``act``, as one (T, act.size) array."""
-    values = [tf.value(t) for t in times.tolist()]
-    if all(np.isscalar(v) for v in values):
-        return np.repeat(np.array(values, dtype=float)[:, None], act.size, axis=1)
-    return np.stack([np.full(n, float(v)) if np.isscalar(v) else np.asarray(v, dtype=float)
-                     for v in values])[:, act]
-
-
 def _sweep(solve, steps, grid_h, g_samples, y0):
     """March the linear sweep: y' = A y + g(t), g piecewise linear on the grid.
 
@@ -980,8 +987,8 @@ def monotone_solve(
     grid_index = np.concatenate([[0], np.cumsum(counts)])
     grid_h = np.diff(fine)
 
-    m_u = max(float(np.max(_tf_value(pair.u_upper, float(t), n))) for t in t_grid)
-    m_v = max(float(np.max(_tf_value(pair.v_upper, float(t), n))) for t in t_grid)
+    m_u, m_v = (float(_tf_samples(tf.value, t_grid, n, np.arange(n)).max())
+                for tf in (pair.u_upper, pair.v_upper))
     if m_const is None:
         m_const = max(p.a1 + 2 * p.b1 * m_u + p.c1 * m_v,
                       p.a2 + p.b2 * m_u + 2 * p.c2 * m_v)
@@ -1000,11 +1007,9 @@ def monotone_solve(
              for a in ([a1_mat] if shared else [a1_mat, a2_mat])]
     props1, props2 = props[0], props[-1]
 
-    u0_full, v0_full = _coerce_initial(problem, initial)
-    u0 = u0_full[ops.act]
-    v0 = v0_full[ops.act]
+    u0, v0 = (x[ops.act] for x in _coerce_initial(problem, initial))
 
-    upper_u, upper_v, lower_u, lower_v = (_tf_samples(tf, fine, n, ops.act) for tf in (
+    upper_u, upper_v, lower_u, lower_v = (_tf_samples(tf.value, fine, n, ops.act) for tf in (
         pair.u_upper, pair.v_upper, pair.u_lower, pair.v_lower))
 
     min_slack = np.inf

@@ -179,6 +179,29 @@ def stored(csr: bool):
 
 
 # ---------------------------------------------------------------------------
+# reference time-field derivative (one time at a time)
+# ---------------------------------------------------------------------------
+
+def reference_tf_derivative(tf, t, n, t0, t_end):
+    """The derivative of a TimeField at one time t, as a full n-vector: its own derivative,
+    or second-order differences with step h = 1e-6 max(1, |t|), forward where t - h < t0,
+    backward where t + h > t_end, central elsewhere."""
+    def val(s):
+        out = tf.value(s)
+        return np.full(n, float(out)) if np.isscalar(out) else np.asarray(out, dtype=float)
+
+    if tf.derivative is not None:
+        out = tf.derivative(t)
+        return np.full(n, float(out)) if np.isscalar(out) else np.asarray(out, dtype=float)
+    h = 1e-6 * max(1.0, abs(t))
+    if t - h < t0:
+        return (-3.0 * val(t) + 4.0 * val(t + h) - val(t + 2 * h)) / (2 * h)
+    if t + h > t_end:
+        return (3.0 * val(t) - 4.0 * val(t - h) + val(t - 2 * h)) / (2 * h)
+    return (val(t + h) - val(t - h)) / (2 * h)
+
+
+# ---------------------------------------------------------------------------
 # reference monotone sweeps (dense forcing matrices, one step at a time)
 # ---------------------------------------------------------------------------
 

@@ -504,7 +504,6 @@ NON_NUMERIC = {
                                  {"1": {"x1": "m", "x2": 1.0, "x3": 1.0}})),
     "t_end": ("simulate", _set(("t_end",), "x")),
     "dt": ("simulate", _set(("dt",), "x")),
-    "tol": ("simulate", _set(("tol",), [1])),
     "grid-value": ("sweep", _set(("sweep", "grid", "a1"), [0.5, "x"])),
     "grid-start": ("sweep", _set(("sweep", "grid", "a1"),
                                  {"start": "x", "stop": 1.0, "count": 2})),

@@ -136,18 +136,18 @@ class TestProblemFromDocument:
 class TestConfigFromDocument:
     def test_defaults_and_overrides(self):
         cfg = config_from_document(base_doc())
-        assert cfg.t_end == 10.0 and cfg.dt is None and cfg.tol == 1e-8
-        cfg = config_from_document(base_doc(), t_end=99.0, dt=0.5, tol=1e-4)
-        assert (cfg.t_end, cfg.dt, cfg.tol) == (99.0, 0.5, 1e-4)
+        assert cfg.t_end == 10.0 and cfg.dt is None
+        cfg = config_from_document(base_doc(), t_end=99.0, dt=0.5)
+        assert (cfg.t_end, cfg.dt) == (99.0, 0.5)
 
     def test_document_values_used(self):
         doc = base_doc()
-        doc.update(t_end=25.0, dt=0.01, tol=1e-6)
+        doc.update(t_end=25.0, dt=0.01)
         cfg = config_from_document(doc)
-        assert (cfg.t_end, cfg.dt, cfg.tol) == (25.0, 0.01, 1e-6)
+        assert (cfg.t_end, cfg.dt) == (25.0, 0.01)
 
     def test_invalid_budgets(self):
-        for patch in ({"t_end": 0.0}, {"dt": -1.0}, {"tol": 0.0}):
+        for patch in ({"t_end": 0.0}, {"dt": -1.0}):
             doc = base_doc()
             doc.update(patch)
             with pytest.raises(ConfigInvalid):
@@ -173,7 +173,7 @@ class TestConfigFromDocument:
 
     def test_dirichlet_scalar_expands_with_zero_boundary(self):
         cfg = config_from_document(dirichlet_doc())
-        assert cfg.initial_u == {"x1": 1.0, "x2": 1.0, "x3": 1.0, "x4": 0.0, "x5": 0.0}
+        assert cfg.initial_u.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
 
     def test_dirichlet_nonzero_boundary_rejected(self):
         doc = dirichlet_doc()

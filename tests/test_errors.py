@@ -6,7 +6,10 @@ import pytest
 from graphlv import (
     BoundaryCondition,
     CompetitionParams,
+    LinearCoupledSystem,
+    OrderedPair,
     Problem,
+    TimeField,
     analytic_envelopes,
     build_graph,
     classify_bistable_basin,
@@ -14,6 +17,7 @@ from graphlv import (
     constant_pair,
     field_array,
     logistic_steady_state,
+    maximum_principle_check,
     monotone,
     monotone_solve,
     smallest_dirichlet_eigenpair,
@@ -122,3 +126,65 @@ def test_nan_bound_constant_is_named(name):
     """A NaN epsilon or delta is reported as such, not as a field with missing values."""
     with pytest.raises(InputError, match=f"{name} must be positive and finite"):
         _bounds(**{name: np.nan})
+
+
+def _pair_with(value=None, derivative=None):
+    """PAIR with its upper u field replaced: ``value(t)`` and ``derivative(t)``."""
+    field = TimeField(value=value or (lambda t: 2.0), derivative=derivative)
+    return OrderedPair(u_upper=field, v_upper=PAIR.v_upper, u_lower=PAIR.u_lower,
+                       v_lower=PAIR.v_lower, t0=PAIR.t0, t_end=PAIR.t_end)
+
+
+def _max_principle(fields=None, times=GRID, **kwargs):
+    system = LinearCoupledSystem(graph=triangle_example(), d=(1.0,), species=(1,),
+                                 coupling=np.zeros((1, 1)),
+                                 bc=(BoundaryCondition.NO_BOUNDARY,))
+    if fields is None:
+        fields = np.full((1, np.size(times), 3), -1.0)
+    return maximum_principle_check(system, fields, times, **kwargs)
+
+
+NAN_FIELDS = np.full((1, 3, 3), -1.0)
+NAN_FIELDS[0, 1, 2] = np.nan
+CHECKER_CASES = {
+    "verify-nan-field": lambda: verify_coupled_pair(_problem(), _pair_with(
+        lambda t: np.full(3, np.nan)), GRID),
+    "verify-nan-scalar-field": lambda: verify_coupled_pair(_problem(), _pair_with(
+        lambda t: np.nan), GRID),
+    "verify-nan-derivative": lambda: verify_coupled_pair(_problem(), _pair_with(
+        derivative=lambda t: np.nan), GRID),
+    "verify-short-field": lambda: verify_coupled_pair(_problem(), _pair_with(
+        lambda t: np.full(2, 2.0)), GRID),
+    "verify-text-field": lambda: verify_coupled_pair(_problem(), _pair_with(
+        lambda t: "abc"), GRID),
+    "verify-2d-field": lambda: verify_coupled_pair(_problem(), _pair_with(
+        lambda t: np.full((3, 2), 2.0)), GRID),
+    "solve-short-field": lambda: monotone_solve(_problem(), _pair_with(
+        lambda t: np.full(2, 2.0)), INSIDE, GRID),
+    "solve-inf-field": lambda: monotone_solve(_problem(), _pair_with(
+        lambda t: np.full(3, np.inf)), INSIDE, GRID),
+    "max-principle-nan-time": lambda: _max_principle(times=np.array([0.0, np.nan, 1.0])),
+    "max-principle-one-time": lambda: _max_principle(times=np.array([0.0])),
+    "max-principle-2d-times": lambda: _max_principle(np.full((1, 2, 3), -1.0),
+                                                     np.zeros((1, 2))),
+    "max-principle-repeated-times": lambda: _max_principle(times=np.array([0.0, 0.5, 0.5])),
+    "max-principle-nan-fields": lambda: _max_principle(NAN_FIELDS),
+    "max-principle-nan-rates": lambda: _max_principle(dfields_dt=NAN_FIELDS),
+    "max-principle-text-fields": lambda: _max_principle(np.full((1, 3, 3), "x")),
+    "max-principle-2d-fields": lambda: _max_principle(np.full((1, 3), -1.0)),
+    "system-nan-diffusion": lambda: LinearCoupledSystem(
+        graph=triangle_example(), d=(np.nan,), species=(1,), coupling=np.zeros((1, 1)),
+        bc=(BoundaryCondition.NO_BOUNDARY,)),
+    "system-nan-coupling": lambda: LinearCoupledSystem(
+        graph=triangle_example(), d=(1.0,), species=(1,), coupling=np.full((1, 1), np.nan),
+        bc=(BoundaryCondition.NO_BOUNDARY,)),
+}
+
+
+@pytest.mark.parametrize("call", CHECKER_CASES.values(), ids=CHECKER_CASES.keys())
+def test_checkers_refuse_non_finite_or_malformed_input(call):
+    """The pair checkers and the maximum principle check answer with InputError, where
+    they used to pass NaN fields, a NaN time, a NaN diffusion or coupling, or escape as a
+    bare exception."""
+    with pytest.raises(InputError):
+        call()

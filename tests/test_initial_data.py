@@ -1,6 +1,7 @@
 """Every entry point reads and checks initial data through one reader, and so alike."""
 
 import json
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from graphlv import (
     analytic_envelopes,
     classify_bistable_basin,
     constant_pair,
+    dynamics,
+    field_array,
+    graphs,
     integrate,
     monotone_solve,
     verify_coupled_pair,
@@ -37,21 +41,33 @@ ENTRY_POINTS = {
 }
 
 
+# per condition, the data 1.0 as a vertex map and as a full array: the whole graph has no
+# boundary, an absorbing boundary is zero, and a reflecting one is replaced by projections
+EVERY_FORM = {
+    BoundaryCondition.NEUMANN: (INTERIOR, np.ones(5)),
+    BoundaryCondition.DIRICHLET: (INTERIOR, np.array([1.0, 1.0, 1.0, 0.0, 0.0])),
+    BoundaryCondition.NO_BOUNDARY: ({**INTERIOR, "x4": 1.0, "x5": 1.0}, np.ones(5)),
+}
+
+
 def reflecting_problem(bc, params=SET_I):
     graph, part = reflecting_example()
-    return Problem(graph, params, bc=bc, partition=part)
+    return Problem(graph, params, bc=bc,
+                   partition=None if bc is BoundaryCondition.NO_BOUNDARY else part)
 
 
 def reflecting_document(bc, u, v):
-    return {
+    doc = {
         "graph": {"vertices": ["x1", "x2", "x3", "x4", "x5"],
                   "edges": [["x4", "x1", 1.0], ["x1", "x2", 1.0], ["x1", "x3", 1.0],
-                            ["x2", "x3", 1.0], ["x3", "x5", 1.0]],
-                  "interior": ["x1", "x2", "x3"]},
+                            ["x2", "x3", 1.0], ["x3", "x5", 1.0]]},
         "bc": bc.value,
         "params": {"a1": 1.0, "b1": 2.0, "c1": 2.0, "a2": 1.0, "b2": 1.0, "c2": 1.0},
         "initial": {"u": u, "v": v},
     }
+    if bc is not BoundaryCondition.NO_BOUNDARY:
+        doc["graph"]["interior"] = ["x1", "x2", "x3"]
+    return doc
 
 
 def outcome(result):
@@ -63,24 +79,48 @@ def outcome(result):
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_library_entry_points_accept_every_form(entry):
-    """A scalar, a vertex map, a full array and a FieldPair of the same data give the same
-    result; under the reflecting condition boundary values are replaced by projections."""
-    problem = reflecting_problem(BoundaryCondition.NEUMANN)
-    full = np.ones(5)
-    forms = [(1.0, 1.0), (INTERIOR, INTERIOR), (full, full), FieldPair(u=full, v=full),
-             (INTERIOR, 1.0)]
-    results = [outcome(ENTRY_POINTS[entry](problem, initial)) for initial in forms]
-    assert all(result == results[0] for result in results)
-    if entry == "verify_coupled_pair":
-        assert results[0][0]
+    """Under every condition a scalar, a vertex map, a full array and a FieldPair of the
+    same data give the same result: a scalar is that constant on the active vertices, so
+    under the absorbing condition it is the interior map with a zero boundary."""
+    for bc, (vertex_map, full) in EVERY_FORM.items():
+        problem = reflecting_problem(bc)
+        forms = [(1.0, 1.0), (vertex_map, vertex_map), (full, full),
+                 FieldPair(u=full, v=full), (vertex_map, 1.0)]
+        results = [outcome(ENTRY_POINTS[entry](problem, initial)) for initial in forms]
+        assert all(result == results[0] for result in results), bc
+        if entry == "verify_coupled_pair":
+            assert results[0][0]
 
 
-@pytest.mark.parametrize("u", [1.0, INTERIOR], ids=["number", "vertex-object"])
-def test_config_accepts_both_json_forms(u):
-    cfg = config_from_document(reflecting_document(BoundaryCondition.NEUMANN, u, 1.0))
-    problem = reflecting_problem(BoundaryCondition.NEUMANN)
-    assert (outcome(ENTRY_POINTS["integrate"](cfg.problem, (cfg.initial_u, cfg.initial_v)))
-            == outcome(ENTRY_POINTS["integrate"](problem, (1.0, 1.0))))
+@pytest.mark.parametrize("as_map", [False, True], ids=["number", "vertex-object"])
+def test_config_accepts_both_json_forms(as_map):
+    """The config reads a number and a vertex object as the library reads them, under
+    every condition, and keeps full-order arrays."""
+    for bc, (vertex_map, full) in EVERY_FORM.items():
+        cfg = config_from_document(reflecting_document(bc, vertex_map if as_map else 1.0,
+                                                       1.0))
+        if bc is not BoundaryCondition.NEUMANN:
+            assert cfg.initial_u.tolist() == full.tolist()
+        problem = reflecting_problem(bc)
+        assert (outcome(ENTRY_POINTS["integrate"](cfg.problem, (cfg.initial_u, cfg.initial_v)))
+                == outcome(ENTRY_POINTS["integrate"](problem, (1.0, 1.0))))
+
+
+def test_simulate_reads_the_vertex_maps_once(tmp_path, monkeypatch):
+    """The config reads the document's two vertex maps; the solver then gets arrays."""
+    mappings = []
+
+    def counting(graph, data, *args, **kwargs):
+        mappings.append(isinstance(data, Mapping))
+        return field_array(graph, data, *args, **kwargs)
+
+    monkeypatch.setattr(graphs, "field_array", counting)
+    monkeypatch.setattr(dynamics, "field_array", counting)
+    path = tmp_path / "doc.json"
+    doc = reflecting_document(BoundaryCondition.NEUMANN, INTERIOR, INTERIOR)
+    path.write_text(json.dumps({**doc, "t_end": 0.5}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert sum(mappings) == 2
 
 
 BAD_INITIAL = {

@@ -1,6 +1,7 @@
 """Comparison machinery: max principle, pairs, steady states, monotone sweeps."""
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     random_connected_interior,
     reference_coexistence_bounds,
     reference_monotone_solve,
+    reference_tf_derivative,
     stored,
 )
 from hypothesis import given, settings
@@ -831,3 +833,36 @@ def test_logistic_steady_state_under_both_storages(seed):
     sparse, dense = states
     assert sparse.iterations == dense.iterations
     assert np.max(np.abs(sparse.values - dense.values)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       t0=st.floats(-100.0, 100.0), span=st.floats(1e-2, 200.0),
+       kind=st.sampled_from(["vector", "scalar", "mixed", "derivative"]))
+def test_tf_rates_match_the_per_time_reader(seed, n, t0, span, kind):
+    """The grid-wide rates are bit for bit the per-time derivative of the reference, with
+    grid points within 1e-6 of both ends, and the field is never evaluated outside
+    [t0, t_end]."""
+    rng = np.random.default_rng(seed)
+    t_end = t0 + span
+    a, b, c = rng.uniform(-2.0, 2.0, (3, n))
+    called = []
+
+    def value(t):
+        called.append(t)
+        if kind == "scalar" or (kind == "mixed" and t < t0 + span / 2):
+            return float(a[0] * math.sin(b[0] * t) + c[0] * t * t)
+        return a * np.sin(b * t) + c * t * t
+
+    field = TimeField(value=value, derivative=(lambda t: b * np.cos(a * t))
+                      if kind == "derivative" else None)
+    near = rng.uniform(0.0, 1e-6, 4) * max(1.0, abs(t0), abs(t_end))
+    grid = np.concatenate([[t0, t_end], t0 + near[:2], t_end - near[2:],
+                           rng.uniform(t0, t_end, 6)])
+    grid = np.clip(grid, t0, t_end)
+    idx = np.flatnonzero(rng.random(n) < 0.7)
+    got = monotone._tf_rates(field, grid, n, idx, t0, t_end)
+    assert all(t0 <= t <= t_end for t in called)
+    want = np.stack([reference_tf_derivative(field, t, n, t0, t_end)[idx]
+                     for t in grid.tolist()])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -85,7 +85,10 @@ def test_bounds_run_no_explicit_march():
 def test_initial_data_have_one_reader():
     """Initial data are read and checked by ``dynamics._coerce_initial`` and graph-free
     states by ``dynamics._state_extrema``, so no other module names (imports or calls) the
-    private readers underneath them."""
+    private readers underneath them, and config.py, which hands the document's values to
+    ``_coerce_initial``, names no ``field_array`` or ``_as_float`` and applies no
+    ``_number`` to initial data (a call whose arguments mention them, or in a function
+    named for them)."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "dynamics.py":
@@ -93,7 +96,46 @@ def test_initial_data_have_one_reader():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-                  and {"_pair_arrays", "_field_columns"} & {getattr(node, "id", None),
-                                                            getattr(node, "attr", None),
-                                                            getattr(node, "name", None)}]
+                  and {"_pair_arrays", "_field_columns"} & _names(node)]
+    config = ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))
+    found += [f"config.py:{node.lineno}" for node in ast.walk(config)
+              if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+              and {"field_array", "_as_float"} & _names(node)]
+    for func in ast.walk(config):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and "_number" in _names(node.func)
+                    and ("initial" in func.name
+                         or any("initial" in text for arg in node.args
+                                for text in _texts(arg)))):
+                found.append(f"config.py:{node.lineno}")
     assert not found, f"private initial-data readers used in {found}"
+
+
+def test_time_fields_have_one_reader():
+    """A TimeField is evaluated by ``monotone._tf_samples`` alone: no other code in the
+    package calls a ``.value`` or ``.derivative`` attribute."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name == "_tf_samples"
+                  for node in ast.walk(func)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("value", "derivative") and id(node) not in inside]
+    assert not found, f"time fields evaluated outside _tf_samples in {found}"
+
+
+def _names(node) -> set:
+    return {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+
+
+def _texts(node):
+    """Every identifier, attribute and string constant under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+        else:
+            yield from (name for name in _names(sub) if name)
