@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import BoundaryCondition, CompetitionParams, FieldPair, Problem, _state_extrema
 from .errors import DegenerateTriangle, InputError, RequiresSteadySolve
+from .graphs import _same_species
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
 
@@ -226,11 +227,21 @@ def predicted_limit(regime: Regime, problem: Problem, bounds=None):
     raise InputError(f"unknown predicted-limit kind {kind!r}")
 
 
+def _shared_solves(problem: Problem) -> tuple[bool, bool]:
+    """Whether species 2 may take species 1's Dirichlet eigenpair, which holds when both
+    species have one weight structure, and also its logistic steady state, which needs
+    (d2, a2, c2) = (d1, a1, b1) as well: the solves would repeat bit for bit."""
+    p = problem.params
+    eigen = _same_species(problem.graph)
+    return eigen, eigen and (p.d1, p.a1, p.b1) == (p.d2, p.a2, p.c2)
+
+
 def eigenpairs_for(problem: Problem) -> tuple[EigenPair, EigenPair]:
-    """Both species' smallest Dirichlet eigenpairs for a partitioned problem."""
+    """Both species' smallest Dirichlet eigenpairs for a partitioned problem, solved once
+    when both species have one weight structure."""
     if problem.partition is None:
         raise InputError("eigenpairs need a partitioned problem")
-    return (
-        smallest_dirichlet_eigenpair(problem.graph, 1, problem.partition),
-        smallest_dirichlet_eigenpair(problem.graph, 2, problem.partition),
-    )
+    eig1 = smallest_dirichlet_eigenpair(problem.graph, 1, problem.partition)
+    if _shared_solves(problem)[0]:
+        return eig1, eig1
+    return eig1, smallest_dirichlet_eigenpair(problem.graph, 2, problem.partition)

@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from .classify import (
+    _shared_solves,
     classify_bistable_basin,
     classify_dirichlet,
     classify_neumann,
@@ -203,16 +204,19 @@ def _cmd_steady(args) -> int:
         print(f"wrote {path}; {unique}, spread {spread:.3e}, "
               f"epsilon={bounds.epsilon:.6g}, delta={bounds.delta:.6g}")
         return 0
-    columns = []
+    columns, zero = [], np.zeros(len(interior))
+    shared = _shared_solves(problem)[1]
     for species, (d, a, e) in enumerate(((p.d1, p.a1, p.b1), (p.d2, p.a2, p.c2)), start=1):
-        try:
-            state = logistic_steady_state(problem.graph, problem.partition, species,
-                                          d=d, a=a, e=e, tol=tol)
-            columns.append(state.values)
-        except NoPositiveState:
+        if not (columns and shared):    # a shared species 2 keeps species 1's column
+            try:
+                column = logistic_steady_state(problem.graph, problem.partition, species,
+                                               d=d, a=a, e=e, tol=tol).values
+            except NoPositiveState:
+                column = zero
+        if column is zero:
             print(f"# species {species} is subcritical; its steady state is 0",
                   file=sys.stderr)
-            columns.append(np.zeros(len(interior)))
+        columns.append(column)
     path = os.path.join(out, "steady.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("vertex,s1,s2\n")

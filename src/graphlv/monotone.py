@@ -9,7 +9,8 @@ steady profiles and coexistence bounds by monotone elliptic iteration
 (one species, then the coupled upper and lower pairs), and solves the
 parabolic system by monotone Picard sweeps with uniformized exponential
 propagators, which are entrywise nonnegative at every truncation of
-their series.
+their series. The sweeps' forcing integrals are nonnegative sums of the
+same powers, so the parabolic solver makes no linear solve.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .classify import coexistence_point
+from .classify import _shared_solves, coexistence_point
 from .dynamics import (
     _MAX_STEPS,
     BoundaryCondition,
@@ -56,7 +57,6 @@ from .graphs import (
     _boundary_normal,
     _closure_laplacian,
     _positive,
-    _same_species,
 )
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
@@ -66,7 +66,7 @@ _ORDER_SLACK = 1e-12
 # underflow; the series then has about 110 terms)
 _POISSON_TAIL = 1e-16
 _MAX_POISSON_MEAN = 50.0
-# fine points times active vertices: 8 MiB per (T, n_act) array; a solve holds about 45
+# fine points times active vertices: 8 MiB per (T, n_act) array; a solve holds about 40
 _MONOTONE_MAX_FINE = 2**20
 _STALL_ITERS = 100
 
@@ -601,26 +601,48 @@ def _factor(mat) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _poisson_weights(lam: float) -> list[float]:
-    """Poisson(lam) probabilities of 0, 1, ..., K, with K the first count whose tail
+    """Poisson(lam) probabilities of 0, 1, ..., K, with K >= 1 the first count whose tail
     beyond it is below _POISSON_TAIL (bounded by a geometric series once K + 2 > lam)."""
     weights = [math.exp(-lam)]
     while True:
         k = len(weights)
         nxt = weights[-1] * lam / k
-        if k + 1 > lam and nxt / (1.0 - lam / (k + 1)) < _POISSON_TAIL:
+        if k > 1 and k + 1 > lam and nxt / (1.0 - lam / (k + 1)) < _POISSON_TAIL:
             return weights
         weights.append(nxt)
 
 
-def _propagator(a_mat, h: float) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> expm(A h) x for a Metzler A (off-diagonal entries >= 0), by uniformization.
+def _forcing_weights(weights: list[float], q: float) -> tuple[list[float], list[float]]:
+    """For the Poisson weights w_0..w_K of N, the weights Pr[N > k]/q and
+    sum_{j>k} Pr[N > j]/q^2 of k < K, the tails summed from the far end so that a small
+    mean loses no digits to cancellation."""
+    phi1, phi2 = [0.0] * (len(weights) - 1), [0.0] * (len(weights) - 1)
+    tail = total = 0.0
+    for k in range(len(weights) - 2, -1, -1):
+        total += tail
+        tail += weights[k + 1]
+        phi1[k], phi2[k] = tail / q, total / (q * q)
+    return phi1, phi2
 
-    With q = max(-A_ii), P = I + A/q is entrywise >= 0 and expm(A h) is the Poisson(q h)
-    mixture sum_k w_k P^k, so every truncation maps nonnegative x to nonnegative values.
-    A CSR A is applied term by term, K sparse products per substep, with no n x n matrix
-    formed, and a step with q h above _MAX_POISSON_MEAN is taken as equal substeps. A dense
-    A has its series summed once into a dense matrix over 2**s substeps of q h at most 1,
-    joined by s squarings (a long series costs more matrix products than the squarings).
+
+def _propagator(a_mat, h: float):
+    """(propagate, force) for one step h of y' = A y + g(t), g linear on the step, with A
+    Metzler (off-diagonal entries >= 0), by uniformization: propagate(x) = expm(A h) x and
+    force(g, gdot) = Phi1 g + Phi2 gdot, the step's forcing for g its value at the start of
+    the step and gdot its slope, with Phi1 = int_0^h expm(A s) ds and
+    Phi2 = int_0^h expm(A s) (h - s) ds.
+
+    With q = max(-A_ii), P = I + A/q is entrywise >= 0, and for N ~ Poisson(q h) all three
+    are sums of the powers P^k with nonnegative weights: expm(A h) has Pr[N = k], Phi1 has
+    Pr[N > k]/q and Phi2 has sum_{j>k} Pr[N > j]/q^2. So every truncation maps nonnegative
+    data to nonnegative values, and the forcing needs no linear solve. A CSR A is applied
+    by Horner's rule, one sparse product per power, with no n x n matrix formed, and a step
+    with q h above _MAX_POISSON_MEAN is taken as equal substeps tau, marching
+    y <- S y + Phi1(tau) (g + r tau gdot) + Phi2(tau) gdot over r with S = expm(A tau). A
+    dense A has its three series summed once from shared powers into dense matrices over
+    2**s substeps of q h at most 1, joined by s doublings: S(2 tau) = S^2,
+    Phi1(2 tau) = (I + S) Phi1 and Phi2(2 tau) = S Phi2 + Phi2 + tau Phi1 (a long series
+    costs more matrix products than the doublings).
     """
     q = float(-a_mat.diagonal().min())
     dense = isinstance(a_mat, np.ndarray)
@@ -628,24 +650,50 @@ def _propagator(a_mat, h: float) -> Callable[[np.ndarray], np.ndarray]:
         reps = 2 ** max(0, math.ceil(math.log2(q * h)))
     else:
         reps = max(1, math.ceil(q * h / _MAX_POISSON_MEAN))
-    weights = _poisson_weights(q * h / reps)
+    tau = h / reps
+    weights = _poisson_weights(q * tau)
+    phi1_w, phi2_w = _forcing_weights(weights, q)
     p_mat = _add_identity(a_mat / q, 1.0)    # dividing makes the smallest diagonal exactly 0
 
-    def series(x):
-        term, out = x, weights[0] * x
-        for w in weights[1:]:
-            term = p_mat @ term
-            out = out + w * term
-        return out
-
     if dense:
-        return np.linalg.matrix_power(series(np.eye(a_mat.shape[0])), reps).__matmul__
+        term = np.eye(a_mat.shape[0])
+        e_mat, phi1, phi2 = weights[0] * term, phi1_w[0] * term, phi2_w[0] * term
+        for k, w in enumerate(weights[1:], start=1):
+            term = p_mat @ term
+            e_mat = e_mat + w * term
+            if k < len(phi1_w):
+                phi1 += phi1_w[k] * term
+                phi2 += phi2_w[k] * term
+        for _ in range(reps.bit_length() - 1):
+            phi2 = e_mat @ phi2 + phi2 + tau * phi1
+            phi1 = phi1 + e_mat @ phi1
+            e_mat = e_mat @ e_mat
+            tau *= 2.0
+        return e_mat.__matmul__, lambda g, gdot: phi1 @ g + phi2 @ gdot
+
+    def horner(*terms):
+        """sum_k P^k sum_(c, x) c[k] x over terms (c, x) whose weight lists c have one
+        length K, from the highest power down: K - 1 sparse products"""
+        top = len(terms[0][0]) - 1
+        out = sum(c[top] * x for c, x in terms)
+        for k in range(top - 1, -1, -1):
+            out = p_mat @ out
+            for c, x in terms:
+                out += c[k] * x
+        return out
 
     def propagate(x):
         for _ in range(reps):
-            x = series(x)
+            x = horner((weights, x))
         return x
-    return propagate
+
+    def force(g, gdot):
+        out = horner((phi1_w, g), (phi2_w, gdot))
+        for r in range(1, reps):
+            out = horner((weights, out)) + horner((phi1_w, g + (r * tau) * gdot),
+                                                  (phi2_w, gdot))
+        return out
+    return propagate, force
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +835,7 @@ def coexistence_bounds(
     graph, part = problem.graph, problem.partition
     # species with one weight structure share their eigenpair and blocks, and their
     # logistic steady state when their coefficients agree too
-    same_weights = _same_species(graph)
+    same_weights, same_steady = _shared_solves(problem)
     eig1 = smallest_dirichlet_eigenpair(graph, 1, part)
     eig2 = eig1 if same_weights else smallest_dirichlet_eigenpair(graph, 2, part)
     g1 = p.a1 - eig1.lambda0 * p.d1
@@ -801,7 +849,7 @@ def coexistence_bounds(
         )
     steady_tol = min(tol, 1e-10)
     s1 = _logistic_steady_state(graph, part, 1, p.d1, p.a1, p.b1, eig1, tol=steady_tol)
-    s2 = (s1 if same_weights and (p.d1, p.a1, p.b1) == (p.d2, p.a2, p.c2)
+    s2 = (s1 if same_steady
           else _logistic_steady_state(graph, part, 2, p.d2, p.a2, p.c2, eig2, tol=steady_tol))
 
     eps_cap = min((p.b1 / (p.a1 * p.b2)) * g2 - 1.0, (p.c2 / (p.a2 * p.c1)) * g1 - 1.0)
@@ -895,27 +943,23 @@ def coexistence_bounds(
 # monotone parabolic solver
 # ---------------------------------------------------------------------------
 
-def _sweep(solve, steps, grid_h, g_samples, y0):
+def _sweep(steps, grid_h, g_samples, y0):
     """March the linear sweep: y' = A y + g(t), g piecewise linear on the grid.
 
-    ``steps`` lists (propagate, h, indices) for each distinct fine step length, with
-    propagate(x) = expm(A h) x, and ``solve(b)`` = A^-1 b. ``g_samples`` has shape
-    (T, n, k); the k columns are independent right-hand sides integrated at
-    once. Every step's forcing is known up front, so the integrals
-    A^-1 (E - I) g_i + A^-1 (A^-1 (E - I) - h I) gdot_i, E = expm(A h), are formed for
-    all steps of one length together; only y <- E y + F_i runs step by step.
+    ``steps`` lists ((propagate, force), indices) for each distinct fine step length, as
+    ``_propagator`` gives them. ``g_samples`` has shape (T, n, k); the k columns are
+    independent right-hand sides integrated at once. Every step's forcing is known up
+    front, so the integrals F_i = Phi1 g_i + Phi2 gdot_i are formed for all steps of one
+    length together, from the uniformization powers with no linear solve; only
+    y <- expm(A h) y + F_i runs step by step.
     """
     t_count, n, k = g_samples.shape
     gdot = np.diff(g_samples, axis=0) / grid_h[:, None, None]
     forcing = np.empty_like(gdot)
     step_prop = [None] * (t_count - 1)
-    for propagate, h, idx in steps:
-        cols = idx.size * k
-        block = np.concatenate([g_samples[idx], gdot[idx]]).transpose(1, 0, 2).reshape(n, -1)
-        moved = propagate(block) - block
-        inner = solve(moved[:, cols:])
-        f = solve(moved[:, :cols] + inner - h * block[:, cols:])
-        forcing[idx] = f.reshape(n, idx.size, k).transpose(1, 0, 2)
+    for (propagate, force), idx in steps:
+        g, slope = (x[idx].transpose(1, 0, 2).reshape(n, -1) for x in (g_samples, gdot))
+        forcing[idx] = force(g, slope).reshape(n, idx.size, k).transpose(1, 0, 2)
         for i in idx:
             step_prop[i] = propagate
     out = np.empty_like(g_samples)
@@ -949,9 +993,10 @@ def monotone_solve(
     ``t_grid``, with iteration diagnostics (including the worst sandwich
     slack) in the metadata, with the gap after each iteration in ``gaps``.
     The propagator expm(A h), A = d L - M I, is its uniformization series,
-    entrywise nonnegative at every truncation; the forcing integrals go
-    through one factorization of A, applied to every fine step at once.
-    Operators keep the storage ``graphs._stores_csr`` picks, so large
+    entrywise nonnegative at every truncation, and the forcing integrals
+    are sums of the same powers with nonnegative Poisson-tail weights,
+    formed for every fine step at once with no linear solve. Operators
+    keep the storage ``graphs._stores_csr`` picks, so large
     sparse graphs form no n x n matrix. More than 2**20 fine points times
     active vertices raise InputError.
     """
@@ -1003,7 +1048,7 @@ def monotone_solve(
     a2_mat = _add_identity(p.d2 * ops.red2, -m_const)
     # species with one operator (same weights, measures and diffusion) share one sweep
     shared = _equal(a1_mat, a2_mat)
-    props = [(_factor(a), [(_propagator(a, h), h, idx) for h, idx in lengths])
+    props = [[(_propagator(a, h), idx) for h, idx in lengths]
              for a in ([a1_mat] if shared else [a1_mat, a2_mat])]
     props1, props2 = props[0], props[-1]
 
@@ -1021,12 +1066,12 @@ def monotone_solve(
         g_u = np.stack([f_upper_u + m_const * upper_u, f_lower_u + m_const * lower_u], axis=-1)
         g_v = np.stack([f_upper_v + m_const * upper_v, f_lower_v + m_const * lower_v], axis=-1)
         if shared:
-            out = _sweep(*props1, grid_h, np.concatenate([g_u, g_v], axis=-1),
+            out = _sweep(props1, grid_h, np.concatenate([g_u, g_v], axis=-1),
                          np.stack([u0, u0, v0, v0], axis=-1))
             out_u, out_v = out[..., :2], out[..., 2:]
         else:
-            out_u = _sweep(*props1, grid_h, g_u, np.stack([u0, u0], axis=-1))
-            out_v = _sweep(*props2, grid_h, g_v, np.stack([v0, v0], axis=-1))
+            out_u = _sweep(props1, grid_h, g_u, np.stack([u0, u0], axis=-1))
+            out_v = _sweep(props2, grid_h, g_v, np.stack([v0, v0], axis=-1))
         new_upper_u, new_lower_u = out_u[..., 0], out_u[..., 1]
         new_upper_v, new_lower_v = out_v[..., 0], out_v[..., 1]
 
@@ -1039,7 +1084,9 @@ def monotone_solve(
         if slack < -_ORDER_SLACK:
             raise NoConvergence(
                 f"monotone sandwich violated by {slack:.3e} at iteration {iterations}; "
-                f"the shift M={m_const:.6g} may be below the reaction Lipschitz bound"
+                f"the shift M={m_const:.6g} may be below the reaction Lipschitz bound, or "
+                f"the pair may fail its inequalities between the t_grid points, where it "
+                f"is not verified"
             )
         upper_u, lower_u = new_upper_u, new_lower_u
         upper_v, lower_v = new_upper_v, new_lower_v

@@ -205,22 +205,35 @@ def reference_tf_derivative(tf, t, n, t0, t_end):
 # reference monotone sweeps (dense forcing matrices, one step at a time)
 # ---------------------------------------------------------------------------
 
+def reference_step(a_mat, h):
+    """Dense E = expm(A h), p0 = A^-1 (E - I) and p1 = A^-1 (p0 - h I) for one step h.
+
+    They are read off one block-triangular exponential (Van Loan, IEEE Trans. Automat.
+    Control 23, 1978): expm([[A, I, 0], [0, 0, I], [0, 0, 0]] h) has E, p0 and p1 as its
+    first block row. Solving with A instead loses digits to cancellation when A is nearly
+    singular (a small shift on a reflecting or whole graph).
+    """
+    n = a_mat.shape[0]
+    block = np.zeros((3 * n, 3 * n))
+    block[:n, :n] = a_mat
+    block[:n, n:2 * n] = block[n:2 * n, 2 * n:] = np.eye(n)
+    top = scipy.linalg.expm(block * h)[:n]
+    return top[:, :n], top[:, n:2 * n], top[:, 2 * n:]
+
+
 def reference_sweep(a_mat, grid_h, g_samples, y0):
     """y' = A y + g(t), g linear on each fine step, by dense forcing matrices.
 
-    Per step length h: E = expm(A h), p0 = A^-1 (E - I), p1 = A^-1 (p0 - h I);
-    then y <- E y + p0 g_i + p1 gdot_i step by step.
+    Per step length h, ``reference_step``'s E, p0 and p1; then
+    y <- E y + p0 g_i + p1 gdot_i step by step.
     """
     cache = {}
-    eye = np.eye(a_mat.shape[0])
     y = y0
     out = [y]
     for i, h in enumerate(grid_h):
         key = round(float(h), 15)
         if key not in cache:
-            e_mat = scipy.linalg.expm(a_mat * h)
-            p0 = np.linalg.solve(a_mat, e_mat - eye)
-            cache[key] = (e_mat, p0, np.linalg.solve(a_mat, p0 - h * eye))
+            cache[key] = reference_step(a_mat, h)
         e_mat, p0, p1 = cache[key]
         gdot = (g_samples[i + 1] - g_samples[i]) / h
         y = e_mat @ y + p0 @ g_samples[i] + p1 @ gdot

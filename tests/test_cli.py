@@ -269,6 +269,35 @@ class TestSteady:
         s2 = [float(r[2]) for r in rows[1:]]
         assert s2 == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("overrides, solves", [({}, 1), ({"a2": 1.5}, 2)],
+                             ids=["identical", "distinct"])
+    def test_identical_species_are_solved_once(self, tmp_path, monkeypatch, overrides,
+                                               solves):
+        """One weight structure with (d, a, e) equal for both species takes one logistic
+        solve, whose profile is both columns; a different a2 takes its own."""
+        calls = []
+        solve = graphlv.cli.logistic_steady_state
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(graphlv.cli, "logistic_steady_state", counted)
+        cfg = write_config(tmp_path, absorbing_doc(**overrides))
+        out = str(tmp_path / "o")
+        assert main(["steady", "--config", cfg, "--out", out]) == 0
+        assert calls == [1, 2][:solves]
+        rows = read_csv(out + "/steady.csv")[1:]
+        assert all((r[1] == r[2]) == (solves == 1) for r in rows)
+
+    def test_identical_subcritical_species_both_get_zero_columns(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, absorbing_doc(a1=0.01, a2=0.01, d1=1.0, d2=1.0))
+        out = str(tmp_path / "o")
+        assert main(["steady", "--config", cfg, "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "species 1 is subcritical" in err and "species 2 is subcritical" in err
+        assert all(r[1:] == ["0", "0"] for r in read_csv(out + "/steady.csv")[1:])
+
     def test_bounds_mode(self, tmp_path, capsys):
         cfg = write_config(tmp_path, absorbing_doc())
         out = str(tmp_path / "o")
@@ -416,7 +445,9 @@ class TestSweep:
                 bound = 1e-9 if column.startswith("pred_") else 1e-7
                 assert abs(float(row[column]) - value) <= bound, column
 
-    def test_one_integrate_and_one_eigen_solve_per_species(self, tmp_path, monkeypatch):
+    @staticmethod
+    def sweep_calls(tmp_path, monkeypatch, doc):
+        """The integrate and eigen solve calls of a 3x2 (a1, d2) sweep of ``doc``."""
         calls = []
         for module, name in ((graphlv.cli, "integrate"),
                              (graphlv.classify, "smallest_dirichlet_eigenpair")):
@@ -424,12 +455,22 @@ class TestSweep:
                 calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        doc = absorbing_doc()
         doc["sweep"] = {"grid": {"a1": [0.05, 0.5, 2.0], "d2": [0.1, 1.0]}, "t_end": 5.0}
         cfg = write_config(tmp_path, doc)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(read_csv(str(tmp_path / "o" / "sweep.csv"))) == 7
-        assert sorted(calls) == ["integrate"] + ["smallest_dirichlet_eigenpair"] * 2
+        return sorted(calls)
+
+    def test_one_integrate_and_one_eigen_solve_per_species(self, tmp_path, monkeypatch):
+        # both species have one weight structure, so they share one eigen solve
+        calls = self.sweep_calls(tmp_path, monkeypatch, absorbing_doc())
+        assert calls == ["integrate", "smallest_dirichlet_eigenpair"]
+
+    def test_split_weights_take_an_eigen_solve_per_species(self, tmp_path, monkeypatch):
+        doc = absorbing_doc()
+        doc["graph"]["edges"] = [[a, b, w, 2.0 * w] for a, b, w in doc["graph"]["edges"]]
+        calls = self.sweep_calls(tmp_path, monkeypatch, doc)
+        assert calls == ["integrate"] + ["smallest_dirichlet_eigenpair"] * 2
 
     def test_workers_flag_rejected(self, tmp_path):
         cfg = write_config(tmp_path, self.sweep_doc({"a1": [2.0]}))

@@ -12,6 +12,7 @@ from conftest import (
     random_connected_interior,
     reference_coexistence_bounds,
     reference_monotone_solve,
+    reference_step,
     reference_tf_derivative,
     stored,
 )
@@ -670,26 +671,40 @@ class TestMonotoneSolve:
                            substep=1e-9)
         assert time.perf_counter() - start < 2.0
 
-    def test_forcing_solves_never_take_a_dense_identity(self, monkeypatch):
-        """The forcing integrals solve against fine-step blocks, never against E - I."""
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_never_factors_a_matrix(self, csr, monkeypatch):
+        """The forcing integrals come from the uniformization powers, so a solve makes no
+        factorization under either storage."""
         prob, u0 = absorbing_lattice(20)
         pair = constant_pair(invariant_rectangle(BOUNDS_PARAMS, u0, u0), (0.0, 0.0),
                              t_end=0.01)
-        widths = []
-        factor = monotone._factor
 
-        def counting_factor(mat):
-            solve = factor(mat)
+        def unreachable(mat):
+            raise AssertionError("monotone_solve factored a matrix")
 
-            def counting_solve(b):
-                widths.append(np.shape(b)[1] if np.ndim(b) == 2 else 1)
-                return solve(b)
-            return counting_solve
-
-        monkeypatch.setattr(monotone, "_factor", counting_factor)
-        sol = monotone_solve(prob, pair, (u0, u0), np.array([0.0, 0.005, 0.01]), substep=5e-4)
+        monkeypatch.setattr(monotone, "_factor", unreachable)
+        with stored(csr):
+            sol = monotone_solve(prob, pair, (u0, u0), np.array([0.0, 0.005, 0.01]),
+                                 substep=5e-4)
         assert sol.metadata["gap"] < 1e-8
-        assert widths and prob.active_idx.size not in widths
+
+    def test_pair_failing_between_grid_points_is_named(self, triangle):
+        """A pair checked only at t_grid may fail its inequalities in between; the sandwich
+        error then names that cause as well as the shift."""
+        params = CompetitionParams(a1=1.0, b1=1.0, c1=0.5, a2=1.0, b2=0.5, c2=1.0)
+        prob = Problem(triangle, params)
+        bump = TimeField(value=lambda t: 2.0 + 10.0 * math.sin(math.pi * t) ** 2,
+                         derivative=lambda t: 10.0 * math.pi * math.sin(2.0 * math.pi * t))
+        two, zero = (TimeField(value=lambda t, c=c: c, derivative=lambda t: 0.0)
+                     for c in (2.0, 0.0))
+        pair = OrderedPair(u_upper=bump, v_upper=two, u_lower=zero, v_lower=zero,
+                           t0=0.0, t_end=1.0)
+        initial = (np.ones(3), np.ones(3))
+        assert verify_coupled_pair(prob, pair, np.array([0.0, 1.0]), initial=initial).passed
+        fine = verify_coupled_pair(prob, pair, np.linspace(0.0, 1.0, 101), initial=initial)
+        assert fine.worst()[0] == "upper_u_pde" and fine.worst()[1] < -13.0
+        with pytest.raises(NoConvergence, match="shift M=6 .* between the t_grid points"):
+            monotone_solve(prob, pair, initial, np.array([0.0, 1.0]), substep=0.01)
 
     def test_lattice_above_the_old_dense_cap(self):
         """1444 active vertices, above the 1024 that dense propagators allowed, stay CSR
@@ -804,10 +819,43 @@ def test_uniformized_propagator_against_expm(seed, bc):
         long_step = rng.uniform(1.02, 3.0) * monotone._MAX_POISSON_MEAN / q
         assert q * long_step > monotone._MAX_POISSON_MEAN
         for h in (rng.uniform(1e-4, 0.05), long_step):
-            got = monotone._propagator(a_mat, h)(x)
+            got = monotone._propagator(a_mat, h)[0](x)
             assert np.all(got >= 0.0)
             want = scipy.linalg.expm(dense * h) @ x
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bc=st.sampled_from(list(BoundaryCondition)))
+def test_uniformized_forcing_against_dense_reference(seed, bc):
+    """Under both storages the forcing Phi1 g + Phi2 gdot agrees with reference_step's
+    p0 g + p1 gdot to 1e-13 of the inputs' scale, max|g| + max|gdot| on a short step and
+    h max|g| + h^2 max|gdot| (the forcing's own bound) on one with q h > 50; both weight
+    families are nonnegative, so nonnegative inputs give a nonnegative forcing."""
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, max_vertices=12, split_weights=True,
+                                   random_measure=True)
+    part = None if bc is BoundaryCondition.NO_BOUNDARY else random_connected_interior(rng, graph)
+    prob = Problem(graph, SET_I, bc=bc, partition=part)
+    d, shift = rng.uniform(0.1, 3.0), rng.uniform(0.01, 1.0)
+    g = rng.uniform(0.0, 2.0, (prob.active_idx.size, 3))
+    gdot = rng.uniform(-2.0, 2.0, g.shape)
+    g[rng.random(g.shape) < 0.3] = 0.0
+    for csr in (True, False):
+        with stored(csr):
+            a_mat = monotone._add_identity(d * reduced_operators(prob).red1, -shift)
+        dense = a_mat.toarray() if csr else a_mat
+        q = float(-dense.diagonal().min())
+        long_step = rng.uniform(1.02, 3.0) * monotone._MAX_POISSON_MEAN / q
+        for h in (rng.uniform(1e-4, 0.05), long_step):
+            weights = monotone._poisson_weights(q * h)
+            assert all(w >= 0.0 for family in monotone._forcing_weights(weights, q)
+                       for w in family)
+            force = monotone._propagator(a_mat, h)[1]
+            _, p0, p1 = reference_step(dense, h)
+            scale = max(1.0, h) * (np.max(np.abs(g)) + max(1.0, h) * np.max(np.abs(gdot)))
+            assert np.max(np.abs(force(g, gdot) - (p0 @ g + p1 @ gdot))) <= 1e-13 * scale
+            assert np.all(force(g, np.abs(gdot)) >= 0.0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -128,6 +128,20 @@ def test_time_fields_have_one_reader():
     assert not found, f"time fields evaluated outside _tf_samples in {found}"
 
 
+def test_monotone_sweeps_make_no_solve():
+    """The forcing integrals of the monotone sweeps come from the uniformization powers, so
+    ``monotone_solve``, ``_sweep`` and ``_propagator`` name no factorization: no
+    ``_factor``, ``splu`` or ``lu_factor``."""
+    tree = ast.parse((PACKAGE / "monotone.py").read_text(encoding="utf-8"))
+    funcs = [func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             and func.name in ("monotone_solve", "_sweep", "_propagator")]
+    assert sorted(func.name for func in funcs) == ["_propagator", "_sweep", "monotone_solve"]
+    found = [f"{func.name}:{node.lineno}" for func in funcs for node in ast.walk(func)
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+             and {"_factor", "splu", "lu_factor"} & _names(node)]
+    assert not found, f"factorizations named in the monotone sweeps at {found}"
+
+
 def _names(node) -> set:
     return {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
 
