@@ -30,6 +30,7 @@ from .graphs import (
     _as_floats,
     _blocks,
     _positive,
+    _positive_int,
     _projection_matrix,
     _same_species,
     field_array,
@@ -149,13 +150,34 @@ class Trajectory:
         return self.states[-1]
 
 
+def _kinetics(y, a, b, c):
+    """Both species' reaction terms at once: ``y`` is (u, v) stacked on a leading axis of
+    2 and ``a``, ``b``, ``c`` are (a1, a2), (b1, b2), (c1, c2) stacked likewise, so row 0
+    is u (a1 - b1 u - c1 v) and row 1 is v (a2 - b2 u - c2 v)."""
+    return y * (a - b * y[0] - c * y[1])
+
+
+def _species_stack(p: CompetitionParams, ndim: int) -> np.ndarray:
+    """The coefficient pairs (a1, a2), (b1, b2), (c1, c2) and (d1, d2) as one array of four
+    rows, each a pair stacked on a leading axis of 2 and shaped to broadcast against a
+    stacked state of ``ndim`` axes, a batch's parameters last: ``a, b, c, d = ...``."""
+    pairs = (p.a1, p.a2, p.b1, p.b2, p.c1, p.c2, p.d1, p.d2)
+    batch = np.broadcast(*pairs).shape
+    stack = np.empty((len(pairs),) + batch)
+    for i, x in enumerate(pairs):
+        stack[i] = x
+    return stack.reshape((4, 2) + (1,) * (ndim - 1 - len(batch)) + batch)
+
+
 def reaction(params: CompetitionParams, u, v):
     """Logistic-competition reaction terms (f1, f2); broadcasts over arrays."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    f1 = u * (params.a1 - params.b1 * u - params.c1 * v)
-    f2 = v * (params.a2 - params.b2 * u - params.c2 * v)
-    return f1, f2
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    ndim = 1 + max(len(shape), len(np.broadcast(*vars(params).values()).shape))
+    y = np.empty((2,) + (1,) * (ndim - 1 - len(shape)) + shape)
+    y[0], y[1] = u, v
+    f = _kinetics(y, *_species_stack(params, ndim)[:3])
+    return f[0], f[1]
 
 
 def invariant_rectangle(params: CompetitionParams, u0, v0) -> tuple[float, float]:
@@ -295,14 +317,21 @@ def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
     return full[0], full[1]
 
 
+def _schedule_options(max_samples, forced) -> tuple[int, np.ndarray]:
+    """``max_samples``, a positive integer, and the forced times as a 1-D float array of
+    finite values; times outside (0, t_end] are allowed and land nowhere."""
+    forced = _as_floats(forced, "forced_times")
+    if forced.ndim != 1 or not np.isfinite(forced).all():
+        raise InputError(f"forced_times must be a sequence of finite times, got {forced!r}")
+    return _positive_int(max_samples, "max_samples"), forced
+
+
 def sample_times(t_end: float, dt: float, max_samples: int = 250, forced=()) -> np.ndarray:
-    """Geometric schedule, dense early; forced times and t_end always land."""
+    """Geometric schedule, dense early; forced times in (0, t_end] and t_end always land."""
     t_end, dt = _positive(t_end, "t_end"), _positive(dt, "dt")
+    max_samples, forced = _schedule_options(max_samples, forced)
     pts = {0.0, float(t_end)}
-    for f in forced:
-        f = float(f)
-        if 0.0 < f <= t_end:
-            pts.add(f)
+    pts.update(forced[(forced > 0.0) & (forced <= t_end)].tolist())
     t = 10.0 * dt
     while t < t_end and len(pts) < max_samples:
         pts.add(float(t))
@@ -347,7 +376,13 @@ def integrate(
     column. Each DP5 stage input, the new state and the error
     estimate are one product of a tableau row with the stored stages, so
     adaptive states differ from a term-by-term stage sum at roundoff;
-    fixed RK4 states are bit-identical to it.
+    fixed RK4 states are bit-identical to it. Both species are evaluated
+    at once (``_windows`` says how), with the same operations in the same
+    order per entry as one species at a time. At most ``max_samples``
+    times are sampled, plus the ``forced_times`` in (0, t_end], which
+    always land (those outside it are ignored); max_samples must be a
+    positive integer and forced_times a sequence of finite times, or
+    InputError is raised before any step.
     """
     return next(_windows(problem, initial, t_end, t_end, dt, max_samples, forced_times))[1]
 
@@ -367,13 +402,22 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     Without dt the steps are adaptive DP5(4) from the stability cap, or, when ``adaptive``
     is false, fixed RK4 steps of the cap, a reference free of step-size control.
 
-    The slopes of the seven stages are rows of one (7, 2 n_act, ...) array per window,
+    The state y is the (u, v) pair on the active set, one (2, n_act, ...) array, and the
+    right-hand side evaluates both species together: ``_kinetics`` on y with the
+    coefficients stacked into (2, 1, ...) arrays (restacked when columns are dropped),
+    plus d times the diffusion, one stacked product ``red @ y`` for a batch whose species
+    share a dense operator and one product per species otherwise (a single state, CSR or
+    two operators). The rectangle test is one maximum over the vertices against the
+    stacked caps, and |y| of an accepted step is reused by the next error estimate.
+
+    The slopes of the seven stages are rows of one (7, 2, n_act, ...) array per window,
     written in place by the right-hand side. A DP5 stage input is y plus the product of
     h times its tableau row with the earlier stages flattened; the fifth-order row gives
     the new state and the error row the estimate, and on acceptance the last stage is
     copied to the first (FSAL). RK4 forms its stage inputs term by term as before.
     """
     t_max = _positive(t_max, "t_end")
+    max_samples, forced_times = _schedule_options(max_samples, forced_times)
     p = problem.params
     ops = reduced_operators(problem)
     u0, v0 = _coerce_initial(problem, initial)
@@ -381,22 +425,28 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
         dt = _positive(dt, "dt")
 
     red1, red2 = ops.red1, ops.red2
-    d1, d2 = p.d1, p.d2
-    # one column per parameter set or initial state when either is a batch
-    y = np.concatenate([u0[ops.act], v0[ops.act]])
+    # the state is the (u, v) pair on the active set, (2, n_act), with one trailing column
+    # per parameter set or initial state when either is a batch
+    y = np.stack([u0[ops.act], v0[ops.act]])
     batch = np.broadcast(*vars(p).values()).shape
-    if y.ndim == 1:
+    if y.ndim == 2:
         y = np.multiply.outer(y, np.ones(batch))
-    elif batch not in ((), y.shape[1:]):
-        raise InputError(f"{y.shape[1]} initial states for {batch[0]} parameter sets")
-    n_act = ops.act.size
+    elif batch not in ((), y.shape[2:]):
+        raise InputError(f"{y.shape[2]} initial states for {batch[0]} parameter sets")
+    # a batch through one shared dense operator takes one product for both species; a
+    # single state keeps one matrix-vector product per species, since one product of the
+    # pair (y @ red.T) would round differently
+    stacked = red1 is red2 and isinstance(red1, np.ndarray) and y.ndim == 3
+    a, b, c, d = _species_stack(p, y.ndim)
 
     def rhs(state: np.ndarray, out: np.ndarray) -> None:
-        u = state[:n_act]
-        v = state[n_act:]
-        f1, f2 = reaction(p, u, v)
-        np.add(d1 * (red1 @ u), f1, out=out[:n_act])
-        np.add(d2 * (red2 @ v), f2, out=out[n_act:])
+        if stacked:
+            np.matmul(red1, state, out=out)
+        else:
+            out[0] = red1 @ state[0]
+            out[1] = red2 @ state[1]
+        out *= d
+        out += _kinetics(state, a, b, c)
 
     dp5 = dt is None and adaptive
     rate = _diffusion_rate(problem, ops) if dt is None else None
@@ -406,10 +456,12 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     while t_done < t_max:
         span = min(window, t_max - t_done)
         # the rectangle of the state the window starts from, boundary values materialized
-        start = _materialize(problem, ops, y[:n_act], y[n_act:])
+        start = _materialize(problem, ops, y[0], y[1])
         m_u, m_v = invariant_rectangle(p, start.u[problem.closure_idx],
                                        start.v[problem.closure_idx])
-        cap_u, cap_v = m_u + _RECT_SLACK, m_v + _RECT_SLACK
+        caps = np.stack([m_u, m_v]) + _RECT_SLACK
+        rows = (y.shape[0] * y.shape[1],) + y.shape[2:]     # y with u stacked over v
+        abs_y = np.abs(y)
         step = _step_cap(p, rate, m_u, m_v) if dt is None else dt
         horizon = min(span, _COUNTED_SPAN) if dp5 else span    # fixed steps: all counted
         if not (math.isfinite(step) and step > 0) or horizon / step > _MAX_STEPS - n_spent:
@@ -456,8 +508,8 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                         rhs(y + h * k3, k4)
                         y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                         n_rhs += 3
-                    if (y_new.min() <= -_CLAMP or (y_new[:n_act].max(axis=0) > cap_u).any()
-                            or (y_new[n_act:].max(axis=0) > cap_v).any()):
+                    low = y_new.min()
+                    if low <= -_CLAMP or (y_new.max(axis=1) > caps).any():
                         # fixed steps keep the halved step; adaptive ones halve the attempt
                         dt_cur = (h if dp5 else dt_cur) * 0.5
                         n_halvings += 1
@@ -467,9 +519,11 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                     else:
                         rhs(y_new, stages[6])
                         n_rhs += 1
-                        scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new))
+                        abs_new = np.abs(y_new)
+                        scale = _ATOL + _RTOL * np.maximum(abs_y, abs_new)
                         ratio = (coefs[7] @ flat).reshape(y.shape) / scale
-                        err = float(np.sqrt((ratio * ratio).sum(axis=0) / len(ratio)).max())
+                        err = float(np.sqrt((ratio * ratio).reshape(rows).sum(axis=0)
+                                            / rows[0]).max())
                         factor = _SAFETY * err ** -0.2 if err > 0.0 else _GROW_MAX
                         if err <= 1.0:
                             proposal = h * min(grow, factor)
@@ -484,19 +538,21 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                     if dt_cur < step * 2.0**-20:
                         raise StepSizeUnstable(f"{why} at t={t_done + t:.6g} and the step fell "
                                                f"to dt={dt_cur:.3e}")
-                undershoot = y_new < 0.0
-                clamped = undershoot.any()
+                clamped = low < 0.0
                 if clamped:
+                    undershoot = y_new < 0.0
                     n_clamped += int(undershoot.sum())
                     y_new[undershoot] = 0.0
                 elif dp5:
                     stages[0] = stages[6]
                 fsal = dp5 and not clamped
+                if dp5:
+                    abs_y = np.abs(y_new) if clamped else abs_new
                 y = y_new
                 t += h
                 n_steps += 1
             t = float(target)
-            states.append(_materialize(problem, ops, y[:n_act], y[n_act:]))
+            states.append(_materialize(problem, ops, y[0], y[1]))
         n_spent += n_steps
         t_done += span
         yield t_done, Trajectory(
@@ -520,8 +576,8 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
             if not keep.any():
                 return
             if not keep.all():
-                y = y[:, keep]
+                y = y[..., keep]
                 p = CompetitionParams(**{name: val[keep] if isinstance(val, np.ndarray) else val
                                          for name, val in vars(p).items()})
-                d1, d2 = p.d1, p.d2
+                a, b, c, d = _species_stack(p, y.ndim)
                 rate = rate[keep] if np.ndim(rate) else rate

@@ -124,6 +124,13 @@ def _positive(value, what: str) -> float:
     return value
 
 
+def _positive_int(value, what: str) -> int:
+    """``value``, which must be a positive integer (not a bool or a float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InputError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def _as_floats(values, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)

@@ -57,6 +57,7 @@ from .graphs import (
     _boundary_normal,
     _closure_laplacian,
     _positive,
+    _positive_int,
 )
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
@@ -550,14 +551,6 @@ def analytic_envelopes(
                        t0=t0, t_end=float(t_end), info=info)
 
 
-def _iteration_budget(max_iters) -> int:
-    """``max_iters``, which must be a positive integer (not a bool or a float)."""
-    if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
-            or max_iters < 1):
-        raise InputError(f"max_iters must be a positive integer, got {max_iters!r}")
-    return max_iters
-
-
 def _exp_field(amplitude: float, offset: float, rate: float, t0: float) -> TimeField:
     """offset + amplitude * exp(-rate * (t - t0)) with its exact derivative."""
     return TimeField(
@@ -732,7 +725,7 @@ def logistic_steady_state(
     max_iters a positive integer.
     """
     d, e, tol = _positive(d, "d"), _positive(e, "e"), _positive(tol, "tol")
-    a, max_iters = _as_float(a, "a"), _iteration_budget(max_iters)
+    a, max_iters = _as_float(a, "a"), _positive_int(max_iters, "max_iters")
     if not math.isfinite(a):
         raise InputError(f"a must be finite, got {a}")
     return _logistic_steady_state(graph, partition, species, d, a, e,
@@ -988,8 +981,9 @@ def monotone_solve(
     three mirrored ones) with exponential propagators on a fine uniform
     grid; the sweeps squeeze monotonically onto the solution. The shift M,
     which must be positive and finite, defaults to the reaction Lipschitz
-    bound over the pair's range; too small an M breaks the monotone squeeze
-    and is reported as NoConvergence. Returns the common limit sampled at
+    bound over the pair's range at the ``t_grid`` points and the fine points
+    between them; too small an M breaks the monotone squeeze and is
+    reported as NoConvergence. Returns the common limit sampled at
     ``t_grid``, with iteration diagnostics (including the worst sandwich
     slack) in the metadata, with the gap after each iteration in ``gaps``.
     The propagator expm(A h), A = d L - M I, is its uniformization series,
@@ -1005,7 +999,7 @@ def monotone_solve(
         substep = _positive(substep, "substep")
     if m_const is not None:
         m_const = _positive(m_const, "m_const")
-    tol, max_iters = _positive(tol, "tol"), _iteration_budget(max_iters)
+    tol, max_iters = _positive(tol, "tol"), _positive_int(max_iters, "max_iters")
     if t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise InputError("t_grid must be a finite increasing array with at least two times")
     if abs(float(t_grid[0]) - pair.t0) > 1e-12:
@@ -1032,9 +1026,16 @@ def monotone_solve(
     grid_index = np.concatenate([[0], np.cumsum(counts)])
     grid_h = np.diff(fine)
 
-    m_u, m_v = (float(_tf_samples(tf.value, t_grid, n, np.arange(n)).max())
-                for tf in (pair.u_upper, pair.v_upper))
+    u0, v0 = (x[ops.act] for x in _coerce_initial(problem, initial))
+
+    upper_u, upper_v, lower_u, lower_v = (_tf_samples(tf.value, fine, n, ops.act) for tf in (
+        pair.u_upper, pair.v_upper, pair.u_lower, pair.v_lower))
+
     if m_const is None:
+        # the upper fields' range: every vertex at t_grid, and the fine points swept on
+        m_u, m_v = (max(float(_tf_samples(tf.value, t_grid, n, np.arange(n)).max()),
+                        float(upper.max()))
+                    for tf, upper in ((pair.u_upper, upper_u), (pair.v_upper, upper_v)))
         m_const = max(p.a1 + 2 * p.b1 * m_u + p.c1 * m_v,
                       p.a2 + p.b2 * m_u + 2 * p.c2 * m_v)
 
@@ -1051,11 +1052,6 @@ def monotone_solve(
     props = [[(_propagator(a, h), idx) for h, idx in lengths]
              for a in ([a1_mat] if shared else [a1_mat, a2_mat])]
     props1, props2 = props[0], props[-1]
-
-    u0, v0 = (x[ops.act] for x in _coerce_initial(problem, initial))
-
-    upper_u, upper_v, lower_u, lower_v = (_tf_samples(tf.value, fine, n, ops.act) for tf in (
-        pair.u_upper, pair.v_upper, pair.u_lower, pair.v_lower))
 
     min_slack = np.inf
     gaps = []

@@ -712,3 +712,35 @@ def test_stepper_matches_per_stage_sums(kind, seed):
                                            atol=1e-12 * float(np.max(np.abs(want))))
             else:
                 assert got.tobytes() == want.tobytes()
+
+
+def _per_species(p, u, v):
+    """The kinetics as two lines, one per species."""
+    return u * (p.a1 - p.b1 * u - p.c1 * v), v * (p.a2 - p.b2 * u - p.c2 * v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), columns=st.integers(1, 5),
+       state_2d=st.booleans(), batched=st.booleans())
+def test_kinetics_kernel_matches_the_per_species_formula(seed, n, columns, state_2d, batched):
+    """``reaction`` and the stacked kernel, given the coefficient stacks the stepper
+    builds, equal the per-species formula bit for bit: 1-D states (one value per column)
+    and (n, P) states, under scalar parameters or (P,) batches (any of the coefficients an
+    array), and again after some columns are dropped and the stacks rebuilt."""
+    rng = np.random.default_rng(seed)
+    arrays = rng.random(8) < 0.5 if batched else np.zeros(8, dtype=bool)
+    arrays[rng.integers(8)] |= batched
+    params = CompetitionParams(**{
+        name: rng.uniform(0.1, 3.0, columns) if array else float(rng.uniform(0.1, 3.0))
+        for name, array in zip(vars(PARAMS_I), arrays)})
+    u, v = rng.uniform(0.0, 4.0, (2, n, columns) if state_2d else (2, columns))
+    keep = rng.random(columns) < 0.5
+    keep[rng.integers(columns)] = True
+    dropped = CompetitionParams(**{name: val[keep] if isinstance(val, np.ndarray) else val
+                                   for name, val in vars(params).items()})
+    for p, (u_p, v_p) in ((params, (u, v)), (dropped, (u[..., keep], v[..., keep]))):
+        want = np.stack(_per_species(p, u_p, v_p))
+        assert np.stack(reaction(p, u_p, v_p)).tobytes() == want.tobytes()
+        pair = np.stack([u_p, v_p])
+        got = dynamics._kinetics(pair, *dynamics._species_stack(p, pair.ndim)[:3])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

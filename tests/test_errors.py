@@ -15,11 +15,14 @@ from graphlv import (
     classify_bistable_basin,
     coexistence_bounds,
     constant_pair,
+    dynamics,
     field_array,
+    integrate,
     logistic_steady_state,
     maximum_principle_check,
     monotone,
     monotone_solve,
+    sample_times,
     smallest_dirichlet_eigenpair,
     verify_coupled_pair,
 )
@@ -108,6 +111,42 @@ CASES = {
 def test_malformed_input_is_an_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+SCHEDULES = {
+    "negative-samples": {"max_samples": -3},
+    "zero-samples": {"max_samples": 0},
+    "bool-samples": {"max_samples": True},
+    "fractional-samples": {"max_samples": 2.5},
+    "text-samples": {"max_samples": "x"},
+    "text-forced-time": {"forced_times": ["a"]},
+    "scalar-forced-time": {"forced_times": 5},
+    "nan-forced-time": {"forced_times": [0.5, np.nan]},
+    "nested-forced-times": {"forced_times": [[0.5]]},
+}
+
+
+@pytest.mark.parametrize("kwargs", SCHEDULES.values(), ids=SCHEDULES.keys())
+def test_bad_sample_schedule_is_refused_before_stepping(kwargs, monkeypatch):
+    """A bad max_samples or forced_times is an InputError from ``integrate`` before any
+    right-hand side is evaluated, and from ``sample_times``."""
+    def unreachable(*args):
+        raise AssertionError("stepped before checking the sample schedule")
+
+    monkeypatch.setattr(dynamics, "_kinetics", unreachable)
+    with pytest.raises(InputError, match="max_samples|forced_times"):
+        integrate(_problem(), INSIDE, 1.0, **kwargs)
+    forced = kwargs.get("forced_times", ())
+    with pytest.raises(InputError, match="max_samples|forced_times"):
+        sample_times(1.0, 0.01, max_samples=kwargs.get("max_samples", 250), forced=forced)
+
+
+def test_forced_times_past_the_end_are_allowed():
+    """A windowed run hands one forced schedule to every window, so times beyond t_end
+    (or before 0) are ignored, not refused."""
+    traj = integrate(_problem(), INSIDE, 1.0, max_samples=np.int64(3),
+                     forced_times=np.array([-1.0, 0.5, 7.0]))
+    assert 0.5 in traj.times and traj.times[-1] == 1.0 and 7.0 not in traj.times
 
 
 @pytest.mark.parametrize("t_max", [np.nan, 0.0, -1.0])

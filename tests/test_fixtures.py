@@ -169,18 +169,18 @@ def test_settled_columns_are_not_stepped(monkeypatch):
     # neumann-i settles after the first window and neumann-iii after the second: the second
     # window evaluates the right-hand side on one column only
     widths, ends = [], []
-    reaction, windows = dynamics.reaction, fixtures._windows
+    kinetics, windows = dynamics._kinetics, fixtures._windows
 
-    def counted(params, u, v):
-        widths.append(np.shape(u)[1])
-        return reaction(params, u, v)
+    def counted(y, a, b, c):
+        widths.append(np.shape(y)[2])       # y is the (2, n_act, columns) pair
+        return kinetics(y, a, b, c)
 
     def recorded(*args, **kwargs):
         for t_done, traj in windows(*args, **kwargs):
             ends.append((len(widths), traj))
             yield t_done, traj
 
-    monkeypatch.setattr(dynamics, "reaction", counted)
+    monkeypatch.setattr(dynamics, "_kinetics", counted)
     monkeypatch.setattr(fixtures, "_windows", recorded)
     results = fixtures._run_cases(["neumann-i", "neumann-iii"])
     assert [r.t_reached for r in results] == [10.0, 20.0]

@@ -690,7 +690,8 @@ class TestMonotoneSolve:
 
     def test_pair_failing_between_grid_points_is_named(self, triangle):
         """A pair checked only at t_grid may fail its inequalities in between; the sandwich
-        error then names that cause as well as the shift."""
+        error then names that cause as well as the shift, which is taken over the fine
+        points too, where the bump reaches 12: M = a1 + 2 b1 12 + c1 2 = 26."""
         params = CompetitionParams(a1=1.0, b1=1.0, c1=0.5, a2=1.0, b2=0.5, c2=1.0)
         prob = Problem(triangle, params)
         bump = TimeField(value=lambda t: 2.0 + 10.0 * math.sin(math.pi * t) ** 2,
@@ -703,8 +704,25 @@ class TestMonotoneSolve:
         assert verify_coupled_pair(prob, pair, np.array([0.0, 1.0]), initial=initial).passed
         fine = verify_coupled_pair(prob, pair, np.linspace(0.0, 1.0, 101), initial=initial)
         assert fine.worst()[0] == "upper_u_pde" and fine.worst()[1] < -13.0
-        with pytest.raises(NoConvergence, match="shift M=6 .* between the t_grid points"):
+        with pytest.raises(NoConvergence, match="shift M=26 .* between the t_grid points"):
             monotone_solve(prob, pair, initial, np.array([0.0, 1.0]), substep=0.01)
+
+    def test_default_shift_covers_the_fine_points(self, triangle):
+        """An upper u that is 10 at both grid points and 20 between them, a valid pair
+        throughout: the default M is the Lipschitz bound at 20, not at 10 (which gave 43)."""
+        rate = math.pi / 0.2
+        bump = TimeField(value=lambda t: 10.0 + 10.0 * math.sin(rate * t) ** 2,
+                         derivative=lambda t: 10.0 * rate * math.sin(2.0 * rate * t))
+        one, zero = (TimeField(value=lambda t, c=c: c, derivative=lambda t: 0.0)
+                     for c in (1.0, 0.0))
+        pair = OrderedPair(u_upper=bump, v_upper=one, u_lower=zero, v_lower=zero,
+                           t0=0.0, t_end=0.2)
+        prob, initial = Problem(triangle, SET_I), (np.full(3, 0.5), np.full(3, 0.5))
+        assert verify_coupled_pair(prob, pair, np.linspace(0.0, 0.2, 41),
+                                   initial=initial).passed
+        sol = monotone_solve(prob, pair, initial, np.array([0.0, 0.2]), substep=0.05)
+        assert sol.metadata["m_const"] == SET_I.a1 + 2 * SET_I.b1 * 20.0 + SET_I.c1 == 83.0
+        assert sol.metadata["gap"] < 1e-8
 
     def test_lattice_above_the_old_dense_cap(self):
         """1444 active vertices, above the 1024 that dense propagators allowed, stay CSR

@@ -142,6 +142,21 @@ def test_monotone_sweeps_make_no_solve():
     assert not found, f"factorizations named in the monotone sweeps at {found}"
 
 
+def test_kinetics_have_one_home():
+    """The kinetics u (a1 - b1 u - c1 v) and v (a2 - b2 u - c2 v) are computed by
+    ``dynamics._kinetics`` alone, on both species stacked, so no function in the package
+    writes either by hand: no subtraction ``X.a1 - X.b1 * ...`` or ``X.a2 - X.b2 * ...``."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                  and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+                  and any({f"a{i}"} & _names(node.left) and {f"b{i}"} & _names(node.right.left)
+                          for i in (1, 2))]
+    assert not found, f"kinetics written by hand in {found}"
+
+
 def _names(node) -> set:
     return {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
 
