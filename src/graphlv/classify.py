@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BoundaryCondition, CompetitionParams, FieldPair, Problem, _state_extrema
+from .dynamics import BoundaryCondition, CompetitionParams, Problem, _materialize, _state_extrema
 from .errors import DegenerateTriangle, InputError, RequiresSteadySolve
 from .graphs import _same_species
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
@@ -185,22 +185,19 @@ def classify_dirichlet(
 def predicted_limit(regime: Regime, problem: Problem, bounds=None):
     """Materialize the regime's predicted limit on the problem's vertices.
 
-    Constant limits fill the closure; semitrivial limits solve the
-    scalar logistic steady state on the interior. Coexistence bounds
-    must be passed in (they are a solve of their own); bistable and
-    unresolved regimes have no single limit.
+    Constant limits are that constant on the active vertices with a
+    reflecting boundary projected from them, as trajectory states are (so
+    equal to it there up to rounding); semitrivial limits solve the scalar
+    logistic steady state on the interior. Coexistence bounds must be
+    passed in (they are a solve of their own); bistable and unresolved
+    regimes have no single limit.
     """
     if regime.predicted is None:
         raise InputError(f"regime {regime.kind.value} does not predict a single limit")
     kind = regime.predicted.kind
-    n = problem.graph.n
-    closure = problem.closure_idx
     if kind == "constant":
-        u = np.zeros(n)
-        v = np.zeros(n)
-        u[closure] = regime.predicted.u
-        v[closure] = regime.predicted.v
-        return FieldPair(u=u, v=v)
+        values = (regime.predicted.u, regime.predicted.v)
+        return _materialize(problem, np.outer(values, np.ones(problem.active_idx.size)))
     if kind == "bounds":
         if bounds is None:
             raise RequiresSteadySolve("coexistence bounds were not supplied")
@@ -211,19 +208,14 @@ def predicted_limit(regime: Regime, problem: Problem, bounds=None):
         from .monotone import logistic_steady_state
 
         p = problem.params
-        u = np.zeros(n)
-        v = np.zeros(n)
         if kind == "logistic-u":
-            state = logistic_steady_state(
-                problem.graph, problem.partition, 1, d=p.d1, a=p.a1, e=p.b1
-            )
-            u[problem.partition.interior_idx] = state.values
+            species, d, a, e = 1, p.d1, p.a1, p.b1
         else:
-            state = logistic_steady_state(
-                problem.graph, problem.partition, 2, d=p.d2, a=p.a2, e=p.c2
-            )
-            v[problem.partition.interior_idx] = state.values
-        return FieldPair(u=u, v=v)
+            species, d, a, e = 2, p.d2, p.a2, p.c2
+        state = logistic_steady_state(problem.graph, problem.partition, species, d=d, a=a, e=e)
+        pair = np.zeros((2, state.values.size))
+        pair[species - 1] = state.values
+        return _materialize(problem, pair)
     raise InputError(f"unknown predicted-limit kind {kind!r}")
 
 

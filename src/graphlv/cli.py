@@ -33,7 +33,7 @@ from .config import (
     problem_from_document,
     sweep_spec_from_document,
 )
-from .dynamics import BoundaryCondition, Trajectory, _materialize, integrate, reduced_operators
+from .dynamics import BoundaryCondition, FieldPair, Trajectory, integrate, neumann_project
 from .errors import (
     ConfigInvalid,
     GraphLVError,
@@ -103,13 +103,11 @@ def _cmd_simulate(args) -> int:
 
 def _basin_initial(cfg) -> tuple[np.ndarray, np.ndarray]:
     """The closure values of the initial data, the reflecting boundary's projected."""
-    problem, u, v = cfg.problem, cfg.initial_u, cfg.initial_v
+    problem, state = cfg.problem, FieldPair(u=cfg.initial_u, v=cfg.initial_v)
     if problem.bc is BoundaryCondition.NEUMANN:
-        ops = reduced_operators(problem)
-        state = _materialize(problem, ops, u[ops.act], v[ops.act])
-        u, v = state.u, state.v
+        state = neumann_project(problem, state)
     idx = problem.closure_idx
-    return u[idx], v[idx]
+    return state.u[idx], state.v[idx]
 
 
 def _classify_problem(params, eigs, basin):
@@ -164,9 +162,8 @@ def _cmd_eigen(args) -> int:
     lines = [f"# lambda0_1 = {_fmt(eig1.lambda0)}",
              f"# lambda0_2 = {_fmt(eig2.lambda0)}",
              "vertex,phi1,phi2"]
-    for k, i in enumerate(problem.partition.interior_idx):
-        vertex = problem.graph.vertices[i]
-        lines.append(f"{vertex},{_fmt(eig1.phi[k])},{_fmt(eig2.phi[k])}")
+    for vertex, phi1, phi2 in zip(problem.partition.interior, eig1.phi, eig2.phi):
+        lines.append(f"{vertex},{_fmt(phi1)},{_fmt(phi2)}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out is not None:
@@ -187,7 +184,7 @@ def _cmd_steady(args) -> int:
     p = problem.params
     tol = 1e-10 if args.tol is None else _positive(args.tol, "--tol")
     out = _ensure_dir(args.out)
-    interior = [problem.graph.vertices[i] for i in problem.partition.interior_idx]
+    interior = problem.partition.interior
     if args.bounds:
         if tol < 1e-10:    # absolute residuals: finer ones drown in roundoff at large scales
             raise InputError(f"steady --bounds needs --tol of at least 1e-10, got {tol:g}")

@@ -194,13 +194,11 @@ def invariant_rectangle(params: CompetitionParams, u0, v0) -> tuple[float, float
 @dataclass(frozen=True, eq=False)
 class _Operators:
     """Reduced diffusion matrices, dense or CSR, the largest closure degree over measure
-    of each species at the active vertices, and boundary materialization data."""
+    of each species at the active vertices, and the reflecting boundary's projections."""
 
-    act: np.ndarray
     red1: np.ndarray
     red2: np.ndarray
     degrees: tuple[float, float]
-    bnd: np.ndarray | None = None
     proj1: np.ndarray | None = None
     proj2: np.ndarray | None = None
 
@@ -215,9 +213,8 @@ def reduced_operators(problem: Problem) -> _Operators:
     l1, l1_ib = _blocks(graph, 1, part)
     l2, l2_ib = (l1, l1_ib) if same else _blocks(graph, 2, part)
     degrees = (float(-l1.diagonal().min()), float(-l2.diagonal().min()))
-    act, bnd = problem.active_idx, None if part is None else part.boundary_idx
     if problem.bc is not BoundaryCondition.NEUMANN:
-        return _Operators(act=act, red1=l1, red2=l2, degrees=degrees, bnd=bnd)
+        return _Operators(red1=l1, red2=l2, degrees=degrees)
     p1 = _projection_matrix(graph, 1, part)
     red1 = l1 + l1_ib @ p1
     if same:
@@ -225,20 +222,20 @@ def reduced_operators(problem: Problem) -> _Operators:
     else:
         p2 = _projection_matrix(graph, 2, part)
         red2 = l2 + l2_ib @ p2
-    return _Operators(act=act, red1=red1, red2=red2, degrees=degrees, bnd=bnd,
-                      proj1=p1, proj2=p2)
+    return _Operators(red1=red1, red2=red2, degrees=degrees, proj1=p1, proj2=p2)
 
 
 def neumann_project(problem: Problem, state: FieldPair) -> FieldPair:
-    """Replace boundary values by the interior weighted average per species."""
+    """Replace boundary values by the interior weighted average per species; u and v are
+    arrays of one shape, (n,) or (n, P), or InputError is raised."""
     if problem.bc is not BoundaryCondition.NEUMANN:
         raise InputError("projection only applies to the reflecting boundary condition")
-    part = problem.partition
-    u, v = np.array(state.u, dtype=float), np.array(state.v, dtype=float)
-    for species, x in ((1, u), (2, v)):
-        proj = _projection_matrix(problem.graph, species, part)
-        x[part.boundary_idx] = proj @ x[part.interior_idx]
-    return FieldPair(u=u, v=v)
+    u, v = np.asarray(state.u, dtype=float), np.asarray(state.v, dtype=float)
+    if u.shape != v.shape or u.shape[:1] != (problem.graph.n,):
+        raise InputError(f"a state needs one value per vertex and species, got shapes {u.shape} "
+                         f"and {v.shape} on {problem.graph.n} vertices")
+    full = np.stack([u, v])
+    return _materialize(problem, full[:, problem.active_idx], base=full)
 
 
 def _diffusion_rate(problem: Problem, ops: _Operators | None = None):
@@ -272,8 +269,9 @@ def _state_extrema(state) -> tuple[float, float, float, float]:
     return float(u.min()), float(u.max()), float(v.min()), float(v.max())
 
 
-def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
-    """Full-order initial (u, v) from a FieldPair or a (u, v) pair, zero off the closure.
+def _coerce_initial(problem: Problem, initial) -> np.ndarray:
+    """Full-order initial (u, v) as one (2, n[, P]) array, which unpacks as ``u, v``, from
+    a FieldPair or a (u, v) pair, zero off the closure.
 
     Each side is a scalar, which is that constant on the active vertices (so zero on a
     Dirichlet boundary), anything else ``field_array`` accepts, or an (n, P) array with one
@@ -314,7 +312,7 @@ def _coerce_initial(problem: Problem, initial) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("Dirichlet initial data must vanish on the boundary")
     if np.any(full < 0.0):
         raise NegativeInitial("initial data must be nonnegative")
-    return full[0], full[1]
+    return full
 
 
 def _schedule_options(max_samples, forced) -> tuple[int, np.ndarray]:
@@ -339,15 +337,20 @@ def sample_times(t_end: float, dt: float, max_samples: int = 250, forced=()) -> 
     return np.array(sorted(pts))
 
 
-def _materialize(problem: Problem, ops: _Operators, u_act, v_act) -> FieldPair:
-    u = np.zeros((problem.graph.n,) + np.shape(u_act)[1:])
-    v = np.zeros_like(u)
-    u[ops.act] = u_act
-    v[ops.act] = v_act
+def _materialize(problem: Problem, y, ops: _Operators | None = None, base=None) -> FieldPair:
+    """The one map from the active set back to vertex order: the pair ``y``, (2, n_act, ...),
+    written over ``base`` (a full-order (2, n, ...) pair, zeros when None) on the active
+    vertices, with a reflecting boundary set to each species' projection of the interior
+    (``ops``' projections, built here when ``ops`` is None)."""
+    full = np.zeros((2, problem.graph.n) + y.shape[2:]) if base is None else base
+    full[:, problem.active_idx] = y
     if problem.bc is BoundaryCondition.NEUMANN:
-        u[ops.bnd] = ops.proj1 @ u_act
-        v[ops.bnd] = ops.proj2 @ v_act
-    return FieldPair(u=u, v=v)
+        graph, part = problem.graph, problem.partition
+        projs = ((_projection_matrix(graph, 1, part), _projection_matrix(graph, 2, part))
+                 if ops is None else (ops.proj1, ops.proj2))
+        for k, proj in enumerate(projs):
+            full[k, part.boundary_idx] = proj @ y[k]
+    return FieldPair(u=full[0], v=full[1])
 
 
 def integrate(
@@ -420,14 +423,13 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     max_samples, forced_times = _schedule_options(max_samples, forced_times)
     p = problem.params
     ops = reduced_operators(problem)
-    u0, v0 = _coerce_initial(problem, initial)
+    # the state is the (u, v) pair on the active set, (2, n_act), with one trailing column
+    # per parameter set or initial state when either is a batch
+    y = _coerce_initial(problem, initial)[:, problem.active_idx]
     if dt is not None:
         dt = _positive(dt, "dt")
 
     red1, red2 = ops.red1, ops.red2
-    # the state is the (u, v) pair on the active set, (2, n_act), with one trailing column
-    # per parameter set or initial state when either is a batch
-    y = np.stack([u0[ops.act], v0[ops.act]])
     batch = np.broadcast(*vars(p).values()).shape
     if y.ndim == 2:
         y = np.multiply.outer(y, np.ones(batch))
@@ -456,7 +458,7 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     while t_done < t_max:
         span = min(window, t_max - t_done)
         # the rectangle of the state the window starts from, boundary values materialized
-        start = _materialize(problem, ops, y[0], y[1])
+        start = _materialize(problem, y, ops)
         m_u, m_v = invariant_rectangle(p, start.u[problem.closure_idx],
                                        start.v[problem.closure_idx])
         caps = np.stack([m_u, m_v]) + _RECT_SLACK
@@ -552,7 +554,7 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                 t += h
                 n_steps += 1
             t = float(target)
-            states.append(_materialize(problem, ops, y[0], y[1]))
+            states.append(_materialize(problem, y, ops))
         n_spent += n_steps
         t_done += span
         yield t_done, Trajectory(

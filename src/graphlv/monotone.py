@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .classify import _shared_solves, coexistence_point
+from .classify import _shared_solves, coexistence_point, eigenpairs_for
 from .dynamics import (
     _MAX_STEPS,
     BoundaryCondition,
@@ -62,7 +62,8 @@ from .graphs import (
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
 _ORDER_SLACK = 1e-12
-# uniformization: the series stops once its Poisson tail is below _POISSON_TAIL, and a CSR
+# uniformization: the propagator's series stops once its Poisson tail is below _POISSON_TAIL
+# (the forcing's once it is below _POISSON_TAIL min(1, (q h)^2)), and a CSR
 # step with q h above _MAX_POISSON_MEAN is split into equal substeps (e^-50 is far from
 # underflow; the series then has about 110 terms)
 _POISSON_TAIL = 1e-16
@@ -392,9 +393,10 @@ def verify_coupled_pair(
     graph, part, act = problem.graph, problem.partition, problem.active_idx
     grid = _time_grid(grid, "grid")
     if initial is not None:
-        u0, v0 = _coerce_initial(problem, initial)
-        if u0.ndim != 1:
-            raise InputError(f"initial data must be one state, got shape {u0.shape}")
+        y0 = _coerce_initial(problem, initial)
+        if y0.ndim != 2:
+            raise InputError(f"initial data must be one state, got shape {y0.shape[1:]}")
+        u0, v0 = y0[:, act]
     every = np.arange(graph.n)
     fields = {"upper_u": pair.u_upper, "upper_v": pair.v_upper,
               "lower_u": pair.u_lower, "lower_v": pair.v_lower}
@@ -429,10 +431,10 @@ def verify_coupled_pair(
     if initial is not None:
         t0 = _time_grid([pair.t0], "the pair's t0")
         at_t0 = {name: _tf_samples(tf.value, t0, graph.n, act)[0] for name, tf in fields.items()}
-        slacks["initial_u"] = float(min((at_t0["upper_u"] - u0[act]).min(),
-                                        (u0[act] - at_t0["lower_u"]).min()))
-        slacks["initial_v"] = float(min((at_t0["upper_v"] - v0[act]).min(),
-                                        (v0[act] - at_t0["lower_v"]).min()))
+        slacks["initial_u"] = float(min((at_t0["upper_u"] - u0).min(),
+                                        (u0 - at_t0["lower_u"]).min()))
+        slacks["initial_v"] = float(min((at_t0["upper_v"] - v0).min(),
+                                        (v0 - at_t0["lower_v"]).min()))
 
     passed = all(s >= -slack_tol for s in slacks.values())
     return PairReport(slacks=slacks, passed=passed, tol=slack_tol)
@@ -573,13 +575,6 @@ def _add_identity(mat, c: float):
     return mat + c * sp.eye_array(mat.shape[0], format="csr")
 
 
-def _equal(a, b) -> bool:
-    """Whether two dense or CSR matrices agree entrywise; a CSR comparison is itself CSR,
-    so neither storage densifies."""
-    unequal = a != b
-    return not (unequal.any() if isinstance(unequal, np.ndarray) else unequal.nnz)
-
-
 def _factor(mat) -> Callable[[np.ndarray], np.ndarray]:
     """b -> mat^-1 b, factored once: SuperLU for a CSR mat, LAPACK LU for a dense one (getrs
     called directly: ``lu_solve``'s checks cost several times the solve on a small block)."""
@@ -593,14 +588,14 @@ def _factor(mat) -> Callable[[np.ndarray], np.ndarray]:
     return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
 
-def _poisson_weights(lam: float) -> list[float]:
+def _poisson_weights(lam: float, tail: float = _POISSON_TAIL) -> list[float]:
     """Poisson(lam) probabilities of 0, 1, ..., K, with K >= 1 the first count whose tail
-    beyond it is below _POISSON_TAIL (bounded by a geometric series once K + 2 > lam)."""
+    beyond it is below ``tail`` (bounded by a geometric series once K + 2 > lam)."""
     weights = [math.exp(-lam)]
     while True:
         k = len(weights)
         nxt = weights[-1] * lam / k
-        if k > 1 and k + 1 > lam and nxt / (1.0 - lam / (k + 1)) < _POISSON_TAIL:
+        if k > 1 and k + 1 > lam and nxt / (1.0 - lam / (k + 1)) < tail:
             return weights
         weights.append(nxt)
 
@@ -644,16 +639,21 @@ def _propagator(a_mat, h: float):
     else:
         reps = max(1, math.ceil(q * h / _MAX_POISSON_MEAN))
     tau = h / reps
-    weights = _poisson_weights(q * tau)
-    phi1_w, phi2_w = _forcing_weights(weights, q)
+    lam = q * tau
+    weights = _poisson_weights(lam)
+    # Phi1 ~ tau and Phi2 ~ tau^2 / 2 while a truncated tail costs them about K tail / q and
+    # K tail / q^2, so their series stops on a tail relative to min(1, lam^2)
+    phi1_w, phi2_w = _forcing_weights(_poisson_weights(lam, _POISSON_TAIL * min(1.0, lam * lam)),
+                                      q)
     p_mat = _add_identity(a_mat / q, 1.0)    # dividing makes the smallest diagonal exactly 0
 
     if dense:
         term = np.eye(a_mat.shape[0])
         e_mat, phi1, phi2 = weights[0] * term, phi1_w[0] * term, phi2_w[0] * term
-        for k, w in enumerate(weights[1:], start=1):
+        for k in range(1, max(len(weights), len(phi1_w))):
             term = p_mat @ term
-            e_mat = e_mat + w * term
+            if k < len(weights):
+                e_mat = e_mat + weights[k] * term
             if k < len(phi1_w):
                 phi1 += phi1_w[k] * term
                 phi2 += phi2_w[k] * term
@@ -829,8 +829,7 @@ def coexistence_bounds(
     # species with one weight structure share their eigenpair and blocks, and their
     # logistic steady state when their coefficients agree too
     same_weights, same_steady = _shared_solves(problem)
-    eig1 = smallest_dirichlet_eigenpair(graph, 1, part)
-    eig2 = eig1 if same_weights else smallest_dirichlet_eigenpair(graph, 2, part)
+    eig1, eig2 = eigenpairs_for(problem)
     g1 = p.a1 - eig1.lambda0 * p.d1
     g2 = p.a2 - eig2.lambda0 * p.d2
     k1 = g1 - (p.c1 / p.c2) * p.a2
@@ -864,7 +863,7 @@ def coexistence_bounds(
     l1 = _blocks(graph, 1, part)[0]
     l2 = l1 if same_weights else _blocks(graph, 2, part)[0]
     diffusion = (p.d1 * l1, p.d2 * l2)
-    shared = _equal(*diffusion)
+    shared = same_weights and p.d1 == p.d2
     shifts, solves = [np.inf, np.inf], [None, None]
     pseudo, settle_times, gaps = 0.0, [None, None], []
     stall = _Stall()
@@ -981,11 +980,13 @@ def monotone_solve(
     three mirrored ones) with exponential propagators on a fine uniform
     grid; the sweeps squeeze monotonically onto the solution. The shift M,
     which must be positive and finite, defaults to the reaction Lipschitz
-    bound over the pair's range at the ``t_grid`` points and the fine points
-    between them; too small an M breaks the monotone squeeze and is
-    reported as NoConvergence. Returns the common limit sampled at
-    ``t_grid``, with iteration diagnostics (including the worst sandwich
-    slack) in the metadata, with the gap after each iteration in ``gaps``.
+    bound over the upper fields' range on the closure at the ``t_grid``
+    points and on the active vertices at the fine points between them (a
+    pair's values off the closure take no part); too small an M breaks
+    the monotone squeeze and is reported as NoConvergence. Returns the
+    common limit sampled at ``t_grid``, with iteration diagnostics
+    (including the worst sandwich slack) in the metadata, with the gap
+    after each iteration in ``gaps``.
     The propagator expm(A h), A = d L - M I, is its uniformization series,
     entrywise nonnegative at every truncation, and the forcing integrals
     are sums of the same powers with nonnegative Poisson-tail weights,
@@ -1026,14 +1027,16 @@ def monotone_solve(
     grid_index = np.concatenate([[0], np.cumsum(counts)])
     grid_h = np.diff(fine)
 
-    u0, v0 = (x[ops.act] for x in _coerce_initial(problem, initial))
+    act = problem.active_idx
+    u0, v0 = _coerce_initial(problem, initial)[:, act]
 
-    upper_u, upper_v, lower_u, lower_v = (_tf_samples(tf.value, fine, n, ops.act) for tf in (
+    upper_u, upper_v, lower_u, lower_v = (_tf_samples(tf.value, fine, n, act) for tf in (
         pair.u_upper, pair.v_upper, pair.u_lower, pair.v_lower))
 
     if m_const is None:
-        # the upper fields' range: every vertex at t_grid, and the fine points swept on
-        m_u, m_v = (max(float(_tf_samples(tf.value, t_grid, n, np.arange(n)).max()),
+        # the upper fields' range: the closure at t_grid, where the pair is verified, and
+        # the fine points swept on; values off the closure take no part
+        m_u, m_v = (max(float(_tf_samples(tf.value, t_grid, n, problem.closure_idx).max()),
                         float(upper.max()))
                     for tf, upper in ((pair.u_upper, upper_u), (pair.v_upper, upper_v)))
         m_const = max(p.a1 + 2 * p.b1 * m_u + p.c1 * m_v,
@@ -1045,12 +1048,13 @@ def monotone_solve(
         by_length.setdefault(round(h, 15), []).append(i)
     lengths = [(float(grid_h[idx[0]]), np.array(idx)) for idx in by_length.values()]
 
-    a1_mat = _add_identity(p.d1 * ops.red1, -m_const)
-    a2_mat = _add_identity(p.d2 * ops.red2, -m_const)
-    # species with one operator (same weights, measures and diffusion) share one sweep
-    shared = _equal(a1_mat, a2_mat)
-    props = [[(_propagator(a, h), idx) for h, idx in lengths]
-             for a in ([a1_mat] if shared else [a1_mat, a2_mat])]
+    # species with one operator (same weights and measures) and one diffusion coefficient
+    # share one sweep
+    shared = ops.red1 is ops.red2 and p.d1 == p.d2
+    props = []
+    for d, red in [(p.d1, ops.red1)] if shared else [(p.d1, ops.red1), (p.d2, ops.red2)]:
+        a_mat = _add_identity(d * red, -m_const)
+        props.append([(_propagator(a_mat, h), idx) for h, idx in lengths])
     props1, props2 = props[0], props[-1]
 
     min_slack = np.inf
@@ -1094,8 +1098,10 @@ def monotone_solve(
         raise NoConvergence(f"sweeps did not close the gap below {tol:.1e} "
                             f"in {max_iters} iterations (gap {gap:.3e})")
 
-    states = [_materialize(problem, ops, 0.5 * (upper_u[idx] + lower_u[idx]),
-                           0.5 * (upper_v[idx] + lower_v[idx])) for idx in grid_index]
+    # the midpoint pair at each t_grid point, (2, n_act) blocks on a leading axis
+    mid = 0.5 * (np.stack([upper_u[grid_index], upper_v[grid_index]], axis=1)
+                 + np.stack([lower_u[grid_index], lower_v[grid_index]], axis=1))
+    states = [_materialize(problem, y, ops) for y in mid]
     return Trajectory(
         times=t_grid.copy(),
         states=states,

@@ -249,7 +249,7 @@ def reference_monotone_solve(problem, pair, initial, t_grid, substep=None, tol=1
     """
     p = problem.params
     ops = reduced_operators(problem)
-    act = ops.act
+    act = problem.active_idx
     n = problem.graph.n
     fine = [float(t_grid[0])]
     grid_index = [0]
@@ -380,9 +380,10 @@ def reference_integrate(problem, initial, t_end, dt=None, max_samples=250):
     ops = reduced_operators(problem)
     u0, v0 = dynamics._coerce_initial(problem, initial)
     red1, red2, d1, d2 = ops.red1, ops.red2, p.d1, p.d2
-    y = np.multiply.outer(np.concatenate([u0[ops.act], v0[ops.act]]),
+    act = problem.active_idx
+    y = np.multiply.outer(np.concatenate([u0[act], v0[act]]),
                           np.ones(np.broadcast(*vars(p).values()).shape))
-    n_act = ops.act.size
+    n_act = act.size
 
     def rhs(state):
         u, v = state[:n_act], state[n_act:]
@@ -390,7 +391,7 @@ def reference_integrate(problem, initial, t_end, dt=None, max_samples=250):
         return np.concatenate([d1 * (red1 @ u) + f1, d2 * (red2 @ v) + f2])
 
     dp5 = dt is None
-    start = dynamics._materialize(problem, ops, y[:n_act], y[n_act:])
+    start = dynamics._materialize(problem, np.stack([y[:n_act], y[n_act:]]), ops)
     m_u, m_v = dynamics.invariant_rectangle(p, start.u[problem.closure_idx],
                                             start.v[problem.closure_idx])
     rate = dynamics._diffusion_rate(problem, ops)

@@ -371,9 +371,10 @@ def _euler_reference(fixtures, t_end, dt):
     coefficient is repeated over its fixture's active vertices."""
     ops = [reduced_operators(problem) for problem, _ in fixtures]
     starts = [_coerce_initial(problem, initial) for problem, initial in fixtures]
-    u = np.concatenate([u_full[op.act] for (u_full, _), op in zip(starts, ops)])
-    v = np.concatenate([v_full[op.act] for (_, v_full), op in zip(starts, ops)])
-    sizes = [op.act.size for op in ops]
+    acts = [problem.active_idx for problem, _ in fixtures]
+    u = np.concatenate([u_full[act] for (u_full, _), act in zip(starts, acts)])
+    v = np.concatenate([v_full[act] for (_, v_full), act in zip(starts, acts)])
+    sizes = [act.size for act in acts]
     a1, b1, c1, a2, b2, c2, d1, d2 = (
         np.repeat([getattr(problem.params, name) for problem, _ in fixtures], sizes)
         for name in ("a1", "b1", "c1", "a2", "b2", "c2", "d1", "d2"))
@@ -385,7 +386,7 @@ def _euler_reference(fixtures, t_end, dt):
         u = u + dt * du
         v = v + dt * dv
     cuts = np.cumsum(sizes)[:-1]
-    return [_materialize(problem, op, uk, vk) for (problem, _), op, uk, vk
+    return [_materialize(problem, np.stack([uk, vk]), op) for (problem, _), op, uk, vk
             in zip(fixtures, ops, np.split(u, cuts), np.split(v, cuts))]
 
 

@@ -157,6 +157,29 @@ def test_kinetics_have_one_home():
     assert not found, f"kinetics written by hand in {found}"
 
 
+def test_active_set_map_has_one_home():
+    """States move between vertex order and the active set in ``dynamics.py`` alone, which
+    gathers with ``[:, problem.active_idx]`` and scatters back with ``_materialize``, over
+    the vertex coordinates of ``graphs.py``: no other module assigns into an array through
+    a vertex index set, and cli.py names neither ``_materialize`` nor ``reduced_operators``
+    (a reflecting boundary is projected by ``neumann_project``)."""
+    index_sets = {"active_idx", "interior_idx", "boundary_idx", "closure_idx", "act", "bnd",
+                  "closure"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name in ("graphs.py", "dynamics.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                  and any(index_sets & _names(sub) for sub in ast.walk(node.slice))]
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found += [f"cli.py:{node.lineno}" for node in ast.walk(cli)
+              if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+              and {"_materialize", "reduced_operators"} & _names(node)]
+    assert not found, f"states scattered outside dynamics.py in {found}"
+
+
 def _names(node) -> set:
     return {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
 
