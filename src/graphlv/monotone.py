@@ -21,7 +21,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .classify import _shared_solves, coexistence_point, eigenpairs_for
 from .dynamics import (
@@ -579,6 +578,8 @@ def _factor(mat) -> Callable[[np.ndarray], np.ndarray]:
     """b -> mat^-1 b, factored once: SuperLU for a CSR mat, LAPACK LU for a dense one (getrs
     called directly: ``lu_solve``'s checks cost several times the solve on a small block)."""
     if isinstance(mat, np.ndarray):
+        import scipy.linalg    # imported late: a process that factors nothing never loads it
+
         lu, piv = scipy.linalg.lu_factor(mat)
         getrs = scipy.linalg.lapack.dgetrs
         return lambda b: getrs(lu, piv, b)[0]
@@ -588,6 +589,13 @@ def _factor(mat) -> Callable[[np.ndarray], np.ndarray]:
     return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
 
+def _shift(a: float, own: float, cross: float, own_max: float, other_max: float) -> float:
+    """The three monotone iterations' shift M: at least 1 and the slope -df/dw of
+    f = w (a - own w - cross z) over a pair whose upper fields peak at ``own_max`` (w) and
+    ``other_max`` (z), so that f + M w is nondecreasing in w there (Pao 1992, ch. 8)."""
+    return max(2.0 * own * own_max + cross * other_max - a, 1.0)
+
+
 def _poisson_weights(lam: float, tail: float = _POISSON_TAIL) -> list[float]:
     """Poisson(lam) probabilities of 0, 1, ..., K, with K >= 1 the first count whose tail
     beyond it is below ``tail`` (bounded by a geometric series once K + 2 > lam)."""
@@ -595,60 +603,71 @@ def _poisson_weights(lam: float, tail: float = _POISSON_TAIL) -> list[float]:
     while True:
         k = len(weights)
         nxt = weights[-1] * lam / k
-        if k > 1 and k + 1 > lam and nxt / (1.0 - lam / (k + 1)) < tail:
+        if k > 1 and k + 1 > lam and nxt / (1.0 - lam / (k + 1)) <= tail:
             return weights
         weights.append(nxt)
 
 
-def _forcing_weights(weights: list[float], q: float) -> tuple[list[float], list[float]]:
-    """For the Poisson weights w_0..w_K of N, the weights Pr[N > k]/q and
-    sum_{j>k} Pr[N > j]/q^2 of k < K, the tails summed from the far end so that a small
-    mean loses no digits to cancellation."""
-    phi1, phi2 = [0.0] * (len(weights) - 1), [0.0] * (len(weights) - 1)
-    tail = total = 0.0
-    for k in range(len(weights) - 2, -1, -1):
-        total += tail
-        tail += weights[k + 1]
-        phi1[k], phi2[k] = tail / q, total / (q * q)
-    return phi1, phi2
+def _forcing_weights(count: int, q: float, shift: float, tau: float):
+    """The weights of P^k, k < count, in Phi1 and Phi2 of one step tau of y' = A y + g with
+    A = q (P - I) - shift I: int_0^tau e^(-shift s) Pr[N_(q s) = k] (1 or tau - s) ds. For
+    N ~ Poisson(r tau), r = q + shift and rho = q/r (N's jumps are P steps with probability
+    rho), they are rho^k Pr[N > k]/r and rho^k sum_{j>k} Pr[N > j]/r^2, all >= 0. Once
+    r tau > 2 count + 100, Pr[N <= count] < e^-50 (a Chernoff bound) and the tails are 1 and
+    r tau - k - 1; otherwise they are summed from the far end of N's weights, so that a
+    small mean loses no digits."""
+    rate = q + shift
+    lam, rho = rate * tau, q / rate
+    if lam > 2 * count + 100:
+        tails = [(1.0, lam - k - 1.0) for k in range(count)]
+    else:
+        tails, tail, total = [], 0.0, 0.0
+        for w in (_poisson_weights(lam, _POISSON_TAIL * min(1.0, lam * lam))
+                  + [0.0] * count)[:0:-1]:
+            total += tail
+            tail += w
+            tails.append((tail, total))
+        tails = tails[::-1][:count]
+    return ([rho ** k * tail / rate for k, (tail, _) in enumerate(tails)],
+            [rho ** k * (total / rate) / rate for k, (_, total) in enumerate(tails)])
 
 
-def _propagator(a_mat, h: float):
-    """(propagate, force) for one step h of y' = A y + g(t), g linear on the step, with A
-    Metzler (off-diagonal entries >= 0), by uniformization: propagate(x) = expm(A h) x and
-    force(g, gdot) = Phi1 g + Phi2 gdot, the step's forcing for g its value at the start of
-    the step and gdot its slope, with Phi1 = int_0^h expm(A s) ds and
-    Phi2 = int_0^h expm(A s) (h - s) ds.
+def _propagator(diff, shift: float, h: float):
+    """(propagate, force) for one step h of y' = A y + g(t), A = diff - shift I with diff
+    Metzler (off-diagonal entries >= 0) and g linear on the step: propagate(x) = expm(A h) x
+    and force(g, gdot) = Phi1 g + Phi2 gdot for g's value at the start of the step and its
+    slope gdot, with Phi1 = int_0^h expm(A s) ds and Phi2 = int_0^h expm(A s) (h - s) ds.
 
-    With q = max(-A_ii), P = I + A/q is entrywise >= 0, and for N ~ Poisson(q h) all three
-    are sums of the powers P^k with nonnegative weights: expm(A h) has Pr[N = k], Phi1 has
-    Pr[N > k]/q and Phi2 has sum_{j>k} Pr[N > j]/q^2. So every truncation maps nonnegative
-    data to nonnegative values, and the forcing needs no linear solve. A CSR A is applied
-    by Horner's rule, one sparse product per power, with no n x n matrix formed, and a step
-    with q h above _MAX_POISSON_MEAN is taken as equal substeps tau, marching
-    y <- S y + Phi1(tau) (g + r tau gdot) + Phi2(tau) gdot over r with S = expm(A tau). A
-    dense A has its three series summed once from shared powers into dense matrices over
-    2**s substeps of q h at most 1, joined by s doublings: S(2 tau) = S^2,
-    Phi1(2 tau) = (I + S) Phi1 and Phi2(2 tau) = S Phi2 + Phi2 + tau Phi1 (a long series
-    costs more matrix products than the doublings).
+    By uniformization of diff alone, with q = max(-diff_ii) and P = I + diff/q >= 0, all
+    three are sums of the powers P^k with nonnegative weights, e^(-shift h) Pr[N = k] for
+    N ~ Poisson(q h) and ``_forcing_weights``. So every truncation maps nonnegative data to
+    nonnegative values, the forcing needs no solve, and P, the series' lengths and the
+    substeps depend on diff and h alone: the shift enters only the scalar weights. A CSR
+    diff is applied by Horner's rule, one sparse product per power, a step with
+    q h > _MAX_POISSON_MEAN taken as equal substeps tau marched by
+    y <- S y + Phi1(tau) (g + r tau gdot) + Phi2(tau) gdot, S = expm(A tau). A dense diff has
+    its three series summed from shared powers into matrices over 2**s substeps of q h <= 1,
+    joined by s doublings (cheaper than a long series): S(2 tau) = S^2,
+    Phi1(2 tau) = (I + S) Phi1 and Phi2(2 tau) = S Phi2 + Phi2 + tau Phi1.
     """
-    q = float(-a_mat.diagonal().min())
-    dense = isinstance(a_mat, np.ndarray)
+    q = max(float(-diff.diagonal().min()), 0.0) or 1.0    # diff ~ 0 (one vertex): any rate
+    dense = isinstance(diff, np.ndarray)
     if dense:
         reps = 2 ** max(0, math.ceil(math.log2(q * h)))
     else:
         reps = max(1, math.ceil(q * h / _MAX_POISSON_MEAN))
     tau = h / reps
     lam = q * tau
-    weights = _poisson_weights(lam)
+    decay = math.exp(-shift * tau)
+    weights = [decay * w for w in _poisson_weights(lam)]
     # Phi1 ~ tau and Phi2 ~ tau^2 / 2 while a truncated tail costs them about K tail / q and
     # K tail / q^2, so their series stops on a tail relative to min(1, lam^2)
-    phi1_w, phi2_w = _forcing_weights(_poisson_weights(lam, _POISSON_TAIL * min(1.0, lam * lam)),
-                                      q)
-    p_mat = _add_identity(a_mat / q, 1.0)    # dividing makes the smallest diagonal exactly 0
+    count = len(_poisson_weights(lam, _POISSON_TAIL * min(1.0, lam * lam))) - 1
+    phi1_w, phi2_w = _forcing_weights(count, q, shift, tau)
+    p_mat = _add_identity(diff / q, 1.0)    # dividing makes the smallest diagonal exactly 0
 
     if dense:
-        term = np.eye(a_mat.shape[0])
+        term = np.eye(diff.shape[0])
         e_mat, phi1, phi2 = weights[0] * term, phi1_w[0] * term, phi2_w[0] * term
         for k in range(1, max(len(weights), len(phi1_w))):
             term = p_mat @ term
@@ -713,10 +732,12 @@ def logistic_steady_state(
 ) -> SteadyState:
     """Unique positive steady state of -d Lap s = s (a - e s), zero boundary.
 
-    Exists iff a > lambda0 * d. Monotone iteration with shift M = a:
-    lower start 0.5 * (a - lambda0 d)/e * phi, upper start a/e, update
-    w <- (-d Lap + M)^-1 (f(prev) + M prev), with -d Lap + M stored as
-    ``graphs._stores_csr`` picks and factored once (SuperLU on CSR). Both
+    Exists iff a > lambda0 * d. Monotone iteration: lower start
+    0.5 * (a - lambda0 d)/e * phi, upper start a/e, update
+    w <- (-d Lap + M)^-1 (f(prev) + M prev), -d Lap + M stored as
+    ``graphs._stores_csr`` picks, with M the slope bound ``_shift`` at
+    max(upper): max(a, 1) at the start, refactored (SuperLU on CSR) once
+    the bound halves, as the sector only shrinks. Both
     sequences must stay monotone and ordered or the solve is reported as
     failed; so is a stalled solve, whose sequences move by less than tol
     for 100 iterations in a row while the larger of gap and residual
@@ -743,13 +764,16 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
         )
     l_ii, _ = _blocks(graph, species, partition)
     n = l_ii.shape[0]
-    shift = a
+    shift = max(a, 1.0)    # _shift at the upper start a/e
     solve = _factor(_add_identity(-d * l_ii, shift))
 
     lower = (0.5 * margin / e) * eig.phi
     upper = np.full(n, a / e)
     stall = _Stall()
     for it in range(1, max_iters + 1):
+        need = _shift(a, e, 0.0, float(upper.max()), 0.0)
+        if need < 0.5 * shift:
+            shift, solve = need, _factor(_add_identity(-d * l_ii, need))
         new_lower = solve(lower * (a - e * lower) + shift * lower)
         new_upper = solve(upper * (a - e * upper) + shift * upper)
         if (np.any(new_lower < lower - _ORDER_SLACK)
@@ -870,10 +894,8 @@ def coexistence_bounds(
     f1, f2 = reaction(p, u, v)
     for it in range(1, _MAX_STEPS + 1):
         u_max, v_max = float(u.max()), float(v.max())
-        needs = (2.0 * p.b1 * u_max + p.c1 * v_max - p.a1,
-                 2.0 * p.c2 * v_max + p.b2 * u_max - p.a2)
+        needs = (_shift(p.a1, p.b1, p.c1, u_max, v_max), _shift(p.a2, p.c2, p.b2, v_max, u_max))
         for k, need in enumerate(needs):
-            need = max(need, 1.0)
             if need < 0.5 * shifts[k]:
                 shifts[k] = need
                 # species with one operator and one shift share one factorization
@@ -939,27 +961,29 @@ def _sweep(steps, grid_h, g_samples, y0):
     """March the linear sweep: y' = A y + g(t), g piecewise linear on the grid.
 
     ``steps`` lists ((propagate, force), indices) for each distinct fine step length, as
-    ``_propagator`` gives them. ``g_samples`` has shape (T, n, k); the k columns are
-    independent right-hand sides integrated at once. Every step's forcing is known up
-    front, so the integrals F_i = Phi1 g_i + Phi2 gdot_i are formed for all steps of one
-    length together, from the uniformization powers with no linear solve; only
-    y <- expm(A h) y + F_i runs step by step.
+    ``_propagator`` gives them. ``g_samples`` has shape (k, T, n), k independent right-hand
+    sides integrated at once from the k columns of ``y0``, and so has the result. Every
+    step's forcing is known up front, so the integrals F_i = Phi1 g_i + Phi2 gdot_i are
+    formed for all steps of one length together, from the uniformization powers with no
+    linear solve; only y <- expm(A h) y + F_i runs step by step.
     """
-    t_count, n, k = g_samples.shape
-    gdot = np.diff(g_samples, axis=0) / grid_h[:, None, None]
-    forcing = np.empty_like(gdot)
+    k, t_count, n = g_samples.shape
+    gdot = np.diff(g_samples, axis=1) / grid_h[:, None]
+    forcing = np.empty((t_count - 1, n, k))
     step_prop = [None] * (t_count - 1)
     for (propagate, force), idx in steps:
-        g, slope = (x[idx].transpose(1, 0, 2).reshape(n, -1) for x in (g_samples, gdot))
-        forcing[idx] = force(g, slope).reshape(n, idx.size, k).transpose(1, 0, 2)
+        # (n, k * steps) in C order, which the Horner sums stream over
+        g, slope = (np.ascontiguousarray(np.take(x, idx, axis=1).reshape(-1, n).T)
+                    for x in (g_samples, gdot))
+        forcing[idx] = force(g, slope).reshape(n, k, idx.size).transpose(2, 0, 1)
         for i in idx:
             step_prop[i] = propagate
     out = np.empty_like(g_samples)
     y = y0
-    out[0] = y
+    out[:, 0] = y.T
     for i in range(t_count - 1):
         y = step_prop[i](y) + forcing[i]
-        out[i + 1] = y
+        out[:, i + 1] = y.T
     return out
 
 
@@ -979,18 +1003,19 @@ def monotone_solve(
     linear parabolic problems (upper u with lower v frozen, and the
     three mirrored ones) with exponential propagators on a fine uniform
     grid; the sweeps squeeze monotonically onto the solution. The shift M,
-    which must be positive and finite, defaults to the reaction Lipschitz
-    bound over the upper fields' range on the closure at the ``t_grid``
-    points and on the active vertices at the fine points between them (a
-    pair's values off the closure take no part); too small an M breaks
-    the monotone squeeze and is reported as NoConvergence. Returns the
-    common limit sampled at ``t_grid``, with iteration diagnostics
-    (including the worst sandwich slack) in the metadata, with the gap
-    after each iteration in ``gaps``.
-    The propagator expm(A h), A = d L - M I, is its uniformization series,
-    entrywise nonnegative at every truncation, and the forcing integrals
-    are sums of the same powers with nonnegative Poisson-tail weights,
-    formed for every fine step at once with no linear solve. Operators
+    which must be positive and finite, defaults to the larger species'
+    kinetics slope bound over the upper fields' range on the closure at
+    the ``t_grid`` points and on the active vertices at the fine points
+    between them (a pair's values off the closure take no part); too
+    small an M breaks the monotone squeeze and is reported as
+    NoConvergence, and so is a non-finite iterate. Returns the common
+    limit sampled at ``t_grid``, with iteration diagnostics (including the
+    worst sandwich slack) in the metadata, with the gap after each
+    iteration in ``gaps``. The propagator expm((d L - M I) h) is e^(-M h)
+    times the uniformization series of d L, entrywise nonnegative at
+    every truncation, and the forcing integrals are sums of the same
+    powers with nonnegative Poisson-tail weights, formed for every fine
+    step at once with no linear solve. Operators
     keep the storage ``graphs._stores_csr`` picks, so large
     sparse graphs form no n x n matrix. More than 2**20 fine points times
     active vertices raise InputError.
@@ -1005,11 +1030,11 @@ def monotone_solve(
         raise InputError("t_grid must be a finite increasing array with at least two times")
     if abs(float(t_grid[0]) - pair.t0) > 1e-12:
         raise InputError("t_grid must start at the pair's t0")
-    n_act = problem.active_idx.size
+    act = problem.active_idx
     spans = np.diff(t_grid)
     counts = np.ones(spans.size) if substep is None else np.maximum(1.0, np.ceil(spans / substep))
-    if (1.0 + counts.sum()) * n_act > _MONOTONE_MAX_FINE:
-        raise InputError(f"{1.0 + counts.sum():.3g} fine points times {n_act} active vertices "
+    if (1.0 + counts.sum()) * act.size > _MONOTONE_MAX_FINE:
+        raise InputError(f"{1.0 + counts.sum():.3g} fine points times {act.size} active vertices "
                          f"exceed the cap of {_MONOTONE_MAX_FINE}; use a coarser substep")
     counts = counts.astype(np.int64)
 
@@ -1027,20 +1052,19 @@ def monotone_solve(
     grid_index = np.concatenate([[0], np.cumsum(counts)])
     grid_h = np.diff(fine)
 
-    act = problem.active_idx
-    u0, v0 = _coerce_initial(problem, initial)[:, act]
-
-    upper_u, upper_v, lower_u, lower_v = (_tf_samples(tf.value, fine, n, act) for tf in (
-        pair.u_upper, pair.v_upper, pair.u_lower, pair.v_lower))
+    y0 = np.repeat(_coerce_initial(problem, initial)[:, act].T, 2, axis=1)
+    # the iterates as one (4, T, n_act) array on the fine grid: upper u, lower u, upper v
+    # and lower v, so that u's sweep takes rows 0-1 and v's 2-3 (all four when shared)
+    cols = np.array([_tf_samples(tf.value, fine, n, act) for tf in (
+        pair.u_upper, pair.u_lower, pair.v_upper, pair.v_lower)])
 
     if m_const is None:
         # the upper fields' range: the closure at t_grid, where the pair is verified, and
         # the fine points swept on; values off the closure take no part
         m_u, m_v = (max(float(_tf_samples(tf.value, t_grid, n, problem.closure_idx).max()),
-                        float(upper.max()))
-                    for tf, upper in ((pair.u_upper, upper_u), (pair.v_upper, upper_v)))
-        m_const = max(p.a1 + 2 * p.b1 * m_u + p.c1 * m_v,
-                      p.a2 + p.b2 * m_u + 2 * p.c2 * m_v)
+                        float(cols[j].max()))
+                    for tf, j in ((pair.u_upper, 0), (pair.v_upper, 2)))
+        m_const = max(_shift(p.a1, p.b1, p.c1, m_u, m_v), _shift(p.a2, p.c2, p.b2, m_v, m_u))
 
     # fine steps of one length share a propagator
     by_length: dict[float, list[int]] = {}
@@ -1051,46 +1075,31 @@ def monotone_solve(
     # species with one operator (same weights and measures) and one diffusion coefficient
     # share one sweep
     shared = ops.red1 is ops.red2 and p.d1 == p.d2
-    props = []
-    for d, red in [(p.d1, ops.red1)] if shared else [(p.d1, ops.red1), (p.d2, ops.red2)]:
-        a_mat = _add_identity(d * red, -m_const)
-        props.append([(_propagator(a_mat, h), idx) for h, idx in lengths])
-    props1, props2 = props[0], props[-1]
+    groups = ([(p.d1, ops.red1, slice(0, 4))] if shared
+              else [(p.d1, ops.red1, slice(0, 2)), (p.d2, ops.red2, slice(2, 4))])
+    sweeps = [([(_propagator(d * red, m_const, h), idx) for h, idx in lengths], rows)
+              for d, red, rows in groups]
+    sign = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]    # upper rows fall, lower rise
 
-    min_slack = np.inf
-    gaps = []
-    gap = np.inf
+    min_slack, gap, gaps = np.inf, np.inf, []
     for iterations in range(1, max_iters + 1):
-        f_upper_u, f_lower_v = reaction(p, upper_u, lower_v)
-        f_lower_u, f_upper_v = reaction(p, lower_u, upper_v)
-        g_u = np.stack([f_upper_u + m_const * upper_u, f_lower_u + m_const * lower_u], axis=-1)
-        g_v = np.stack([f_upper_v + m_const * upper_v, f_lower_v + m_const * lower_v], axis=-1)
-        if shared:
-            out = _sweep(props1, grid_h, np.concatenate([g_u, g_v], axis=-1),
-                         np.stack([u0, u0, v0, v0], axis=-1))
-            out_u, out_v = out[..., :2], out[..., 2:]
-        else:
-            out_u = _sweep(props1, grid_h, g_u, np.stack([u0, u0], axis=-1))
-            out_v = _sweep(props2, grid_h, g_v, np.stack([v0, v0], axis=-1))
-        new_upper_u, new_lower_u = out_u[..., 0], out_u[..., 1]
-        new_upper_v, new_lower_v = out_v[..., 0], out_v[..., 1]
-
-        slack = min(
-            float((upper_u - new_upper_u).min()), float((new_lower_u - lower_u).min()),
-            float((upper_v - new_upper_v).min()), float((new_lower_v - lower_v).min()),
-            float((new_upper_u - new_lower_u).min()), float((new_upper_v - new_lower_v).min()),
-        )
+        # upper u pairs with lower v and lower u with upper v, so f2 comes lower v first
+        f1, f2 = reaction(p, cols[:2], cols[:1:-1])
+        g = np.concatenate([f1, f2[::-1]]) + m_const * cols
+        new = np.concatenate([_sweep(steps, grid_h, g[rows], y0[:, rows])
+                              for steps, rows in sweeps])
+        slack = float(np.min([((cols - new) * sign).min(), (new[::2] - new[1::2]).min()]))
+        if not math.isfinite(slack):    # a NaN would pass the sandwich check below
+            raise NoConvergence(f"sweep {iterations} gave a non-finite iterate; the shift "
+                                f"M={m_const:.6g} or the pair is beyond floating point")
         min_slack = min(min_slack, slack)
         if slack < -_ORDER_SLACK:
-            raise NoConvergence(
-                f"monotone sandwich violated by {slack:.3e} at iteration {iterations}; "
-                f"the shift M={m_const:.6g} may be below the reaction Lipschitz bound, or "
-                f"the pair may fail its inequalities between the t_grid points, where it "
-                f"is not verified"
-            )
-        upper_u, lower_u = new_upper_u, new_lower_u
-        upper_v, lower_v = new_upper_v, new_lower_v
-        gap = max(float(np.max(upper_u - lower_u)), float(np.max(upper_v - lower_v)))
+            raise NoConvergence(f"monotone sandwich violated by {slack:.3e} at iteration "
+                                f"{iterations}; the shift M={m_const:.6g} may be below the "
+                                f"kinetics' slope bound, or the pair may fail its inequalities "
+                                f"between the t_grid points, where it is not verified")
+        cols = new
+        gap = float(np.max(cols[::2] - cols[1::2]))
         gaps.append(gap)
         if gap < tol:
             break
@@ -1099,18 +1108,8 @@ def monotone_solve(
                             f"in {max_iters} iterations (gap {gap:.3e})")
 
     # the midpoint pair at each t_grid point, (2, n_act) blocks on a leading axis
-    mid = 0.5 * (np.stack([upper_u[grid_index], upper_v[grid_index]], axis=1)
-                 + np.stack([lower_u[grid_index], lower_v[grid_index]], axis=1))
-    states = [_materialize(problem, y, ops) for y in mid]
-    return Trajectory(
-        times=t_grid.copy(),
-        states=states,
-        metadata={
-            "iterations": iterations,
-            "gap": gap,
-            "gaps": gaps,
-            "m_const": m_const,
-            "min_sandwich_slack": min_slack,
-            "n_fine": int(fine.size),
-        },
-    )
+    mid = (0.5 * (cols[::2, grid_index] + cols[1::2, grid_index])).transpose(1, 0, 2)
+    return Trajectory(times=t_grid.copy(), states=[_materialize(problem, y, ops) for y in mid],
+                      metadata={"iterations": iterations, "gap": gap, "gaps": gaps,
+                                "m_const": m_const, "min_sandwich_slack": min_slack,
+                                "n_fine": int(fine.size)})

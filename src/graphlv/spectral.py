@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EmptyBoundary, NoConvergence
 from .graphs import DomainPartition, WeightedGraph, _blocks, _positive
@@ -57,6 +56,8 @@ def smallest_dirichlet_eigenpair(
     sym = 0.5 * (sym + sym.T)
     try:
         if isinstance(sym, np.ndarray):
+            import scipy.linalg    # late: a process that solves no eigenproblem never loads it
+
             lams, vecs = scipy.linalg.eigh(sym, subset_by_index=[0, 0])
         else:
             from scipy.sparse.linalg import eigsh    # late: dense runs never load scipy.sparse

@@ -209,16 +209,18 @@ def reference_step(a_mat, h):
     """Dense E = expm(A h), p0 = A^-1 (E - I) and p1 = A^-1 (p0 - h I) for one step h.
 
     They are read off one block-triangular exponential (Van Loan, IEEE Trans. Automat.
-    Control 23, 1978): expm([[A, I, 0], [0, 0, I], [0, 0, 0]] h) has E, p0 and p1 as its
-    first block row. Solving with A instead loses digits to cancellation when A is nearly
-    singular (a small shift on a reflecting or whole graph).
+    Control 23, 1978): expm([[A h, I, 0], [0, 0, I], [0, 0, 0]]) has E, p0 / h and p1 / h^2
+    as its first block row. Solving with A instead loses digits to cancellation when A is
+    nearly singular (a small shift on a reflecting or whole graph); the identity blocks
+    are left unscaled by h (a similarity of expm([[A, I, 0], [0, 0, I], [0, 0, 0]] h)),
+    since at h ~ 500 scaled ones lose about 1e-13 of the forcing's scale.
     """
     n = a_mat.shape[0]
     block = np.zeros((3 * n, 3 * n))
-    block[:n, :n] = a_mat
+    block[:n, :n] = a_mat * h
     block[:n, n:2 * n] = block[n:2 * n, 2 * n:] = np.eye(n)
-    top = scipy.linalg.expm(block * h)[:n]
-    return top[:, :n], top[:, n:2 * n], top[:, 2 * n:]
+    top = scipy.linalg.expm(block)[:n]
+    return top[:, :n], top[:, n:2 * n] * h, top[:, 2 * n:] * (h * h)
 
 
 def reference_sweep(a_mat, grid_h, g_samples, y0):
@@ -267,7 +269,8 @@ def reference_monotone_solve(problem, pair, initial, t_grid, substep=None, tol=1
 
     m_u = float(values(pair.u_upper, t_grid).max())
     m_v = float(values(pair.v_upper, t_grid).max())
-    m_const = max(p.a1 + 2 * p.b1 * m_u + p.c1 * m_v, p.a2 + p.b2 * m_u + 2 * p.c2 * m_v)
+    # each species' kinetics slope bound -df/dw over the pair, at least 1
+    m_const = max(2 * p.b1 * m_u + p.c1 * m_v - p.a1, 2 * p.c2 * m_v + p.b2 * m_u - p.a2, 1.0)
 
     def shifted(d, red):
         dense = red.toarray() if hasattr(red, "toarray") else np.asarray(red)

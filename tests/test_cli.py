@@ -499,34 +499,36 @@ class TestSweep:
         assert "GridTooLarge" in capsys.readouterr().err
 
     def test_small_runs_never_import_scipy_sparse(self, tmp_path):
-        """Triangle and fixture problems keep dense operators, so the sparse module (and its
-        memory) stays out of a process that only runs them."""
+        """Triangle and fixture problems keep dense operators and solve no linear system or
+        eigenproblem, so neither the sparse module (and its memory) nor scipy.linalg (most
+        of a fresh process's start-up) is loaded by a process that only runs them."""
         doc = self.sweep_doc({"a1": [0.5, 2.0], "a2": [0.5, 2.0]})
         cfg = write_config(tmp_path, doc)
-        assert not imports_scipy_sparse([["reproduce", "all"],
-                                         ["sweep", "--config", cfg, "--out", str(tmp_path / "o")]])
+        assert scipy_modules_loaded([["reproduce", "all"],
+                                     ["sweep", "--config", cfg, "--out", str(tmp_path / "o")]]
+                                    ) == []
 
     def test_small_dirichlet_runs_never_import_scipy_sparse(self, tmp_path):
         """A 5-vertex absorbing problem keeps its interior block dense, so its eigen solve
         is LAPACK's and no command that solves it loads the sparse module."""
         cfg = write_config(tmp_path, absorbing_doc())
         out = str(tmp_path / "o")
-        assert not imports_scipy_sparse([["eigen", "--config", cfg],
-                                         ["steady", "--config", cfg, "--out", out],
-                                         ["steady", "--config", cfg, "--out", out, "--bounds"]])
+        assert "scipy.sparse" not in scipy_modules_loaded(
+            [["eigen", "--config", cfg], ["steady", "--config", cfg, "--out", out],
+             ["steady", "--config", cfg, "--out", out, "--bounds"]])
 
 
-def imports_scipy_sparse(commands) -> bool:
-    """Whether a fresh process that runs every CLI command (each must exit 0) imports
-    scipy.sparse."""
+def scipy_modules_loaded(commands) -> list[str]:
+    """Which of scipy.sparse and scipy.linalg a fresh process that runs every CLI command
+    (each must exit 0) imports."""
     script = "import sys\nfrom graphlv.cli import main\n"
     script += "".join(f"assert main({argv!r}) == 0\n" for argv in commands)
-    script += "print('scipy.sparse' in sys.modules)\n"
+    script += "print(*(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules))\n"
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(graphlv.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return proc.stdout.splitlines()[-1].split()
 
 
 def _set(path, value):

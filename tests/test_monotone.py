@@ -691,7 +691,7 @@ class TestMonotoneSolve:
     def test_pair_failing_between_grid_points_is_named(self, triangle):
         """A pair checked only at t_grid may fail its inequalities in between; the sandwich
         error then names that cause as well as the shift, which is taken over the fine
-        points too, where the bump reaches 12: M = a1 + 2 b1 12 + c1 2 = 26."""
+        points too, where the bump reaches 12: M = 2 b1 12 + c1 2 - a1 = 24."""
         params = CompetitionParams(a1=1.0, b1=1.0, c1=0.5, a2=1.0, b2=0.5, c2=1.0)
         prob = Problem(triangle, params)
         bump = TimeField(value=lambda t: 2.0 + 10.0 * math.sin(math.pi * t) ** 2,
@@ -704,12 +704,12 @@ class TestMonotoneSolve:
         assert verify_coupled_pair(prob, pair, np.array([0.0, 1.0]), initial=initial).passed
         fine = verify_coupled_pair(prob, pair, np.linspace(0.0, 1.0, 101), initial=initial)
         assert fine.worst()[0] == "upper_u_pde" and fine.worst()[1] < -13.0
-        with pytest.raises(NoConvergence, match="shift M=26 .* between the t_grid points"):
+        with pytest.raises(NoConvergence, match="shift M=24 .* between the t_grid points"):
             monotone_solve(prob, pair, initial, np.array([0.0, 1.0]), substep=0.01)
 
     def test_default_shift_covers_the_fine_points(self, triangle):
         """An upper u that is 10 at both grid points and 20 between them, a valid pair
-        throughout: the default M is the Lipschitz bound at 20, not at 10 (which gave 43)."""
+        throughout: the default M is the slope bound at 20, not at 10 (which gave 41)."""
         rate = math.pi / 0.2
         bump = TimeField(value=lambda t: 10.0 + 10.0 * math.sin(rate * t) ** 2,
                          derivative=lambda t: 10.0 * rate * math.sin(2.0 * rate * t))
@@ -721,13 +721,13 @@ class TestMonotoneSolve:
         assert verify_coupled_pair(prob, pair, np.linspace(0.0, 0.2, 41),
                                    initial=initial).passed
         sol = monotone_solve(prob, pair, initial, np.array([0.0, 0.2]), substep=0.05)
-        assert sol.metadata["m_const"] == SET_I.a1 + 2 * SET_I.b1 * 20.0 + SET_I.c1 == 83.0
+        assert sol.metadata["m_const"] == 2 * SET_I.b1 * 20.0 + SET_I.c1 - SET_I.a1 == 81.0
         assert sol.metadata["gap"] < 1e-8
 
     def test_default_shift_ignores_values_off_the_closure(self):
         """On the path a-b-c-d-e with interior {a, b}, d and e are off the closure, so an
-        upper field of 1 on the closure gives M = 6 and the same solve whatever it is
-        there; taking 1e3 from them made M = 5001 and the sweeps ran out of
+        upper field of 1 on the closure gives M = 4 and the same solve whatever it is
+        there; taking 1e3 from them made M = 4999 and the sweeps ran out of
         iterations."""
         graph = build_graph(list("abcde"), [("a", "b", 1.0), ("b", "c", 1.0),
                                             ("c", "d", 1.0), ("d", "e", 1.0)])
@@ -744,11 +744,42 @@ class TestMonotoneSolve:
             assert verify_coupled_pair(prob, pair, grid, initial=(0.0, 0.0)).passed
             sols.append(monotone_solve(prob, pair, (0.0, 0.0), grid, substep=0.005))
         for sol in sols:
-            assert sol.metadata["m_const"] == 6.0
-            assert sol.metadata["iterations"] == 10
+            assert sol.metadata["m_const"] == 4.0
+            assert sol.metadata["iterations"] == 9
         for far_state, near_state in zip(sols[0].states, sols[1].states):
             assert np.array_equal(far_state.u, near_state.u)
             assert np.array_equal(far_state.v, near_state.v)
+
+    def test_non_finite_iterate_fails_fast(self, triangle):
+        """A pair of height 1e200 overflows the first sweep's forcing to NaN, which passes
+        the sandwich check (NaN compares false), so the solve stops there instead of
+        running every sweep and reporting a NaN gap."""
+        pair = constant_pair((1e200, 1e200), (0.0, 0.0), t_end=0.2)
+        start = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NoConvergence, match="sweep 1 gave a non-finite iterate"):
+            monotone_solve(Problem(triangle, SET_I), pair, (0.5, 0.5),
+                           np.array([0.0, 0.1, 0.2]), substep=0.01)
+        assert time.perf_counter() - start < 1.0
+
+    def test_tiny_step_ends(self, triangle):
+        """A step of 1e-170 makes the forcing series' relative tail 1e-16 (q h)^2 underflow
+        to 0; the series still stops, once its next weight underflows too."""
+        pair = constant_pair((2.0, 2.0), (0.0, 0.0), t_end=1e-170)
+        sol = monotone_solve(Problem(triangle, SET_I), pair, (0.5, 0.5), np.array([0.0, 1e-170]))
+        assert np.array_equal(sol.final.u, np.full(3, 0.5))
+
+    def test_one_vertex_graph(self):
+        """One vertex has L = 0, so the propagators' uniformization rate max(-L_ii) is 0 and
+        any positive rate gives P = I; the sweeps close on the steady state (0.5, 0.5) of
+        the all-ones kinetics, with no NaN from the zero rate."""
+        graph = build_graph(["x"], [], measure1={"x": 1}, measure2={"x": 1})
+        params = CompetitionParams(a1=1.0, b1=1.0, c1=1.0, a2=1.0, b2=1.0, c2=1.0)
+        sol = monotone_solve(Problem(graph, params), constant_pair((2.0, 2.0), (0.0, 0.0)),
+                             (0.5, 0.5), np.array([0.0, 0.5, 1.0]), substep=0.01)
+        assert sol.metadata["gap"] < 1e-8
+        for state in sol.states:
+            assert np.max(np.abs(np.concatenate([state.u, state.v]) - 0.5)) <= 1e-8
 
     def test_lattice_above_the_old_dense_cap(self):
         """1444 active vertices, above the 1024 that dense propagators allowed, stay CSR
@@ -840,33 +871,68 @@ def test_monotone_solve_matches_dense_forcing_reference(seed, bc, substep, share
         assert np.max(np.abs(state.v[act] - want_v)) <= 1e-12 * np.max(np.abs(want_v))
 
 
+def _draw_shift(rng):
+    """A shift in [0.01, 1] or, half the time, one log-uniform in [1, 1e7]."""
+    return rng.uniform(0.01, 1.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(0.0, 7.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), bc=st.sampled_from(list(BoundaryCondition)))
 def test_uniformized_propagator_against_expm(seed, bc):
     """Under both storages the propagator keeps nonnegative blocks nonnegative and agrees
     with a dense expm to 1e-13 of the block's largest entry (it is an inf-norm
-    contraction), on a short step and on one with q h > 50 that is split into substeps."""
+    contraction), on a short step and on one with q h > 50 that is split into substeps,
+    for shifts up to 1e7, where e^(-shift h) underflows."""
     rng = np.random.default_rng(seed)
     graph = random_connected_graph(rng, max_vertices=12, split_weights=True,
                                    random_measure=True)
     part = None if bc is BoundaryCondition.NO_BOUNDARY else random_connected_interior(rng, graph)
     prob = Problem(graph, SET_I, bc=bc, partition=part)
-    d, shift = rng.uniform(0.1, 3.0), rng.uniform(0.01, 1.0)
+    d, shift = rng.uniform(0.1, 3.0), _draw_shift(rng)
     x = rng.uniform(0.0, 2.0, (prob.active_idx.size, 3))
     x[rng.random(x.shape) < 0.3] = 0.0
     for csr in (True, False):
         with stored(csr):
-            a_mat = monotone._add_identity(d * reduced_operators(prob).red1, -shift)
-        assert isinstance(a_mat, np.ndarray) != csr
-        dense = a_mat.toarray() if csr else a_mat
-        q = float(-dense.diagonal().min())
+            diff = d * reduced_operators(prob).red1
+        assert isinstance(diff, np.ndarray) != csr
+        dense = diff.toarray() if csr else diff
+        q = max(float(-dense.diagonal().min()), 0.0) or 1.0    # the propagator's rate
         long_step = rng.uniform(1.02, 3.0) * monotone._MAX_POISSON_MEAN / q
         assert q * long_step > monotone._MAX_POISSON_MEAN
         for h in (rng.uniform(1e-4, 0.05), long_step):
-            got = monotone._propagator(a_mat, h)[0](x)
+            got = monotone._propagator(diff, shift, h)[0](x)
             assert np.all(got >= 0.0)
-            want = scipy.linalg.expm(dense * h) @ x
+            want = scipy.linalg.expm((dense - shift * np.eye(len(dense))) * h) @ x
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(x)
+
+
+@pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+def test_propagator_cost_does_not_grow_with_the_shift(csr, monkeypatch):
+    """P = I + d L / q, the series' lengths and the substeps come from d L and the step
+    alone, the shift entering as a scalar factor of the weights, so one step makes as many
+    products with P at shift 1e6 as at shift 1."""
+    prob, _ = absorbing_lattice(8)
+    with stored(csr):
+        diff = 0.1 * reduced_operators(prob).red1
+    x = np.ones((prob.active_idx.size, 2))
+    products = []
+
+    class Counting:
+        def __init__(self, mat):
+            self.mat = mat
+
+        def __matmul__(self, other):
+            products[-1] += 1
+            return self.mat @ other
+
+    add_identity = monotone._add_identity
+    monkeypatch.setattr(monotone, "_add_identity", lambda mat, c: Counting(add_identity(mat, c)))
+    for shift in (1.0, 1e6):
+        products.append(0)
+        propagate, force = monotone._propagator(diff, shift, 0.5)
+        propagate(x)
+        force(x, x)
+    assert products[0] == products[1] > 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -876,29 +942,30 @@ def test_uniformized_propagator_against_expm(seed, bc):
 def test_uniformized_forcing_against_dense_reference(seed, bc):
     """Under both storages the forcing Phi1 g + Phi2 gdot agrees with reference_step's
     p0 g + p1 gdot to 1e-13 of the inputs' scale, max|g| + max|gdot| on a short step and
-    h max|g| + h^2 max|gdot| (the forcing's own bound) on one with q h > 50; both weight
-    families are nonnegative, so nonnegative inputs give a nonnegative forcing."""
+    h max|g| + h^2 max|gdot| (the forcing's own bound) on one with q h > 50, for shifts up
+    to 1e7; both weight families are nonnegative, so nonnegative inputs give a nonnegative
+    forcing."""
     rng = np.random.default_rng(seed)
     graph = random_connected_graph(rng, max_vertices=12, split_weights=True,
                                    random_measure=True)
     part = None if bc is BoundaryCondition.NO_BOUNDARY else random_connected_interior(rng, graph)
     prob = Problem(graph, SET_I, bc=bc, partition=part)
-    d, shift = rng.uniform(0.1, 3.0), rng.uniform(0.01, 1.0)
+    d, shift = rng.uniform(0.1, 3.0), _draw_shift(rng)
     g = rng.uniform(0.0, 2.0, (prob.active_idx.size, 3))
     gdot = rng.uniform(-2.0, 2.0, g.shape)
     g[rng.random(g.shape) < 0.3] = 0.0
     for csr in (True, False):
         with stored(csr):
-            a_mat = monotone._add_identity(d * reduced_operators(prob).red1, -shift)
-        dense = a_mat.toarray() if csr else a_mat
-        q = float(-dense.diagonal().min())
+            diff = d * reduced_operators(prob).red1
+        dense = diff.toarray() if csr else diff
+        q = max(float(-dense.diagonal().min()), 0.0) or 1.0    # the propagator's rate
         long_step = rng.uniform(1.02, 3.0) * monotone._MAX_POISSON_MEAN / q
         for h in (rng.uniform(1e-4, 0.05), long_step):
-            weights = monotone._poisson_weights(q * h)
-            assert all(w >= 0.0 for family in monotone._forcing_weights(weights, q)
+            count = len(monotone._poisson_weights(q * h)) - 1
+            assert all(w >= 0.0 for family in monotone._forcing_weights(count, q, shift, h)
                        for w in family)
-            force = monotone._propagator(a_mat, h)[1]
-            _, p0, p1 = reference_step(dense, h)
+            force = monotone._propagator(diff, shift, h)[1]
+            _, p0, p1 = reference_step(dense - shift * np.eye(len(dense)), h)
             scale = max(1.0, h) * (np.max(np.abs(g)) + max(1.0, h) * np.max(np.abs(gdot)))
             assert np.max(np.abs(force(g, gdot) - (p0 @ g + p1 @ gdot))) <= 1e-13 * scale
             assert np.all(force(g, np.abs(gdot)) >= 0.0)

@@ -180,6 +180,42 @@ def test_active_set_map_has_one_home():
     assert not found, f"states scattered outside dynamics.py in {found}"
 
 
+def test_shift_has_one_home():
+    """The shift M of the three monotone iterations, the kinetics' slope bound
+    2 b1 u + c1 v - a1 (and 2 c2 v + b2 u - a2) over an ordered pair, is written by
+    ``monotone._shift`` alone: no sum or difference in the package has a term
+    ``2 * X.b1 * ...`` or ``2 * X.c2 * ...``. ``dynamics._step_cap`` is exempt: its
+    a1 + 2 b1 m_u + ... bounds the kinetics' two-sided Lipschitz constant for the explicit
+    stepper's stability, which is not a monotone shift."""
+    found, homes = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name in ("_step_cap", "_shift"):
+                homes.add(f"{path.name}:{func.name}")
+                if func.name == "_step_cap":
+                    exempt = {id(node) for node in ast.walk(func)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                  and id(node) not in exempt and any(map(_slope_term, (node.left, node.right)))]
+    assert not found, f"slope bounds written outside monotone._shift in {found}"
+    assert homes == {"dynamics.py:_step_cap", "monotone.py:_shift"}
+
+
+def _slope_term(node) -> bool:
+    """Whether ``node`` is a product with the factor 2 and a factor named b1 or c2."""
+    factors, stack = [], [node]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult):
+            stack += [sub.left, sub.right]
+        else:
+            factors.append(sub)
+    return (any(isinstance(f, ast.Constant) and f.value == 2 for f in factors)
+            and any({"b1", "c2"} & _names(f) for f in factors))
+
+
 def _names(node) -> set:
     return {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
 
