@@ -37,7 +37,6 @@ from .dynamics import BoundaryCondition, FieldPair, Trajectory, integrate, neuma
 from .errors import (
     ConfigInvalid,
     GraphLVError,
-    GridTooLarge,
     InputError,
     NoPositiveState,
     NumericalError,
@@ -246,9 +245,6 @@ def _cmd_sweep(args) -> int:
     axes = spec["axes"]
     names = tuple(sorted(axes))
     points = list(itertools.product(*(axes[name] for name in names)))
-    if len(points) > spec["max_points"]:
-        raise GridTooLarge(f"grid has {len(points)} points, cap is {spec['max_points']} "
-                           "(raise sweep.max_points to allow this)")
     t_end = args.t_end if args.t_end is not None else spec["t_end"]
     agree_tol = (_positive(spec["tol"], "sweep.tol") if args.tol is None
                  else _positive(args.tol, "--tol"))

@@ -36,12 +36,13 @@ arrays.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import BoundaryCondition, CompetitionParams, Problem, _coerce_initial
-from .errors import ConfigInvalid, InputError
+from .errors import ConfigInvalid, GridTooLarge, InputError
 from .graphs import boundary_of, build_graph
 
 _BC_NAMES = {bc.value: bc for bc in BoundaryCondition}
@@ -167,7 +168,8 @@ def _run_config(problem: Problem, doc: dict, t_end=None, dt=None) -> RunConfig:
 
 
 def sweep_spec_from_document(doc: dict) -> dict:
-    """Extract and normalize the sweep section: grid axes and budgets."""
+    """Extract and normalize the sweep section: grid axes and budgets. A grid or an axis
+    count above ``max_points`` raises GridTooLarge, the count before its axis is built."""
     sweep = _require(doc, "sweep", dict)
     grid_doc = _require(sweep, "grid", dict)
     if not grid_doc:
@@ -175,6 +177,7 @@ def sweep_spec_from_document(doc: dict) -> dict:
     unknown = set(grid_doc) - set(_PARAM_KEYS)
     if unknown:
         raise ConfigInvalid(f"sweep.grid names unknown params: {sorted(unknown)}")
+    max_points = _number(sweep.get("max_points", 2000), "sweep.max_points", int)
     axes: dict[str, list[float]] = {}
     for key in sorted(grid_doc):
         spec = grid_doc[key]
@@ -187,6 +190,8 @@ def sweep_spec_from_document(doc: dict) -> dict:
             count = _number(spec["count"], f"sweep.grid.{key}.count", int)
             if count < 1:
                 raise ConfigInvalid(f"sweep.grid.{key}.count must be >= 1")
+            if count > max_points:
+                raise GridTooLarge(f"sweep.grid.{key}.count is {count}, cap is {max_points}")
             values = np.linspace(_number(spec["start"], f"sweep.grid.{key}.start"),
                                  _number(spec["stop"], f"sweep.grid.{key}.stop"), count)
             axes[key] = [float(v) for v in values]
@@ -196,11 +201,15 @@ def sweep_spec_from_document(doc: dict) -> dict:
             raise ConfigInvalid(f"sweep.grid.{key} must be a value list or start/stop/count")
         if any(not np.isfinite(v) or v <= 0.0 for v in axes[key]):
             raise ConfigInvalid(f"sweep.grid.{key} values must be positive and finite")
+    points = math.prod(len(values) for values in axes.values())
+    if points > max_points:
+        raise GridTooLarge(f"grid has {points} points, cap is {max_points} "
+                           "(raise sweep.max_points to allow this)")
     return {
         "axes": axes,
         "t_end": _number(sweep.get("t_end", 200.0), "sweep.t_end"),
         "tol": _number(sweep.get("tol", 1e-2), "sweep.tol"),
-        "max_points": _number(sweep.get("max_points", 2000), "sweep.max_points", int),
+        "max_points": max_points,
     }
 
 

@@ -5,8 +5,8 @@ is nonincreasing in the other), so upper/lower bounds come in coupled
 pairs: the upper bound for u is paired with the lower bound for v and
 vice versa. This module checks such pairs, constructs the closed-form
 exponential envelopes for the three resolved parameter regimes, builds
-steady profiles and coexistence bounds by monotone elliptic iteration
-(one species, then the coupled upper and lower pairs), and solves the
+steady profiles and coexistence bounds by one ordered monotone elliptic
+iteration (of one species, and of the coupled pairs), and solves the
 parabolic system by monotone Picard sweeps with uniformized exponential
 propagators, which are entrywise nonnegative at every truncation of
 their series. The sweeps' forcing integrals are nonnegative sums of the
@@ -30,7 +30,9 @@ from .dynamics import (
     Problem,
     Trajectory,
     _coerce_initial,
+    _kinetics,
     _materialize,
+    _species_stack,
     _state_extrema,
     reaction,
     reduced_operators,
@@ -73,9 +75,9 @@ _STALL_ITERS = 100
 
 
 class _Stall:
-    """The stall rule of the steady iterations, which ends a tol roundoff cannot reach:
-    true once the iterates moved by less than tol (``still``) for _STALL_ITERS iterations in
-    a row with no new minimum of the worst gap or residual, which it keeps as ``least``."""
+    """The stall rule of the ordered steady iteration, which ends a tol roundoff cannot
+    reach: true once the iterates moved by less than tol (``still``) for _STALL_ITERS
+    iterations in a row with no new minimum of the worst residual, kept as ``least``."""
 
     def __init__(self) -> None:
         self.least, self.idle = np.inf, 0
@@ -709,8 +711,67 @@ def _propagator(diff, shift: float, h: float):
 
 
 # ---------------------------------------------------------------------------
-# scalar logistic steady state (monotone elliptic iteration)
+# steady states by ordered monotone iteration: logistic state and coexistence bounds
 # ---------------------------------------------------------------------------
+
+def _ordered_steady(ops, coeffs, kinetics, y, rise, tol: float, t_max: float,
+                    max_iters: int):
+    """The monotone iteration for steady upper and lower solutions of m species at once
+    (Sattinger 1972; Pao 1992, ch. 8): the logistic steady state (m = 1) and
+    ``coexistence_bounds`` (m = 2). Row y[k, j] of the (m, 2, n) block ``y`` is species k's
+    column in ordered pair j; ``rise``, broadcast against it, is -1 where a column is an
+    upper bound, which falls, and +1 where it is a lower bound, which rises. Each step is
+    y_k <- (-d_k L_k + M_k)^-1 (M_k y_k + f_k(y)), with ``ops[k]`` = (d_k, L_k),
+    f = ``kinetics(y)`` and M_k = ``_shift(*coeffs[k], max y_k, max y_other)`` (y_other is
+    y_k, under no cross term, when m = 1) refactored once it halves; a species with species
+    0's operator and shift shares its factorization. It stops once every column has moved
+    by less than tol (summed over species) and its residuals are at most tol; a non-finite
+    shift or iterate, a move the wrong way or a crossing beyond _ORDER_SLACK, a ``_Stall``
+    on the largest residual, or passing ``t_max`` of pseudo-time (the sum of 1/max M_k) or
+    ``max_iters`` iterations raise NoConvergence. Returns the block and the run record:
+    ``iterations``, ``times`` (each column's pseudo-time when it first met the stop rule),
+    ``gaps`` (the largest upper minus lower bound after each iteration) and the final (m, 2)
+    ``residuals``."""
+    shifts, solves = [math.inf] * len(ops), [None] * len(ops)
+    pseudo, times, gaps, stall = 0.0, [None, None], [], _Stall()
+    f = kinetics(y)
+    for it in range(1, max_iters + 1):
+        peaks = y.max(axis=(1, 2)).tolist()
+        for k, ((d, lap), (a, own, cross)) in enumerate(zip(ops, coeffs)):
+            need = _shift(a, own, cross, peaks[k], peaks[k - 1])
+            if not math.isfinite(need):
+                raise NoConvergence(f"ordered iteration met a non-finite shift at iteration {it}")
+            if need < 0.5 * shifts[k]:
+                shifts[k] = need
+                solves[k] = (solves[0] if k and lap is ops[0][1] and d == ops[0][0]
+                             and need == shifts[0] else _factor(_add_identity(-d * lap, need)))
+        new = np.stack([solves[k]((shifts[k] * y[k] + f[k]).T).T for k in range(len(ops))])
+        pseudo += 1.0 / max(shifts)
+        step, spread = new - y, -(rise * new).sum(axis=1)    # spread: upper minus lower
+        fault = ("gave a non-finite iterate" if not np.all(np.isfinite(new))
+                 else "crossed" if spread.min() < -_ORDER_SLACK
+                 else "moved the wrong way" if np.any(step * rise < -_ORDER_SLACK) else "")
+        if fault:
+            raise NoConvergence(f"ordered iteration {fault} at iteration {it} "
+                                f"(pseudo-time {pseudo:.6g})")
+        y = new
+        gaps.append(float(spread.max()))
+        f = kinetics(y)
+        res = np.array([np.max(np.abs(d * (lap @ y[k].T).T + f[k]), axis=1)
+                        for k, (d, lap) in enumerate(ops)])
+        still = np.abs(step).max(axis=2).sum(axis=0) < tol
+        settled = still & (res.max(axis=0) <= tol)
+        for j in np.flatnonzero(settled):
+            times[j] = times[j] or pseudo
+        if settled.all():
+            return y, {"iterations": it, "times": tuple(times), "gaps": gaps, "residuals": res}
+        if stall(float(res.max()), still.all()):
+            raise NoConvergence(f"ordered iteration stalled at iteration {it}: residual "
+                                f"{stall.least:.3e} above tol={tol:.1e}")
+        if pseudo > t_max:
+            raise NoConvergence(f"ordered iteration not settled by pseudo-time t_max={t_max}")
+    raise NoConvergence(f"ordered iteration did not settle in {max_iters} iterations")
+
 
 @dataclass(frozen=True, eq=False)
 class SteadyState:
@@ -732,18 +793,11 @@ def logistic_steady_state(
 ) -> SteadyState:
     """Unique positive steady state of -d Lap s = s (a - e s), zero boundary.
 
-    Exists iff a > lambda0 * d. Monotone iteration: lower start
-    0.5 * (a - lambda0 d)/e * phi, upper start a/e, update
-    w <- (-d Lap + M)^-1 (f(prev) + M prev), -d Lap + M stored as
-    ``graphs._stores_csr`` picks, with M the slope bound ``_shift`` at
-    max(upper): max(a, 1) at the start, refactored (SuperLU on CSR) once
-    the bound halves, as the sector only shrinks. Both
-    sequences must stay monotone and ordered or the solve is reported as
-    failed; so is a stalled solve, whose sequences move by less than tol
-    for 100 iterations in a row while the larger of gap and residual
-    makes no new minimum (a tol that roundoff at the state's scale cannot
-    reach). d, e and tol must be positive and finite, a finite, and
-    max_iters a positive integer.
+    Exists iff a > lambda0 * d. It is the midpoint of the one-species ordered monotone
+    iteration ``_ordered_steady`` from the upper start a/e and the lower start
+    0.5 * (a - lambda0 d)/e * phi, with -d Lap + M stored as ``graphs._stores_csr`` picks;
+    its residual is at most tol, or the solve raises NoConvergence. d, e and tol must be
+    positive and finite, a finite, and max_iters a positive integer.
     """
     d, e, tol = _positive(d, "d"), _positive(e, "e"), _positive(tol, "tol")
     a, max_iters = _as_float(a, "a"), _positive_int(max_iters, "max_iters")
@@ -763,36 +817,16 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
             f"a - lambda0*d = {margin:.6g} <= 0: only the zero state is nonnegative"
         )
     l_ii, _ = _blocks(graph, species, partition)
-    n = l_ii.shape[0]
-    shift = max(a, 1.0)    # _shift at the upper start a/e
-    solve = _factor(_add_identity(-d * l_ii, shift))
-
-    lower = (0.5 * margin / e) * eig.phi
-    upper = np.full(n, a / e)
-    stall = _Stall()
-    for it in range(1, max_iters + 1):
-        need = _shift(a, e, 0.0, float(upper.max()), 0.0)
-        if need < 0.5 * shift:
-            shift, solve = need, _factor(_add_identity(-d * l_ii, need))
-        new_lower = solve(lower * (a - e * lower) + shift * lower)
-        new_upper = solve(upper * (a - e * upper) + shift * upper)
-        if (np.any(new_lower < lower - _ORDER_SLACK)
-                or np.any(new_upper > upper + _ORDER_SLACK)
-                or np.any(new_lower > new_upper + _ORDER_SLACK)):
-            raise NoConvergence(f"monotone ordering violated at iteration {it}")
-        still = max(float(np.max(np.abs(new_lower - lower))),
-                    float(np.max(np.abs(new_upper - upper)))) < tol
-        lower, upper = new_lower, new_upper
-        gap = float(np.max(upper - lower))
-        mid = 0.5 * (upper + lower)
-        residual = float(np.max(np.abs(d * (l_ii @ mid) + mid * (a - e * mid))))
-        if gap <= tol and residual <= tol:
-            return SteadyState(values=mid, residual=residual, iterations=it,
-                               lambda0=eig.lambda0)
-        if stall(max(gap, residual), still):
-            raise NoConvergence(f"steady solve stalled at iteration {it}: gap or residual "
-                                f"{stall.least:.3e} above tol={tol:.1e}")
-    raise NoConvergence(f"steady solve did not reach tol={tol:.1e} in {max_iters} iterations")
+    start = np.array([[np.full(l_ii.shape[0], a / e), (0.5 * margin / e) * eig.phi]])
+    y, run = _ordered_steady([(d, l_ii)], [(a, e, 0.0)], lambda y: y * (a - e * y), start,
+                             np.array([[-1.0], [1.0]]), tol, math.inf, max_iters)
+    # both columns' residuals are at most tol, and the kinetics' curvature adds e gap^2 / 4
+    mid = 0.5 * (y[0, 0] + y[0, 1])
+    residual = float(np.max(np.abs(d * (l_ii @ mid) + mid * (a - e * mid))))
+    if residual > tol:
+        raise NoConvergence(f"steady midpoint residual {residual:.3e} above tol={tol:.1e}")
+    return SteadyState(values=mid, residual=residual, iterations=run["iterations"],
+                       lambda0=eig.lambda0)
 
 
 # ---------------------------------------------------------------------------
@@ -826,24 +860,14 @@ def coexistence_bounds(
     """Steady coexistence bounds from the coupled monotone upper/lower iteration.
 
     Requires the absorbing boundary, both species supercritical, and the
-    cross-competition smallness condition. The upper pair starts at
-    ((1+eps) s1, delta phi2) and decreases in u while increasing in v;
-    the lower pair starts at (delta phi1, (1+eps) s2) and mirrors it.
-    Both advance together by u <- (-d1 L + M1)^-1 (M1 u + f1(u, v)) and
-    v <- (-d2 L + M2)^-1 (M2 v + f2(u, v)), linearly implicit Euler steps
-    of pseudo-step 1/M with shifts M that bound the kinetics' slopes
-    over both pairs (at least 1; refactored when the bound halves). They
-    stop once each pair moves by less than tol and all four residuals
-    are at most tol; losing the order, passing ``t_max`` of pseudo-time
-    (the sum of min(1/M1, 1/M2)) or 10**7 iterations, or stalling (both
-    pairs moving by less than tol for 100 iterations in a row while the
-    largest residual makes no new minimum: a tol the residual cannot
-    reach) raises NoConvergence. Species with one weight structure share
-    their eigenpair, and also their logistic steady state when (d, a, e)
-    agree. When both weight structures coincide and the collapse
-    condition 2 b1 s_lower > a1 - lambda0_1 d1 (and its v counterpart)
-    holds, the bounds must agree to 10*tol and the result is flagged
-    unique.
+    cross-competition smallness condition. The bounds come from the two-species
+    ``_ordered_steady``: the upper pair starts at ((1+eps) s1, delta phi2) and decreases in
+    u while increasing in v, the lower pair starts at (delta phi1, (1+eps) s2) and mirrors
+    it, and both stop at residuals of at most tol, within ``t_max`` of pseudo-time and 10**7
+    iterations. Species with one weight structure share their eigenpair, and also their
+    logistic steady state when (d, a, e) agree. When both weight structures coincide and
+    the collapse condition 2 b1 s_lower > a1 - lambda0_1 d1 (and its v counterpart) holds,
+    the bounds must agree to 10*tol and the result is flagged unique.
     """
     if problem.bc is not BoundaryCondition.DIRICHLET:
         raise InputError("coexistence bounds need the absorbing boundary condition")
@@ -879,57 +903,15 @@ def coexistence_bounds(
     if delta > delta_cap:
         raise DeltaTooLarge(f"delta must be at most {delta_cap:.6g}, got {delta:.6g}")
 
-    # column 0 is the upper pair, column 1 the lower pair; u moves by the sign in `rise`
-    # in each column and v the other way
-    u = np.stack([(1.0 + epsilon) * s1.values, delta * eig1.phi], axis=1)
-    v = np.stack([delta * eig2.phi, (1.0 + epsilon) * s2.values], axis=1)
-    rise = np.array([-1.0, 1.0])
     l1 = _blocks(graph, 1, part)[0]
     l2 = l1 if same_weights else _blocks(graph, 2, part)[0]
-    diffusion = (p.d1 * l1, p.d2 * l2)
-    shared = same_weights and p.d1 == p.d2
-    shifts, solves = [np.inf, np.inf], [None, None]
-    pseudo, settle_times, gaps = 0.0, [None, None], []
-    stall = _Stall()
-    f1, f2 = reaction(p, u, v)
-    for it in range(1, _MAX_STEPS + 1):
-        u_max, v_max = float(u.max()), float(v.max())
-        needs = (_shift(p.a1, p.b1, p.c1, u_max, v_max), _shift(p.a2, p.c2, p.b2, v_max, u_max))
-        for k, need in enumerate(needs):
-            if need < 0.5 * shifts[k]:
-                shifts[k] = need
-                # species with one operator and one shift share one factorization
-                solves[k] = (solves[0] if k and shared and need == shifts[0]
-                             else _factor(_add_identity(-diffusion[k], need)))
-        new_u = solves[0](shifts[0] * u + f1)
-        new_v = solves[1](shifts[1] * v + f2)
-        pseudo += 1.0 / max(shifts)
-        du, dv = new_u - u, new_v - v
-        if np.any(du * rise < -_ORDER_SLACK) or np.any(dv * rise > _ORDER_SLACK):
-            raise NoConvergence(f"ordered iteration lost monotonicity at iteration {it} "
-                                f"(pseudo-time {pseudo:.6g})")
-        u, v = new_u, new_v
-        gaps.append(max(float(np.max(u[:, 0] - u[:, 1])), float(np.max(v[:, 1] - v[:, 0]))))
-        f1, f2 = reaction(p, u, v)
-        res_u = np.max(np.abs(p.d1 * (l1 @ u) + f1), axis=0)
-        res_v = np.max(np.abs(p.d2 * (l2 @ v) + f2), axis=0)
-        still = np.max(np.abs(du), axis=0) + np.max(np.abs(dv), axis=0) < tol
-        settled = still & (res_u <= tol) & (res_v <= tol)
-        for j in np.flatnonzero(settled):
-            settle_times[j] = settle_times[j] or pseudo
-        if settled.all():
-            break
-        if stall(max(float(res_u.max()), float(res_v.max())), still.all()):
-            raise NoConvergence(f"ordered iteration stalled at iteration {it}: residual "
-                                f"{stall.least:.3e} above tol={tol:.1e}")
-        if pseudo > t_max:
-            raise NoConvergence(f"ordered iteration did not settle within pseudo-time "
-                                f"t_max={t_max}")
-    else:
-        raise NoConvergence(f"ordered iteration did not settle in {_MAX_STEPS} iterations")
-
-    s_upper, s_lower = u[:, 0], u[:, 1]
-    r_lower, r_upper = v[:, 0], v[:, 1]
+    # column 0 is the upper pair (upper u, lower v) and column 1 the lower pair
+    start = np.array([[(1.0 + epsilon) * s1.values, delta * eig1.phi],
+                      [delta * eig2.phi, (1.0 + epsilon) * s2.values]])
+    y, run = _ordered_steady(((p.d1, l1), (p.d2, l2)), ((p.a1, p.b1, p.c1), (p.a2, p.c2, p.b2)),
+                             lambda y, abc=_species_stack(p, 3)[:3]: _kinetics(y, *abc), start,
+                             np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]]), tol, t_max, _MAX_STEPS)
+    (s_upper, s_lower), (r_lower, r_upper) = y
     collapse = (np.all(2.0 * p.b1 * s_lower > g1) and np.all(2.0 * p.c2 * r_lower > g2))
     unique = bool(same_weights and collapse)
     if unique:
@@ -942,12 +924,13 @@ def coexistence_bounds(
 
     return CoexistenceBounds(
         s_lower=s_lower, s_upper=s_upper, r_lower=r_lower, r_upper=r_upper,
-        residuals={"upper_u": float(res_u[0]), "lower_v": float(res_v[0]),
-                   "lower_u": float(res_u[1]), "upper_v": float(res_v[1])},
+        residuals=dict(zip(("upper_u", "lower_v", "lower_u", "upper_v"),
+                           run["residuals"].T.ravel().tolist())),
         eig1=eig1, eig2=eig2, epsilon=float(epsilon), delta=float(delta), unique=unique,
         info={
             "k1_margins": (k1, k2), "epsilon_cap": eps_cap, "delta_cap": delta_cap,
-            "march_times": tuple(settle_times), "march_iterations": it, "march_gaps": gaps,
+            "march_times": run["times"], "march_iterations": run["iterations"],
+            "march_gaps": run["gaps"],
             "s1_iterations": s1.iterations, "s2_iterations": s2.iterations,
         },
     )

@@ -59,6 +59,20 @@ def absorbing_doc(**param_overrides):
     }
 
 
+def path_doc(**param_overrides):
+    """The path a-e absorbing at its ends, two competitors with weak cross-competition."""
+    params = {"a1": 3.0, "b1": 1.0, "c1": 0.1, "a2": 3.0, "b2": 0.1, "c2": 1.0}
+    params.update(param_overrides)
+    return {
+        "graph": {"vertices": ["a", "b", "c", "d", "e"],
+                  "edges": [["a", "b", 1.0], ["b", "c", 1.0], ["c", "d", 1.0], ["d", "e", 1.0]],
+                  "interior": ["b", "c", "d"]},
+        "bc": "dirichlet",
+        "params": params,
+        "initial": {"u": 0.5, "v": 0.5},
+    }
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -340,6 +354,32 @@ class TestSteady:
         err = capsys.readouterr().err
         assert "NoConvergence" in err and "stalled" in err
 
+    @pytest.mark.parametrize("doc", [path_doc(a1=1e200), path_doc(a1=1e300),
+                                     absorbing_doc(b1=1e-310)],
+                             ids=["a1=1e200", "a1=1e300", "b1=1e-310"])
+    def test_non_finite_iterate_exits_at_iteration_one(self, tmp_path, capsys, monkeypatch,
+                                                        doc):
+        """A logistic iterate or shift beyond floating point ends the solve at its first
+        iteration, after at most one solve; a NaN passes every order check, so these used to
+        run all 10 000 iterations."""
+        solves, factor = [], graphlv.monotone._factor
+
+        def counting(mat):
+            solve = factor(mat)
+
+            def counted(b):
+                solves.append(b.shape)
+                return solve(b)
+            return counted
+
+        monkeypatch.setattr(graphlv.monotone, "_factor", counting)
+        cfg = write_config(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "NoConvergence" in err and "non-finite" in err and "at iteration 1" in err
+        assert len(solves) <= 1
+
     def test_bounds_tol_has_a_floor(self, tmp_path, capsys):
         # the floor applies to --bounds only; the logistic solve takes any positive tol
         cfg = write_config(tmp_path, absorbing_doc())
@@ -495,6 +535,22 @@ class TestSweep:
     def test_oversized_grid_rejected(self, tmp_path, capsys):
         doc = self.sweep_doc({"a1": [0.5, 1.0], "a2": [0.5, 1.0]}, max_points=2)
         cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "GridTooLarge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [
+        {"a1": {"start": 0.5, "stop": 2.0, "count": 10**5},
+         "a2": {"start": 0.5, "stop": 2.0, "count": 10**5}},
+        {"a1": {"start": 0.5, "stop": 2.0, "count": 10**9}},
+    ], ids=["two-axes-1e5", "one-axis-1e9"])
+    def test_oversized_counts_rejected_before_building(self, tmp_path, capsys, monkeypatch,
+                                                       grid):
+        """An axis count above max_points exits 2 before the axis, or the grid, is built."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep axis was built")
+
+        monkeypatch.setattr(np, "linspace", unreachable)
+        cfg = write_config(tmp_path, self.sweep_doc(grid))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "GridTooLarge" in capsys.readouterr().err
 

@@ -5,6 +5,8 @@ most six vertices, with finite horizons of at most 20 and sweep grids
 of at most nine points; the time step is either at least 1e-3 or
 invalid, so a valid run takes at most 2e4 fixed steps before any
 halving. ``reproduce`` overrides include nan, inf and negative values.
+``steady``, ``steady --bounds`` and ``classify`` also run on parameters of
+magnitude 1e-310 (subnormal), 1e-200, 1e200 and 1e300.
 """
 
 import datetime
@@ -13,6 +15,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,12 +30,14 @@ INVALID = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0])
 MOSTLY_NOT = st.sampled_from([False, False, False, True])
 
 positive = st.floats(0.1, 3.0)
+extreme = st.one_of(positive, st.sampled_from([1e-310, 1e-200, 1e200, 1e300]))
 time_step = st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, 0.0),
                       st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 @st.composite
-def documents(draw):
+def documents(draw, values=positive):
+    """A config document whose parameters are drawn from ``values``."""
     n = draw(st.integers(1, 6))
     names = draw(st.permutations(VERTICES[:n]))
     # mostly a spanning chain plus extra edges; sometimes a disconnected graph
@@ -61,7 +66,7 @@ def documents(draw):
     return {
         "graph": graph,
         "bc": bc,
-        "params": {k: draw(positive) for k in PARAMS if k[0] != "d" or draw(st.booleans())},
+        "params": {k: draw(values) for k in PARAMS if k[0] != "d" or draw(st.booleans())},
         "initial": {"u": draw(field), "v": draw(field)},
         "t_end": draw(st.floats(-5.0, 0.0) if draw(MOSTLY_NOT) else st.floats(1e-3, 20.0)),
         "dt": draw(time_step if draw(st.booleans()) else st.none()),
@@ -83,13 +88,23 @@ def _exit_code(argv) -> int:
        command=st.sampled_from(["simulate", "classify", "eigen", "steady", "steady --bounds",
                                 "sweep"]))
 def test_config_documents_end_in_a_documented_exit_code(doc, command):
+    assert _document_exit_code(doc, command) in EXIT_CODES
+
+
+@settings(max_examples=100, deadline=DEADLINE)
+@given(doc=documents(extreme), command=st.sampled_from(["steady", "steady --bounds", "classify"]))
+def test_extreme_parameters_end_in_a_documented_exit_code(doc, command):
+    with np.errstate(all="ignore"):    # overflow is expected; the exit code reports it
+        assert _document_exit_code(doc, command) in EXIT_CODES
+
+
+def _document_exit_code(doc, command) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        code = _exit_code([*command.split(), "--config", path,
+        return _exit_code([*command.split(), "--config", path,
                            "--out", os.path.join(tmp, "out")])
-    assert code in EXIT_CODES
 
 
 @settings(max_examples=50, deadline=DEADLINE)

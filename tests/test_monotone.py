@@ -82,6 +82,23 @@ def absorbing_lattice(side):
     return prob, u0
 
 
+def counted_solves(monkeypatch):
+    """Wrap ``monotone._factor`` so that every solve through a factorization it makes is
+    counted; returns the list the counts go to, one entry per solve call."""
+    factor, calls = monotone._factor, []
+
+    def counting(mat):
+        solve = factor(mat)
+
+        def counted(b):
+            calls.append(np.shape(b))
+            return solve(b)
+        return counted
+
+    monkeypatch.setattr(monotone, "_factor", counting)
+    return calls
+
+
 def exact_linear_fields(system, u0_stack, times):
     """Oracle: stack the components and exponentiate the full generator."""
     g = system.graph
@@ -364,6 +381,7 @@ class TestLogisticSteadyState:
         part = boundary_of(g, ["b"])
         st = logistic_steady_state(g, part, 1, d=0.5, a=2.0, e=1.5, tol=1e-12)
         assert st.values[0] == pytest.approx((2.0 - 0.5 * 1.0) / 1.5, abs=1e-12)
+        assert st.residual <= 1e-12
 
     def test_profile_solves_the_equation(self, reflecting):
         graph, part = reflecting
@@ -371,6 +389,7 @@ class TestLogisticSteadyState:
         l_ii, _ = dirichlet_blocks(graph, 1, part)
         res = 1.0 * (l_ii @ st.values) + st.values * (1.0 - st.values)
         assert np.linalg.norm(res, ord=np.inf) <= 1e-10
+        assert st.residual <= 1e-10
         assert np.all(st.values > 0.0)
         # symmetric fixture: ends agree, middle is largest
         assert st.values[0] == pytest.approx(st.values[2], abs=1e-12)
@@ -388,6 +407,7 @@ class TestLogisticSteadyState:
 
         sol = scipy.optimize.root(resid, np.full(3, 0.5))
         assert sol.success
+        assert st.residual <= 1e-12
         assert np.allclose(st.values, sol.x, atol=1e-8)
 
     def test_subcritical_has_no_positive_state(self, reflecting):
@@ -401,6 +421,7 @@ class TestLogisticSteadyState:
         lo = logistic_steady_state(graph, part, 1, d=1.0, a=1.0, e=1.0)
         hi = logistic_steady_state(graph, part, 1, d=1.0, a=1.5, e=1.0)
         assert np.all(hi.values > lo.values)
+        assert max(lo.residual, hi.residual) <= 1e-10
 
     def test_unreachable_tolerance_stalls(self, reflecting):
         # at capacity 2000 the residual of the converged iterate floors near 2.7e-10, so
@@ -412,6 +433,20 @@ class TestLogisticSteadyState:
         assert time.perf_counter() - started < 1.0
         assert logistic_steady_state(graph, part, 1, d=1.0, a=2000.0, e=1.0,
                                      tol=1e-8).residual <= 1e-8
+
+    @pytest.mark.parametrize("a, e", [(2.0, 1e-310), (1e200, 1.0), (1e300, 1.0)],
+                             ids=["e=1e-310", "a=1e200", "a=1e300"])
+    def test_non_finite_iterate_ends_at_once(self, a, e, monkeypatch):
+        """On a 30 x 30 absorbing lattice, the benchmark's size, an upper start a/e beyond
+        floating point is a non-finite shift, which ends the solve before any factorization,
+        and one whose first step overflows ends it after one solve; a NaN iterate passes
+        every order check, so neither may run the iteration budget out."""
+        prob, _ = absorbing_lattice(30)
+        calls = counted_solves(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NoConvergence, match="non-finite .* at iteration 1"):
+            logistic_steady_state(prob.graph, prob.partition, 1, d=0.1, a=a, e=e)
+        assert len(calls) == (0 if e < 1.0 else 1)
 
 
 class TestCoexistenceBounds:
@@ -558,6 +593,47 @@ class TestCoexistenceBounds:
             coexistence_bounds(prob, tol=1e-12)
         assert time.perf_counter() - started < 1.0
         assert max(coexistence_bounds(prob, tol=1e-10).residuals.values()) <= 1e-10
+
+    def test_crossed_pairs_are_rejected(self, reflecting, monkeypatch):
+        """A solve that lifts the lower pair's u above the upper pair's, a move in the lower
+        u's own direction, ends the iteration at once: no lower bound may pass its upper
+        one. Species 2 diffuses faster, so that each species has its own factorization, and
+        the logistic states are solved beforehand, so that species 1's is the first."""
+        graph, part = reflecting
+        params = dataclasses.replace(BOUNDS_PARAMS, d2=0.2)
+        prob = Problem(graph, params, bc=BoundaryCondition.DIRICHLET, partition=part)
+        states = {s: logistic_steady_state(graph, part, s, d, a, e, tol=1e-10)
+                  for s, d, a, e in ((1, params.d1, params.a1, params.b1),
+                                     (2, params.d2, params.a2, params.c2))}
+        monkeypatch.setattr(monotone, "_logistic_steady_state",
+                            lambda graph, part, species, *args, **kwargs: states[species])
+        factor, made = monotone._factor, []
+
+        def lifting(mat):
+            solve = factor(mat)
+            made.append(mat)
+            if len(made) > 1:
+                return solve
+
+            def lifted(b):
+                x = solve(b)
+                x[:, 1] = x[:, 0] + 1.0
+                return x
+            return lifted
+
+        monkeypatch.setattr(monotone, "_factor", lifting)
+        with pytest.raises(NoConvergence, match="crossed at iteration 1 "):
+            coexistence_bounds(prob, tol=1e-8)
+
+    def test_solve_count(self, monkeypatch):
+        """On a 30 x 30 absorbing lattice (SuperLU), a call makes one solve per logistic
+        iteration, both sequences at once, and one per species and ordered iteration."""
+        prob, _ = absorbing_lattice(30)
+        calls = counted_solves(monkeypatch)
+        bounds = coexistence_bounds(prob)
+        info = bounds.info
+        assert len(calls) == info["s1_iterations"] + 2 * info["march_iterations"]
+        assert set(calls) == {(28 * 28, 2)}
 
     def test_pseudo_time_budget(self, reflecting):
         graph, part = reflecting
@@ -993,6 +1069,7 @@ def test_logistic_steady_state_under_both_storages(seed):
             states.append(logistic_steady_state(graph, part, species, d, a, e))
     sparse, dense = states
     assert sparse.iterations == dense.iterations
+    assert max(sparse.residual, dense.residual) <= 1e-10
     assert np.max(np.abs(sparse.values - dense.values)) <= 1e-10
 
 

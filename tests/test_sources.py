@@ -203,6 +203,25 @@ def test_shift_has_one_home():
     assert homes == {"dynamics.py:_step_cap", "monotone.py:_shift"}
 
 
+def test_steady_iteration_has_one_home():
+    """The logistic steady state and the coexistence bounds run one ordered monotone
+    iteration, ``monotone._ordered_steady``, which owns their factorizations and stall rule:
+    no other code in the package calls ``_factor`` or constructs a ``_Stall``."""
+    found, homes = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name == "_ordered_steady":
+                homes.append(path.name)
+                inside = {id(node) for node in ast.walk(func)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and {"_factor", "_Stall"} & _names(node.func)
+                  and id(node) not in inside]
+    assert not found, f"_factor or _Stall called outside _ordered_steady in {found}"
+    assert homes == ["monotone.py"]
+
+
 def _slope_term(node) -> bool:
     """Whether ``node`` is a product with the factor 2 and a factor named b1 or c2."""
     factors, stack = [], [node]
