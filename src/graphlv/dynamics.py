@@ -170,10 +170,16 @@ def _species_stack(p: CompetitionParams, ndim: int) -> np.ndarray:
 
 
 def reaction(params: CompetitionParams, u, v):
-    """Logistic-competition reaction terms (f1, f2); broadcasts over arrays."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    shape = np.broadcast_shapes(u.shape, v.shape)
-    ndim = 1 + max(len(shape), len(np.broadcast(*vars(params).values()).shape))
+    """Logistic-competition reaction terms (f1, f2); u, v and a batch of parameters must
+    broadcast together."""
+    u, v = _as_floats(u, "u"), _as_floats(v, "v")
+    batch = np.broadcast(*vars(params).values()).shape
+    try:
+        shape = np.broadcast_shapes(u.shape, v.shape)
+        ndim = 1 + len(np.broadcast_shapes(shape, batch))
+    except ValueError:
+        raise InputError(f"u, v and the parameter batch must broadcast together, got shapes "
+                         f"{u.shape}, {v.shape} and {batch}") from None
     y = np.empty((2,) + (1,) * (ndim - 1 - len(shape)) + shape)
     y[0], y[1] = u, v
     f = _kinetics(y, *_species_stack(params, ndim)[:3])
@@ -186,6 +192,9 @@ def invariant_rectangle(params: CompetitionParams, u0, v0) -> tuple[float, float
     Initial data of shape (n, P), one column per state of a batch, give per-column bounds
     from the column maxima; 1-D data give one bound from their maximum.
     """
+    u0, v0 = _as_floats(u0, "u0"), _as_floats(v0, "v0")
+    if u0.size == 0 or v0.size == 0:
+        raise InputError("an invariant rectangle needs at least one value of each species")
     m_u = np.maximum(params.a1 / params.b1, np.max(np.atleast_1d(u0), axis=0))
     m_v = np.maximum(np.max(np.atleast_1d(v0), axis=0), params.a2 / params.c2)
     return m_u, m_v
@@ -251,8 +260,12 @@ def _step_cap(p: CompetitionParams, diff, m_u, m_v) -> float:
 
 
 def stable_dt(problem: Problem, m_u, m_v) -> float:
-    """Step cap: 0.5 over (diffusion rate + reaction Lipschitz bound), smallest over a batch."""
-    return _step_cap(problem.params, _diffusion_rate(problem), m_u, m_v)
+    """Step cap: 0.5 over (diffusion rate + reaction Lipschitz bound), smallest over a batch.
+    The rectangle bounds m_u and m_v must be finite numbers of at least 0."""
+    bounds = [_as_floats(m, what) for m, what in ((m_u, "m_u"), (m_v, "m_v"))]
+    if not all(m.size and np.all(np.isfinite(m) & (m >= 0.0)) for m in bounds):
+        raise InputError(f"m_u and m_v must be finite and at least 0, got {m_u!r} and {m_v!r}")
+    return _step_cap(problem.params, _diffusion_rate(problem), *bounds)
 
 
 def _pair_arrays(pair) -> tuple[np.ndarray, np.ndarray]:

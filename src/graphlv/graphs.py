@@ -124,6 +124,14 @@ def _positive(value, what: str) -> float:
     return value
 
 
+def _nonnegative(value, what: str) -> float:
+    """``value`` as a float, which must be finite and at least 0."""
+    value = _as_float(value, what)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise InputError(f"{what} must be finite and at least 0, got {value}")
+    return value
+
+
 def _positive_int(value, what: str) -> int:
     """``value``, which must be a positive integer (not a bool or a float)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Sized
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import _shared_solves, coexistence_point, eigenpairs_for
+from .classify import RegimeKind, _shared_solves, classify_neumann, eigenpairs_for
 from .dynamics import (
     _MAX_STEPS,
     BoundaryCondition,
@@ -57,6 +57,7 @@ from .graphs import (
     _blocks,
     _boundary_normal,
     _closure_laplacian,
+    _nonnegative,
     _positive,
     _positive_int,
 )
@@ -101,10 +102,15 @@ class TimeField:
     value: Callable[[float], object]
     derivative: Callable[[float], object] | None = None
 
+    def __post_init__(self) -> None:
+        if not callable(self.value) or not (self.derivative is None
+                                            or callable(self.derivative)):
+            raise InputError("a time field's value and derivative must be callables")
+
 
 @dataclass(frozen=True, eq=False)
 class OrderedPair:
-    """Coupled upper/lower candidate bounds over a time horizon."""
+    """Coupled upper/lower candidate bounds over a time horizon t0 <= t_end."""
 
     u_upper: TimeField
     v_upper: TimeField
@@ -114,16 +120,49 @@ class OrderedPair:
     t_end: float
     info: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not all(isinstance(tf, TimeField) for tf in _pair_fields(self)):
+            raise InputError("an ordered pair's four fields must be TimeFields")
+        t0, t_end = _as_float(self.t0, "t0"), _as_float(self.t_end, "t_end")
+        if not (math.isfinite(t0) and math.isfinite(t_end) and t0 <= t_end):
+            raise InputError(f"a pair needs finite t0 <= t_end, got {t0} and {t_end}")
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "t_end", t_end)
+
+
+# an ordered pair as four rows, each (name, species, sign): upper u, lower u, upper v and
+# lower v; an upper row's inequalities hold with sign +1, a lower row's with -1
+_PAIR_ROWS = (("upper_u", 1, 1.0), ("lower_u", 1, -1.0), ("upper_v", 2, 1.0),
+              ("lower_v", 2, -1.0))
+_PAIR_SIGNS = np.array([sign for _, _, sign in _PAIR_ROWS])[:, None, None]
+
+
+def _pair_fields(pair: OrderedPair) -> tuple[TimeField, ...]:
+    """The pair's four TimeFields in ``_PAIR_ROWS`` order."""
+    return pair.u_upper, pair.u_lower, pair.v_upper, pair.v_lower
+
+
+def _paired_kinetics(p: CompetitionParams, rows: np.ndarray) -> np.ndarray:
+    """The kinetics of each row of a (4, ...) block in ``_PAIR_ROWS`` order under the mixed
+    quasimonotone pairing: upper u with lower v, and lower u with upper v."""
+    f1, f2 = reaction(p, rows[:2], rows[:1:-1])
+    return np.concatenate([f1, f2[::-1]])
+
 
 def constant_pair(upper: tuple[float, float], lower: tuple[float, float],
                   t0: float = 0.0, t_end: float = 1.0) -> OrderedPair:
     """Pair of constants, e.g. the invariant rectangle corners (M_u, M_v)/(0, 0)."""
+    corners = [_as_floats(c, what) for c, what in ((upper, "upper"), (lower, "lower"))]
+    if any(c.shape != (2,) for c in corners):
+        raise InputError(f"upper and lower must each be two numbers, got {upper!r} and "
+                         f"{lower!r}")
+
     def const(c):
         return TimeField(value=lambda t, c=c: c, derivative=lambda t: 0.0)
 
+    (u_hi, v_hi), (u_lo, v_lo) = (c.tolist() for c in corners)
     return OrderedPair(
-        u_upper=const(float(upper[0])), v_upper=const(float(upper[1])),
-        u_lower=const(float(lower[0])), v_lower=const(float(lower[1])),
+        u_upper=const(u_hi), v_upper=const(v_hi), u_lower=const(u_lo), v_lower=const(v_lo),
         t0=t0, t_end=t_end, info={"kind": "constant"},
     )
 
@@ -137,7 +176,9 @@ def pair_from_trajectory(traj: Trajectory) -> OrderedPair:
     should be built by the caller with analytic derivatives when slack at
     machine precision matters.
     """
-    times = np.asarray(traj.times, dtype=float)
+    times = _as_floats(traj.times, "trajectory times")
+    if times.ndim != 1 or times.size == 0 or times.size != len(traj.states):
+        raise InputError("a trajectory needs one state per time and at least one of each")
     u_samples = np.stack([s.u for s in traj.states])
     v_samples = np.stack([s.v for s in traj.states])
 
@@ -220,10 +261,16 @@ class LinearCoupledSystem:
     partition: DomainPartition | None = None
 
     def __post_init__(self) -> None:
-        m = len(self.d)
-        if not (len(self.species) == len(self.bc) == m):
+        d = _as_floats(self.d, "d")
+        if d.ndim != 1 or d.size == 0:
+            raise InputError(f"d must be a sequence of one number per component, and a "
+                             f"system needs at least one, got {self.d!r}")
+        m = d.size
+        if not all(isinstance(x, Sized) and len(x) == m for x in (self.species, self.bc)):
             raise InputError("d, species, and bc must have one entry per component")
-        if not np.all(np.isfinite(_as_floats(self.d, "d"))):
+        if not all(isinstance(b, BoundaryCondition) for b in self.bc):
+            raise InputError(f"bc entries must be BoundaryCondition members, got {self.bc!r}")
+        if not np.all(np.isfinite(d)):
             raise InputError(f"d must be finite, got {self.d!r}")
         h = _as_floats(self.coupling, "coupling")
         if h.shape == (m, m):
@@ -247,6 +294,23 @@ class LinearCoupledSystem:
         return len(self.d)
 
 
+def _defects(graph: WeightedGraph, part: DomainPartition | None, components, values, rates):
+    """The operators of m weakly coupled components (Protter & Weinberger 1967, ch. 3), each
+    given as (species, d, bc) with its (T, n) field ``values[k]`` in vertex order and its
+    (T, n_act) rate ``rates[k]`` at the active vertices: rate - d Lap w there, as one
+    (m, T, n_act) array, and each one's boundary operator, the trace on an absorbing
+    boundary, the outward normal derivative on a reflecting one, None with no boundary."""
+    laps = {s: _closure_laplacian(graph, s, part) for s in {s for s, _, _ in components}}
+    normals = {s: _boundary_normal(graph, s, part)
+               for s in {s for s, _, bc in components if bc is BoundaryCondition.NEUMANN}}
+    defects = np.array([rate - d * laps[s](w)
+                        for w, rate, (s, d, _) in zip(values, rates, components)])
+    boundary = [normals[s](w) if bc is BoundaryCondition.NEUMANN
+                else None if part is None else w[:, part.boundary_idx]
+                for w, (s, _, bc) in zip(values, components)]
+    return defects, boundary
+
+
 @dataclass(frozen=True, eq=False)
 class MaxPrincipleReport:
     satisfied: bool
@@ -267,18 +331,20 @@ def maximum_principle_check(
 ) -> MaxPrincipleReport:
     """Check the nonpositivity conclusion after verifying its hypotheses.
 
-    ``fields`` has shape (m, T, n) over the full vertex order; values
-    outside each component's domain are ignored, but every value must be
-    finite. Hypotheses (nonpositive off-diagonal coupling, nonpositive
-    initial data, the parabolic inequality at interior vertices,
-    nonpositive boundary operator) are verified numerically on the grid
-    and any violation raises HypothesisNotMet; time derivatives come from
-    ``dfields_dt`` when given, else second-order finite differences on
-    the grid, which need at least two strictly increasing times. This is
-    a checker, not a prover: the verdict only covers the sampled grid.
+    ``fields`` has shape (m, T, n) over the full vertex order; values outside each
+    component's domain are ignored, but every value must be finite. Hypotheses (nonpositive
+    off-diagonal coupling, then per component nonpositive initial data, the parabolic
+    inequality at interior vertices and a nonpositive boundary operator, both from
+    ``_defects``) are verified numerically on the grid and the first violation raises
+    HypothesisNotMet; time derivatives come from ``dfields_dt`` when given, else
+    second-order finite differences on the grid, which need at least two strictly increasing
+    times. Tolerances must be finite and at least 0. This is a checker, not a prover: the
+    verdict only covers the sampled grid.
     """
     fields = _as_floats(fields, "fields")
     times = _time_grid(times, "times")
+    hyp_tol = _nonnegative(hyp_tol, "hyp_tol")
+    conclusion_tol = _nonnegative(conclusion_tol, "conclusion_tol")
     m = system.m
     if fields.ndim != 3 or fields.shape[0] != m or fields.shape[2] != system.graph.n:
         raise InputError(f"fields must have shape (m, T, n) = ({m}, ?, {system.graph.n})")
@@ -301,41 +367,24 @@ def maximum_principle_check(
         raise HypothesisNotMet("off-diagonal coupling must be nonpositive")
 
     part = system.partition
-    whole = part is None
-    if whole:
-        domain_idx = np.arange(system.graph.n)
-        interior_idx = domain_idx
-    else:
-        domain_idx = part.closure_idx
-        interior_idx = part.interior_idx
+    domain_idx = np.arange(system.graph.n) if part is None else part.closure_idx
+    act = domain_idx if part is None else part.interior_idx
+    components = list(zip(system.species, system.d, system.bc))
+    defects, boundary = _defects(system.graph, part, components, fields, dfields_dt[:, :, act])
+    resid = defects + np.einsum("klx,ltx->ktx", h[:, :, act], fields[:, :, act])
 
     hyp_worst = 0.0
     for k in range(m):
-        init = fields[k, 0, domain_idx]
-        if np.any(init > hyp_tol):
-            raise HypothesisNotMet(f"component {k}: initial data exceeds 0 by "
-                                   f"{float(init.max()):.3e}")
-        hyp_worst = max(hyp_worst, max(0.0, float(init.max())))
-        lap = _closure_laplacian(system.graph, system.species[k], part)(fields[k])
-        coupled = np.einsum("lx,tlx->tx", h[k][:, interior_idx],
-                            fields[:, :, interior_idx].transpose(1, 0, 2))
-        resid = dfields_dt[k][:, interior_idx] - system.d[k] * lap + coupled
-        worst = float(resid.max())
+        init = float(fields[k, 0, domain_idx].max())
+        if init > hyp_tol:
+            raise HypothesisNotMet(f"component {k}: initial data exceeds 0 by {init:.3e}")
+        worst = float(resid[k].max())
         if worst > hyp_tol:
             raise HypothesisNotMet(f"component {k}: parabolic inequality violated by {worst:.3e}")
-        hyp_worst = max(hyp_worst, max(0.0, worst))
-        if not whole:
-            if system.bc[k] is BoundaryCondition.DIRICHLET:
-                bvals = fields[k][:, part.boundary_idx]
-                if np.any(bvals > hyp_tol):
-                    raise HypothesisNotMet(f"component {k}: boundary values exceed 0")
-                hyp_worst = max(hyp_worst, max(0.0, float(bvals.max())))
-            elif system.bc[k] is BoundaryCondition.NEUMANN:
-                normal = _boundary_normal(system.graph, system.species[k], part)(fields[k])
-                if np.any(normal > hyp_tol):
-                    raise HypothesisNotMet(f"component {k}: boundary operator exceeds 0 by "
-                                           f"{float(normal.max()):.3e}")
-                hyp_worst = max(hyp_worst, max(0.0, float(normal.max())))
+        edge = -math.inf if boundary[k] is None else float(boundary[k].max())
+        if edge > hyp_tol:
+            raise HypothesisNotMet(f"component {k}: boundary operator exceeds 0 by {edge:.3e}")
+        hyp_worst = max(hyp_worst, init, worst, edge)
 
     sub = fields[:, :, domain_idx]
     flat = int(np.argmax(sub))
@@ -383,59 +432,43 @@ def verify_coupled_pair(
 ) -> PairReport:
     """Evaluate the coupled upper/lower inequalities on a time grid.
 
-    Reports the worst signed slack of each inequality family (positive
-    means satisfied with room); the pair passes when every slack is
-    >= -slack_tol. The upper u inequality uses the lower v and vice
-    versa, matching the mixed quasimonotone coupling. The grid must be a
-    nonempty 1-D array of finite times; ``initial``, if given, is one
-    state, read and checked as ``integrate`` reads it.
+    Reports the worst signed slack of each inequality family (positive means satisfied with
+    room); the pair passes when every slack is >= -slack_tol, finite and at least 0. The
+    pair's four ``_PAIR_ROWS`` take their operators from ``_defects`` and their kinetics
+    from ``_paired_kinetics``: the upper u inequality uses the lower v and vice versa,
+    matching the mixed quasimonotone coupling. The grid must be a nonempty 1-D array of
+    finite times; ``initial``, if given, is one state, read and checked as ``integrate``
+    reads it.
     """
     p = problem.params
     graph, part, act = problem.graph, problem.partition, problem.active_idx
     grid = _time_grid(grid, "grid")
+    slack_tol = _nonnegative(slack_tol, "slack_tol")
     if initial is not None:
         y0 = _coerce_initial(problem, initial)
         if y0.ndim != 2:
             raise InputError(f"initial data must be one state, got shape {y0.shape[1:]}")
-        u0, v0 = y0[:, act]
-    every = np.arange(graph.n)
-    fields = {"upper_u": pair.u_upper, "upper_v": pair.v_upper,
-              "lower_u": pair.u_lower, "lower_v": pair.v_lower}
-    # (T, n) values and (T, n_act) rates over the whole grid, one array per field
-    values = {name: _tf_samples(tf.value, grid, graph.n, every) for name, tf in fields.items()}
-    rates = {name: _tf_rates(tf, grid, graph.n, act, pair.t0, pair.t_end)
-             for name, tf in fields.items()}
-    on_act = {name: x[:, act] for name, x in values.items()}
-    kinetics = dict(zip(("upper_u", "lower_v"),
-                        reaction(p, on_act["upper_u"], on_act["lower_v"])))
-    kinetics.update(zip(("lower_u", "upper_v"),
-                        reaction(p, on_act["lower_u"], on_act["upper_v"])))
-    species_of = {"upper_u": 1, "upper_v": 2, "lower_u": 1, "lower_v": 2}
-    d_of = {"upper_u": p.d1, "upper_v": p.d2, "lower_u": p.d1, "lower_v": p.d2}
-    sign = {name: 1.0 if name.startswith("upper") else -1.0 for name in fields}
-    lap = {species: _closure_laplacian(graph, species, part) for species in (1, 2)}
-    boundary = {}
-    if problem.bc is BoundaryCondition.NEUMANN:
-        normal = {species: _boundary_normal(graph, species, part) for species in (1, 2)}
-        boundary = {name: normal[species_of[name]](values[name]) for name in fields}
-    elif part is not None:
-        boundary = {name: values[name][:, part.boundary_idx] for name in fields}
-
-    slacks = {f"{name}_pde": float((sign[name] * (
-        rates[name] - d_of[name] * lap[species_of[name]](values[name]) - kinetics[name])).min())
-        for name in fields}
-    slacks["order_u"] = float((on_act["upper_u"] - on_act["lower_u"]).min())
-    slacks["order_v"] = float((on_act["upper_v"] - on_act["lower_v"]).min())
-    slacks.update({f"boundary_{name}": float((sign[name] * bval).min())
-                   for name, bval in boundary.items()})
+    fields = _pair_fields(pair)
+    # (4, T, n) values and (4, T, n_act) rates over the whole grid, in _PAIR_ROWS order
+    values = np.array([_tf_samples(tf.value, grid, graph.n, np.arange(graph.n)) for tf in fields])
+    rates = np.array([_tf_rates(tf, grid, graph.n, act, pair.t0, pair.t_end) for tf in fields])
+    on_act = values[:, :, act]
+    defects, boundary = _defects(graph, part, [(s, (p.d1, p.d2)[s - 1], problem.bc)
+                                               for _, s, _ in _PAIR_ROWS], values, rates)
+    pde = _PAIR_SIGNS * (defects - _paired_kinetics(p, on_act))
+    listed = (0, 2, 1, 3)    # the report lists the upper rows first, then the lower ones
+    slacks = {f"{_PAIR_ROWS[j][0]}_pde": float(pde[j].min()) for j in listed}
+    slacks["order_u"], slacks["order_v"] = (float(x.min()) for x in on_act[::2] - on_act[1::2])
+    if part is not None:
+        slacks.update({f"boundary_{_PAIR_ROWS[j][0]}": float((_PAIR_SIGNS[j] * boundary[j]).min())
+                       for j in listed})
 
     if initial is not None:
         t0 = _time_grid([pair.t0], "the pair's t0")
-        at_t0 = {name: _tf_samples(tf.value, t0, graph.n, act)[0] for name, tf in fields.items()}
-        slacks["initial_u"] = float(min((at_t0["upper_u"] - u0).min(),
-                                        (u0 - at_t0["lower_u"]).min()))
-        slacks["initial_v"] = float(min((at_t0["upper_v"] - v0).min(),
-                                        (v0 - at_t0["lower_v"]).min()))
+        at_t0 = np.array([_tf_samples(tf.value, t0, graph.n, act)[0] for tf in fields])
+        for name, y, (hi, lo) in zip(("initial_u", "initial_v"), y0[:, act],
+                                     at_t0.reshape(2, 2, -1)):
+            slacks[name] = float(min((hi - y).min(), (y - lo).min()))
 
     passed = all(s >= -slack_tol for s in slacks.values())
     return PairReport(slacks=slacks, passed=passed, tol=slack_tol)
@@ -455,29 +488,29 @@ def analytic_envelopes(
 ) -> OrderedPair:
     """Spatially constant exponential bounds funneling to the known limit.
 
-    Regime 1 is competitive exclusion by v, regime 2 by u, regime 3
-    coexistence at the interior equilibrium. ``state_at_t0`` must be a
-    strictly positive state already inside the envelope at t0 (pass the
-    values on the problem's active region). Every free constant is set
-    to the midpoint of its admissible range; the chosen values are
-    recorded in the pair's info dict.
+    Regime 1 is competitive exclusion by v, regime 2 by u, regime 3 coexistence at the
+    interior equilibrium, as ``classify_neumann`` must find it, with its predicted limit.
+    ``state_at_t0`` must be a strictly positive state already inside the envelope at t0
+    (pass the values on the problem's active region). Every free constant is set to the
+    midpoint of its admissible range; the chosen values are recorded in the pair's info
+    dict.
     """
     p = params
-    ra, rb, rc = p.a1 / p.a2, p.b1 / p.b2, p.c1 / p.c2
+    if regime not in (1, 2, 3):
+        raise InputError(f"regime must be 1, 2, or 3, got {regime!r}")
+    want = (RegimeKind.V_WINS, RegimeKind.U_WINS, RegimeKind.COEXIST)[int(regime) - 1]
+    found = classify_neumann(p)
+    if found.kind is not want:
+        raise RegimeMismatch(f"regime {regime} needs {want.value} parameters, "
+                             f"got {found.kind.value}")
+    limit = (found.predicted.u, found.predicted.v)
+    t0 = _as_float(t0, "t0")
     if regime == 1:
-        if not (ra < rb and ra < rc):
-            raise RegimeMismatch("regime 1 needs a1/a2 < min(b1/b2, c1/c2)")
         cap = min(p.c1 * p.a2 / p.c2 - p.a1, p.b1 * p.a2 / p.b2 - p.a1)
     elif regime == 2:
-        if not (ra > rb and ra > rc):
-            raise RegimeMismatch("regime 2 needs a1/a2 > max(b1/b2, c1/c2)")
         cap = min(p.a1 * p.c2 / p.c1 - p.a2, p.a1 * p.b2 / p.b1 - p.a2)
-    elif regime == 3:
-        if not (rc < ra < rb):
-            raise RegimeMismatch("regime 3 needs c1/c2 < a1/a2 < b1/b2")
-        cap = min(p.c2 * p.a1 / p.c1 - p.a2, p.b1 * p.a2 / p.b2 - p.a1)
     else:
-        raise InputError(f"regime must be 1, 2, or 3, got {regime!r}")
+        cap = min(p.c2 * p.a1 / p.c1 - p.a2, p.b1 * p.a2 / p.b2 - p.a1)
 
     eps = 0.5 * cap if epsilon is None else _positive(epsilon, "epsilon")
     if eps >= cap:
@@ -506,7 +539,7 @@ def analytic_envelopes(
                          sigma * (p.a2 - sigma - (p.b2 / p.b1) * (p.a1 + eps)) / (p.a2 - sigma),
                          p.a2)
         q = (p.c1 / p.c2) * (p.a2 + eps) + sigma - p.a1
-        info.update(sigma=sigma, beta=beta, q=q, limit=(0.0, p.a2 / p.c2))
+        info.update(sigma=sigma, beta=beta, q=q, limit=limit)
         u_hi = _exp_field((p.a1 + eps) / p.b1, 0.0, beta, t0)
         u_lo = _exp_field(sigma / p.b1, 0.0, q, t0)
         v_hi = _exp_field(eps / p.c2, p.a2 / p.c2, beta, t0)
@@ -522,14 +555,13 @@ def analytic_envelopes(
         beta = 0.5 * min((p.b2 / p.b1) * sigma + eps,
                          sigma * (p.a1 - sigma - (p.c1 / p.c2) * (p.a2 + eps)) / (p.a1 - sigma))
         q = sigma + (p.b2 / p.b1) * (p.a1 + eps) - p.a2
-        info.update(sigma=sigma, beta=beta, q=q, limit=(p.a1 / p.b1, 0.0))
+        info.update(sigma=sigma, beta=beta, q=q, limit=limit)
         u_hi = _exp_field(eps / p.b1, p.a1 / p.b1, p.a1, t0)
         u_lo = _exp_field(-(p.a1 - sigma) / p.b1, p.a1 / p.b1, beta, t0)
         v_hi = _exp_field((p.a2 + eps) / p.c2, 0.0, beta, t0)
         v_lo = _exp_field(sigma / p.c2, 0.0, q, t0)
     else:
-        point = coexistence_point(p)
-        xi, eta = point.xi, point.eta
+        xi, eta = limit
         sig_cap = min(p.b1 * xi, p.c2 * eta, p.c2 * min_v, p.b1 * min_u,
                       p.a2 - (p.b2 / p.b1) * (p.a1 + eps),
                       p.a1 - (p.c1 / p.c2) * (p.a2 + eps))
@@ -542,16 +574,14 @@ def analytic_envelopes(
         q3 = sigma * (p.a1 - sigma - (p.c1 / p.c2) * (p.a2 + eps)) / (p.b1 * xi - sigma)
         q4 = p.c2 * eta * ((p.b2 / p.b1) * sigma + eps) / (p.a2 + eps - p.c2 * eta)
         q = 0.5 * min(q1, q2, q3, q4)
-        info.update(sigma=sigma, q=q, xi=xi, eta=eta, limit=(xi, eta))
+        info.update(sigma=sigma, q=q, xi=xi, eta=eta, limit=limit)
         u_hi = _exp_field((p.a1 + eps - p.b1 * xi) / p.b1, xi, q, t0)
         u_lo = _exp_field(-(p.b1 * xi - sigma) / p.b1, xi, q, t0)
         v_hi = _exp_field((p.a2 + eps - p.c2 * eta) / p.c2, eta, q, t0)
         v_lo = _exp_field(-(p.c2 * eta - sigma) / p.c2, eta, q, t0)
 
-    if t_end is None:
-        t_end = t0 + 1.0
     return OrderedPair(u_upper=u_hi, v_upper=v_hi, u_lower=u_lo, v_lower=v_lo,
-                       t0=t0, t_end=float(t_end), info=info)
+                       t0=t0, t_end=t0 + 1.0 if t_end is None else t_end, info=info)
 
 
 def _exp_field(amplitude: float, offset: float, rate: float, t0: float) -> TimeField:
@@ -1038,8 +1068,7 @@ def monotone_solve(
     y0 = np.repeat(_coerce_initial(problem, initial)[:, act].T, 2, axis=1)
     # the iterates as one (4, T, n_act) array on the fine grid: upper u, lower u, upper v
     # and lower v, so that u's sweep takes rows 0-1 and v's 2-3 (all four when shared)
-    cols = np.array([_tf_samples(tf.value, fine, n, act) for tf in (
-        pair.u_upper, pair.u_lower, pair.v_upper, pair.v_lower)])
+    cols = np.array([_tf_samples(tf.value, fine, n, act) for tf in _pair_fields(pair)])
 
     if m_const is None:
         # the upper fields' range: the closure at t_grid, where the pair is verified, and
@@ -1062,16 +1091,13 @@ def monotone_solve(
               else [(p.d1, ops.red1, slice(0, 2)), (p.d2, ops.red2, slice(2, 4))])
     sweeps = [([(_propagator(d * red, m_const, h), idx) for h, idx in lengths], rows)
               for d, red, rows in groups]
-    sign = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]    # upper rows fall, lower rise
 
     min_slack, gap, gaps = np.inf, np.inf, []
     for iterations in range(1, max_iters + 1):
-        # upper u pairs with lower v and lower u with upper v, so f2 comes lower v first
-        f1, f2 = reaction(p, cols[:2], cols[:1:-1])
-        g = np.concatenate([f1, f2[::-1]]) + m_const * cols
+        g = _paired_kinetics(p, cols) + m_const * cols
         new = np.concatenate([_sweep(steps, grid_h, g[rows], y0[:, rows])
                               for steps, rows in sweeps])
-        slack = float(np.min([((cols - new) * sign).min(), (new[::2] - new[1::2]).min()]))
+        slack = float(np.min([((cols - new) * _PAIR_SIGNS).min(), (new[::2] - new[1::2]).min()]))
         if not math.isfinite(slack):    # a NaN would pass the sandwich check below
             raise NoConvergence(f"sweep {iterations} gave a non-finite iterate; the shift "
                                 f"M={m_const:.6g} or the pair is beyond floating point")

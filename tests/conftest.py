@@ -14,13 +14,14 @@ import pytest
 import scipy.linalg
 
 from graphlv import (
+    BoundaryCondition,
     boundary_of,
     build_graph,
     graphs,
     logistic_steady_state,
     smallest_dirichlet_eigenpair,
 )
-from graphlv import dynamics
+from graphlv import dynamics, monotone
 from graphlv.dynamics import _windows, reaction, reduced_operators
 from graphlv.fixtures import reflecting_example, triangle_example
 
@@ -199,6 +200,61 @@ def reference_tf_derivative(tf, t, n, t0, t_end):
     if t + h > t_end:
         return (3.0 * val(t) - 4.0 * val(t - h) + val(t - 2 * h)) / (2 * h)
     return (val(t + h) - val(t - h)) / (2 * h)
+
+
+# ---------------------------------------------------------------------------
+# reference pair check (one dict entry per inequality family)
+# ---------------------------------------------------------------------------
+
+def reference_verify_coupled_pair(problem, pair, grid, initial=None, slack_tol=1e-9):
+    """``verify_coupled_pair`` as it was written before the four-row layout: each field
+    sampled and paired by name, each family's Laplacian, normal derivative and sign looked
+    up by name. Returns (slacks, passed) with the slacks in the report's order."""
+    p = problem.params
+    graph, part, act = problem.graph, problem.partition, problem.active_idx
+    grid = monotone._time_grid(grid, "grid")
+    if initial is not None:
+        u0, v0 = dynamics._coerce_initial(problem, initial)[:, act]
+    every = np.arange(graph.n)
+    fields = {"upper_u": pair.u_upper, "upper_v": pair.v_upper,
+              "lower_u": pair.u_lower, "lower_v": pair.v_lower}
+    values = {name: monotone._tf_samples(tf.value, grid, graph.n, every)
+              for name, tf in fields.items()}
+    rates = {name: monotone._tf_rates(tf, grid, graph.n, act, pair.t0, pair.t_end)
+             for name, tf in fields.items()}
+    on_act = {name: x[:, act] for name, x in values.items()}
+    kinetics = dict(zip(("upper_u", "lower_v"),
+                        reaction(p, on_act["upper_u"], on_act["lower_v"])))
+    kinetics.update(zip(("lower_u", "upper_v"),
+                        reaction(p, on_act["lower_u"], on_act["upper_v"])))
+    species_of = {"upper_u": 1, "upper_v": 2, "lower_u": 1, "lower_v": 2}
+    d_of = {"upper_u": p.d1, "upper_v": p.d2, "lower_u": p.d1, "lower_v": p.d2}
+    sign = {name: 1.0 if name.startswith("upper") else -1.0 for name in fields}
+    lap = {species: graphs._closure_laplacian(graph, species, part) for species in (1, 2)}
+    boundary = {}
+    if problem.bc is BoundaryCondition.NEUMANN:
+        normal = {species: graphs._boundary_normal(graph, species, part) for species in (1, 2)}
+        boundary = {name: normal[species_of[name]](values[name]) for name in fields}
+    elif part is not None:
+        boundary = {name: values[name][:, part.boundary_idx] for name in fields}
+
+    slacks = {f"{name}_pde": float((sign[name] * (
+        rates[name] - d_of[name] * lap[species_of[name]](values[name]) - kinetics[name])).min())
+        for name in fields}
+    slacks["order_u"] = float((on_act["upper_u"] - on_act["lower_u"]).min())
+    slacks["order_v"] = float((on_act["upper_v"] - on_act["lower_v"]).min())
+    slacks.update({f"boundary_{name}": float((sign[name] * bval).min())
+                   for name, bval in boundary.items()})
+
+    if initial is not None:
+        t0 = monotone._time_grid([pair.t0], "the pair's t0")
+        at_t0 = {name: monotone._tf_samples(tf.value, t0, graph.n, act)[0]
+                 for name, tf in fields.items()}
+        slacks["initial_u"] = float(min((at_t0["upper_u"] - u0).min(),
+                                        (u0 - at_t0["lower_u"]).min()))
+        slacks["initial_v"] = float(min((at_t0["upper_v"] - v0).min(),
+                                        (v0 - at_t0["lower_v"]).min()))
+    return slacks, all(s >= -slack_tol for s in slacks.values())
 
 
 # ---------------------------------------------------------------------------

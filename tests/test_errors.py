@@ -10,6 +10,7 @@ from graphlv import (
     OrderedPair,
     Problem,
     TimeField,
+    Trajectory,
     analytic_envelopes,
     build_graph,
     classify_bistable_basin,
@@ -18,12 +19,16 @@ from graphlv import (
     dynamics,
     field_array,
     integrate,
+    invariant_rectangle,
     logistic_steady_state,
     maximum_principle_check,
     monotone,
     monotone_solve,
+    pair_from_trajectory,
+    reaction,
     sample_times,
     smallest_dirichlet_eigenpair,
+    stable_dt,
     verify_coupled_pair,
 )
 from graphlv.errors import InputError
@@ -34,6 +39,7 @@ SET_IV = CompetitionParams(a1=2.0, b1=1.0, c1=3.0, a2=1.0, b2=1.0, c2=1.0)
 PAIR = constant_pair((2.0, 3.0), (0.0, 0.0), t_end=1.0)
 INSIDE = (np.ones(3), np.ones(3))
 GRID = np.array([0.0, 0.5, 1.0])
+STATE = (np.full(3, 0.3), np.full(3, 0.3))
 BOUNDS = CompetitionParams(a1=2.0, b1=1.0, c1=0.05, a2=2.0, b2=0.05, c2=1.0, d1=0.1, d2=0.1)
 
 
@@ -104,6 +110,28 @@ CASES = {
     "envelopes-nan-epsilon": lambda: analytic_envelopes(1, SET_I, epsilon=np.nan,
                                                         state_at_t0=(np.full(3, 0.3),
                                                                      np.full(3, 0.3))),
+    "pair-plain-function": lambda: verify_coupled_pair(_problem(), OrderedPair(
+        u_upper=lambda t: 2.0, v_upper=PAIR.v_upper, u_lower=PAIR.u_lower,
+        v_lower=PAIR.v_lower, t0=0.0, t_end=1.0), GRID),
+    "time-field-without-value": lambda: TimeField(value=None),
+    "constant-pair-one-corner": lambda: constant_pair((2.0,), (0.0, 0.0)),
+    "constant-pair-text-corner": lambda: constant_pair(("x", 1.0), (0.0, 0.0)),
+    "solve-text-t0": lambda: monotone_solve(_problem(), constant_pair((2.0, 3.0), (0.0, 0.0),
+                                                                      t0="x"), INSIDE, GRID),
+    "envelopes-text-t0": lambda: analytic_envelopes(1, SET_I, t0="x", state_at_t0=STATE),
+    "envelopes-text-t-end": lambda: analytic_envelopes(1, SET_I, t_end="x",
+                                                       state_at_t0=STATE),
+    "envelopes-backward-horizon": lambda: verify_coupled_pair(_problem(), analytic_envelopes(
+        1, SET_I, t0=3.0, t_end=1.0, state_at_t0=STATE), GRID + 3.0),
+    "trajectory-pair-empty": lambda: pair_from_trajectory(Trajectory(times=np.array([]),
+                                                                     states=[])),
+    "reaction-text": lambda: reaction(SET_I, "x", 1.0),
+    "reaction-mismatched-shapes": lambda: reaction(SET_I, np.ones(3), np.ones(4)),
+    "rectangle-empty": lambda: invariant_rectangle(SET_I, [], 1.0),
+    "rectangle-text": lambda: invariant_rectangle(SET_I, "x", 1.0),
+    "step-text-bound": lambda: stable_dt(_problem(), "x", 1.0),
+    "step-negative-bound": lambda: stable_dt(_problem(), -100.0, 1.0),
+    "step-nan-bound": lambda: stable_dt(_problem(), np.nan, 1.0),
 }
 
 
@@ -217,7 +245,26 @@ CHECKER_CASES = {
     "system-nan-coupling": lambda: LinearCoupledSystem(
         graph=triangle_example(), d=(1.0,), species=(1,), coupling=np.full((1, 1), np.nan),
         bc=(BoundaryCondition.NO_BOUNDARY,)),
+    "verify-text-tolerance": lambda: verify_coupled_pair(_problem(), PAIR, GRID, slack_tol="x"),
+    "verify-negative-tolerance": lambda: verify_coupled_pair(_problem(), PAIR, GRID,
+                                                             slack_tol=-1e-9),
+    "max-principle-text-tolerance": lambda: _max_principle(hyp_tol="x"),
+    "max-principle-nan-tolerance": lambda: _max_principle(conclusion_tol=np.nan),
+    "system-no-components": lambda: LinearCoupledSystem(
+        graph=triangle_example(), d=(), species=(), coupling=np.zeros((0, 0)), bc=()),
+    "system-text-boundary": lambda: LinearCoupledSystem(
+        graph=triangle_example(), d=(1.0,), species=(1,), coupling=np.zeros((1, 1)),
+        bc=("none",)),
+    "system-scalar-diffusion": lambda: LinearCoupledSystem(
+        graph=triangle_example(), d=1.0, species=(1,), coupling=np.zeros((1, 1)),
+        bc=(BoundaryCondition.NO_BOUNDARY,)),
 }
+
+
+def test_zero_tolerances_are_allowed():
+    """A tolerance of 0 asks for the inequalities to hold exactly, and is accepted."""
+    assert verify_coupled_pair(_problem(), PAIR, GRID, slack_tol=0.0).passed
+    assert _max_principle(hyp_tol=0.0, conclusion_tol=0.0).satisfied
 
 
 @pytest.mark.parametrize("call", CHECKER_CASES.values(), ids=CHECKER_CASES.keys())

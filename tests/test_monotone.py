@@ -14,6 +14,7 @@ from conftest import (
     reference_monotone_solve,
     reference_step,
     reference_tf_derivative,
+    reference_verify_coupled_pair,
     stored,
 )
 from hypothesis import example, given, settings
@@ -251,6 +252,43 @@ class TestMaxPrinciple:
             maximum_principle_check(system, np.zeros((1, 2, 4)), np.array([0.0, 1.0]))
         with pytest.raises(InputError):
             maximum_principle_check(system, np.zeros((1, 3, 3)), np.array([0.0, 1.0]))
+
+    def test_mixed_boundary_exact_solution(self, reflecting):
+        """A reflecting component coupled to an absorbing one: the exact solution of the
+        linear system meets every hypothesis to rounding, and lifting the absorbing
+        component's boundary to 0.5 after t = 0 breaks its boundary operator alone."""
+        graph, part = reflecting
+        neumann = reduced_operators(Problem(graph, SET_I, bc=BoundaryCondition.NEUMANN,
+                                            partition=part))
+        dirichlet = reduced_operators(Problem(graph, SET_I, bc=BoundaryCondition.DIRICHLET,
+                                              partition=part))
+        coupling = np.array([[0.3, -0.2], [-0.1, -0.4]])
+        system = LinearCoupledSystem(
+            graph=graph, d=(1.0, 2.0), species=(1, 2), coupling=coupling,
+            bc=(BoundaryCondition.NEUMANN, BoundaryCondition.DIRICHLET), partition=part,
+        )
+        n_i = part.interior_idx.size
+        gen = np.block([
+            [1.0 * neumann.red1 - coupling[0, 0] * np.eye(n_i), -coupling[0, 1] * np.eye(n_i)],
+            [-coupling[1, 0] * np.eye(n_i), 2.0 * dirichlet.red2 - coupling[1, 1] * np.eye(n_i)],
+        ])
+        y0 = -np.random.default_rng(11).uniform(0.1, 1.0, 2 * n_i)
+        times = np.linspace(0.0, 1.5, 7)
+        fields = np.zeros((2, len(times), graph.n))
+        dfields = np.zeros_like(fields)
+        for j, t in enumerate(times):
+            y = scipy.linalg.expm(gen * t) @ y0
+            for k, (w, dw) in enumerate(zip(np.split(y, 2), np.split(gen @ y, 2))):
+                fields[k, j, part.interior_idx], dfields[k, j, part.interior_idx] = w, dw
+            # the reflecting boundary follows the interior; the absorbing one stays 0
+            fields[0, j, part.boundary_idx] = neumann.proj1 @ fields[0, j, part.interior_idx]
+            dfields[0, j, part.boundary_idx] = neumann.proj1 @ dfields[0, j, part.interior_idx]
+        report = maximum_principle_check(system, fields, times, dfields_dt=dfields)
+        assert report.satisfied and report.max_value <= 1e-9
+        assert report.hypothesis_residual <= 1e-12
+        fields[1, 1:, part.boundary_idx] = 0.5
+        with pytest.raises(HypothesisNotMet, match="component 1: boundary"):
+            maximum_principle_check(system, fields, times, dfields_dt=dfields)
 
     def test_system_domain_consistency(self, reflecting):
         graph, part = reflecting
@@ -1104,3 +1142,53 @@ def test_tf_rates_match_the_per_time_reader(seed, n, t0, span, kind):
     want = np.stack([reference_tf_derivative(field, t, n, t0, t_end)[idx]
                      for t in grid.tolist()])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _random_pair(rng, kind, n, t0, t_end):
+    """An ordered pair on n vertices: constants, or per-vertex exponentials
+    base + amp exp(-rate (t - t0)) with their exact derivatives or none."""
+    lo, hi = np.sort(rng.uniform(0.0, 3.0, (2, 2)), axis=0)
+    if kind == "constant":
+        return constant_pair(tuple(hi), tuple(lo), t0=t0, t_end=t_end)
+
+    def field(base):
+        amp, rate = rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 2.0, n)
+        return TimeField(value=lambda t: base + amp * np.exp(-rate * (t - t0)),
+                         derivative=(lambda t: -rate * amp * np.exp(-rate * (t - t0)))
+                         if kind == "exponential" else None)
+
+    u_hi, v_hi, u_lo, v_lo = (field(rng.uniform(c, c + 0.5, n))
+                              for c in (hi[0], hi[1], lo[0], lo[1]))
+    return OrderedPair(u_upper=u_hi, v_upper=v_hi, u_lower=u_lo, v_lower=v_lo,
+                       t0=t0, t_end=t_end)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bc=st.sampled_from(list(BoundaryCondition)),
+       csr=st.booleans(), kind=st.sampled_from(["constant", "exponential", "differenced"]),
+       with_initial=st.booleans())
+def test_verify_coupled_pair_matches_the_reference(seed, bc, csr, kind, with_initial):
+    """The four-row check gives the per-name reference's slacks bit for bit, in the same
+    order, under every boundary condition and both storages, for constant pairs and for
+    exponential pairs with and without derivatives, with and without initial data."""
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, max_vertices=8, split_weights=rng.random() < 0.5,
+                                   random_measure=rng.random() < 0.5)
+    part = None if bc is BoundaryCondition.NO_BOUNDARY else random_connected_interior(rng, graph)
+    a1, b1, c1, a2, b2, c2, d1, d2 = rng.uniform(0.2, 2.0, 8)
+    prob = Problem(graph, CompetitionParams(a1=a1, b1=b1, c1=c1, a2=a2, b2=b2, c2=c2,
+                                            d1=d1, d2=d2), bc=bc, partition=part)
+    t0 = float(rng.uniform(-1.0, 1.0))
+    grid = t0 + np.sort(rng.uniform(0.0, 2.0, int(rng.integers(1, 6))))
+    pair = _random_pair(rng, kind, graph.n, t0, float(grid[-1]))
+    initial = None
+    if with_initial:
+        initial = rng.uniform(0.0, 3.0, (2, graph.n))
+        if bc is BoundaryCondition.DIRICHLET:
+            initial[:, part.boundary_idx] = 0.0
+    with stored(csr):
+        got = verify_coupled_pair(prob, pair, grid, initial=initial)
+        want, passed = reference_verify_coupled_pair(prob, pair, grid, initial=initial)
+    assert [(name, s.hex()) for name, s in got.slacks.items()] == [
+        (name, s.hex()) for name, s in want.items()]
+    assert got.passed == passed

@@ -222,6 +222,27 @@ def test_steady_iteration_has_one_home():
     assert homes == ["monotone.py"]
 
 
+def test_coupled_inequalities_have_one_home():
+    """The parabolic and boundary operators of both checkers come from one evaluator,
+    ``monotone._defects``, and the ordered pair's mixed quasimonotone pairing from one
+    helper, ``monotone._paired_kinetics``: outside its import, monotone.py names
+    ``_closure_laplacian`` and ``_boundary_normal`` only inside the evaluator, and calls
+    ``reaction`` only inside the helper."""
+    tree = ast.parse((PACKAGE / "monotone.py").read_text(encoding="utf-8"))
+    homes = {"_defects": set(), "_paired_kinetics": set()}
+    homes.update({func.name: {id(node) for node in ast.walk(func)} for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name in homes})
+    found = [f"monotone.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and {"_closure_laplacian", "_boundary_normal"} & _names(node)
+             and id(node) not in homes["_defects"]]
+    found += [f"monotone.py:{node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and "reaction" in _names(node.func)
+              and id(node) not in homes["_paired_kinetics"]]
+    assert not found, f"coupled inequalities evaluated outside their homes at {found}"
+    assert all(homes.values())
+
+
 def _slope_term(node) -> bool:
     """Whether ``node`` is a product with the factor 2 and a factor named b1 or c2."""
     factors, stack = [], [node]
