@@ -112,6 +112,14 @@ class Problem:
     partition: DomainPartition | None = None
 
     def __post_init__(self) -> None:
+        for name, kind in (("graph", WeightedGraph), ("params", CompetitionParams),
+                           ("bc", BoundaryCondition)):
+            if not isinstance(getattr(self, name), kind):
+                raise InputError(f"{name} must be a {kind.__name__}, got "
+                                 f"{getattr(self, name)!r}")
+        if not (self.partition is None or isinstance(self.partition, DomainPartition)):
+            raise InputError(f"partition must be a DomainPartition or None, got "
+                             f"{self.partition!r}")
         if self.bc is BoundaryCondition.NO_BOUNDARY:
             if self.partition is not None:
                 raise InputError("whole-graph problems take no partition")
@@ -420,17 +428,28 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
 
     The state y is the (u, v) pair on the active set, one (2, n_act, ...) array, and the
     right-hand side evaluates both species together: ``_kinetics`` on y with the
-    coefficients stacked into (2, 1, ...) arrays (restacked when columns are dropped),
-    plus d times the diffusion, one stacked product ``red @ y`` for a batch whose species
-    share a dense operator and one product per species otherwise (a single state, CSR or
-    two operators). The rectangle test is one maximum over the vertices against the
-    stacked caps, and |y| of an accepted step is reused by the next error estimate.
+    coefficients as contiguous arrays of y's shape, plus d times the diffusion, one
+    stacked product ``red @ y`` for a batch whose species share a dense operator and one
+    product per species otherwise (a single state, CSR or two operators), a dense product
+    written straight into its slope.
 
-    The slopes of the seven stages are rows of one (7, 2, n_act, ...) array per window,
-    written in place by the right-hand side. A DP5 stage input is y plus the product of
-    h times its tableau row with the earlier stages flattened; the fifth-order row gives
-    the new state and the error row the estimate, and on acceptance the last stage is
-    copied to the first (FSAL). RK4 forms its stage inputs term by term as before.
+    Each window owns its work arrays, and builds them again after a column drop: the four
+    coefficient arrays, of y's shape; the slopes of the seven stages, rows of one
+    (7, 2, n_act, ...) array written in place by the right-hand side; the tableau times h,
+    one (8, 7) array filled per attempt; a stage input, a tableau product and a scratch
+    array. The coefficients cost four states per window beside the stages' seven: under
+    0.1 MiB on graphs of a few thousand vertices and 0.6 MiB for one state on 10**4
+    vertices, but 74 MiB for a batch of 121 columns there.
+
+    A DP5 stage input is the product of its tableau row with the earlier stages flattened,
+    plus y, each written into its array; the fifth-order row gives the new state, a new
+    array since y and |y| are kept, and the error row the estimate, scaled in the scratch
+    array and reduced to one RMS norm per column, the largest of which is kept. The
+    rectangle test is one maximum over the vertices against the caps stacked per species.
+    |y| of an accepted step is reused by the next error estimate, and on acceptance the
+    last stage is copied to the first (FSAL). RK4 forms its stage inputs term by term.
+    Every state and count is bit-identical to a stepper that allocates these arrays per
+    attempt.
     """
     t_max = _positive(t_max, "t_end")
     max_samples, forced_times = _schedule_options(max_samples, forced_times)
@@ -451,12 +470,15 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     # a batch through one shared dense operator takes one product for both species; a
     # single state keeps one matrix-vector product per species, since one product of the
     # pair (y @ red.T) would round differently
-    stacked = red1 is red2 and isinstance(red1, np.ndarray) and y.ndim == 3
-    a, b, c, d = _species_stack(p, y.ndim)
+    dense = isinstance(red1, np.ndarray)
+    stacked = dense and red1 is red2 and y.ndim == 3
 
     def rhs(state: np.ndarray, out: np.ndarray) -> None:
         if stacked:
             np.matmul(red1, state, out=out)
+        elif dense:
+            np.matmul(red1, state[0], out=out[0])
+            np.matmul(red2, state[1], out=out[1])
         else:
             out[0] = red1 @ state[0]
             out[1] = red2 @ state[1]
@@ -474,8 +496,22 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
         start = _materialize(problem, y, ops)
         m_u, m_v = invariant_rectangle(p, start.u[problem.closure_idx],
                                        start.v[problem.closure_idx])
+        # the window's arrays (see above), with views: each tableau row's slice with the
+        # flattened stages it weighs, the product as a state, and the scratch as y with u
+        # stacked over v, the rows the error norm reduces
+        a, b, c, d = np.broadcast_to(_species_stack(p, y.ndim), (4,) + y.shape).copy()
         caps = np.stack([m_u, m_v]) + _RECT_SLACK
-        rows = (y.shape[0] * y.shape[1],) + y.shape[2:]     # y with u stacked over v
+        stages = np.empty((len(_DP) - 1,) + y.shape)
+        flat = stages.reshape(len(stages), -1)
+        coefs = np.empty(_DP.shape)
+        inputs = [(coefs[i, :i], flat[:i], stages[i]) for i in range(1, 6)]
+        fifth = coefs[6, :6], flat[:6]
+        y_in = np.empty(y.shape)
+        prod = np.empty(flat.shape[1])
+        incr = prod.reshape(y.shape)
+        scratch = np.empty(y.shape)
+        rows = (y.shape[0] * y.shape[1],) + y.shape[2:]
+        squares = scratch.reshape(rows)
         abs_y = np.abs(y)
         step = _step_cap(p, rate, m_u, m_v) if dt is None else dt
         horizon = min(span, _COUNTED_SPAN) if dp5 else span    # fixed steps: all counted
@@ -483,9 +519,6 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
             raise StepSizeUnstable(f"step {step:.3e} up to t={t_done + horizon:.6g} exceeds the "
                                    f"budget of {_MAX_STEPS} steps")
         targets = sample_times(span, step, max_samples=max_samples, forced=forced_times)
-        # the slopes of the seven stages, and the same memory with each stage flattened
-        stages = np.empty((len(_DP) - 1,) + y.shape)
-        flat = stages.reshape(len(stages), -1)
         states = [start]
         n_steps = 0
         n_clamped = 0
@@ -511,10 +544,12 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                 while True:
                     h = min(dt_cur, target - t)
                     if dp5:
-                        coefs = h * _DP
-                        for i in range(1, 6):
-                            rhs(y + (coefs[i, :i] @ flat[:i]).reshape(y.shape), stages[i])
-                        y_new = y + (coefs[6, :6] @ flat[:6]).reshape(y.shape)
+                        np.multiply(_DP, h, out=coefs)
+                        for row, earlier, slope in inputs:
+                            np.matmul(row, earlier, out=prod)
+                            rhs(np.add(y, incr, out=y_in), slope)
+                        np.matmul(*fifth, out=prod)
+                        y_new = y + incr        # a new array: y and abs_y stay as they are
                         n_rhs += 5
                     else:
                         k1, k2, k3, k4 = stages[:4]
@@ -535,10 +570,15 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                         rhs(y_new, stages[6])
                         n_rhs += 1
                         abs_new = np.abs(y_new)
-                        scale = _ATOL + _RTOL * np.maximum(abs_y, abs_new)
-                        ratio = (coefs[7] @ flat).reshape(y.shape) / scale
-                        err = float(np.sqrt((ratio * ratio).reshape(rows).sum(axis=0)
-                                            / rows[0]).max())
+                        np.maximum(abs_y, abs_new, out=scratch)
+                        scratch *= _RTOL
+                        scratch += _ATOL
+                        np.matmul(coefs[7], flat, out=prod)
+                        np.divide(incr, scratch, out=scratch)
+                        scratch *= scratch
+                        # sqrt and the division are monotone: the root of the largest mean
+                        # is the largest root
+                        err = math.sqrt(float(squares.sum(axis=0).max()) / rows[0])
                         factor = _SAFETY * err ** -0.2 if err > 0.0 else _GROW_MAX
                         if err <= 1.0:
                             proposal = h * min(grow, factor)
@@ -594,5 +634,4 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                 y = y[..., keep]
                 p = CompetitionParams(**{name: val[keep] if isinstance(val, np.ndarray) else val
                                          for name, val in vars(p).items()})
-                a, b, c, d = _species_stack(p, y.ndim)
                 rate = rate[keep] if np.ndim(rate) else rate

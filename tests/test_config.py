@@ -125,6 +125,11 @@ class TestProblemFromDocument:
         doc["params"]["b1"] = -2.0
         with pytest.raises(ConfigInvalid, match="positive"):
             problem_from_document(doc)
+        for key in ("a1", "d2"):     # a JSON boolean is no number, even where 1 would do
+            doc = base_doc()
+            doc["params"][key] = True
+            with pytest.raises(ConfigInvalid, match=f"params.{key} must be a number"):
+                problem_from_document(doc)
 
     def test_graph_errors_become_config_errors(self):
         doc = base_doc()
@@ -147,7 +152,7 @@ class TestConfigFromDocument:
         assert (cfg.t_end, cfg.dt) == (25.0, 0.01)
 
     def test_invalid_budgets(self):
-        for patch in ({"t_end": 0.0}, {"dt": -1.0}):
+        for patch in ({"t_end": 0.0}, {"dt": -1.0}, {"dt": True}, {"t_end": True}):
             doc = base_doc()
             doc.update(patch)
             with pytest.raises(ConfigInvalid):
@@ -203,8 +208,23 @@ class TestSweepSpec:
             {"a1": []},
             {"a1": [0.0]},
             {"a1": {"start": 1.0, "stop": 2.0}},
+            {"a1": {"start": 1.0, "stop": 2.0, "count": 2.5}},
+            {"a1": {"start": 1.0, "stop": 2.0, "count": True}},
+            {"a1": {"start": True, "stop": 2.0, "count": 3}},
+            {"a1": [1.0, True]},
         ):
             doc = base_doc()
             doc["sweep"] = {"grid": grid}
             with pytest.raises(ConfigInvalid):
                 sweep_spec_from_document(doc)
+        for budget in ({"max_points": 2.7}, {"max_points": True}, {"t_end": True},
+                       {"tol": False}):
+            doc = base_doc()
+            doc["sweep"] = {"grid": {"a1": [1.0]}, **budget}
+            with pytest.raises(ConfigInvalid, match=next(iter(budget))):
+                sweep_spec_from_document(doc)
+        doc = base_doc()     # an integral float is an integer
+        doc["sweep"] = {"grid": {"a1": {"start": 1.0, "stop": 2.0, "count": 3.0}},
+                        "max_points": 9.0}
+        spec = sweep_spec_from_document(doc)
+        assert spec["axes"]["a1"] == [1.0, 1.5, 2.0] and spec["max_points"] == 9

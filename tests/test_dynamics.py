@@ -448,25 +448,56 @@ class TestWindows:
 
     FORCED = (0.25, 0.5, 0.75)
 
-    @pytest.mark.parametrize("dt", [None, 1e-3])
-    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
-    def test_matches_chained_integrate(self, case, dt):
+    def _check_chained(self, case, dt, kept=None):
+        """Run ``_windows`` over 3.5 in windows of 1.0 and compare each window with an
+        ``integrate`` call over its span from the last reference's final state, bit for bit,
+        metadata included. ``kept`` lists the columns of ``TestBatch``'s parameter batch
+        that each window steps: ``settled`` drops the others after each window, so they
+        must leave the state, the params and every per-window array."""
         problem, initial = BATCH_CASES[case]
-        windows = list(_windows(problem, initial, 1.0, 3.5, dt=dt, max_samples=6,
-                                forced_times=self.FORCED))
+        batch, masks = {}, None
+        if kept is not None:
+            batch = {"a1": TestBatch.A1, "c2": TestBatch.C2, "d1": TestBatch.D1}
+            masks = iter([np.isin(before, after, invert=True)
+                          for before, after in zip(kept, kept[1:])])
+        windows = list(_windows(
+            dataclasses.replace(problem, params=dataclasses.replace(problem.params, **batch)),
+            initial, 1.0, 3.5, dt=dt, max_samples=6, forced_times=self.FORCED,
+            settled=masks and (lambda final: next(masks))))
         assert len(windows) == 4
         state, t_done = initial, 0.0
-        for got_t, got in windows:
+        for k, (got_t, got) in enumerate(windows):
+            params = problem.params
+            if kept is not None:
+                params = dataclasses.replace(params, **{name: val[kept[k]]
+                                                        for name, val in batch.items()})
+                if k:
+                    cols = np.flatnonzero(np.isin(kept[k - 1], kept[k]))
+                    state = (state.u[:, cols], state.v[:, cols])
             span = min(1.0, 3.5 - t_done)
-            ref = integrate(problem, state, span, dt=dt, max_samples=6,
-                            forced_times=self.FORCED)
+            ref = integrate(dataclasses.replace(problem, params=params), state, span, dt=dt,
+                            max_samples=6, forced_times=self.FORCED)
             state, t_done = ref.final, t_done + span
             assert got_t == t_done
             assert np.array_equal(got.times, ref.times)
-            assert got.metadata == ref.metadata
+            assert got.metadata.keys() == ref.metadata.keys()
+            for key, val in got.metadata.items():
+                assert np.asarray(val).tobytes() == np.asarray(ref.metadata[key]).tobytes()
             assert len(got.states) == len(ref.states)
             for s_got, s_ref in zip(got.states, ref.states):
-                assert np.array_equal(s_got.u, s_ref.u) and np.array_equal(s_got.v, s_ref.v)
+                assert s_got.u.shape == s_ref.u.shape
+                assert s_got.u.tobytes() == s_ref.u.tobytes()
+                assert s_got.v.tobytes() == s_ref.v.tobytes()
+
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_matches_chained_integrate(self, case, dt):
+        self._check_chained(case, dt)
+
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_dropped_columns_restart_like_a_fresh_run(self, case, dt):
+        self._check_chained(case, dt, kept=[[0, 1, 2, 3], [0, 2], [2], [2]])
 
     @pytest.mark.parametrize("t_max", [0.0, -5.0, np.nan, np.inf])
     def test_horizon_validated(self, triangle, t_max):
@@ -730,10 +761,11 @@ def _per_species(p, u, v):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), columns=st.integers(1, 5),
        state_2d=st.booleans(), batched=st.booleans())
 def test_kinetics_kernel_matches_the_per_species_formula(seed, n, columns, state_2d, batched):
-    """``reaction`` and the stacked kernel, given the coefficient stacks the stepper
-    builds, equal the per-species formula bit for bit: 1-D states (one value per column)
-    and (n, P) states, under scalar parameters or (P,) batches (any of the coefficients an
-    array), and again after some columns are dropped and the stacks rebuilt."""
+    """``reaction`` and the stacked kernel, given the coefficient stacks or the stepper's
+    contiguous coefficient arrays of the state's shape, equal the per-species formula bit
+    for bit: 1-D states (one value per column) and (n, P) states, under scalar parameters
+    or (P,) batches (any of the coefficients an array), and again after some columns are
+    dropped and the coefficients rebuilt."""
     rng = np.random.default_rng(seed)
     arrays = rng.random(8) < 0.5 if batched else np.zeros(8, dtype=bool)
     arrays[rng.integers(8)] |= batched
@@ -749,5 +781,7 @@ def test_kinetics_kernel_matches_the_per_species_formula(seed, n, columns, state
         want = np.stack(_per_species(p, u_p, v_p))
         assert np.stack(reaction(p, u_p, v_p)).tobytes() == want.tobytes()
         pair = np.stack([u_p, v_p])
-        got = dynamics._kinetics(pair, *dynamics._species_stack(p, pair.ndim)[:3])
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        stack = dynamics._species_stack(p, pair.ndim)
+        for coefs in (stack, np.broadcast_to(stack, (4,) + pair.shape).copy()):
+            got = dynamics._kinetics(pair, *coefs[:3])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

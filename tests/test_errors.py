@@ -132,6 +132,15 @@ CASES = {
     "step-text-bound": lambda: stable_dt(_problem(), "x", 1.0),
     "step-negative-bound": lambda: stable_dt(_problem(), -100.0, 1.0),
     "step-nan-bound": lambda: stable_dt(_problem(), np.nan, 1.0),
+    "problem-text-graph": lambda: Problem("graph", SET_I),
+    "problem-mapping-params": lambda: Problem(triangle_example(), {"a1": 1}),
+    "problem-no-params": lambda: Problem(triangle_example(), None),
+    "problem-text-bc": lambda: Problem(reflecting_example()[0], SET_I, bc="neumann",
+                                       partition=reflecting_example()[1]),
+    "problem-no-bc": lambda: Problem(triangle_example(), SET_I, bc=None),
+    "problem-integer-bc": lambda: Problem(triangle_example(), SET_I, bc=3),
+    "problem-text-partition": lambda: Problem(reflecting_example()[0], SET_I,
+                                              bc=BoundaryCondition.NEUMANN, partition="x1"),
 }
 
 
