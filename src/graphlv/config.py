@@ -223,9 +223,9 @@ def _require(doc: dict, key: str, kind):
 
 
 def _number(value, what: str, kind=float):
-    """``value`` as a float, or as an int when ``kind`` is int; a JSON boolean is no
-    number, and an integer has no fractional part."""
-    if isinstance(value, bool):
+    """``value`` as a float, or as an int when ``kind`` is int; a JSON boolean or string is
+    no number, and an integer has no fractional part."""
+    if isinstance(value, (bool, str)):
         raise ConfigInvalid(f"{what} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigInvalid(f"{what} must be an integer, got {value!r}")

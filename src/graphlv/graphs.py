@@ -375,6 +375,15 @@ def _weight_block(graph: WeightedGraph, species: int, rows, cols, csr: bool):
     return out
 
 
+def _sparse_lu(mat):
+    """The SuperLU factorization of a sparse square mat, under the one rule of every sparse
+    factorization here: the operators are structurally symmetric and diagonally dominant,
+    or symmetric positive definite, so a minimum-degree order on A^T + A with diagonal
+    pivots preferred fills least."""
+    from scipy.sparse.linalg import splu    # imported late: dense-stored runs never load it
+    return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
 def _divide_rows(mat, scale: np.ndarray):
     """mat / scale[:, None] for a dense or CSR matrix, dividing (not multiplying) the entries."""
     if isinstance(mat, np.ndarray):

@@ -60,6 +60,7 @@ from .graphs import (
     _nonnegative,
     _positive,
     _positive_int,
+    _sparse_lu,
 )
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
@@ -607,18 +608,16 @@ def _add_identity(mat, c: float):
 
 
 def _factor(mat) -> Callable[[np.ndarray], np.ndarray]:
-    """b -> mat^-1 b, factored once: SuperLU for a CSR mat, LAPACK LU for a dense one (getrs
-    called directly: ``lu_solve``'s checks cost several times the solve on a small block)."""
+    """b -> mat^-1 b, factored once: ``graphs._sparse_lu`` for a CSR mat, LAPACK LU for a
+    dense one (getrs called directly: ``lu_solve``'s checks cost several times the solve on
+    a small block)."""
     if isinstance(mat, np.ndarray):
         import scipy.linalg    # imported late: a process that factors nothing never loads it
 
         lu, piv = scipy.linalg.lu_factor(mat)
         getrs = scipy.linalg.lapack.dgetrs
         return lambda b: getrs(lu, piv, b)[0]
-    from scipy.sparse.linalg import splu
-
-    # the operators are structurally symmetric: a minimum-degree order on A^T + A fills least
-    return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    return _sparse_lu(mat).solve
 
 
 def _shift(a: float, own: float, cross: float, own_max: float, other_max: float) -> float:
@@ -744,8 +743,16 @@ def _propagator(diff, shift: float, h: float):
 # steady states by ordered monotone iteration: logistic state and coexistence bounds
 # ---------------------------------------------------------------------------
 
+def _boundary_weight(l_ii) -> np.ndarray:
+    """beta = -(L_II 1), each interior vertex's weight to the boundary over its measure, with
+    roundoff below 0 clipped: -d L_II c = d c beta for a constant c on the interior and 0 on
+    the boundary, so c is a lower solution of the kinetics w (a - e w) where a - d beta >= e c
+    at every vertex."""
+    return np.maximum(-(l_ii @ np.ones(l_ii.shape[0])), 0.0)
+
+
 def _ordered_steady(ops, coeffs, kinetics, y, rise, tol: float, t_max: float,
-                    max_iters: int):
+                    max_iters: int, closes: Callable[[np.ndarray], bool] | None = None):
     """The monotone iteration for steady upper and lower solutions of m species at once
     (Sattinger 1972; Pao 1992, ch. 8): the logistic steady state (m = 1) and
     ``coexistence_bounds`` (m = 2). Row y[k, j] of the (m, 2, n) block ``y`` is species k's
@@ -755,9 +762,11 @@ def _ordered_steady(ops, coeffs, kinetics, y, rise, tol: float, t_max: float,
     f = ``kinetics(y)`` and M_k = ``_shift(*coeffs[k], max y_k, max y_other)`` (y_other is
     y_k, under no cross term, when m = 1) refactored once it halves; a species with species
     0's operator and shift shares its factorization. It stops once every column has moved
-    by less than tol (summed over species) and its residuals are at most tol; a non-finite
-    shift or iterate, a move the wrong way or a crossing beyond _ORDER_SLACK, a ``_Stall``
-    on the largest residual, or passing ``t_max`` of pseudo-time (the sum of 1/max M_k) or
+    by less than tol (summed over species) and its residuals are at most tol, and so has
+    the largest gap if ``closes(y)`` holds (a condition, given or None, under which the
+    bounds must meet; it stays true as the lower bounds rise); a non-finite shift or
+    iterate, a move the wrong way or a crossing beyond _ORDER_SLACK, a ``_Stall`` on the
+    largest residual, or passing ``t_max`` of pseudo-time (the sum of 1/max M_k) or
     ``max_iters`` iterations raise NoConvergence. Returns the block and the run record:
     ``iterations``, ``times`` (each column's pseudo-time when it first met the stop rule),
     ``gaps`` (the largest upper minus lower bound after each iteration) and the final (m, 2)
@@ -791,6 +800,8 @@ def _ordered_steady(ops, coeffs, kinetics, y, rise, tol: float, t_max: float,
                         for k, (d, lap) in enumerate(ops)])
         still = np.abs(step).max(axis=2).sum(axis=0) < tol
         settled = still & (res.max(axis=0) <= tol)
+        if closes is not None and gaps[-1] > tol and closes(y):
+            settled[:] = False
         for j in np.flatnonzero(settled):
             times[j] = times[j] or pseudo
         if settled.all():
@@ -825,9 +836,11 @@ def logistic_steady_state(
 
     Exists iff a > lambda0 * d. It is the midpoint of the one-species ordered monotone
     iteration ``_ordered_steady`` from the upper start a/e and the lower start
-    0.5 * (a - lambda0 d)/e * phi, with -d Lap + M stored as ``graphs._stores_csr`` picks;
-    its residual is at most tol, or the solve raises NoConvergence. d, e and tol must be
-    positive and finite, a finite, and max_iters a positive integer.
+    max(0.5 * (a - lambda0 d)/e * phi, (a - d max beta)/e), beta = -(L_II 1) the
+    interior's weight to the boundary over the measure, with -d Lap + M stored as
+    ``graphs._stores_csr`` picks; its residual is at most tol, or the solve raises
+    NoConvergence. d, e and tol must be positive and finite, a finite, and max_iters a
+    positive integer.
     """
     d, e, tol = _positive(d, "d"), _positive(e, "e"), _positive(tol, "tol")
     a, max_iters = _as_float(a, "a"), _positive_int(max_iters, "max_iters")
@@ -840,14 +853,20 @@ def logistic_steady_state(
 
 def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
                            tol: float = 1e-10, max_iters: int = 10_000) -> SteadyState:
-    """``logistic_steady_state`` given the species' Dirichlet eigenpair."""
+    """``logistic_steady_state`` given the species' Dirichlet eigenpair. The lower start is
+    the pointwise max of two lower solutions, again one on a graph Laplacian: the phi start
+    and the constant c = (a - d max beta)/e of ``_boundary_weight`` (the phi start alone
+    when c <= 0). The positive state is unique and the start positive, so the limit is the
+    phi start's."""
     margin = a - eig.lambda0 * d
     if margin <= 0.0:
         raise NoPositiveState(
             f"a - lambda0*d = {margin:.6g} <= 0: only the zero state is nonnegative"
         )
     l_ii, _ = _blocks(graph, species, partition)
-    start = np.array([[np.full(l_ii.shape[0], a / e), (0.5 * margin / e) * eig.phi]])
+    floor = (a - d * _boundary_weight(l_ii).max()) / e
+    start = np.array([[np.full(l_ii.shape[0], a / e),
+                       np.maximum((0.5 * margin / e) * eig.phi, floor)]])
     y, run = _ordered_steady([(d, l_ii)], [(a, e, 0.0)], lambda y: y * (a - e * y), start,
                              np.array([[-1.0], [1.0]]), tol, math.inf, max_iters)
     # both columns' residuals are at most tol, and the kinetics' curvature adds e gap^2 / 4
@@ -891,13 +910,23 @@ def coexistence_bounds(
 
     Requires the absorbing boundary, both species supercritical, and the
     cross-competition smallness condition. The bounds come from the two-species
-    ``_ordered_steady``: the upper pair starts at ((1+eps) s1, delta phi2) and decreases in
-    u while increasing in v, the lower pair starts at (delta phi1, (1+eps) s2) and mirrors
-    it, and both stop at residuals of at most tol, within ``t_max`` of pseudo-time and 10**7
-    iterations. Species with one weight structure share their eigenpair, and also their
-    logistic steady state when (d, a, e) agree. When both weight structures coincide and
-    the collapse condition 2 b1 s_lower > a1 - lambda0_1 d1 (and its v counterpart) holds,
-    the bounds must agree to 10*tol and the result is flagged unique.
+    ``_ordered_steady`` on the tightest sector the theory gives: the upper pair starts at
+    (s1, max(delta phi2, c_v)) and decreases in u while increasing in v, the lower pair
+    starts at (max(delta phi1, c_u), s2) and mirrors it, and both stop at residuals of at
+    most tol, within ``t_max`` of pseudo-time and 10**7 iterations. s1 is an upper solution
+    for u against any v >= 0, and every coexistence state and quasi-solution has u <= s1
+    (likewise v <= s2), so the upper limits are those from the paper's (1+eps) s1 and
+    (1+eps) s2. With beta_k = -(L_II 1) of species k, the constants
+    c_u = min_x (a1 - d1 beta1 - c1 s2)/b1 and c_v = min_x (a2 - d2 beta2 - b2 s1)/c2 on
+    the interior are lower solutions against v <= s2 and u <= s1; the kinetics are
+    sublinear, so every positive state in the sector lies above them, and the lower limits
+    are those from delta phi too. epsilon no longer moves the upper start; it and delta
+    still set the K1 caps, EpsilonTooLarge and DeltaTooLarge, and are reported. Species with
+    one weight structure share their eigenpair, and also their logistic steady state when
+    (d, a, e) agree. When both weight structures coincide and the collapse condition
+    2 b1 s_lower > a1 - lambda0_1 d1 (and its v counterpart) holds on the lower iterates,
+    the iteration also waits for the bounds' largest gap to fall to tol; they must agree
+    to 10*tol and the result is flagged unique.
     """
     if problem.bc is not BoundaryCondition.DIRICHLET:
         raise InputError("coexistence bounds need the absorbing boundary condition")
@@ -935,15 +964,23 @@ def coexistence_bounds(
 
     l1 = _blocks(graph, 1, part)[0]
     l2 = l1 if same_weights else _blocks(graph, 2, part)[0]
+    # the constant lower solutions c_u and c_v against the other species' upper start
+    floor_u = np.min(p.a1 - p.d1 * _boundary_weight(l1) - p.c1 * s2.values) / p.b1
+    floor_v = np.min(p.a2 - p.d2 * _boundary_weight(l2) - p.b2 * s1.values) / p.c2
     # column 0 is the upper pair (upper u, lower v) and column 1 the lower pair
-    start = np.array([[(1.0 + epsilon) * s1.values, delta * eig1.phi],
-                      [delta * eig2.phi, (1.0 + epsilon) * s2.values]])
+    start = np.array([[s1.values, np.maximum(delta * eig1.phi, floor_u)],
+                      [np.maximum(delta * eig2.phi, floor_v), s2.values]])
+
+    def collapsed(y):
+        """the collapse condition on the lower bounds s_lower = y[0, 1] and r_lower = y[1, 0]"""
+        return bool(np.all(2.0 * p.b1 * y[0, 1] > g1) and np.all(2.0 * p.c2 * y[1, 0] > g2))
+
     y, run = _ordered_steady(((p.d1, l1), (p.d2, l2)), ((p.a1, p.b1, p.c1), (p.a2, p.c2, p.b2)),
                              lambda y, abc=_species_stack(p, 3)[:3]: _kinetics(y, *abc), start,
-                             np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]]), tol, t_max, _MAX_STEPS)
+                             np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]]), tol, t_max, _MAX_STEPS,
+                             closes=collapsed if same_weights else None)
     (s_upper, s_lower), (r_lower, r_upper) = y
-    collapse = (np.all(2.0 * p.b1 * s_lower > g1) and np.all(2.0 * p.c2 * r_lower > g2))
-    unique = bool(same_weights and collapse)
+    unique = bool(same_weights and collapsed(y))
     if unique:
         spread_u = float(np.max(np.abs(s_upper - s_lower)))
         spread_v = float(np.max(np.abs(r_upper - r_lower)))

@@ -5,7 +5,8 @@ mu-weighted inner product, so conjugating by diag(sqrt(mu)) gives a
 symmetric positive definite matrix. Its smallest eigenpair comes from one
 library call on the interior block, stored as the graph storage rule
 picks: LAPACK's MRRR ``eigh`` on a dense block, ARPACK shift-invert
-``eigsh`` at sigma = 0 on a CSR one. The returned eigenvector is the
+``eigsh`` at sigma = 0 on a CSR one, whose inverse is the SuperLU
+factorization of ``graphs._sparse_lu``. The returned eigenvector is the
 positive principal one, normalized to max = 1.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBoundary, NoConvergence
-from .graphs import DomainPartition, WeightedGraph, _blocks, _positive
+from .graphs import DomainPartition, WeightedGraph, _blocks, _positive, _sparse_lu
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +39,9 @@ def smallest_dirichlet_eigenpair(
 
     The symmetrized interior matrix goes to ``scipy.linalg.eigh`` for its
     lowest eigenpair when the block is dense, and to
-    ``scipy.sparse.linalg.eigsh`` in shift-invert mode about 0 when it is
-    CSR, started from sqrt(mu) (the symmetrized constant field) so that
-    repeated solves are bit-identical. The final eigenvalue is the
+    ``scipy.sparse.linalg.eigsh`` in shift-invert mode about 0, inverting
+    by ``graphs._sparse_lu``, when it is CSR, started from sqrt(mu) (the
+    symmetrized constant field) so that repeated solves are bit-identical. The final eigenvalue is the
     mu-weighted Rayleigh quotient of the de-symmetrized vector, and the
     residual, measured on the original (nonsymmetric) operator, must be
     within max(tol, 1e-12) * max(1, lambda0).
@@ -60,9 +61,10 @@ def smallest_dirichlet_eigenpair(
 
             lams, vecs = scipy.linalg.eigh(sym, subset_by_index=[0, 0])
         else:
-            from scipy.sparse.linalg import eigsh    # late: dense runs never load scipy.sparse
+            from scipy.sparse.linalg import LinearOperator, eigsh    # late: dense runs skip it
 
-            lams, vecs = eigsh(sym.tocsc(), k=1, sigma=0, which="LM", v0=root)
+            inverse = LinearOperator(sym.shape, matvec=_sparse_lu(sym).solve, dtype=float)
+            lams, vecs = eigsh(sym, k=1, sigma=0, which="LM", v0=root, OPinv=inverse)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         raise NoConvergence(f"interior eigen solve failed: {exc}") from exc
     if not lams[0] > 0:

@@ -125,9 +125,10 @@ class TestProblemFromDocument:
         doc["params"]["b1"] = -2.0
         with pytest.raises(ConfigInvalid, match="positive"):
             problem_from_document(doc)
-        for key in ("a1", "d2"):     # a JSON boolean is no number, even where 1 would do
+        # a JSON boolean or string is no number, even where 1 would do
+        for key, value in (("a1", True), ("d2", True), ("a1", "1e0"), ("d2", " 2 ")):
             doc = base_doc()
-            doc["params"][key] = True
+            doc["params"][key] = value
             with pytest.raises(ConfigInvalid, match=f"params.{key} must be a number"):
                 problem_from_document(doc)
 
@@ -152,10 +153,11 @@ class TestConfigFromDocument:
         assert (cfg.t_end, cfg.dt) == (25.0, 0.01)
 
     def test_invalid_budgets(self):
-        for patch in ({"t_end": 0.0}, {"dt": -1.0}, {"dt": True}, {"t_end": True}):
+        for patch in ({"t_end": 0.0}, {"dt": -1.0}, {"dt": True}, {"t_end": True},
+                      {"dt": "0.5"}, {"t_end": " 7 "}):
             doc = base_doc()
             doc.update(patch)
-            with pytest.raises(ConfigInvalid):
+            with pytest.raises(ConfigInvalid, match=next(iter(patch))):
                 config_from_document(doc)
 
     def test_initial_requires_u_and_v(self):
@@ -212,13 +214,16 @@ class TestSweepSpec:
             {"a1": {"start": 1.0, "stop": 2.0, "count": True}},
             {"a1": {"start": True, "stop": 2.0, "count": 3}},
             {"a1": [1.0, True]},
+            {"a1": {"start": "1", "stop": "2", "count": "3"}},
+            {"a1": {"start": 1.0, "stop": 2.0, "count": "3"}},
+            {"a1": [1.0, "2"]},
         ):
             doc = base_doc()
             doc["sweep"] = {"grid": grid}
             with pytest.raises(ConfigInvalid):
                 sweep_spec_from_document(doc)
         for budget in ({"max_points": 2.7}, {"max_points": True}, {"t_end": True},
-                       {"tol": False}):
+                       {"tol": False}, {"max_points": "10"}, {"t_end": "200"}):
             doc = base_doc()
             doc["sweep"] = {"grid": {"a1": [1.0]}, **budget}
             with pytest.raises(ConfigInvalid, match=next(iter(budget))):

@@ -673,6 +673,31 @@ class TestCoexistenceBounds:
         assert len(calls) == info["s1_iterations"] + 2 * info["march_iterations"]
         assert set(calls) == {(28 * 28, 2)}
 
+    def test_tight_starts_on_the_benchmark_lattice(self, monkeypatch):
+        """On a 30 x 30 absorbing lattice both ordered iterations start from the tightest
+        sector the theory gives: the logistic solve settles in at most 10 iterations, and
+        the march in at most 16 on one factorization (the other is the logistic solve's,
+        which both species share). From the paper's starts they take 18 and 39 on 4."""
+        prob, _ = absorbing_lattice(30)
+        factor, made = monotone._factor, []
+        monkeypatch.setattr(monotone, "_factor", lambda mat: made.append(mat) or factor(mat))
+        bounds = coexistence_bounds(prob)
+        assert bounds.info["s1_iterations"] <= 10
+        assert bounds.info["march_iterations"] <= 16
+        assert len(made) == 2
+        assert bounds.unique
+
+    @pytest.mark.parametrize("seed", [213, 251])
+    def test_collapsed_bounds_close_their_gap(self, seed):
+        """Once the collapse condition holds on the lower bounds, the march also waits for
+        its gap to close: these shared draws stopped on residuals alone with gaps of
+        8.4e-9 and 9.7e-9 at tol 1e-9, and seed 213 above the 10 tol check from the tighter
+        starts."""
+        prob = _bounds_problem(np.random.default_rng(seed), True)
+        bounds = coexistence_bounds(prob, tol=1e-9)
+        assert bounds.unique
+        assert bounds.info["march_gaps"][-1] <= 1e-9
+
     def test_pseudo_time_budget(self, reflecting):
         graph, part = reflecting
         prob = Problem(graph, BOUNDS_PARAMS, bc=BoundaryCondition.DIRICHLET,
@@ -727,6 +752,41 @@ def test_coexistence_bounds_match_rk4_marches(seed, shared):
         for got, ref in zip((bounds.s_lower, bounds.s_upper, bounds.r_lower, bounds.r_upper),
                             want):
             assert np.max(np.abs(got - ref)) <= 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shared=st.booleans(), csr=st.booleans())
+def test_ordered_starts_are_ordered_upper_and_lower_solutions(seed, shared, csr):
+    """Every start block of the two ordered iterations in ``coexistence_bounds`` is ordered,
+    each upper column above its lower one, and is a sector: d L w + f(w) <= 0 on an upper
+    column and >= 0 on a lower one, with f paired as the iteration pairs it, at every
+    interior vertex. An upper column that is the logistic state meets its inequality up to
+    that state's residual (1e-10 here). Each logistic solve's constant floor
+    c = (a - d max beta)/e, beta = -(L_II 1), is a lower solution by itself when positive."""
+    prob = _bounds_problem(np.random.default_rng(seed), shared)
+    steady, runs = monotone._ordered_steady, []
+
+    def recording(ops, coeffs, kinetics, y, rise, *args, **kwargs):
+        runs.append((ops, coeffs, kinetics, y, rise))
+        return steady(ops, coeffs, kinetics, y, rise, *args, **kwargs)
+
+    with stored(csr), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monotone, "_ordered_steady", recording)
+        coexistence_bounds(prob, tol=1e-9)
+    assert [len(ops) for ops, *_ in runs] in ([1, 2], [1, 1, 2])
+    for ops, coeffs, kinetics, y, rise in runs:
+        assert np.all(-(rise * y).sum(axis=1) >= 0.0)
+        f = kinetics(y)
+        for k, (d, lap) in enumerate(ops):
+            sign = -rise[k] if len(ops) == 2 else -rise
+            defect = sign * (d * (lap @ y[k].T).T + f[k])    # <= 0 on an upper column
+            assert defect.max() <= 1e-10
+        if len(ops) == 1:
+            (d, lap), (a, e, _) = ops[0], coeffs[0]
+            floor = (a - d * np.max(-(lap @ np.ones(lap.shape[0])))) / e
+            if floor > 0.0:
+                w = np.full(lap.shape[0], floor)
+                assert np.min(d * (lap @ w) + w * (a - e * w)) >= -1e-12 * a * floor
 
 
 class TestMonotoneSolve:
