@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run every built-in example and report pass/fail against its known limit."""
+"""Run every built-in example and report pass/fail against its known limit.
+
+The ten cases run as one batch, as in ``graphlv reproduce all``: one block of five
+columns per fixture graph, stepped together.
+"""
 
 import sys
 

@@ -57,19 +57,24 @@ def _ensure_dir(path: str) -> str:
     return path
 
 
-def _write_trajectory(path: str, vertices, traj: Trajectory) -> None:
-    header = ",".join(["t"] + [f"u@{v}" for v in vertices] + [f"v@{v}" for v in vertices])
-    row = ",".join(["%.17g"] * (1 + 2 * len(vertices))) + "\n"    # _fmt on every value
+def _write_rows(path: str, header: str, row: str, rows) -> None:
+    """A CSV file: the header line, then ``row % cells`` for each tuple of ``rows``; a
+    ``%.17g`` field writes a float as ``_fmt`` does."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for t, state in zip(traj.times, traj.states):
-            fh.write(row % tuple(np.concatenate(([t], state.u, state.v)).tolist()))
+        fh.writelines(row % cells for cells in rows)
+
+
+def _write_trajectory(path: str, vertices, traj: Trajectory) -> None:
+    header = ",".join(["t"] + [f"u@{v}" for v in vertices] + [f"v@{v}" for v in vertices])
+    row = ",".join(["%.17g"] * (1 + 2 * len(vertices))) + "\n"
+    _write_rows(path, header, row, (tuple(np.concatenate(([t], state.u, state.v)).tolist())
+                                    for t, state in zip(traj.times, traj.states)))
 
 
 def _write_report(path: str, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True, default=float) + "\n")
 
 
 def _cmd_simulate(args) -> int:
@@ -162,8 +167,8 @@ def _cmd_eigen(args) -> int:
     lines = [f"# lambda0_1 = {_fmt(eig1.lambda0)}",
              f"# lambda0_2 = {_fmt(eig2.lambda0)}",
              "vertex,phi1,phi2"]
-    for vertex, phi1, phi2 in zip(problem.partition.interior, eig1.phi, eig2.phi):
-        lines.append(f"{vertex},{_fmt(phi1)},{_fmt(phi2)}")
+    lines += ["%s,%.17g,%.17g" % cells for cells in zip(problem.partition.interior,
+                                                         eig1.phi.tolist(), eig2.phi.tolist())]
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out is not None:
@@ -190,11 +195,9 @@ def _cmd_steady(args) -> int:
             raise InputError(f"steady --bounds needs --tol of at least 1e-10, got {tol:g}")
         bounds = coexistence_bounds(problem, tol=tol)
         path = os.path.join(out, "coexistence_bounds.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("vertex,s_lo,s_hi,r_lo,r_hi\n")
-            for k, vertex in enumerate(interior):
-                fh.write(",".join([vertex, _fmt(bounds.s_lower[k]), _fmt(bounds.s_upper[k]),
-                                   _fmt(bounds.r_lower[k]), _fmt(bounds.r_upper[k])]) + "\n")
+        _write_rows(path, "vertex,s_lo,s_hi,r_lo,r_hi", "%s,%.17g,%.17g,%.17g,%.17g\n",
+                    zip(interior, *(np.asarray(x).tolist() for x in (
+                        bounds.s_lower, bounds.s_upper, bounds.r_lower, bounds.r_upper))))
         spread = max(float(np.max(bounds.s_upper - bounds.s_lower)),
                      float(np.max(bounds.r_upper - bounds.r_lower)))
         unique = "unique (bounds collapse)" if bounds.unique else "bounds only"
@@ -215,10 +218,8 @@ def _cmd_steady(args) -> int:
                   file=sys.stderr)
         columns.append(column)
     path = os.path.join(out, "steady.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("vertex,s1,s2\n")
-        for k, vertex in enumerate(interior):
-            fh.write(f"{vertex},{_fmt(columns[0][k])},{_fmt(columns[1][k])}\n")
+    _write_rows(path, "vertex,s1,s2", "%s,%.17g,%.17g\n",
+                zip(interior, *(np.asarray(column).tolist() for column in columns)))
     print(f"wrote {path}")
     return 0
 

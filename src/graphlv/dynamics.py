@@ -12,6 +12,7 @@ integrator stage sees a consistent boundary.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -411,7 +412,41 @@ def integrate(
     return next(_windows(problem, initial, t_end, t_end, dt, max_samples, forced_times))[1]
 
 
-def _windows(problem: Problem, initial, window: float, t_max: float, dt: float | None = None,
+def _diffusion(ops: _Operators, stacked: bool):
+    """``diffuse(state, out)``, writing ``red @ state`` per species into ``out``: one stacked
+    product for a batch whose species share a dense operator, one product per species
+    otherwise (a single state, CSR or two operators), since one product of a single pair
+    (y @ red.T) would round differently."""
+    red1, red2 = ops.red1, ops.red2
+    if stacked:
+        return functools.partial(np.matmul, red1)      # np.matmul(red1, state, out)
+    if isinstance(red1, np.ndarray):
+        def diffuse(state, out):
+            np.matmul(red1, state[0], out=out[0])
+            np.matmul(red2, state[1], out=out[1])
+    else:
+        def diffuse(state, out):
+            out[0] = red1 @ state[0]
+            out[1] = red2 @ state[1]
+    return diffuse
+
+
+@dataclass(eq=False)
+class _Block:
+    """One problem's columns of a ``_windows`` batch: its operators and ``_diffusion``, its
+    params and diffusion rate restricted to its live columns, and ``cols``, its slice of
+    the state's last axis (``slice(None)`` for a lone problem, which may have no column
+    axis)."""
+
+    problem: Problem
+    ops: _Operators
+    diffuse: object
+    params: CompetitionParams
+    rate: object
+    cols: slice
+
+
+def _windows(problem, initial, window: float, t_max: float, dt: float | None = None,
              max_samples: int = 250, forced_times=(), adaptive: bool = True, settled=None):
     """Yield (t_done, Trajectory) per window of min(window, t_max - t_done), each restarted
     from the last final state like a fresh integrate call; the step and wall-time budgets
@@ -423,23 +458,36 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     settled columns are dropped from the state, the params and the rectangle, so later
     windows neither step nor yield them, and the run stops once every column has settled.
 
-    Without dt the steps are adaptive DP5(4) from the stability cap, or, when ``adaptive``
-    is false, fixed RK4 steps of the cap, a reference free of step-size control.
+    ``problem`` may also be a tuple of Problems, with ``initial`` the tuple of their
+    initial data: one batch whose columns come in blocks, one block per problem (a single
+    state being one column), in order. Each block keeps its own graph, boundary condition,
+    operators, projections, rectangle and stability rate, and its diffusion product writes
+    only its columns; the kinetics, the stage sums, the error norm, the rectangle test and
+    the step are shared, so every block takes the batch's steps. The blocks must share the
+    active size, or InputError is raised. Each window then yields a tuple of Trajectories,
+    one per block with its own ``m_u``, ``m_v`` and ``bc`` and the batch's counts, and
+    ``settled`` takes the tuple of their final FieldPairs and returns one mask over the
+    batch's columns in block order. A block whose columns have all settled stays in the
+    tuple with zero columns. A lone Problem is the one-block case.
+
+    Without dt the steps are adaptive DP5(4) from the stability cap (the smallest over the
+    blocks), or, when ``adaptive`` is false, fixed RK4 steps of the cap, a reference free
+    of step-size control.
 
     The state y is the (u, v) pair on the active set, one (2, n_act, ...) array, and the
     right-hand side evaluates both species together: ``_kinetics`` on y with the
-    coefficients as contiguous arrays of y's shape, plus d times the diffusion, one
-    stacked product ``red @ y`` for a batch whose species share a dense operator and one
-    product per species otherwise (a single state, CSR or two operators), a dense product
-    written straight into its slope.
+    coefficients as contiguous arrays of y's shape, plus d times the diffusion of each
+    block (``_diffusion``), a dense product written straight into its slope.
 
     Each window owns its work arrays, and builds them again after a column drop: the four
     coefficient arrays, of y's shape; the slopes of the seven stages, rows of one
     (7, 2, n_act, ...) array written in place by the right-hand side; the tableau times h,
     one (8, 7) array filled per attempt; a stage input, a tableau product and a scratch
-    array. The coefficients cost four states per window beside the stages' seven: under
-    0.1 MiB on graphs of a few thousand vertices and 0.6 MiB for one state on 10**4
-    vertices, but 74 MiB for a batch of 121 columns there.
+    array; and, for a batch in blocks, each block's views of the stage input and of the
+    slopes it writes, so only the new state is sliced per attempt. The coefficients cost
+    four states per window beside the stages' seven: under 0.1 MiB on graphs of a few
+    thousand vertices and 0.6 MiB for one state on 10**4 vertices, but 74 MiB for a batch
+    of 121 columns there.
 
     A DP5 stage input is the product of its tableau row with the earlier stages flattened,
     plus y, each written into its array; the fifth-order row gives the new state, a new
@@ -453,73 +501,103 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
     """
     t_max = _positive(t_max, "t_end")
     max_samples, forced_times = _schedule_options(max_samples, forced_times)
-    p = problem.params
-    ops = reduced_operators(problem)
-    # the state is the (u, v) pair on the active set, (2, n_act), with one trailing column
-    # per parameter set or initial state when either is a batch
-    y = _coerce_initial(problem, initial)[:, problem.active_idx]
+    single = isinstance(problem, Problem)
+    problems, initials = ((problem,), (initial,)) if single else (tuple(problem), tuple(initial))
+    if not problems or len(initials) != len(problems) or not all(
+            isinstance(prob, Problem) for prob in problems):
+        raise InputError(f"blocks need one Problem per initial state, got {len(problems)} "
+                         f"entries and {len(initials)} initial states")
     if dt is not None:
         dt = _positive(dt, "dt")
+    # the state is the (u, v) pair on the active set, (2, n_act), with one trailing column
+    # per parameter set or initial state when either is a batch, and always in blocks
+    blocks, ys = [], []
+    for prob, init in zip(problems, initials):
+        part = _coerce_initial(prob, init)[:, prob.active_idx]
+        batch = np.broadcast(*vars(prob.params).values()).shape
+        if part.ndim == 2:
+            part = np.multiply.outer(part, np.ones(batch))
+        elif batch not in ((), part.shape[2:]):
+            raise InputError(f"{part.shape[2]} initial states for {batch[0]} parameter sets")
+        if not single and part.ndim == 2:
+            part = part[..., np.newaxis]        # a single state is one column of its block
+        ops = reduced_operators(prob)
+        stacked = isinstance(ops.red1, np.ndarray) and ops.red1 is ops.red2 and part.ndim == 3
+        blocks.append(_Block(prob, ops, _diffusion(ops, stacked), prob.params,
+                             _diffusion_rate(prob, ops) if dt is None else None, slice(None)))
+        ys.append(part)
+    if len({part.shape[1] for part in ys}) > 1:
+        raise InputError(f"blocks must share the active size, got "
+                         f"{[part.shape[1] for part in ys]} active vertices")
+    y = ys[0] if single else np.concatenate(ys, axis=2)
+    widths = [part[0, 0].size for part in ys]       # columns per block
+    diffuse = blocks[0].diffuse                     # a lone problem's, on the whole state
 
-    red1, red2 = ops.red1, ops.red2
-    batch = np.broadcast(*vars(p).values()).shape
-    if y.ndim == 2:
-        y = np.multiply.outer(y, np.ones(batch))
-    elif batch not in ((), y.shape[2:]):
-        raise InputError(f"{y.shape[2]} initial states for {batch[0]} parameter sets")
-    # a batch through one shared dense operator takes one product for both species; a
-    # single state keeps one matrix-vector product per species, since one product of the
-    # pair (y @ red.T) would round differently
-    dense = isinstance(red1, np.ndarray)
-    stacked = dense and red1 is red2 and y.ndim == 3
+    def views(state: np.ndarray, out: np.ndarray) -> list:
+        """Each stepping block's diffusion with its columns of ``state`` and ``out``."""
+        return [(block.diffuse, state[..., block.cols], out[..., block.cols])
+                for block in stepping]
 
-    def rhs(state: np.ndarray, out: np.ndarray) -> None:
-        if stacked:
-            np.matmul(red1, state, out=out)
-        elif dense:
-            np.matmul(red1, state[0], out=out[0])
-            np.matmul(red2, state[1], out=out[1])
+    def rhs(state: np.ndarray, out: np.ndarray, held=None) -> None:
+        # ``held``, the window's ``views(state, out)`` when it holds them, saves the slicing
+        if single:
+            diffuse(state, out)
         else:
-            out[0] = red1 @ state[0]
-            out[1] = red2 @ state[1]
+            for block_diffuse, block_state, block_out in held or views(state, out):
+                block_diffuse(block_state, block_out)
         out *= d
         out += _kinetics(state, a, b, c)
 
     dp5 = dt is None and adaptive
-    rate = _diffusion_rate(problem, ops) if dt is None else None
     started = time.perf_counter()
     n_spent = 0
     t_done = 0.0
     while t_done < t_max:
         span = min(window, t_max - t_done)
-        # the rectangle of the state the window starts from, boundary values materialized
-        start = _materialize(problem, y, ops)
-        m_u, m_v = invariant_rectangle(p, start.u[problem.closure_idx],
-                                       start.v[problem.closure_idx])
+        if not single:
+            ends = np.cumsum(widths)
+            for block, end, width in zip(blocks, ends, widths):
+                block.cols = slice(int(end) - width, int(end))
+        stepping = [block for block, width in zip(blocks, widths) if width]
+        # the rectangle of the state each block starts from, boundary values materialized
+        starts = [_materialize(block.problem, y[..., block.cols], block.ops)
+                  for block in blocks]
+        rects = [invariant_rectangle(block.params, start.u[block.problem.closure_idx],
+                                     start.v[block.problem.closure_idx])
+                 if width else (np.empty(0), np.empty(0))
+                 for block, start, width in zip(blocks, starts, widths)]
+        m_u, m_v = rects[0] if single else (np.concatenate(m) for m in zip(*rects))
         # the window's arrays (see above), with views: each tableau row's slice with the
         # flattened stages it weighs, the product as a state, and the scratch as y with u
         # stacked over v, the rows the error norm reduces
-        a, b, c, d = np.broadcast_to(_species_stack(p, y.ndim), (4,) + y.shape).copy()
+        coefficients = np.empty((4,) + y.shape)
+        for block in stepping:
+            coefficients[..., block.cols] = _species_stack(block.params, y.ndim)
+        a, b, c, d = coefficients
         caps = np.stack([m_u, m_v]) + _RECT_SLACK
         stages = np.empty((len(_DP) - 1,) + y.shape)
         flat = stages.reshape(len(stages), -1)
         coefs = np.empty(_DP.shape)
-        inputs = [(coefs[i, :i], flat[:i], stages[i]) for i in range(1, 6)]
-        fifth = coefs[6, :6], flat[:6]
         y_in = np.empty(y.shape)
+        inputs = [(coefs[i, :i], flat[:i], stages[i], None if single else views(y_in, stages[i]))
+                  for i in range(1, 6)]
+        fifth = coefs[6, :6], flat[:6]
         prod = np.empty(flat.shape[1])
         incr = prod.reshape(y.shape)
         scratch = np.empty(y.shape)
         rows = (y.shape[0] * y.shape[1],) + y.shape[2:]
         squares = scratch.reshape(rows)
         abs_y = np.abs(y)
-        step = _step_cap(p, rate, m_u, m_v) if dt is None else dt
+        step = dt
+        if dt is None:
+            step = min(_step_cap(block.params, block.rate, *rect)
+                       for block, rect, width in zip(blocks, rects, widths) if width)
         horizon = min(span, _COUNTED_SPAN) if dp5 else span    # fixed steps: all counted
         if not (math.isfinite(step) and step > 0) or horizon / step > _MAX_STEPS - n_spent:
             raise StepSizeUnstable(f"step {step:.3e} up to t={t_done + horizon:.6g} exceeds the "
                                    f"budget of {_MAX_STEPS} steps")
         targets = sample_times(span, step, max_samples=max_samples, forced=forced_times)
-        states = [start]
+        states = [[start] for start in starts]
         n_steps = 0
         n_clamped = 0
         n_halvings = 0
@@ -545,9 +623,9 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                     h = min(dt_cur, target - t)
                     if dp5:
                         np.multiply(_DP, h, out=coefs)
-                        for row, earlier, slope in inputs:
+                        for row, earlier, slope, held in inputs:
                             np.matmul(row, earlier, out=prod)
-                            rhs(np.add(y, incr, out=y_in), slope)
+                            rhs(np.add(y, incr, out=y_in), slope, held)
                         np.matmul(*fifth, out=prod)
                         y_new = y + incr        # a new array: y and abs_y stay as they are
                         n_rhs += 5
@@ -607,31 +685,36 @@ def _windows(problem: Problem, initial, window: float, t_max: float, dt: float |
                 t += h
                 n_steps += 1
             t = float(target)
-            states.append(_materialize(problem, y, ops))
+            for block, block_states in zip(blocks, states):
+                block_states.append(_materialize(block.problem, y[..., block.cols], block.ops))
         n_spent += n_steps
         t_done += span
-        yield t_done, Trajectory(
-            times=targets,
-            states=states,
-            metadata={
-                "dt": step,
-                "dt_final": float(dt_cur),
-                "n_steps": n_steps,
-                "n_clamped": n_clamped,
-                "n_halvings": n_halvings,
-                "n_rejected": n_rejected,
-                "n_rhs": n_rhs,
-                "m_u": m_u,
-                "m_v": m_v,
-                "bc": problem.bc.value,
-            },
-        )
+        counts = {
+            "dt": step,
+            "dt_final": float(dt_cur),
+            "n_steps": n_steps,
+            "n_clamped": n_clamped,
+            "n_halvings": n_halvings,
+            "n_rejected": n_rejected,
+            "n_rhs": n_rhs,
+        }
+        trajs = tuple(Trajectory(times=targets, states=block_states,
+                                 metadata=dict(counts, m_u=m_u_k, m_v=m_v_k,
+                                               bc=block.problem.bc.value))
+                      for block, block_states, (m_u_k, m_v_k) in zip(blocks, states, rects))
+        yield t_done, trajs[0] if single else trajs
         if settled is not None and t_done < t_max:
-            keep = ~np.asarray(settled(states[-1]), dtype=bool)
+            finals = tuple(traj.final for traj in trajs)
+            keep = ~np.asarray(settled(finals[0] if single else finals), dtype=bool)
             if not keep.any():
                 return
             if not keep.all():
                 y = y[..., keep]
-                p = CompetitionParams(**{name: val[keep] if isinstance(val, np.ndarray) else val
-                                         for name, val in vars(p).items()})
-                rate = rate[keep] if np.ndim(rate) else rate
+                for k, block in enumerate(blocks):
+                    kept = keep[block.cols]
+                    widths[k] = int(kept.sum())
+                    if widths[k]:
+                        block.params = CompetitionParams(**{
+                            name: val[kept] if isinstance(val, np.ndarray) else val
+                            for name, val in vars(block.params).items()})
+                        block.rate = block.rate[kept] if np.ndim(block.rate) else block.rate

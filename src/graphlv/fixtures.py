@@ -9,8 +9,6 @@ with both basins), giving ten named cases with known constant limits.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,26 +98,32 @@ def reproduce_ids() -> list[str]:
             for suffix in ("i", "ii", "iii", "iv-a", "iv-b")]
 
 
-def get_case(case_id: str) -> ReproduceCase:
-    try:
-        prefix, suffix = case_id.split("-", 1)
-        params, u0, v0, expected = _CASE_TABLE[suffix]
-        if prefix == "neumann":
-            graph, partition = reflecting_example()
-            problem = Problem(graph=graph, params=_make_params(params),
-                              bc=BoundaryCondition.NEUMANN, partition=partition)
-        elif prefix == "graph":
-            problem = Problem(graph=triangle_example(), params=_make_params(params))
-        else:
-            raise KeyError(prefix)
-    except (KeyError, ValueError):
+def _parse_id(case_id: str) -> tuple[str, str]:
+    """The (prefix, suffix) of a known case id: its fixture graph and its row of
+    ``_CASE_TABLE``."""
+    prefix, _, suffix = case_id.partition("-")
+    if prefix not in ("neumann", "graph") or suffix not in _CASE_TABLE:
         raise UnknownExample(
-            f"unknown case {case_id!r}; choose one of {', '.join(reproduce_ids())}"
-        ) from None
+            f"unknown case {case_id!r}; choose one of {', '.join(reproduce_ids())}")
+    return prefix, suffix
+
+
+def _fixture_problem(prefix: str, params: CompetitionParams) -> Problem:
+    """The fixture graph of an id prefix, with its boundary condition, under ``params``."""
+    if prefix == "neumann":
+        graph, partition = reflecting_example()
+        return Problem(graph=graph, params=params, bc=BoundaryCondition.NEUMANN,
+                       partition=partition)
+    return Problem(graph=triangle_example(), params=params)
+
+
+def get_case(case_id: str) -> ReproduceCase:
+    prefix, suffix = _parse_id(case_id)
+    params, u0, v0, expected = _CASE_TABLE[suffix]
     return ReproduceCase(
         case_id=case_id,
         description=f"{prefix} domain: {_DESCRIPTIONS[suffix]}",
-        problem=problem,
+        problem=_fixture_problem(prefix, _make_params(params)),
         initial_u=dict(u0),
         initial_v=dict(v0),
         expected=expected,
@@ -137,67 +141,77 @@ def run_reproduce(case_id: str, tol: float = 1e-3, t_max: float = 1000.0,
     The run proceeds in windows of 10 and stops early once the sup-norm
     distance to the expected constant limit, over the closure, drops
     below tol. Reaching t_max without converging is reported, not
-    raised. The case runs as a batch of one: ``reproduce all`` runs the
-    five cases of each fixture graph together, as the columns of batched
-    params and (n, P) initial data, and drops each column after the
-    window that ends within tol, so every case stops at the same window
-    either way.
+    raised. The case runs as a batch of one: ``reproduce all`` runs all
+    ten cases together, as one batch in two column blocks, one per
+    fixture graph, each column with its own params and initial data,
+    and drops each column after the window that ends within tol, so
+    every case stops at the same window either way.
     """
     return _run_cases([case_id], tol=tol, t_max=t_max, dt=dt)[0]
 
 
 def _run_cases(case_ids, tol: float = 1e-3, t_max: float = 1000.0,
                dt: float | None = None) -> list[ReproduceResult]:
-    """``run_reproduce`` of each case, in order, as one batch per run of consecutive cases
-    on one fixture graph.
+    """``run_reproduce`` of each case, in order, as one batch per active size.
 
-    A batch integrates one column per case: its params and its initial data, given as
-    (n, P) arrays. After each window the columns within tol of their limits are dropped,
-    so each case stops at the same window as alone; the batch shares one step, so errors
-    differ from the solo runs at the level of the step control.
+    The cases of one fixture graph form a block: one column per case, its params and its
+    initial data given as (n, P) arrays. The blocks of one active size (both fixture
+    graphs have 3 active vertices) step together as one ``_windows`` batch. After each
+    window the columns within tol of their limits are dropped, so each case stops at the
+    same window as alone; the batch shares one step, so errors differ from the solo runs
+    at the level of the step control.
     """
-    cases = [get_case(case_id) for case_id in case_ids]
+    case_ids = list(case_ids)
+    ids = [_parse_id(case_id) for case_id in case_ids]
     tol = _positive(tol, "tol")
-    results = []
-    # the cases of one id prefix share one fixture graph
-    for _, group in itertools.groupby(cases, key=lambda case: case.case_id.split("-", 1)[0]):
-        group = list(group)
-        problem = group[0].problem
-        params = CompetitionParams(**{
-            name: np.array([getattr(case.problem.params, name) for case in group])
-            for name in vars(problem.params)})
-        initial = [np.column_stack([field_array(problem.graph, getattr(case, side))
-                                    for case in group]) for side in ("initial_u", "initial_v")]
-        expected = np.array([case.expected for case in group]).T
-        live = np.arange(len(group))        # the case of each column of the current window
+    rows = [_CASE_TABLE[suffix] for _, suffix in ids]      # (params, u0, v0, expected)
+    expected = np.array([row[3] for row in rows]).T
+    blocks = {}         # the indices of each fixture graph's cases, by id prefix
+    for j, (prefix, _) in enumerate(ids):
+        blocks.setdefault(prefix, []).append(j)
+    runs = {}           # (problem, initial data, case indices) of the blocks of each active size
+    for prefix, members in blocks.items():
+        points = [vars(_make_params(rows[j][0])) for j in members]
+        problem = _fixture_problem(prefix, CompetitionParams(**{
+            name: np.array([point[name] for point in points]) for name in points[0]}))
+        initial = tuple(np.column_stack([field_array(problem.graph, rows[j][side])
+                                         for j in members]) for side in (1, 2))
+        runs.setdefault(problem.active_idx.size, []).append((problem, initial, members))
+    results = [None] * len(ids)
+    for run in runs.values():
+        problems, initials, _ = zip(*run)
+        live = [np.array(members) for _, _, members in run]     # each block's cases, by column
+        # a run of one block passes its lone Problem, and _windows then yields and settles
+        # one Trajectory and one FieldPair instead of tuples
+        one = len(run) == 1
 
-        def errors(final: FieldPair) -> np.ndarray:
-            return np.maximum(np.max(np.abs(final.u - expected[0, live]), axis=0),
-                              np.max(np.abs(final.v - expected[1, live]), axis=0))
+        def errors(finals) -> list[np.ndarray]:
+            return [np.maximum(np.max(np.abs(final.u - expected[0, idx]), axis=0),
+                               np.max(np.abs(final.v - expected[1, idx]), axis=0))
+                    for final, idx in zip(finals, live)]
 
-        def settled(final: FieldPair) -> np.ndarray:
+        def settled(finals) -> np.ndarray:
             # _windows calls this after the loop body below has read the window by ``live``
             nonlocal live
-            done = errors(final) <= tol
-            live = live[~done]
-            return done
+            done = [err <= tol for err in errors((finals,) if one else finals)]
+            live = [idx[~mask] for idx, mask in zip(live, done)]
+            return np.concatenate(done)
 
-        out = [None] * len(group)
         # each window is counted whole against the step budget before it starts
-        for t_done, traj in _windows(dataclasses.replace(problem, params=params), initial,
-                                     _COUNTED_SPAN, t_max, dt=dt, max_samples=2,
-                                     settled=settled):
-            final = traj.final
-            for k, (j, error) in enumerate(zip(live, errors(final))):
-                error = float(error)
-                out[j] = ReproduceResult(
-                    case_id=group[j].case_id,
-                    passed=error <= tol,
-                    t_reached=t_done,
-                    error=error,
-                    tol=tol,
-                    expected=group[j].expected,
-                    final=FieldPair(u=final.u[:, k], v=final.v[:, k]),
-                )
-        results += out
+        for t_done, trajs in _windows(problems[0] if one else tuple(problems),
+                                      initials[0] if one else tuple(initials), _COUNTED_SPAN,
+                                      t_max, dt=dt, max_samples=2, settled=settled):
+            finals = [traj.final for traj in ((trajs,) if one else trajs)]
+            for final, idx, errs in zip(finals, live, errors(finals)):
+                for k, (j, error) in enumerate(zip(idx, errs)):
+                    error = float(error)
+                    results[j] = ReproduceResult(
+                        case_id=case_ids[j],
+                        passed=error <= tol,
+                        t_reached=t_done,
+                        error=error,
+                        tol=tol,
+                        expected=rows[j][3],
+                        final=FieldPair(u=final.u[:, k], v=final.v[:, k]),
+                    )
     return results

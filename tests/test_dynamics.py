@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import dense_weights, random_connected_graph, random_connected_interior
+from conftest import dense_weights, random_connected_graph, random_connected_interior, stored
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -512,6 +512,107 @@ class TestWindows:
         with pytest.raises(StepSizeUnstable):
             for _ in _windows(prob, initial, 1.0, 10.0, dt=0.01):
                 pass
+
+
+def _three_active(rng, bc, columns):
+    """A problem on vertices p, q, r (plus one or two boundary vertices under ``bc``) with
+    random weights, one table or one per species, and random coefficients, and its initial
+    data: scalar params when ``columns`` is 0, else a1 batched over that many columns."""
+    names, edges = ["p", "q", "r"], [("p", "q"), ("q", "r")]
+    if rng.random() < 0.5:
+        edges.append(("p", "r"))
+    if bc is not BoundaryCondition.NO_BOUNDARY:
+        for extra in ("s", "t")[:int(rng.integers(1, 3))]:
+            names.append(extra)
+            edges.append((extra, names[int(rng.integers(0, 3))]))
+
+    def table():
+        return [(x, y, float(rng.uniform(0.2, 3.0))) for x, y in edges]
+
+    graph = build_graph(tuple(names), table(), table() if rng.random() < 0.5 else None)
+    part = None if bc is BoundaryCondition.NO_BOUNDARY else boundary_of(graph, ("p", "q", "r"))
+    coefs = {name: float(rng.uniform(0.5, 3.0)) for name in vars(PARAMS_I)}
+    if columns:
+        coefs["a1"] = rng.uniform(0.5, 3.0, columns)
+    u0, v0 = rng.uniform(0.0, 2.0, (2, graph.n))
+    if bc is BoundaryCondition.DIRICHLET:
+        u0[part.boundary_idx] = v0[part.boundary_idx] = 0.0
+    return Problem(graph, CompetitionParams(**coefs), bc=bc, partition=part), (u0, v0)
+
+
+class TestBlocks:
+    """``_windows`` over a tuple of problems, one column block each, against each problem
+    run alone."""
+
+    @staticmethod
+    def _verdicts(final):
+        """Per column: 1 once u, 2 once v has fallen below 0.05 everywhere, else 0."""
+        u, v = np.atleast_1d(final.u.max(axis=0)), np.atleast_1d(final.v.max(axis=0))
+        return np.where(np.minimum(u, v) < 0.05, np.where(u < v, 1, 2), 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bcs=st.permutations(list(BoundaryCondition)),
+           count=st.integers(2, 3), dt=st.sampled_from([None, 0.01]), csr=st.booleans())
+    def test_blocks_match_solo_runs(self, seed, bcs, count, dt, csr):
+        # each block takes its own product: stacked, per species, or CSR per species
+        rng = np.random.default_rng(seed)
+        cases = [_three_active(rng, bc, int(rng.integers(0, 3))) for bc in bcs[:count]]
+        run = dict(window=1.0, t_max=3.0, dt=dt, max_samples=3, forced_times=(0.5,))
+        solo_verdicts = [[] for _ in cases]
+
+        def recorded(k):
+            def settled(final):
+                solo_verdicts[k].append(self._verdicts(final))
+                return solo_verdicts[k][-1] > 0
+            return settled
+
+        block_verdicts = []
+
+        def settled(finals):
+            block_verdicts.append([self._verdicts(final) for final in finals])
+            return np.concatenate(block_verdicts[-1]) > 0
+
+        with stored(csr):
+            solos = [list(_windows(prob, initial, settled=recorded(k), **run))
+                     for k, (prob, initial) in enumerate(cases)]
+            blocked = list(_windows(tuple(prob for prob, _ in cases),
+                                    tuple(initial for _, initial in cases), settled=settled,
+                                    **run))
+        assert len(blocked) == max(map(len, solos))
+        # fixed steps differ only at roundoff; adaptive ones by the solo run's own step
+        # control (rtol 1e-8 on states of order 1), since the batch takes the largest error
+        # over all blocks: 7.1e-9 at most over 3000 draws
+        tol = 1e-9 if dt else 2e-8
+        for k, (solo, (prob, _)) in enumerate(zip(solos, cases)):
+            for w, (t_done, trajs) in enumerate(blocked):
+                got = trajs[k]
+                if w >= len(solo):          # every column of this block has settled
+                    assert got.final.u.shape == (prob.graph.n, 0)
+                    continue
+                want_t, want = solo[w]
+                assert t_done == want_t
+                assert np.array_equal(got.times, want.times)
+                assert got.metadata["bc"] == prob.bc.value
+                for key in ("m_u", "m_v"):      # the block's own rectangle
+                    assert np.allclose(got.metadata[key], want.metadata[key], rtol=0, atol=tol)
+                for s_got, s_want in zip(got.states, want.states):
+                    assert s_got.u.size == s_want.u.size
+                    assert np.abs(s_got.u.reshape(s_want.u.shape) - s_want.u).max() <= tol
+                    assert np.abs(s_got.v.reshape(s_want.v.shape) - s_want.v).max() <= tol
+                if w < len(solo_verdicts[k]):   # the same columns settle, the same way
+                    assert np.array_equal(block_verdicts[w][k], solo_verdicts[k][w])
+
+    def test_blocks_share_the_active_size(self, triangle, reflecting):
+        graph, part = reflecting
+        path = build_graph(("a", "b", "c", "d"),
+                           [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)])
+        problems = (Problem(graph, PARAMS_I, bc=BoundaryCondition.NEUMANN, partition=part),
+                    Problem(triangle, PARAMS_I))
+        initials = ((0.5, 0.5), (0.5, 0.5))
+        assert len(next(_windows(problems, initials, 1.0, 1.0))[1]) == 2
+        with pytest.raises(InputError, match="active size"):
+            next(_windows(problems + (Problem(path, PARAMS_I),), initials + ((0.5, 0.5),),
+                          1.0, 1.0))
 
 
 class TestAdaptive:

@@ -147,22 +147,26 @@ def test_batch_matches_solo_runs():
         assert np.abs(batched.final.v - solo.final.v).max() <= 1e-9
 
 
-def test_reproduce_all_runs_one_batch_per_graph(monkeypatch, capsys):
-    builds, counts = [], []
+def test_reproduce_all_runs_one_batch(monkeypatch, capsys):
+    # both fixture graphs have 3 active vertices, so all ten cases step together: one
+    # _windows run, one block of five columns per graph, each graph's operators built once
+    builds, runs, counts = [], [], []
     build, windows = dynamics.reduced_operators, dynamics._windows
 
-    def counted(*args, **kwargs):
-        for t_done, traj in windows(*args, **kwargs):
-            counts.append(traj.metadata["n_rhs"])
-            yield t_done, traj
+    def counted(problems, *args, **kwargs):
+        runs.append([problem.params.a1.size for problem in problems])
+        for t_done, trajs in windows(problems, *args, **kwargs):
+            counts.append(trajs[0].metadata["n_rhs"])
+            yield t_done, trajs
 
     monkeypatch.setattr(dynamics, "reduced_operators",
                         lambda problem: builds.append(problem) or build(problem))
     monkeypatch.setattr(fixtures, "_windows", counted)
     assert main(["reproduce", "all"]) == 0
     assert capsys.readouterr().out.count(": PASS ") == len(ALL_IDS)
+    assert runs == [[5, 5]]
     assert [problem.params.a1.size for problem in builds] == [5, 5]
-    assert sum(counts) <= 2000
+    assert sum(counts) <= 1000
 
 
 def test_settled_columns_are_not_stepped(monkeypatch):
