@@ -1,9 +1,10 @@
 """Command-line front end: simulate, classify, eigen, steady, reproduce, sweep.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 reproduction mismatch. All CSV output uses 17 significant digits so
-values round-trip losslessly, and contains nothing nondeterministic:
-identical configs give byte-identical CSVs.
+4 reproduction mismatch. All CSV output writes numbers as ``"%.17g" % x`` so
+values round-trip losslessly, quotes a vertex name only when it holds a comma,
+a quote, CR or LF (RFC 4180), and contains nothing nondeterministic: identical
+configs give byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -52,29 +53,220 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+_CHUNK = 4096         # cells per formatting call: the writer's buffers stay near 0.3 MiB
+_ZERO, _OTHER = 21, 22    # cell kinds beside 0..20, fixed notation at decimal exponent kind - 4
+
+
+@functools.cache
+def _cell_tables():
+    """The cell writer's constants, built once by arithmetic.
+
+    ``quads`` holds the four ASCII digits of 0..9999 packed little-endian into a uint32 and
+    ``places`` the place (1..4) of the last nonzero one, 0 for 0000; ``masks[c]`` keeps the
+    first c bytes of a quad. ``powers`` holds the exact doubles 10**e, e = 0..20, over their
+    Veltkamp halves. ``heads[kind]`` is what a cell spells before its digits, NUL-padded to 8
+    bytes in a uint64: "0." and zeros at exponents -4..-1, nothing for any other kind."""
+    n = np.arange(10000, dtype=np.uint32)
+    quads = np.zeros(10000, dtype="<u4")
+    places = np.zeros(10000, dtype=np.uint8)
+    for place, div in enumerate((1000, 100, 10, 1), start=1):
+        digit = n // div % 10
+        quads |= (digit + ord("0")) << np.uint32(8 * place - 8)
+        places[digit > 0] = place
+    masks = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], dtype="<u4")
+    powers = np.array([float(10**e) for e in range(21)])
+    split = powers * 134217729.0
+    high = split - (split - powers)
+    heads = np.zeros((23, 8), dtype=np.uint8)
+    for k in range(-4, 0):
+        heads[k + 4, :1 - k] = np.frombuffer(b"0." + b"0" * (-k - 1), dtype=np.uint8)
+    tables = quads, places, masks, np.stack([powers, high, powers - high]), heads
+    for table in tables:    # shared by every call
+        table.setflags(write=False)
+    return tables
+
+
+def _scaled(a: np.ndarray, k: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """round(a * 10**(16 - k)) to the nearest integer, ties to even, exactly, where the
+    product is at least 2**53: Dekker's product gives it as hi + lo with hi an even integer."""
+    ten, ten_hi, ten_lo = powers.take(16 - k, axis=1)
+    split = a * 134217729.0
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    hi = a * ten
+    lo = ((a_hi * ten_hi - hi) + a_hi * ten_lo + a_lo * ten_hi) + a_lo * ten_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _cells(pieces, width: int, labels=None, chunk: int = _CHUNK):
+    """The CSV text, as bytes in pieces of at most ``chunk`` cells, of a row-major float block
+    ``width`` cells wide whose values arrive as the arrays ``pieces``, in order. Each cell is
+    ``"%.17g" % x`` byte for byte; cells are joined by "," and rows end in "\n"; row r starts
+    with the field ``labels[r]`` (bytes) when labels are given.
+
+    Nonzero cells of decimal exponent k = -4..16 are spelled here from their 17 digits
+    N = round(|x| 10**(16 - k)), computed exactly by ``_scaled`` and spelled from the
+    four-digit table. A cell is a row of NUL-padded columns: label, sign, head, the digits
+    with a "." slot after digit k for each exponent k the chunk has, and the separator;
+    ``bytes.translate`` drops the NULs. A zero's digits are "0"; any other cell (exponent
+    form, subnormal, inf, nan) spells "%.17g" there, which one ``%`` per chunk fills in,
+    together with the labels."""
+    quads, places, masks, powers, heads = _cell_tables()
+    heads = heads.view("<u8")[:, 0]
+    values = np.empty(chunk)
+    digits = np.zeros((chunk, 20), dtype=np.uint8)    # digit j at column 3 + j: quads align
+    zero, fallback = np.zeros((2, 17), dtype=np.uint8)
+    zero[0] = ord("0")
+    fallback[:5] = np.frombuffer(b"%.17g", dtype=np.uint8)
+    groups = digits.view("<u4")
+    text = np.empty(chunk * 43, dtype=np.uint8)    # label, sign, "0.000", 17 digits, 16 ".", ","
+    lead = 3 if labels is not None else 0
+    if labels is not None:
+        labels = np.array(labels, dtype=object)
+
+    def spell(x: np.ndarray, first: int) -> bytes:
+        m = x.size
+        a = np.abs(x)
+        at = np.flatnonzero((a >= 5e-5) & (a < 2e17))    # decimal exponent -5..17
+        a = a[at]
+        k = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 16)
+        n = _scaled(a, k, powers)
+        ok = np.ones(at.size, dtype=bool)
+        miss = np.flatnonzero((n < 10**16) | (n >= 10**17))
+        while miss.size:    # log10 misses the exponent of the 17-digit rounding by one at most
+            k[miss] += np.where(n[miss] < 10**16, -1, 1)
+            out = miss[(k[miss] < -4) | (k[miss] > 16)]
+            ok[out], a[out], k[out] = False, 1.0, 0
+            n[miss] = _scaled(a[miss], k[miss], powers)
+            miss = miss[(n[miss] < 10**16) | (n[miss] >= 10**17)]
+        top, low = np.divmod(n, 10**8)
+        first_digit, high = np.divmod(top, 10**8)
+        fours = np.stack(np.divmod(np.stack([high, low], axis=1), 10000), axis=2).reshape(-1, 4)
+        last = np.full(at.size, 16)    # the place of the last nonzero digit
+        ends = np.flatnonzero(places.take(fours[:, 3]) < 4)
+        last[ends] = 0
+        for i, place in enumerate(places.take(fours[ends]).T):
+            last[ends] = np.where(place > 0, place + 4 * i, last[ends])
+        rows = at if at.size < m else slice(0, m)
+        digits[rows, 3] = first_digit + ord("0")
+        fours = quads.take(fours)
+        keep = np.maximum(last, k)    # the last digit kept: a fraction's trailing zeros go
+        short = np.flatnonzero(keep < 16)
+        fours[short] &= masks[np.clip(keep[short, None] - np.arange(0, 16, 4), 0, 4)]
+        groups[rows, 1:] = fours
+        kind = np.where(x == 0, _ZERO, _OTHER)
+        kind[rows] = k + 4
+        dot = np.full(m, -1)
+        dot[rows] = np.where((k >= 0) & (last > k), k, -1)    # "." after digit k
+        lost = at[~ok]
+        kind[lost], dot[lost] = _OTHER, -1
+        other = np.flatnonzero(kind == _OTHER)
+        digits[other, 3:] = fallback
+        digits[:m][x == 0, 3:] = zero
+        slots = np.flatnonzero(np.bincount(dot + 1, minlength=17)[1:])
+        head = max(0, 5 - int(kind.min()))    # "0." and zeros at exponents -1..-4
+        minus = np.signbit(x) & (kind != _OTHER)
+        sign = int(minus.any())
+        w = lead + sign + head + 17 + slots.size + 1
+        cells = text[:m * w].reshape(m, w)
+        starts = np.arange((-first) % width if lead else m, m, width)
+        if lead:
+            cells[:, :3] = 0
+            cells[starts, :3] = np.frombuffer(b"%s,", dtype=np.uint8)
+        if sign:
+            cells[:, lead] = np.where(minus, ord("-"), 0)
+        c = lead + sign
+        if head:
+            cells[:, c:c + head] = heads.take(kind).view(np.uint8).reshape(m, 8)[:, :head]
+        c, j = c + head, 0
+        for slot in slots.tolist():
+            cells[:, c:c + slot + 1 - j] = digits[:m, 3 + j:4 + slot]
+            c, j = c + slot + 1 - j, slot + 1
+            cells[:, c] = np.where(dot == slot, ord("."), 0)
+            c += 1
+        cells[:, c:c + 17 - j] = digits[:m, 3 + j:20]
+        cells[:, -1] = ord(",")
+        cells[(width - 1 - first) % width::width, -1] = ord("\n")
+        out = cells.tobytes().translate(None, b"\0")
+        if not starts.size:
+            return out % tuple(x[other].tolist()) if other.size else out
+        fills, filled = np.empty(2 * m, dtype=object), np.zeros(2 * m, dtype=bool)
+        fills[2 * starts] = labels[(first + starts) // width]    # before the row's first cell
+        fills[2 * other + 1] = x[other].tolist()
+        filled[2 * starts] = filled[2 * other + 1] = True
+        return out % tuple(fills[filled].tolist())
+
+    fill = first = 0
+    for piece in pieces:
+        piece = np.ravel(piece)
+        at = 0
+        while at < piece.size:
+            take = min(chunk - fill, piece.size - at)
+            values[fill:fill + take] = piece[at:at + take]
+            fill, at = fill + take, at + take
+            if fill == chunk:
+                yield spell(values, first)
+                fill, first = 0, first + chunk
+    if fill:
+        yield spell(values[:fill], first)
+
+
+def _quote(fields) -> list[str]:
+    """CSV fields as RFC 4180 writes them: a field that holds a comma, a quote, CR or LF is
+    quoted, its quotes doubled; any other is left as it is."""
+    fields = [str(field) for field in fields]
+    joined = "".join(fields)
+    if not any(c in joined for c in ',"\r\n'):
+        return fields
+    return ['"' + field.replace('"', '""') + '"' if any(c in field for c in ',"\r\n')
+            else field for field in fields]
+
+
 def _ensure_dir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
 
 
-def _write_rows(path: str, header: str, row: str, rows) -> None:
-    """A CSV file: the header line, then ``row % cells`` for each tuple of ``rows``; a
-    ``%.17g`` field writes a float as ``_fmt`` does."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(row % cells for cells in rows)
+def _csv_bytes(header: str, pieces, width: int, labels=None):
+    """The header line, then ``_cells``' text of the block, row r led by the name labels[r]."""
+    if labels is not None:
+        labels = [name.encode("utf-8") for name in _quote(labels)]
+    yield (header + "\n").encode("utf-8")
+    yield from _cells(pieces, width, labels)
+
+
+def _write_rows(path: str, header: str, labels, columns) -> None:
+    """A CSV file: the header line, then one row per label, its name then its columns."""
+    block = np.column_stack(columns)
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_bytes(header, (block,), block.shape[1], labels))
 
 
 def _write_trajectory(path: str, vertices, traj: Trajectory) -> None:
-    header = ",".join(["t"] + [f"u@{v}" for v in vertices] + [f"v@{v}" for v in vertices])
-    row = ",".join(["%.17g"] * (1 + 2 * len(vertices))) + "\n"
-    _write_rows(path, header, row, (tuple(np.concatenate(([t], state.u, state.v)).tolist())
-                                    for t, state in zip(traj.times, traj.states)))
+    names = _quote(["t"] + [f"{side}@{v}" for side in "uv" for v in vertices])
+    width = 1 + 2 * len(vertices)
+    step = max(1, _CHUNK // width)
+    blocks = (np.column_stack([traj.times[i:i + step],
+                               [np.concatenate((s.u, s.v)) for s in traj.states[i:i + step]]])
+              for i in range(0, len(traj.states), step))
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_bytes(",".join(names), blocks, width))
 
 
 def _write_report(path: str, report: dict) -> None:
+    """``json.dumps(report, indent=2, sort_keys=True, default=float)`` and a newline, with the
+    per-vertex maps of ``report["final"]`` dumped by json's C encoder (``indent`` forces the
+    pure-Python one) at the depth and with the separators the indented dump gives them."""
+    final = report["final"]
+    marks = {side: "\0" + side for side in final}
+    text = json.dumps({**report, "final": marks}, indent=2, sort_keys=True, default=float)
+    for side, values in final.items():
+        body = json.dumps(values, sort_keys=True, default=float, separators=(",\n      ", ": "))
+        if values:
+            body = "{\n      " + body[1:-1] + "\n    }"
+        text = text.replace(json.dumps(marks[side]), body, 1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True, default=float) + "\n")
+        fh.write(text + "\n")
 
 
 def _cmd_simulate(args) -> int:
@@ -91,8 +283,8 @@ def _cmd_simulate(args) -> int:
     _write_report(report_path, {
         "t_end": cfg.t_end,
         "final": {
-            "u": {v: float(final.u[i]) for i, v in enumerate(vertices)},
-            "v": {v: float(final.v[i]) for i, v in enumerate(vertices)},
+            "u": dict(zip(vertices, final.u.tolist())),
+            "v": dict(zip(vertices, final.v.tolist())),
         },
         "rectangle": {"m_u": traj.metadata["m_u"], "m_v": traj.metadata["m_v"]},
         "steps": {k: traj.metadata[k] for k in
@@ -151,10 +343,7 @@ def _cmd_classify(args) -> int:
         return 0
     out = _ensure_dir(args.out)
     path = os.path.join(out, "predicted_limit.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("vertex,u,v\n")
-        for i, v in enumerate(problem.graph.vertices):
-            fh.write(f"{v},{_fmt(limit.u[i])},{_fmt(limit.v[i])}\n")
+    _write_rows(path, "vertex,u,v", problem.graph.vertices, (limit.u, limit.v))
     print(f"predicted limit: steady profile written to {path}")
     return 0
 
@@ -164,17 +353,15 @@ def _cmd_eigen(args) -> int:
     if problem.partition is None:
         raise ConfigInvalid("eigen needs a partitioned problem (bc neumann or dirichlet)")
     eig1, eig2 = eigenpairs_for(problem)
-    lines = [f"# lambda0_1 = {_fmt(eig1.lambda0)}",
-             f"# lambda0_2 = {_fmt(eig2.lambda0)}",
-             "vertex,phi1,phi2"]
-    lines += ["%s,%.17g,%.17g" % cells for cells in zip(problem.partition.interior,
-                                                         eig1.phi.tolist(), eig2.phi.tolist())]
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    header = (f"# lambda0_1 = {_fmt(eig1.lambda0)}\n# lambda0_2 = {_fmt(eig2.lambda0)}\n"
+              "vertex,phi1,phi2")
+    phi = np.column_stack([eig1.phi, eig2.phi])
+    text = b"".join(_csv_bytes(header, (phi,), 2, problem.partition.interior))
+    sys.stdout.write(text.decode("utf-8"))
     if args.out is not None:
         out = _ensure_dir(args.out)
         path = os.path.join(out, "eigen.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "wb") as fh:
             fh.write(text)
         print(f"# written to {path}")
     return 0
@@ -195,9 +382,8 @@ def _cmd_steady(args) -> int:
             raise InputError(f"steady --bounds needs --tol of at least 1e-10, got {tol:g}")
         bounds = coexistence_bounds(problem, tol=tol)
         path = os.path.join(out, "coexistence_bounds.csv")
-        _write_rows(path, "vertex,s_lo,s_hi,r_lo,r_hi", "%s,%.17g,%.17g,%.17g,%.17g\n",
-                    zip(interior, *(np.asarray(x).tolist() for x in (
-                        bounds.s_lower, bounds.s_upper, bounds.r_lower, bounds.r_upper))))
+        _write_rows(path, "vertex,s_lo,s_hi,r_lo,r_hi", interior,
+                    (bounds.s_lower, bounds.s_upper, bounds.r_lower, bounds.r_upper))
         spread = max(float(np.max(bounds.s_upper - bounds.s_lower)),
                      float(np.max(bounds.r_upper - bounds.r_lower)))
         unique = "unique (bounds collapse)" if bounds.unique else "bounds only"
@@ -218,8 +404,7 @@ def _cmd_steady(args) -> int:
                   file=sys.stderr)
         columns.append(column)
     path = os.path.join(out, "steady.csv")
-    _write_rows(path, "vertex,s1,s2", "%s,%.17g,%.17g\n",
-                zip(interior, *(np.asarray(column).tolist() for column in columns)))
+    _write_rows(path, "vertex,s1,s2", interior, columns)
     print(f"wrote {path}")
     return 0
 

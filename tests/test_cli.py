@@ -4,15 +4,21 @@ import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
+import math
 import os
 import pathlib
 import shutil
+import struct
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphlv
 import graphlv.classify
@@ -191,6 +197,157 @@ class TestSimulate:
         cfg = write_config(tmp_path, doc, "absorbing.json")
         assert main(["simulate", "--config", cfg, "--out", out]) == 2
         assert "boundary" in capsys.readouterr().err
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _near_power_of_ten(e: int, ulps: int, negative: bool) -> float:
+    """10**e (the double nearest it) moved by ``ulps`` units in the last place."""
+    bits = struct.unpack("<Q", struct.pack("<d", float(Fraction(10) ** e)))[0]
+    return (-1.0 if negative else 1.0) * _float_from_bits(bits + ulps)
+
+
+def _decimal_ties(k: int):
+    """Doubles q / 2**(17 - k), q odd, exactly halfway between two 17-digit decimals of
+    exponent k: their digits are 2 D + 1 = q 5**(16 - k) over 2 10**(16 - k)."""
+    low, high = 2 * 10**16 // 5**(16 - k) + 1, min(2 * 10**17 // 5**(16 - k), 2**53)
+    return st.integers(low // 2, (high - 1) // 2).map(lambda h: math.ldexp(2 * h + 1, k - 17))
+
+
+_CELL_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float_from_bits),    # subnormals, +-0, +-inf, nan
+    st.builds(_near_power_of_ten, st.integers(-7, 18), st.integers(-40, 40), st.booleans()),
+    st.integers(-4, 15).flatmap(_decimal_ties),
+    st.builds(lambda m, j: math.ldexp(2 * m + 1, -j), st.integers(0, 2**52 - 1),
+              st.integers(0, 80)),    # odd m / 2**j
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestCellWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_CELL_VALUES, min_size=1, max_size=60), width=st.integers(1, 7),
+           chunk=st.integers(1, 40), cuts=st.lists(st.integers(0, 60), max_size=4),
+           labelled=st.booleans())
+    def test_cells_match_the_percent_format(self, values, width, chunk, cuts, labelled):
+        """Every cell is "%.17g" % x byte for byte, whatever the value, the row width, the
+        chunk boundaries (mid-row too) and the pieces the block arrives in."""
+        values = values[:len(values) // width * width] or [0.0] * width
+        block = np.array(values)
+        pieces = np.split(block, sorted(min(c, block.size) for c in cuts))
+        rows = [values[i:i + width] for i in range(0, len(values), width)]
+        labels = [f"r{i}".encode() for i in range(len(rows))] if labelled else None
+        expected = "".join(
+            ",".join(([f"r{i}"] if labelled else []) + ["%.17g" % x for x in row]) + "\n"
+            for i, row in enumerate(rows))
+        written = b"".join(graphlv.cli._cells(pieces, width, labels, chunk=chunk))
+        assert written.decode() == expected
+
+    def test_a_chunk_of_exponent_form_cells(self):
+        """A chunk with no cell in fixed notation (an extinct species decaying towards
+        1e-300) is spelled by the fallback alone."""
+        values = np.geomspace(1e-300, 1e-5, 999)
+        expected = "".join("%.17g\n" % x for x in values)
+        assert b"".join(graphlv.cli._cells((values,), 1)).decode() == expected
+
+
+def _hostile_names(n):
+    """n vertex names that need quoting in a CSV field, then plain ones."""
+    names = ["a,b", 'c"d', "e\nf", "g\r\nh", '"', ","]
+    return names[:n] + [f"plain{i}" for i in range(n - len(names[:n]))]
+
+
+class TestQuotedNames:
+    """A vertex name with a comma, a quote, CR or LF is quoted (RFC 4180) wherever a CSV
+    writes it, so every row reads back with csv.reader to the header's number of fields."""
+
+    @staticmethod
+    def _rename(doc, names):
+        old = doc["graph"]["vertices"]
+        new = dict(zip(old, names))
+        graph = doc["graph"]
+        graph["vertices"] = [new[v] for v in old]
+        graph["edges"] = [[new[a], new[b], *w] for a, b, *w in graph["edges"]]
+        if "interior" in graph:
+            graph["interior"] = [new[v] for v in graph["interior"]]
+        for side in ("u", "v"):
+            if isinstance(doc["initial"][side], dict):
+                doc["initial"][side] = {new[v]: x for v, x in doc["initial"][side].items()}
+        return [new[v] for v in old]
+
+    @staticmethod
+    def _check(rows, header, names):
+        assert rows[0] == header
+        assert [r[0] for r in rows[1:]] == names
+        assert {len(r) for r in rows} == {len(header)}
+
+    def test_simulate_header(self, tmp_path):
+        doc = triangle_doc()
+        names = self._rename(doc, _hostile_names(3))
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--t-end", "1"]) == 0
+        rows = read_csv(tmp_path / "o" / "trajectory.csv")
+        assert rows[0] == ["t"] + [f"{s}@{v}" for s in "uv" for v in names]
+        assert {len(r) for r in rows} == {7}
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert sorted(report["final"]["u"]) == sorted(names)
+
+    def test_vertex_columns(self, tmp_path, capsys):
+        doc = absorbing_doc(a2=0.01, c1=1.0)
+        names = self._rename(doc, _hostile_names(5))
+        interior = names[:3]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+        self._check(read_csv(out / "predicted_limit.csv"), ["vertex", "u", "v"], names)
+        capsys.readouterr()
+        assert main(["eigen", "--config", cfg, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        for text in (printed, (out / "eigen.csv").read_text(encoding="utf-8")):
+            rows = csv.reader(io.StringIO(text, newline=""))
+            self._check([r for r in rows if not r[0].startswith("#")],
+                        ["vertex", "phi1", "phi2"], interior)
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        self._check(read_csv(out / "steady.csv"), ["vertex", "s1", "s2"], interior)
+        doc["params"].update(a2=2.0, c1=0.05)
+        cfg = write_config(tmp_path, doc, "bounds.json")
+        assert main(["steady", "--bounds", "--config", cfg, "--out", str(out)]) == 0
+        self._check(read_csv(out / "coexistence_bounds.csv"),
+                    ["vertex", "s_lo", "s_hi", "r_lo", "r_hi"], interior)
+
+    def test_plain_names_are_not_quoted(self):
+        assert graphlv.cli._quote(["x1", "u@x2", 3, "é"]) == ["x1", "u@x2", "3", "é"]
+        assert graphlv.cli._quote(["x1", 'a"b']) == ["x1", '"a""b"']
+
+
+class TestReport:
+    @pytest.mark.parametrize("names", [
+        ['a"b', "back\\slash", "ctl\x00\x01\x1f\x7f", "tab\tnl\n", "ünïcødé ☃ 𝔵", "", "z"],
+        [10, 2, -3, 0],
+        [0.5, 1e-7, 2.0, float("inf")],
+        ["only"],
+        [],
+    ], ids=["hostile", "int", "float", "one", "empty"])
+    def test_report_matches_the_indented_dump(self, tmp_path, names):
+        rng = np.random.default_rng(5)
+        report = {
+            "t_end": 3.0,
+            "final": {"u": dict(zip(names, rng.uniform(0, 2, len(names)).tolist())),
+                      "v": dict(zip(names, [0.0, -0.0, 1e-300, float("nan"), 1e300, 1 / 3,
+                                            np.float64(2.5)][:len(names)]))},
+            "rectangle": {"m_u": np.float64(1.5), "m_v": 2.0},
+            "steps": {"dt": 0.01, "n_steps": 12},
+            "boundary": "neumann",
+            "elapsed_seconds": 0.25,
+            "files": {"trajectory": str(tmp_path / 'dir "x"' / "trajectory.csv")},
+        }
+        path = tmp_path / "report.json"
+        graphlv.cli._write_report(str(path), report)
+        expected = json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
 
 
 class TestClassify:

@@ -1,6 +1,7 @@
 """Source-level rules that hold for every module of the package."""
 
 import ast
+import re
 import pathlib
 
 import graphlv
@@ -267,3 +268,35 @@ def _texts(node):
             yield sub.value
         else:
             yield from (name for name in _names(sub) if name)
+
+
+def test_cell_format_has_one_home():
+    """Numbers are spelled ``"%.17g" % x`` in two places: ``cli._fmt`` (scalar prints and
+    sweep.csv) and the cell writer (``cli._cells``, whose fallback spelling is kept by
+    ``cli._cell_tables``). Outside them no code in the package holds a "%.17g" literal, and
+    cli.py, which writes every CSV, uses no ``%`` operator and no ``%`` conversion, so no
+    per-row template can format CSV cells beside the writer."""
+    homes = {"_fmt", "_cell_tables", "_cells"}
+    conversion = re.compile(r"%[-#0 +]*[0-9]*(\.[0-9]+)?[a-zA-Z]")
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        docs = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)}
+        inside = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name in homes
+                  and path.name == "cli.py" for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if id(node) in inside or id(node) in docs:
+                continue
+            text = node.value if isinstance(node, ast.Constant) else None
+            if isinstance(text, bytes):
+                text = text.decode("latin-1")
+            if isinstance(text, str) and ("%.17g" in text or path.name == "cli.py"
+                                          and conversion.search(text)):
+                found.append(f"{path.name}:{node.lineno}")
+            if (path.name == "cli.py" and isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Mod)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"numbers formatted outside _fmt and the cell writer at {found}"
