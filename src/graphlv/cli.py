@@ -253,15 +253,27 @@ def _write_trajectory(path: str, vertices, traj: Trajectory) -> None:
         fh.writelines(_csv_bytes(",".join(names), blocks, width))
 
 
+def _json_key(item) -> str:
+    """The text json writes for the key of a (key, value) item."""
+    return item[0] if isinstance(item[0], str) else json.dumps(item[0])
+
+
 def _write_report(path: str, report: dict) -> None:
     """``json.dumps(report, indent=2, sort_keys=True, default=float)`` and a newline, with the
     per-vertex maps of ``report["final"]`` dumped by json's C encoder (``indent`` forces the
-    pure-Python one) at the depth and with the separators the indented dump gives them."""
+    pure-Python one) at the depth and with the separators the indented dump gives them.
+    Vertex names that cannot be ordered together (names of several JSON types) are ordered
+    by the key text json writes for them."""
     final = report["final"]
     marks = {side: "\0" + side for side in final}
     text = json.dumps({**report, "final": marks}, indent=2, sort_keys=True, default=float)
     for side, values in final.items():
-        body = json.dumps(values, sort_keys=True, default=float, separators=(",\n      ", ": "))
+        separators = (",\n      ", ": ")
+        try:
+            body = json.dumps(values, sort_keys=True, default=float, separators=separators)
+        except TypeError:    # names json cannot sort
+            body = json.dumps(dict(sorted(values.items(), key=_json_key)), default=float,
+                              separators=separators)
         if values:
             body = "{\n      " + body[1:-1] + "\n    }"
         text = text.replace(json.dumps(marks[side]), body, 1)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from collections.abc import Hashable, Iterable, Mapping
+import operator
+from collections.abc import Hashable, Iterable, Mapping, Sized
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,7 +48,8 @@ class WeightedGraph:
     Edge k runs from vertex ``src[k]`` to vertex ``dst[k]`` (positions in ``vertices``);
     each undirected edge is listed once in each direction, in order of first appearance.
     ``w1[k]`` and ``w2[k]`` are its positive weights for the two species. Measures are
-    strictly positive, one per vertex.
+    strictly positive, one per vertex. ``build_graph`` makes the arrays read-only, and gives
+    species 2 species 1's arrays where their weights and measures are equal.
     """
 
     vertices: tuple[Vertex, ...]
@@ -105,8 +107,9 @@ def _check_species(species: int) -> int:
 
 
 def _same_species(graph: WeightedGraph) -> bool:
-    """Whether both species have one weight structure: equal weights and equal measures."""
-    return np.array_equal(graph.w1, graph.w2) and np.array_equal(graph.mu1, graph.mu2)
+    """Whether both species have one weight structure, which ``build_graph`` stores as one
+    set of arrays: the same weights and the same measures."""
+    return graph.w2 is graph.w1 and graph.mu2 is graph.mu1
 
 
 def _as_float(value, what: str) -> float:
@@ -177,6 +180,85 @@ def _weight_table(index, table, label: str) -> dict[tuple[int, int], float]:
     return out
 
 
+# Edge tables and initial-data maps of at least this many entries are read in one array
+# pass: numpy over whole columns, with no Python call per entry. Below it the edge pass's
+# fixed cost of about 35 numpy calls is more than the loop's 1.2 us per entry: edge tables
+# cross over between 96 and 128 entries (JSON-read names, in-process, 2 cores). Vertex maps,
+# whose pass is two calls, cross at about 10 entries and lose at most 30 us below this.
+_ARRAY_MIN_ENTRIES = 128
+
+
+def _table_columns(table):
+    """The columns (a, b, w) of a mapping ``{(a, b): w}`` or a sized table of ``(a, b, w)``
+    rows, sliced from one flat list; None unless every key is a pair or every row a triple."""
+    width = 2 if isinstance(table, Mapping) else 3
+    try:
+        if set(map(len, table)) != {width}:
+            return None
+        flat = list(itertools.chain.from_iterable(table))
+    except TypeError:
+        return None
+    if len(flat) != width * len(table):    # a row whose length is not its count
+        return None
+    return flat[0::width], flat[1::width], table.values() if width == 2 else flat[2::3]
+
+
+def _array_pass(index, m: int, a, b, *columns):
+    """(src, dst, w) of the m edges (a[k], b[k]) with the weights of each column as
+    ``_weight_table`` reads them, by numpy over whole columns; or None where the pass does
+    not take them, and the loop reads the table and names its first bad entry. The pass
+    takes known ends, no self-loop, positive finite weights, and one weight per column on
+    every repeated pair."""
+    try:
+        ends = np.fromiter(map(index.__getitem__, itertools.chain(a, b)), np.intp, 2 * m)
+        weights = [np.fromiter(map(float, col), float, m) for col in columns]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    i, j = ends[:m], ends[m:]
+    good = i != j
+    for w in weights:
+        good &= (0.0 < w) & (w < math.inf)
+    if not good.all():
+        return None
+    pair = np.minimum(i, j) * len(index) + np.maximum(i, j)
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    again = pair[1:] == pair[:-1]    # a pair listed before, in either orientation
+    for w in weights:
+        if np.any(again & (w[order][1:] != w[order][:-1])):
+            return None
+    first = np.sort(order[np.concatenate(([True], ~again))])
+    ends = np.stack((i[first], j[first]))
+    # each edge in both orders, the first as it first appears
+    return (ends.T.ravel(), ends[::-1].T.ravel(), *(np.repeat(w[first], 2) for w in weights))
+
+
+def _edge_arrays(index, table, label: str):
+    """(src, dst, w) of one weight table: each edge under both orders, in order of first
+    appearance. A table of at least _ARRAY_MIN_ENTRIES entries goes through the array pass;
+    any other table, or one the pass does not take, through ``_weight_table``."""
+    if isinstance(table, Sized) and len(table) >= _ARRAY_MIN_ENTRIES:
+        columns = _table_columns(table)
+        read = None if columns is None else _array_pass(index, len(table), *columns)
+        if read is not None:
+            return read
+    table = _weight_table(index, table, label)
+    ends = np.fromiter(itertools.chain.from_iterable(table), np.intp, 2 * len(table))
+    return ends[0::2].copy(), ends[1::2].copy(), np.fromiter(table.values(), float, len(table))
+
+
+def _matched(n: int, src, dst, src2, dst2, w2) -> np.ndarray:
+    """The weights w2 of the edges (src2, dst2) in the order of the edges (src, dst), which
+    must be the same edge set."""
+    key, key2 = src * n + dst, src2 * n + dst2
+    at, at2 = np.argsort(key), np.argsort(key2)
+    if not np.array_equal(key[at], key2[at2]):
+        raise MismatchedTopology("weights1 and weights2 induce different edge sets")
+    out = np.empty_like(w2)
+    out[at] = w2[at2]
+    return out
+
+
 def _measure_vector(vertices, measure, degree: np.ndarray, label: str) -> np.ndarray:
     """``measure`` as one positive value per vertex; None is the weighted ``degree``."""
     if measure is None:
@@ -187,12 +269,27 @@ def _measure_vector(vertices, measure, degree: np.ndarray, label: str) -> np.nda
             raise MissingVertexValue(f"{label}: no measure for {missing}")
         mu = np.array([_as_float(measure[v], f"{label}: measure of {v!r}") for v in vertices])
     else:
-        mu = _as_floats(measure, f"{label}: measure values")
+        mu = _as_floats(measure, f"{label}: measure values").copy()    # made read-only
         if mu.shape != (len(vertices),):
             raise InputError(f"{label}: measure must have one value per vertex")
     if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
         raise NonpositiveMeasure(f"{label}: vertex measures must be positive and finite")
     return mu
+
+
+def _vertex_index(vertices) -> tuple[tuple, dict]:
+    """The vertex names as a tuple, and the position of each."""
+    vertices = tuple(vertices)
+    if len(vertices) == 0:
+        raise InputError("graph needs at least one vertex")
+    try:
+        index = dict(zip(vertices, range(len(vertices))))
+    except TypeError:
+        bad = [v for v in vertices if not isinstance(v, Hashable)]
+        raise InputError(f"vertex names must be hashable, got {bad}") from None
+    if len(index) != len(vertices):
+        raise InputError("duplicate vertex names")
+    return vertices, index
 
 
 def build_graph(
@@ -206,32 +303,50 @@ def build_graph(
 
     Weight tables are mappings ``{(a, b): w}`` or iterables of
     ``(a, b, w)``; ``weights2=None`` copies ``weights1``. A measure of
-    None defaults to the weighted vertex degree of that species.
+    None defaults to the weighted vertex degree of that species. The
+    graph's arrays are read-only, and species with the same weights and
+    measures share them.
     """
-    vertices = tuple(vertices)
-    if len(vertices) == 0:
-        raise InputError("graph needs at least one vertex")
-    try:
-        index = {v: i for i, v in enumerate(vertices)}
-    except TypeError:
-        bad = [v for v in vertices if not isinstance(v, Hashable)]
-        raise InputError(f"vertex names must be hashable, got {bad}") from None
-    if len(index) != len(vertices):
-        raise InputError("duplicate vertex names")
-    table1 = _weight_table(index, weights1, "weights1")
-    w1 = np.fromiter(table1.values(), float, len(table1))
-    w2 = w1.copy()
+    vertices, index = _vertex_index(vertices)
+    src, dst, w1 = _edge_arrays(index, weights1, "weights1")
+    w2 = w1
     if weights2 is not None:
-        table2 = _weight_table(index, weights2, "weights2")
-        if table2.keys() != table1.keys():
-            raise MismatchedTopology("weights1 and weights2 induce different edge sets")
-        w2 = np.fromiter(map(table2.__getitem__, table1), float, len(table1))
-    ends = np.fromiter(itertools.chain.from_iterable(table1), np.intp, 2 * len(table1))
-    src, dst = ends.reshape(-1, 2).T.copy()
+        w2 = _matched(len(index), src, dst, *_edge_arrays(index, weights2, "weights2"))
+    return _graph(vertices, index, src, dst, w1, w2, measure1, measure2)
+
+
+def _split_graph(vertices, rows, measure1=None, measure2=None) -> WeightedGraph:
+    """``build_graph`` on a document's edge rows, lists its reader checked: ``[a, b, w1, w2]``
+    and ``[a, b, w]``, which gives both species w. At _ARRAY_MIN_ENTRIES rows or more, one
+    array pass reads the rows' columns; else, or where the pass does not take them,
+    ``build_graph`` reads the two weight tables they spell."""
+    vertices, index = _vertex_index(vertices)
+    if len(rows) >= _ARRAY_MIN_ENTRIES:
+        columns = (map(operator.itemgetter(k), rows) for k in (0, 1, 2, -1))
+        read = _array_pass(index, len(rows), *columns)
+        if read is not None:
+            return _graph(vertices, index, *read, measure1, measure2)
+    return build_graph(vertices, [row[:3] for row in rows],
+                       [(row[0], row[1], row[-1]) for row in rows], measure1, measure2)
+
+
+def _graph(vertices, index, src, dst, w1, w2, measure1, measure2) -> WeightedGraph:
+    """The graph of validated edge arrays: measures read, connectivity checked, arrays made
+    read-only, and the second species' weights and measures the first's arrays wherever
+    they are equal."""
     n = len(vertices)
-    mu1 = _measure_vector(vertices, measure1, np.bincount(src, weights=w1, minlength=n), "measure1")
-    mu2 = _measure_vector(vertices, measure2, np.bincount(src, weights=w2, minlength=n), "measure2")
+    if w2 is not w1 and np.array_equal(w1, w2):
+        w2 = w1
+    mu1 = _measure_vector(vertices, measure1, np.bincount(src, w1, n), "measure1")
+    if w2 is w1 and measure1 is None and measure2 is None:
+        mu2 = mu1
+    else:
+        mu2 = _measure_vector(vertices, measure2, np.bincount(src, w2, n), "measure2")
+        if w2 is w1 and np.array_equal(mu1, mu2):
+            mu2 = mu1
     _require_connected(vertices, src, dst)
+    for array in (src, dst, w1, w2, mu1, mu2):
+        array.flags.writeable = False
     graph = WeightedGraph(vertices, src, dst, w1, w2, mu1, mu2)
     graph.__dict__["_index"] = index    # fills the cached property
     return graph
@@ -274,8 +389,9 @@ def boundary_of(graph: WeightedGraph, interior: Iterable[Vertex]) -> DomainParti
     except TypeError:    # an unhashable name is no vertex
         bad = [v for v in interior if not isinstance(v, Hashable)]
         raise InteriorNotSubset(f"interior contains unknown vertices: {bad}") from None
-    unknown = wanted.difference(graph._index)
-    if unknown:
+    at = np.fromiter(map(graph._index.get, wanted, itertools.repeat(-1)), np.intp, len(wanted))
+    if np.any(at < 0):
+        unknown = wanted.difference(graph._index)
         try:
             unknown = sorted(unknown)
         except TypeError:    # names of several types
@@ -286,7 +402,7 @@ def boundary_of(graph: WeightedGraph, interior: Iterable[Vertex]) -> DomainParti
     if len(wanted) == graph.n:
         raise InteriorNotSubset("interior must be a strict subset of the vertex set")
     inside = np.zeros(graph.n, dtype=bool)
-    inside[np.fromiter(map(graph._index.__getitem__, wanted), np.intp, len(wanted))] = True
+    inside[at] = True
     interior_idx = np.flatnonzero(inside)
     names = tuple(map(graph.vertices.__getitem__, interior_idx.tolist()))
     at = np.full(graph.n, -1)
@@ -318,9 +434,7 @@ def field_array(graph: WeightedGraph, data, required_idx=None) -> np.ndarray:
     given, NaN at any required position raises MissingVertexValue.
     """
     if isinstance(data, Mapping):
-        out = np.full(graph.n, np.nan)
-        for name, val in data.items():
-            out[graph.index(name)] = _as_float(val, f"field value at {name!r}")
+        out = _map_values(graph, data)
     elif np.isscalar(data):
         out = np.full(graph.n, _as_float(data, "field value"))
     else:
@@ -334,6 +448,23 @@ def field_array(graph: WeightedGraph, data, required_idx=None) -> np.ndarray:
             req = np.asarray(required_idx, dtype=int)
             names = [graph.vertices[req[i]] for i in bad]
             raise MissingVertexValue(f"field has no value at {names}")
+    return out
+
+
+def _map_values(graph: WeightedGraph, data: Mapping) -> np.ndarray:
+    """A map of vertex values as a full vector, NaN where it has none: one array pass at
+    _ARRAY_MIN_ENTRIES entries or more, else (or where the pass fails) a loop that names the
+    first bad entry."""
+    out = np.full(graph.n, np.nan)
+    if len(data) >= _ARRAY_MIN_ENTRIES:
+        try:
+            at = np.fromiter(map(graph._index.__getitem__, data), np.intp, len(data))
+            out[at] = np.fromiter(map(float, data.values()), float, len(data))
+            return out
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+    for name, val in data.items():
+        out[graph.index(name)] = _as_float(val, f"field value at {name!r}")
     return out
 
 
@@ -357,21 +488,40 @@ def _stores_csr(graph: WeightedGraph, partition: DomainPartition | None) -> bool
     return nnz <= _CSR_MAX_FILL * n_act * n_act
 
 
+def _entries(graph: WeightedGraph, species: int, rows, cols):
+    """(row, column, weight) of each nonzero of one species' w[np.ix_(rows, cols)], in
+    edge-list order; rows = cols = None is the whole matrix."""
+    src, dst, w = graph.src, graph.dst, graph.weights(species)
+    if rows is None:
+        return src, dst, w
+    at_row, at_col = np.full(graph.n, -1), np.full(graph.n, -1)
+    at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
+    keep = (at_row[src] >= 0) & (at_col[dst] >= 0)
+    return at_row[src[keep]], at_col[dst[keep]], w[keep]
+
+
+def _csr(data, indices, rows, shape):
+    """The CSR array of entries sorted by row and then column, without the zero entries a
+    sparse sum would drop."""
+    import scipy.sparse as sp    # imported late: dense-stored runs never pay its memory
+    kept = data != 0.0
+    if not kept.all():
+        data, indices, rows = data[kept], indices[kept], rows[kept]
+    indptr = np.zeros(shape[0] + 1, np.intp)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_array((data, indices, indptr), shape=shape)
+
+
 def _weight_block(graph: WeightedGraph, species: int, rows, cols, csr: bool):
     """w[np.ix_(rows, cols)] of one species, gathered from the edge list and stored dense
     or as CSR; rows = cols = None is the whole matrix."""
-    src, dst, w = graph.src, graph.dst, graph.weights(species)
     shape = (graph.n, graph.n) if rows is None else (rows.size, cols.size)
-    if rows is not None:
-        at_row, at_col = np.full(graph.n, -1), np.full(graph.n, -1)
-        at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
-        keep = (at_row[src] >= 0) & (at_col[dst] >= 0)
-        src, dst, w = at_row[src[keep]], at_col[dst[keep]], w[keep]
+    r, c, w = _entries(graph, species, rows, cols)
     if csr:
-        import scipy.sparse as sp    # imported late: dense-stored runs never pay its memory
-        return sp.csr_array((w, (src, dst)), shape=shape)
+        order = np.argsort(r * shape[1] + c)
+        return _csr(w[order], c[order], r[order], shape)
     out = np.zeros(shape)
-    out[src, dst] = w
+    out[r, c] = w
     return out
 
 
@@ -398,21 +548,44 @@ def _blocks(graph: WeightedGraph, species: int, partition: DomainPartition | Non
     partition; CSR or dense as ``csr`` says, or as the storage rule picks when it is None."""
     if csr is None:
         csr = _stores_csr(graph, partition)
+    if csr:
+        return _csr_blocks(graph, species, partition)
     rows, cols = (None, None) if partition is None else (partition.interior_idx,
                                                          partition.closure_idx)
-    w = _weight_block(graph, species, rows, cols, csr)
+    w = _weight_block(graph, species, rows, cols, csr=False)
     mu = graph.measure(species) if rows is None else graph.measure(species)[rows]
-    diagonal = -w.sum(axis=1) / mu    # minus the closure degree over the measure
-    lap = _divide_rows(w, mu)
-    if csr:
-        import scipy.sparse as sp
-        k = diagonal.size
-        lap = lap + sp.csr_array((diagonal, np.arange(k), np.arange(k + 1)), shape=lap.shape)
-    else:
-        np.fill_diagonal(lap, diagonal)
+    lap = w / mu[:, None]
+    np.fill_diagonal(lap, -w.sum(axis=1) / mu)    # minus the closure degree over the measure
     if partition is None:
         return lap, None
     return lap[:, :rows.size], lap[:, rows.size:]
+
+
+def _csr_blocks(graph: WeightedGraph, species: int, partition: DomainPartition | None):
+    """``_blocks`` as CSR, assembled from the edge list: its entries and the diagonal sorted
+    into CSR order over the closure's columns, each degree summed as a CSR row sum sums it
+    (``np.add.reduceat`` over the row's closure columns in order)."""
+    rows, cols = (None, None) if partition is None else (partition.interior_idx,
+                                                         partition.closure_idx)
+    k, c = (graph.n, graph.n) if rows is None else (rows.size, cols.size)
+    mu = graph.measure(species) if rows is None else graph.measure(species)[rows]
+    diagonal = np.arange(k)
+    r, col, w = (np.concatenate(x) for x in zip(_entries(graph, species, rows, cols),
+                                                (diagonal, diagonal, np.zeros(k))))
+    order = np.argsort(r * c + col)
+    r, col, w = r[order], col[order], w[order]
+    edge = r != col
+    count = np.bincount(r, minlength=k) - 1    # the row's edges, its diagonal left out
+    filled = np.flatnonzero(count)
+    degree = np.zeros(k)
+    degree[filled] = np.add.reduceat(w[edge], (np.cumsum(count) - count)[filled])
+    lap = w / mu[r]
+    lap[~edge] = -degree / mu    # minus the closure degree over the measure
+    inner = col < k
+    l_ii = _csr(lap[inner], col[inner], r[inner], (k, k))
+    if partition is None:
+        return l_ii, None
+    return l_ii, _csr(lap[~inner], col[~inner] - k, r[~inner], (k, c - k))
 
 
 def whole_laplacian(graph: WeightedGraph, species: int) -> np.ndarray:

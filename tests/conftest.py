@@ -179,6 +179,15 @@ def stored(csr: bool):
         yield
 
 
+@contextlib.contextmanager
+def read_in_arrays(array: bool):
+    """A context in which the entry-count rule sends every edge table and vertex map to
+    the array pass (or none of them)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_ARRAY_MIN_ENTRIES", 0 if array else np.inf)
+        yield
+
+
 # ---------------------------------------------------------------------------
 # reference time-field derivative (one time at a time)
 # ---------------------------------------------------------------------------

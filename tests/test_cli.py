@@ -349,6 +349,24 @@ class TestReport:
         expected = json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
         assert path.read_text(encoding="utf-8") == expected
 
+    @pytest.mark.parametrize("names", [[1, "a", 2.5, None], [None, True, "b", -3, 0.5, "1"]],
+                             ids=["int-str-float-null", "null-bool-str-int-float"])
+    def test_simulate_reports_names_of_several_json_types(self, tmp_path, names):
+        # json cannot sort these names: they come in the order of the key text it writes
+        doc = {"graph": {"vertices": names,
+                         "edges": [[a, b, 1.0] for a, b in zip(names, names[1:])]},
+               "bc": "none",
+               "params": {"a1": 1.0, "b1": 2.0, "c1": 2.0, "a2": 1.0, "b2": 1.0, "c2": 1.0},
+               "initial": {"u": 0.5, "v": 0.25}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--t-end", "0.5"]) == 0
+        text = (out / "report.json").read_text(encoding="utf-8")
+        final = json.loads(text, object_pairs_hook=dict)["final"]
+        keys = sorted(json.dumps(v) if not isinstance(v, str) else v for v in names)
+        assert list(final["u"]) == list(final["v"]) == keys
+        assert all(x > 0 for side in final.values() for x in side.values())
+
 
 class TestClassify:
     def test_constant_regime_inline(self, tmp_path, capsys):
