@@ -43,7 +43,7 @@ import numpy as np
 
 from .dynamics import BoundaryCondition, CompetitionParams, Problem, _coerce_initial
 from .errors import ConfigInvalid, GridTooLarge, InputError
-from .graphs import _split_graph, boundary_of, build_graph
+from .graphs import boundary_of, build_graph
 
 _BC_NAMES = {bc.value: bc for bc in BoundaryCondition}
 _PARAM_KEYS = ("a1", "b1", "c1", "a2", "b2", "c2", "d1", "d2")
@@ -80,12 +80,21 @@ def problem_from_document(doc: dict) -> Problem:
     if not sizes <= {3, 4}:
         entry = next(e for e in edges if not isinstance(e, list) or len(e) not in (3, 4))
         raise ConfigInvalid(f"edge entries are [a, b, w] or [a, b, w1, w2], got {entry!r}")
+    weights1, weights2 = edges, None
+    if 4 in sizes:    # [a, b, w] gives both species w
+        weights1 = [entry[:3] for entry in edges]
+        weights2 = [(entry[0], entry[1], entry[-1]) for entry in edges]
     measures = graph_doc.get("measures") or {}
     if not isinstance(measures, dict) or not set(measures) <= {"1", "2"}:
         raise ConfigInvalid('"measures" must be an object with keys "1" and/or "2"')
-    try:    # [a, b, w] gives both species w
-        build = _split_graph if 4 in sizes else build_graph
-        graph = build(vertices, edges, measure1=measures.get("1"), measure2=measures.get("2"))
+    try:
+        graph = build_graph(
+            vertices,
+            weights1,
+            weights2,
+            measure1=measures.get("1"),
+            measure2=measures.get("2"),
+        )
     except InputError as exc:
         raise ConfigInvalid(str(exc)) from exc
 

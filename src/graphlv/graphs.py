@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from collections.abc import Hashable, Iterable, Mapping, Sized
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,7 +48,10 @@ class WeightedGraph:
     each undirected edge is listed once in each direction, in order of first appearance.
     ``w1[k]`` and ``w2[k]`` are its positive weights for the two species. Measures are
     strictly positive, one per vertex. ``build_graph`` makes the arrays read-only, and gives
-    species 2 species 1's arrays where their weights and measures are equal.
+    species 2 species 1's arrays where their weights and measures are equal. Identical
+    species are told by identity (``w2 is w1`` and ``mu2 is mu1``), so a graph made directly
+    should pass the same array objects for them: equal but distinct arrays give the same
+    results, with every species-2 operator built and solved a second time.
     """
 
     vertices: tuple[Vertex, ...]
@@ -189,55 +191,51 @@ _ARRAY_MIN_ENTRIES = 128
 
 
 def _table_columns(table):
-    """The columns (a, b, w) of a mapping ``{(a, b): w}`` or a sized table of ``(a, b, w)``
-    rows, sliced from one flat list; None unless every key is a pair or every row a triple."""
-    width = 2 if isinstance(table, Mapping) else 3
+    """The columns (a, b, w) of a sized table of ``(a, b, w)`` rows, sliced from one flat
+    list; None unless every row is a triple."""
     try:
-        if set(map(len, table)) != {width}:
+        if set(map(len, table)) != {3}:
             return None
         flat = list(itertools.chain.from_iterable(table))
     except TypeError:
         return None
-    if len(flat) != width * len(table):    # a row whose length is not its count
+    if len(flat) != 3 * len(table):    # a row whose length is not its count
         return None
-    return flat[0::width], flat[1::width], table.values() if width == 2 else flat[2::3]
+    return flat[0::3], flat[1::3], flat[2::3]
 
 
-def _array_pass(index, m: int, a, b, *columns):
-    """(src, dst, w) of the m edges (a[k], b[k]) with the weights of each column as
-    ``_weight_table`` reads them, by numpy over whole columns; or None where the pass does
-    not take them, and the loop reads the table and names its first bad entry. The pass
-    takes known ends, no self-loop, positive finite weights, and one weight per column on
-    every repeated pair."""
+def _array_pass(index, m: int, a, b, w):
+    """(src, dst, w) of the m edges (a[k], b[k]) with weights w[k] as ``_weight_table`` reads
+    them, by numpy over whole columns; or None where the pass does not take them, and the
+    loop reads the table and names its first bad entry. The pass takes known ends, no
+    self-loop, positive finite weights, and one weight on every repeated pair."""
     try:
         ends = np.fromiter(map(index.__getitem__, itertools.chain(a, b)), np.intp, 2 * m)
-        weights = [np.fromiter(map(float, col), float, m) for col in columns]
+        w = np.fromiter(map(float, w), float, m)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
     i, j = ends[:m], ends[m:]
-    good = i != j
-    for w in weights:
-        good &= (0.0 < w) & (w < math.inf)
-    if not good.all():
+    if not np.all((i != j) & (0.0 < w) & (w < math.inf)):
         return None
     pair = np.minimum(i, j) * len(index) + np.maximum(i, j)
     order = np.argsort(pair, kind="stable")
-    pair = pair[order]
+    pair, w_sorted = pair[order], w[order]
     again = pair[1:] == pair[:-1]    # a pair listed before, in either orientation
-    for w in weights:
-        if np.any(again & (w[order][1:] != w[order][:-1])):
-            return None
+    if np.any(again & (w_sorted[1:] != w_sorted[:-1])):
+        return None
     first = np.sort(order[np.concatenate(([True], ~again))])
     ends = np.stack((i[first], j[first]))
     # each edge in both orders, the first as it first appears
-    return (ends.T.ravel(), ends[::-1].T.ravel(), *(np.repeat(w[first], 2) for w in weights))
+    return ends.T.ravel(), ends[::-1].T.ravel(), np.repeat(w[first], 2)
 
 
 def _edge_arrays(index, table, label: str):
     """(src, dst, w) of one weight table: each edge under both orders, in order of first
-    appearance. A table of at least _ARRAY_MIN_ENTRIES entries goes through the array pass;
-    any other table, or one the pass does not take, through ``_weight_table``."""
-    if isinstance(table, Sized) and len(table) >= _ARRAY_MIN_ENTRIES:
+    appearance. A table of at least _ARRAY_MIN_ENTRIES rows goes through the array pass;
+    any other table (a mapping, a smaller or unsized one, or one the pass does not take)
+    through ``_weight_table``."""
+    if (isinstance(table, Sized) and not isinstance(table, Mapping)
+            and len(table) >= _ARRAY_MIN_ENTRIES):
         columns = _table_columns(table)
         read = None if columns is None else _array_pass(index, len(table), *columns)
         if read is not None:
@@ -277,21 +275,6 @@ def _measure_vector(vertices, measure, degree: np.ndarray, label: str) -> np.nda
     return mu
 
 
-def _vertex_index(vertices) -> tuple[tuple, dict]:
-    """The vertex names as a tuple, and the position of each."""
-    vertices = tuple(vertices)
-    if len(vertices) == 0:
-        raise InputError("graph needs at least one vertex")
-    try:
-        index = dict(zip(vertices, range(len(vertices))))
-    except TypeError:
-        bad = [v for v in vertices if not isinstance(v, Hashable)]
-        raise InputError(f"vertex names must be hashable, got {bad}") from None
-    if len(index) != len(vertices):
-        raise InputError("duplicate vertex names")
-    return vertices, index
-
-
 def build_graph(
     vertices: Iterable[Vertex],
     weights1,
@@ -307,36 +290,23 @@ def build_graph(
     graph's arrays are read-only, and species with the same weights and
     measures share them.
     """
-    vertices, index = _vertex_index(vertices)
+    vertices = tuple(vertices)
+    n = len(vertices)
+    if n == 0:
+        raise InputError("graph needs at least one vertex")
+    try:
+        index = dict(zip(vertices, range(n)))
+    except TypeError:
+        bad = [v for v in vertices if not isinstance(v, Hashable)]
+        raise InputError(f"vertex names must be hashable, got {bad}") from None
+    if len(index) != n:
+        raise InputError("duplicate vertex names")
     src, dst, w1 = _edge_arrays(index, weights1, "weights1")
     w2 = w1
     if weights2 is not None:
-        w2 = _matched(len(index), src, dst, *_edge_arrays(index, weights2, "weights2"))
-    return _graph(vertices, index, src, dst, w1, w2, measure1, measure2)
-
-
-def _split_graph(vertices, rows, measure1=None, measure2=None) -> WeightedGraph:
-    """``build_graph`` on a document's edge rows, lists its reader checked: ``[a, b, w1, w2]``
-    and ``[a, b, w]``, which gives both species w. At _ARRAY_MIN_ENTRIES rows or more, one
-    array pass reads the rows' columns; else, or where the pass does not take them,
-    ``build_graph`` reads the two weight tables they spell."""
-    vertices, index = _vertex_index(vertices)
-    if len(rows) >= _ARRAY_MIN_ENTRIES:
-        columns = (map(operator.itemgetter(k), rows) for k in (0, 1, 2, -1))
-        read = _array_pass(index, len(rows), *columns)
-        if read is not None:
-            return _graph(vertices, index, *read, measure1, measure2)
-    return build_graph(vertices, [row[:3] for row in rows],
-                       [(row[0], row[1], row[-1]) for row in rows], measure1, measure2)
-
-
-def _graph(vertices, index, src, dst, w1, w2, measure1, measure2) -> WeightedGraph:
-    """The graph of validated edge arrays: measures read, connectivity checked, arrays made
-    read-only, and the second species' weights and measures the first's arrays wherever
-    they are equal."""
-    n = len(vertices)
-    if w2 is not w1 and np.array_equal(w1, w2):
-        w2 = w1
+        w2 = _matched(n, src, dst, *_edge_arrays(index, weights2, "weights2"))
+        if np.array_equal(w1, w2):
+            w2 = w1
     mu1 = _measure_vector(vertices, measure1, np.bincount(src, w1, n), "measure1")
     if w2 is w1 and measure1 is None and measure2 is None:
         mu2 = mu1
@@ -488,40 +458,21 @@ def _stores_csr(graph: WeightedGraph, partition: DomainPartition | None) -> bool
     return nnz <= _CSR_MAX_FILL * n_act * n_act
 
 
-def _entries(graph: WeightedGraph, species: int, rows, cols):
-    """(row, column, weight) of each nonzero of one species' w[np.ix_(rows, cols)], in
-    edge-list order; rows = cols = None is the whole matrix."""
-    src, dst, w = graph.src, graph.dst, graph.weights(species)
-    if rows is None:
-        return src, dst, w
-    at_row, at_col = np.full(graph.n, -1), np.full(graph.n, -1)
-    at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
-    keep = (at_row[src] >= 0) & (at_col[dst] >= 0)
-    return at_row[src[keep]], at_col[dst[keep]], w[keep]
-
-
-def _csr(data, indices, rows, shape):
-    """The CSR array of entries sorted by row and then column, without the zero entries a
-    sparse sum would drop."""
-    import scipy.sparse as sp    # imported late: dense-stored runs never pay its memory
-    kept = data != 0.0
-    if not kept.all():
-        data, indices, rows = data[kept], indices[kept], rows[kept]
-    indptr = np.zeros(shape[0] + 1, np.intp)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_array((data, indices, indptr), shape=shape)
-
-
 def _weight_block(graph: WeightedGraph, species: int, rows, cols, csr: bool):
     """w[np.ix_(rows, cols)] of one species, gathered from the edge list and stored dense
     or as CSR; rows = cols = None is the whole matrix."""
+    src, dst, w = graph.src, graph.dst, graph.weights(species)
     shape = (graph.n, graph.n) if rows is None else (rows.size, cols.size)
-    r, c, w = _entries(graph, species, rows, cols)
+    if rows is not None:
+        at_row, at_col = np.full(graph.n, -1), np.full(graph.n, -1)
+        at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
+        keep = (at_row[src] >= 0) & (at_col[dst] >= 0)
+        src, dst, w = at_row[src[keep]], at_col[dst[keep]], w[keep]
     if csr:
-        order = np.argsort(r * shape[1] + c)
-        return _csr(w[order], c[order], r[order], shape)
+        import scipy.sparse as sp    # imported late: dense-stored runs never pay its memory
+        return sp.csr_array((w, (src, dst)), shape=shape)
     out = np.zeros(shape)
-    out[r, c] = w
+    out[src, dst] = w
     return out
 
 
@@ -548,44 +499,21 @@ def _blocks(graph: WeightedGraph, species: int, partition: DomainPartition | Non
     partition; CSR or dense as ``csr`` says, or as the storage rule picks when it is None."""
     if csr is None:
         csr = _stores_csr(graph, partition)
-    if csr:
-        return _csr_blocks(graph, species, partition)
     rows, cols = (None, None) if partition is None else (partition.interior_idx,
                                                          partition.closure_idx)
-    w = _weight_block(graph, species, rows, cols, csr=False)
+    w = _weight_block(graph, species, rows, cols, csr)
     mu = graph.measure(species) if rows is None else graph.measure(species)[rows]
-    lap = w / mu[:, None]
-    np.fill_diagonal(lap, -w.sum(axis=1) / mu)    # minus the closure degree over the measure
+    diagonal = -w.sum(axis=1) / mu    # minus the closure degree over the measure
+    lap = _divide_rows(w, mu)
+    if csr:
+        import scipy.sparse as sp
+        k = diagonal.size
+        lap = lap + sp.csr_array((diagonal, np.arange(k), np.arange(k + 1)), shape=lap.shape)
+    else:
+        np.fill_diagonal(lap, diagonal)
     if partition is None:
         return lap, None
     return lap[:, :rows.size], lap[:, rows.size:]
-
-
-def _csr_blocks(graph: WeightedGraph, species: int, partition: DomainPartition | None):
-    """``_blocks`` as CSR, assembled from the edge list: its entries and the diagonal sorted
-    into CSR order over the closure's columns, each degree summed as a CSR row sum sums it
-    (``np.add.reduceat`` over the row's closure columns in order)."""
-    rows, cols = (None, None) if partition is None else (partition.interior_idx,
-                                                         partition.closure_idx)
-    k, c = (graph.n, graph.n) if rows is None else (rows.size, cols.size)
-    mu = graph.measure(species) if rows is None else graph.measure(species)[rows]
-    diagonal = np.arange(k)
-    r, col, w = (np.concatenate(x) for x in zip(_entries(graph, species, rows, cols),
-                                                (diagonal, diagonal, np.zeros(k))))
-    order = np.argsort(r * c + col)
-    r, col, w = r[order], col[order], w[order]
-    edge = r != col
-    count = np.bincount(r, minlength=k) - 1    # the row's edges, its diagonal left out
-    filled = np.flatnonzero(count)
-    degree = np.zeros(k)
-    degree[filled] = np.add.reduceat(w[edge], (np.cumsum(count) - count)[filled])
-    lap = w / mu[r]
-    lap[~edge] = -degree / mu    # minus the closure degree over the measure
-    inner = col < k
-    l_ii = _csr(lap[inner], col[inner], r[inner], (k, k))
-    if partition is None:
-        return l_ii, None
-    return l_ii, _csr(lap[~inner], col[~inner] - k, r[~inner], (k, c - k))
 
 
 def whole_laplacian(graph: WeightedGraph, species: int) -> np.ndarray:
