@@ -297,10 +297,12 @@ def _coerce_initial(problem: Problem, initial) -> np.ndarray:
 
     Each side is a scalar, which is that constant on the active vertices (so zero on a
     Dirichlet boundary), anything else ``field_array`` accepts, or an (n, P) array with one
-    column per state of a batch. Every column must give each active vertex a value, be
+    column per state of a batch, P >= 1. Every column must give each active vertex a value, be
     finite and nonnegative on the closure and vanish on a Dirichlet boundary; other values
     are ignored.
     """
+    if not isinstance(problem, Problem):
+        raise InputError(f"initial data belong to a Problem, got {problem!r}")
     try:
         u, v = (initial.u, initial.v) if isinstance(initial, FieldPair) else initial
     except (TypeError, ValueError):
@@ -311,6 +313,8 @@ def _coerce_initial(problem: Problem, initial) -> np.ndarray:
 
     def read(x):
         if isinstance(x, np.ndarray) and x.ndim == 2:
+            if not x.shape[1]:
+                raise InputError(f"(n, P) initial data need a column, got shape {x.shape}")
             return np.stack([field_array(graph, col) for col in x.T], axis=1)
         full = field_array(graph, x)
         if np.isscalar(x):    # no value off the active vertices, so zero on the closure
@@ -407,36 +411,44 @@ def integrate(
     times are sampled, plus the ``forced_times`` in (0, t_end], which
     always land (those outside it are ignored); max_samples must be a
     positive integer and forced_times a sequence of finite times, or
-    InputError is raised before any step.
+    InputError is raised before any step. A state with neither (n, P)
+    data nor batched params runs as one column, whose axis is dropped.
     """
-    return next(_windows(problem, initial, t_end, t_end, dt, max_samples, forced_times))[1]
+    full = _coerce_initial(problem, initial)
+    (traj,) = next(_windows((problem,), (full,), t_end, t_end, dt, max_samples,
+                            forced_times))[1]
+    if full.ndim == 2 and not np.broadcast(*vars(problem.params).values()).shape:
+        traj.states = [FieldPair(u=state.u[:, 0], v=state.v[:, 0]) for state in traj.states]
+        traj.metadata.update(m_u=traj.metadata["m_u"][0], m_v=traj.metadata["m_v"][0])
+    return traj
 
 
-def _diffusion(ops: _Operators, stacked: bool):
-    """``diffuse(state, out)``, writing ``red @ state`` per species into ``out``: one stacked
-    product for a batch whose species share a dense operator, one product per species
-    otherwise (a single state, CSR or two operators), since one product of a single pair
-    (y @ red.T) would round differently."""
+def _diffusion(ops: _Operators, width: int):
+    """``bind(state, out)``: the call that writes ``red @ state`` per species of one
+    block's columns, (2, n_act, width) views, into ``out``, its operands sliced once at
+    binding. One stacked product when the species share a dense operator, else one per
+    species, for CSR on each species' column vector when the block is one column wide
+    (scipy would reshape an (n, 1) operand to it on every product)."""
     red1, red2 = ops.red1, ops.red2
-    if stacked:
-        return functools.partial(np.matmul, red1)      # np.matmul(red1, state, out)
-    if isinstance(red1, np.ndarray):
-        def diffuse(state, out):
-            np.matmul(red1, state[0], out=out[0])
-            np.matmul(red2, state[1], out=out[1])
-    else:
-        def diffuse(state, out):
-            out[0] = red1 @ state[0]
-            out[1] = red2 @ state[1]
-    return diffuse
+    if isinstance(red1, np.ndarray) and red1 is red2:
+        return lambda state, out: functools.partial(np.matmul, red1, state, out)
+    vector = width == 1 and not isinstance(red1, np.ndarray)
+
+    def bind(state, out):
+        (s1, s2), (o1, o2) = (state[..., 0], out[..., 0]) if vector else (state, out)
+
+        def diffuse():
+            o1[...] = red1 @ s1
+            o2[...] = red2 @ s2
+        return diffuse
+    return bind
 
 
 @dataclass(eq=False)
 class _Block:
-    """One problem's columns of a ``_windows`` batch: its operators and ``_diffusion``, its
-    params and diffusion rate restricted to its live columns, and ``cols``, its slice of
-    the state's last axis (``slice(None)`` for a lone problem, which may have no column
-    axis)."""
+    """One problem's columns of a ``_windows`` batch: its operators and ``_diffusion``
+    binder, its params and diffusion rate restricted to its live columns, and ``cols``,
+    its slice of the state's last axis."""
 
     problem: Problem
     ops: _Operators
@@ -446,127 +458,108 @@ class _Block:
     cols: slice
 
 
-def _windows(problem, initial, window: float, t_max: float, dt: float | None = None,
-             max_samples: int = 250, forced_times=(), adaptive: bool = True, settled=None):
-    """Yield (t_done, Trajectory) per window of min(window, t_max - t_done), each restarted
-    from the last final state like a fresh integrate call; the step and wall-time budgets
-    and the operators span all windows.
+def _windows(problems, initials, window: float, t_max: float, dt: float | None = None,
+             max_samples: int = 250, forced_times=(), settled=None):
+    """Yield (t_done, Trajectories) per window of min(window, t_max - t_done), each
+    restarted from the last final state like a fresh integrate call: adaptive DP5(4) steps
+    from the stability cap (the smallest over the blocks), or fixed RK4 steps given dt.
+    The step and wall-time budgets and the operators span all windows.
 
-    A batch carries its columns (parameter sets, (n, P) initial states, or both) through
-    the windows. Given ``settled``, a callable from a window's final FieldPair to a boolean
-    mask over its columns, each window that is not the last ends with that call: the
-    settled columns are dropped from the state, the params and the rectangle, so later
-    windows neither step nor yield them, and the run stops once every column has settled.
+    ``problems`` is a tuple of Problems and ``initials`` the tuple of their initial data as
+    ``_coerce_initial`` returns them. They step as one batch whose columns come in blocks,
+    one per problem, in order: (2, n, P) data give P columns, and (2, n) data one per
+    parameter set of a batch, else one. Each block keeps its own graph, boundary
+    condition, operators, projections, rectangle and stability rate, and its diffusion
+    writes only its columns; the kinetics, the stage sums, the error norm, the rectangle
+    test and the step are shared. The blocks must share the active size, or InputError is
+    raised. Each window yields a tuple of Trajectories, one per block with its own
+    ``m_u``, ``m_v`` and ``bc`` and the batch's counts, every state with its column axis.
 
-    ``problem`` may also be a tuple of Problems, with ``initial`` the tuple of their
-    initial data: one batch whose columns come in blocks, one block per problem (a single
-    state being one column), in order. Each block keeps its own graph, boundary condition,
-    operators, projections, rectangle and stability rate, and its diffusion product writes
-    only its columns; the kinetics, the stage sums, the error norm, the rectangle test and
-    the step are shared, so every block takes the batch's steps. The blocks must share the
-    active size, or InputError is raised. Each window then yields a tuple of Trajectories,
-    one per block with its own ``m_u``, ``m_v`` and ``bc`` and the batch's counts, and
-    ``settled`` takes the tuple of their final FieldPairs and returns one mask over the
-    batch's columns in block order. A block whose columns have all settled stays in the
-    tuple with zero columns. A lone Problem is the one-block case.
+    Given ``settled``, a callable from the tuple of a window's final FieldPairs to one
+    boolean mask over the columns in block order, each window that is not the last ends
+    with that call: the settled columns leave the state, the params and the rectangle, so
+    later windows neither step nor yield them (a block with none left yields zero
+    columns), and the run stops once every column has settled.
 
-    Without dt the steps are adaptive DP5(4) from the stability cap (the smallest over the
-    blocks), or, when ``adaptive`` is false, fixed RK4 steps of the cap, a reference free
-    of step-size control.
-
-    The state y is the (u, v) pair on the active set, one (2, n_act, ...) array, and the
-    right-hand side evaluates both species together: ``_kinetics`` on y with the
-    coefficients as contiguous arrays of y's shape, plus d times the diffusion of each
-    block (``_diffusion``), a dense product written straight into its slope.
+    The state y is the (u, v) pair on the active set, one (2, n_act, columns) array, and
+    the right-hand side evaluates both species together: ``_kinetics`` on y with the
+    coefficients as contiguous arrays of y's shape, plus d times each block's diffusion,
+    written straight into its slope.
 
     Each window owns its work arrays, and builds them again after a column drop: the four
     coefficient arrays, of y's shape; the slopes of the seven stages, rows of one
-    (7, 2, n_act, ...) array written in place by the right-hand side; the tableau times h,
-    one (8, 7) array filled per attempt; a stage input, a tableau product and a scratch
-    array; and, for a batch in blocks, each block's views of the stage input and of the
-    slopes it writes, so only the new state is sliced per attempt. The coefficients cost
-    four states per window beside the stages' seven: under 0.1 MiB on graphs of a few
-    thousand vertices and 0.6 MiB for one state on 10**4 vertices, but 74 MiB for a batch
-    of 121 columns there.
+    (7, 2, n_act, columns) array written in place by the right-hand side; the tableau times
+    h, one (8, 7) array filled per attempt; a stage input, a tableau product, a scratch
+    array and two state buffers, y and the next state, swapped on acceptance; and each
+    block's diffusion bound to its columns of every (state, slope) pair the steps use, so
+    nothing is sliced per attempt. The coefficients cost four states per window beside the
+    stages' seven: under 0.1 MiB on graphs of a few thousand vertices and 0.6 MiB for one
+    state on 10**4 vertices, but 74 MiB for a batch of 121 columns there.
 
     A DP5 stage input is the product of its tableau row with the earlier stages flattened,
-    plus y, each written into its array; the fifth-order row gives the new state, a new
-    array since y and |y| are kept, and the error row the estimate, scaled in the scratch
-    array and reduced to one RMS norm per column, the largest of which is kept. The
-    rectangle test is one maximum over the vertices against the caps stacked per species.
-    |y| of an accepted step is reused by the next error estimate, and on acceptance the
-    last stage is copied to the first (FSAL). RK4 forms its stage inputs term by term.
-    Every state and count is bit-identical to a stepper that allocates these arrays per
-    attempt.
+    plus y, each written into its array; the fifth-order row gives the new state, in the
+    spare buffer since y and |y| are kept, and the error row the estimate, scaled in the
+    scratch array and reduced to one RMS norm per column, the largest of which is kept.
+    The rectangle test is one maximum over the vertices against the caps stacked per
+    species. |y| of an accepted step is reused by the next error estimate, and on
+    acceptance the last stage is copied to the first (FSAL). RK4 forms its stage inputs
+    term by term. Every state and count is bit-identical to a stepper that allocates these
+    arrays per attempt.
     """
     t_max = _positive(t_max, "t_end")
     max_samples, forced_times = _schedule_options(max_samples, forced_times)
-    single = isinstance(problem, Problem)
-    problems, initials = ((problem,), (initial,)) if single else (tuple(problem), tuple(initial))
-    if not problems or len(initials) != len(problems) or not all(
-            isinstance(prob, Problem) for prob in problems):
-        raise InputError(f"blocks need one Problem per initial state, got {len(problems)} "
-                         f"entries and {len(initials)} initial states")
+    if not (isinstance(problems, tuple) and isinstance(initials, tuple)
+            and 0 < len(problems) == len(initials)):
+        raise InputError(f"blocks need a tuple of Problems and a tuple of one initial state "
+                         f"each, got {type(problems).__name__} and {type(initials).__name__}")
     if dt is not None:
         dt = _positive(dt, "dt")
-    # the state is the (u, v) pair on the active set, (2, n_act), with one trailing column
-    # per parameter set or initial state when either is a batch, and always in blocks
     blocks, ys = [], []
-    for prob, init in zip(problems, initials):
-        part = _coerce_initial(prob, init)[:, prob.active_idx]
+    for prob, full in zip(problems, initials):
+        part = full[:, prob.active_idx]
         batch = np.broadcast(*vars(prob.params).values()).shape
         if part.ndim == 2:
-            part = np.multiply.outer(part, np.ones(batch))
+            part = np.multiply.outer(part, np.ones(batch or (1,)))
         elif batch not in ((), part.shape[2:]):
             raise InputError(f"{part.shape[2]} initial states for {batch[0]} parameter sets")
-        if not single and part.ndim == 2:
-            part = part[..., np.newaxis]        # a single state is one column of its block
         ops = reduced_operators(prob)
-        stacked = isinstance(ops.red1, np.ndarray) and ops.red1 is ops.red2 and part.ndim == 3
-        blocks.append(_Block(prob, ops, _diffusion(ops, stacked), prob.params,
-                             _diffusion_rate(prob, ops) if dt is None else None, slice(None)))
+        end = sum(y_k.shape[2] for y_k in ys)
+        blocks.append(_Block(prob, ops, _diffusion(ops, part.shape[2]), prob.params,
+                             _diffusion_rate(prob, ops) if dt is None else None,
+                             slice(end, end + part.shape[2])))
         ys.append(part)
     if len({part.shape[1] for part in ys}) > 1:
         raise InputError(f"blocks must share the active size, got "
                          f"{[part.shape[1] for part in ys]} active vertices")
-    y = ys[0] if single else np.concatenate(ys, axis=2)
-    widths = [part[0, 0].size for part in ys]       # columns per block
-    diffuse = blocks[0].diffuse                     # a lone problem's, on the whole state
+    y = np.concatenate(ys, axis=2)
 
     def views(state: np.ndarray, out: np.ndarray) -> list:
-        """Each stepping block's diffusion with its columns of ``state`` and ``out``."""
-        return [(block.diffuse, state[..., block.cols], out[..., block.cols])
+        """Each stepping block's diffusion bound to its columns of ``state`` and ``out``."""
+        return [block.diffuse(state[..., block.cols], out[..., block.cols])
                 for block in stepping]
 
-    def rhs(state: np.ndarray, out: np.ndarray, held=None) -> None:
-        # ``held``, the window's ``views(state, out)`` when it holds them, saves the slicing
-        if single:
-            diffuse(state, out)
-        else:
-            for block_diffuse, block_state, block_out in held or views(state, out):
-                block_diffuse(block_state, block_out)
+    def rhs(state: np.ndarray, out: np.ndarray, held: list) -> None:
+        # ``held`` is ``views(state, out)``, which the window holds for every pair it uses
+        for diffuse in held:
+            diffuse()
         out *= d
         out += _kinetics(state, a, b, c)
 
-    dp5 = dt is None and adaptive
+    dp5 = dt is None
     started = time.perf_counter()
     n_spent = 0
     t_done = 0.0
     while t_done < t_max:
         span = min(window, t_max - t_done)
-        if not single:
-            ends = np.cumsum(widths)
-            for block, end, width in zip(blocks, ends, widths):
-                block.cols = slice(int(end) - width, int(end))
-        stepping = [block for block, width in zip(blocks, widths) if width]
+        stepping = [block for block in blocks if block.cols.stop > block.cols.start]
         # the rectangle of the state each block starts from, boundary values materialized
         starts = [_materialize(block.problem, y[..., block.cols], block.ops)
                   for block in blocks]
         rects = [invariant_rectangle(block.params, start.u[block.problem.closure_idx],
                                      start.v[block.problem.closure_idx])
-                 if width else (np.empty(0), np.empty(0))
-                 for block, start, width in zip(blocks, starts, widths)]
-        m_u, m_v = rects[0] if single else (np.concatenate(m) for m in zip(*rects))
+                 if block in stepping else (np.empty(0), np.empty(0))
+                 for block, start in zip(blocks, starts)]
+        m_u, m_v = (np.concatenate(m) for m in zip(*rects))
         # the window's arrays (see above), with views: each tableau row's slice with the
         # flattened stages it weighs, the product as a state, and the scratch as y with u
         # stacked over v, the rows the error norm reduces
@@ -579,8 +572,13 @@ def _windows(problem, initial, window: float, t_max: float, dt: float | None = N
         flat = stages.reshape(len(stages), -1)
         coefs = np.empty(_DP.shape)
         y_in = np.empty(y.shape)
-        inputs = [(coefs[i, :i], flat[:i], stages[i], None if single else views(y_in, stages[i]))
-                  for i in range(1, 6)]
+        held = [views(y_in, slope) for slope in stages]
+        inputs = [(coefs[i, :i], flat[:i], stages[i], held[i]) for i in range(1, 6)]
+        # y and the next state, swapped on acceptance, with their first and last stages
+        slots = [(buf, views(buf, stages[0]), views(buf, stages[6]))
+                 for buf in np.empty((2,) + y.shape)]
+        slots[0][0][...] = y
+        y = slots[0][0]
         fifth = coefs[6, :6], flat[:6]
         prod = np.empty(flat.shape[1])
         incr = prod.reshape(y.shape)
@@ -591,7 +589,7 @@ def _windows(problem, initial, window: float, t_max: float, dt: float | None = N
         step = dt
         if dt is None:
             step = min(_step_cap(block.params, block.rate, *rect)
-                       for block, rect, width in zip(blocks, rects, widths) if width)
+                       for block, rect in zip(blocks, rects) if block in stepping)
         horizon = min(span, _COUNTED_SPAN) if dp5 else span    # fixed steps: all counted
         if not (math.isfinite(step) and step > 0) or horizon / step > _MAX_STEPS - n_spent:
             raise StepSizeUnstable(f"step {step:.3e} up to t={t_done + horizon:.6g} exceeds the "
@@ -616,25 +614,26 @@ def _windows(problem, initial, window: float, t_max: float, dt: float | None = N
                     raise StepSizeUnstable(f"wall-time budget of {_MAX_SECONDS:g} s spent at "
                                            f"t={t_done + t:.6g}")
                 if not fsal:
-                    rhs(y, stages[0])
+                    rhs(y, stages[0], slots[0][1])
                     n_rhs += 1
                 grow = _GROW_MAX
+                y_new, _, held_new = slots[1]       # the spare: y and abs_y stay as they are
                 while True:
                     h = min(dt_cur, target - t)
                     if dp5:
                         np.multiply(_DP, h, out=coefs)
-                        for row, earlier, slope, held in inputs:
+                        for row, earlier, slope, held_in in inputs:
                             np.matmul(row, earlier, out=prod)
-                            rhs(np.add(y, incr, out=y_in), slope, held)
+                            rhs(np.add(y, incr, out=y_in), slope, held_in)
                         np.matmul(*fifth, out=prod)
-                        y_new = y + incr        # a new array: y and abs_y stay as they are
+                        np.add(y, incr, out=y_new)
                         n_rhs += 5
                     else:
                         k1, k2, k3, k4 = stages[:4]
-                        rhs(y + 0.5 * h * k1, k2)
-                        rhs(y + 0.5 * h * k2, k3)
-                        rhs(y + h * k3, k4)
-                        y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                        rhs(np.add(y, 0.5 * h * k1, out=y_in), k2, held[1])
+                        rhs(np.add(y, 0.5 * h * k2, out=y_in), k3, held[2])
+                        rhs(np.add(y, h * k3, out=y_in), k4, held[3])
+                        np.add(y, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), out=y_new)
                         n_rhs += 3
                     low = y_new.min()
                     if low <= -_CLAMP or (y_new.max(axis=1) > caps).any():
@@ -645,7 +644,7 @@ def _windows(problem, initial, window: float, t_max: float, dt: float | None = N
                     elif not dp5:
                         break
                     else:
-                        rhs(y_new, stages[6])
+                        rhs(y_new, stages[6], held_new)
                         n_rhs += 1
                         abs_new = np.abs(y_new)
                         np.maximum(abs_y, abs_new, out=scratch)
@@ -681,6 +680,7 @@ def _windows(problem, initial, window: float, t_max: float, dt: float | None = N
                 fsal = dp5 and not clamped
                 if dp5:
                     abs_y = np.abs(y_new) if clamped else abs_new
+                slots.reverse()
                 y = y_new
                 t += h
                 n_steps += 1
@@ -702,18 +702,19 @@ def _windows(problem, initial, window: float, t_max: float, dt: float | None = N
                                  metadata=dict(counts, m_u=m_u_k, m_v=m_v_k,
                                                bc=block.problem.bc.value))
                       for block, block_states, (m_u_k, m_v_k) in zip(blocks, states, rects))
-        yield t_done, trajs[0] if single else trajs
+        yield t_done, trajs
         if settled is not None and t_done < t_max:
-            finals = tuple(traj.final for traj in trajs)
-            keep = ~np.asarray(settled(finals[0] if single else finals), dtype=bool)
+            keep = ~np.asarray(settled(tuple(traj.final for traj in trajs)), dtype=bool)
             if not keep.any():
                 return
             if not keep.all():
                 y = y[..., keep]
-                for k, block in enumerate(blocks):
+                end = 0
+                for block in blocks:
                     kept = keep[block.cols]
-                    widths[k] = int(kept.sum())
-                    if widths[k]:
+                    block.cols = slice(end, end + int(kept.sum()))
+                    end = block.cols.stop
+                    if kept.any():
                         block.params = CompetitionParams(**{
                             name: val[kept] if isinstance(val, np.ndarray) else val
                             for name, val in vars(block.params).items()})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (_COUNTED_SPAN, BoundaryCondition, CompetitionParams, FieldPair, Problem,
-                       _windows)
+                       _coerce_initial, _windows)
 from .errors import UnknownExample
 from .graphs import (DomainPartition, WeightedGraph, _positive, boundary_of, build_graph,
                      field_array)
@@ -174,16 +174,14 @@ def _run_cases(case_ids, tol: float = 1e-3, t_max: float = 1000.0,
         points = [vars(_make_params(rows[j][0])) for j in members]
         problem = _fixture_problem(prefix, CompetitionParams(**{
             name: np.array([point[name] for point in points]) for name in points[0]}))
-        initial = tuple(np.column_stack([field_array(problem.graph, rows[j][side])
-                                         for j in members]) for side in (1, 2))
+        initial = _coerce_initial(problem, tuple(
+            np.column_stack([field_array(problem.graph, rows[j][side]) for j in members])
+            for side in (1, 2)))
         runs.setdefault(problem.active_idx.size, []).append((problem, initial, members))
     results = [None] * len(ids)
     for run in runs.values():
         problems, initials, _ = zip(*run)
         live = [np.array(members) for _, _, members in run]     # each block's cases, by column
-        # a run of one block passes its lone Problem, and _windows then yields and settles
-        # one Trajectory and one FieldPair instead of tuples
-        one = len(run) == 1
 
         def errors(finals) -> list[np.ndarray]:
             return [np.maximum(np.max(np.abs(final.u - expected[0, idx]), axis=0),
@@ -193,15 +191,14 @@ def _run_cases(case_ids, tol: float = 1e-3, t_max: float = 1000.0,
         def settled(finals) -> np.ndarray:
             # _windows calls this after the loop body below has read the window by ``live``
             nonlocal live
-            done = [err <= tol for err in errors((finals,) if one else finals)]
+            done = [err <= tol for err in errors(finals)]
             live = [idx[~mask] for idx, mask in zip(live, done)]
             return np.concatenate(done)
 
         # each window is counted whole against the step budget before it starts
-        for t_done, trajs in _windows(problems[0] if one else tuple(problems),
-                                      initials[0] if one else tuple(initials), _COUNTED_SPAN,
-                                      t_max, dt=dt, max_samples=2, settled=settled):
-            finals = [traj.final for traj in ((trajs,) if one else trajs)]
+        for t_done, trajs in _windows(tuple(problems), initials, _COUNTED_SPAN, t_max, dt=dt,
+                                      max_samples=2, settled=settled):
+            finals = [traj.final for traj in trajs]
             for final, idx, errs in zip(finals, live, errors(finals)):
                 for k, (j, error) in enumerate(zip(idx, errs)):
                     error = float(error)

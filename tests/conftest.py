@@ -22,7 +22,7 @@ from graphlv import (
     smallest_dirichlet_eigenpair,
 )
 from graphlv import dynamics, monotone
-from graphlv.dynamics import _windows, reaction, reduced_operators
+from graphlv.dynamics import reaction, reduced_operators
 from graphlv.fixtures import reflecting_example, triangle_example
 
 
@@ -389,8 +389,8 @@ def reference_coexistence_bounds(problem, epsilon, delta, tol=1e-8, t_max=2000.0
         return out
 
     def march(u0, v0, direction_u, direction_v):
-        for _, traj in _windows(problem, (full(u0), full(v0)), 1.0, t_max, max_samples=6,
-                                forced_times=(0.25, 0.5, 0.75), adaptive=False):
+        for _, traj in capped_rk4_windows(problem, (full(u0), full(v0)), 1.0, t_max,
+                                          max_samples=6, forced_times=(0.25, 0.5, 0.75)):
             steps = list(zip(traj.states, traj.states[1:]))
             for prev, cur in steps:
                 if (np.any((cur.u - prev.u)[act] * direction_u < -1e-12)
@@ -415,6 +415,25 @@ def reference_coexistence_bounds(problem, epsilon, delta, tol=1e-8, t_max=2000.0
     unique = bool(same_weights and np.all(2.0 * p.b1 * s_lower > g1)
                   and np.all(2.0 * p.c2 * r_lower > g2))
     return s_lower, s_upper, r_lower, r_upper, unique
+
+
+def capped_rk4_windows(problem, initial, window, t_max, **options):
+    """Fixed RK4 steps of the stability cap, a reference free of step-size control: one
+    ``integrate`` call per window of ``window`` up to ``t_max``, each from the last final
+    state with dt the cap of that state's invariant rectangle (reflecting boundary values
+    projected), as ``dynamics._windows`` sets its first step. Yields (t_done, Trajectory)."""
+    t_done, state = 0.0, initial
+    while t_done < t_max:
+        span = min(window, t_max - t_done)
+        start = dynamics._materialize(
+            problem, dynamics._coerce_initial(problem, state)[:, problem.active_idx])
+        closure = problem.closure_idx
+        rect = dynamics.invariant_rectangle(problem.params, start.u[closure], start.v[closure])
+        traj = dynamics.integrate(problem, state, span, dt=dynamics.stable_dt(problem, *rect),
+                                  **options)
+        t_done += span
+        yield t_done, traj
+        state = traj.final
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,11 @@ class TestBatch:
         with pytest.raises(InputError, match="3 initial states for 4 parameter sets"):
             integrate(Problem(triangle, batch), (np.ones((3, 3)), np.ones((3, 3))), t_end=1.0)
 
+    def test_initial_data_need_a_column(self):
+        problem = BATCH_CASES["neumann"][0]
+        with pytest.raises(InputError, match="need a column"):
+            integrate(problem, (np.ones((5, 0)), np.ones((5, 0))), t_end=1.0)
+
     def test_rectangle_per_column(self):
         data = np.array([[7.0, 0.1, 2.0], [0.5, 0.3, 3.0], [1.0, 0.2, 0.4]])
         batch = dataclasses.replace(PARAMS_I, a1=self.A1[:3])
@@ -455,18 +460,21 @@ class TestWindows:
         that each window steps: ``settled`` drops the others after each window, so they
         must leave the state, the params and every per-window array."""
         problem, initial = BATCH_CASES[case]
+        state = dynamics._coerce_initial(problem, initial)
         batch, masks = {}, None
         if kept is not None:
             batch = {"a1": TestBatch.A1, "c2": TestBatch.C2, "d1": TestBatch.D1}
             masks = iter([np.isin(before, after, invert=True)
                           for before, after in zip(kept, kept[1:])])
+        else:       # scalar params: one column of data, whose axis integrate keeps
+            state = state[..., np.newaxis]
         windows = list(_windows(
-            dataclasses.replace(problem, params=dataclasses.replace(problem.params, **batch)),
-            initial, 1.0, 3.5, dt=dt, max_samples=6, forced_times=self.FORCED,
-            settled=masks and (lambda final: next(masks))))
+            (dataclasses.replace(problem, params=dataclasses.replace(problem.params, **batch)),),
+            (state,), 1.0, 3.5, dt=dt, max_samples=6, forced_times=self.FORCED,
+            settled=masks and (lambda finals: next(masks))))
         assert len(windows) == 4
-        state, t_done = initial, 0.0
-        for k, (got_t, got) in enumerate(windows):
+        t_done = 0.0
+        for k, (got_t, (got,)) in enumerate(windows):
             params = problem.params
             if kept is not None:
                 params = dataclasses.replace(params, **{name: val[kept[k]]
@@ -502,7 +510,16 @@ class TestWindows:
     @pytest.mark.parametrize("t_max", [0.0, -5.0, np.nan, np.inf])
     def test_horizon_validated(self, triangle, t_max):
         with pytest.raises(InputError):
-            next(_windows(Problem(triangle, PARAMS_I), (1.0, 1.0), 1.0, t_max))
+            prob = Problem(triangle, PARAMS_I)
+            next(_windows((prob,), (dynamics._coerce_initial(prob, (1.0, 1.0)),), 1.0, t_max))
+
+    def test_problems_come_as_tuples(self, triangle):
+        prob = Problem(triangle, PARAMS_I)
+        initial = dynamics._coerce_initial(prob, (1.0, 1.0))
+        for problems, initials in [(prob, (initial,)), ((prob,), initial), ((), ()),
+                                   ((prob, prob), (initial,))]:
+            with pytest.raises(InputError, match="tuple"):
+                next(_windows(problems, initials, 1.0, 1.0))
 
     def test_step_budget_spans_windows(self, triangle, monkeypatch):
         monkeypatch.setattr(dynamics, "_MAX_STEPS", 250)
@@ -510,7 +527,8 @@ class TestWindows:
         initial = (np.ones(3), np.ones(3))
         assert integrate(prob, initial, 1.0, dt=0.01).metadata["n_steps"] <= 250
         with pytest.raises(StepSizeUnstable):
-            for _ in _windows(prob, initial, 1.0, 10.0, dt=0.01):
+            for _ in _windows((prob,), (dynamics._coerce_initial(prob, initial),), 1.0, 10.0,
+                              dt=0.01):
                 pass
 
 
@@ -561,8 +579,8 @@ class TestBlocks:
         solo_verdicts = [[] for _ in cases]
 
         def recorded(k):
-            def settled(final):
-                solo_verdicts[k].append(self._verdicts(final))
+            def settled(finals):
+                solo_verdicts[k].append(self._verdicts(*finals))
                 return solo_verdicts[k][-1] > 0
             return settled
 
@@ -573,11 +591,11 @@ class TestBlocks:
             return np.concatenate(block_verdicts[-1]) > 0
 
         with stored(csr):
-            solos = [list(_windows(prob, initial, settled=recorded(k), **run))
-                     for k, (prob, initial) in enumerate(cases)]
-            blocked = list(_windows(tuple(prob for prob, _ in cases),
-                                    tuple(initial for _, initial in cases), settled=settled,
-                                    **run))
+            initials = [dynamics._coerce_initial(prob, initial) for prob, initial in cases]
+            solos = [list(_windows((prob,), (initial,), settled=recorded(k), **run))
+                     for k, ((prob, _), initial) in enumerate(zip(cases, initials))]
+            blocked = list(_windows(tuple(prob for prob, _ in cases), tuple(initials),
+                                    settled=settled, **run))
         assert len(blocked) == max(map(len, solos))
         # fixed steps differ only at roundoff; adaptive ones by the solo run's own step
         # control (rtol 1e-8 on states of order 1), since the batch takes the largest error
@@ -589,7 +607,7 @@ class TestBlocks:
                 if w >= len(solo):          # every column of this block has settled
                     assert got.final.u.shape == (prob.graph.n, 0)
                     continue
-                want_t, want = solo[w]
+                want_t, (want,) = solo[w]
                 assert t_done == want_t
                 assert np.array_equal(got.times, want.times)
                 assert got.metadata["bc"] == prob.bc.value
@@ -608,11 +626,11 @@ class TestBlocks:
                            [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)])
         problems = (Problem(graph, PARAMS_I, bc=BoundaryCondition.NEUMANN, partition=part),
                     Problem(triangle, PARAMS_I))
-        initials = ((0.5, 0.5), (0.5, 0.5))
-        assert len(next(_windows(problems, initials, 1.0, 1.0))[1]) == 2
+        problems += (Problem(path, PARAMS_I),)
+        initials = tuple(dynamics._coerce_initial(prob, (0.5, 0.5)) for prob in problems)
+        assert len(next(_windows(problems[:2], initials[:2], 1.0, 1.0))[1]) == 2
         with pytest.raises(InputError, match="active size"):
-            next(_windows(problems + (Problem(path, PARAMS_I),), initials + ((0.5, 0.5),),
-                          1.0, 1.0))
+            next(_windows(problems, initials, 1.0, 1.0))
 
 
 class TestAdaptive:
@@ -705,17 +723,18 @@ class TestOperatorStorage:
             u0[prob.partition.boundary_idx] = v0[prob.partition.boundary_idx] = 0.0
 
         def run():
-            return list(_windows(prob, (u0, v0), 0.5, 1.0, dt=dt, max_samples=8))
+            return list(_windows((prob,), (dynamics._coerce_initial(prob, (u0, v0)),), 0.5,
+                                 1.0, dt=dt, max_samples=8))
 
         sparse = _stored(monkeypatch, run, csr=True)
         dense = _stored(monkeypatch, run, csr=False)
         assert len(sparse) == len(dense) == 2
-        for (t_s, traj_s), (t_d, traj_d) in zip(sparse, dense):
+        for (t_s, (traj_s,)), (t_d, (traj_d,)) in zip(sparse, dense):
             assert t_s == t_d
             for s, d in zip(traj_s.states, traj_d.states):
                 assert np.max(np.abs(s.u - d.u)) <= 1e-12
                 assert np.max(np.abs(s.v - d.v)) <= 1e-12
-        return [(a.metadata, b.metadata) for (_, a), (_, b) in zip(sparse, dense)]
+        return [(a.metadata, b.metadata) for (_, (a,)), (_, (b,)) in zip(sparse, dense)]
 
     @pytest.mark.parametrize("bc", BCS, ids=[bc.value for bc in BCS])
     def test_windows_agree(self, bc, monkeypatch):
@@ -731,6 +750,38 @@ class TestOperatorStorage:
                 else:
                     rel = 1e-8 if key == "dt_final" else 1e-12
                     assert got[key] == pytest.approx(value, rel=rel, abs=0.0), key
+
+    @pytest.mark.parametrize("dt", [None, 0.01], ids=["dp5", "rk4"])
+    @pytest.mark.parametrize("split, csr", [(False, False), (True, False), (False, True)],
+                             ids=["dense-shared", "dense-two", "csr"])
+    @pytest.mark.parametrize("bc", BCS, ids=[bc.value for bc in BCS])
+    def test_lone_state_is_column_zero(self, bc, split, csr, dt, monkeypatch):
+        """1-D initial data under scalar params give (n,) states and scalar bounds, (n, 1)
+        data (n, 1) states and (1,) bounds, and the first run is column 0 of the second bit
+        for bit, counts included."""
+        prob = _lattice_problem(8, bc, split_weights=split)
+        rng = np.random.default_rng(5)
+        u0, v0 = rng.uniform(0.1, 1.0, (2, prob.graph.n))
+        if bc is BoundaryCondition.DIRICHLET:
+            u0[prob.partition.boundary_idx] = v0[prob.partition.boundary_idx] = 0.0
+
+        def run():
+            ops = reduced_operators(prob)
+            assert _is_csr(ops.red1) == csr and (ops.red1 is ops.red2) == (not split)
+            return [integrate(prob, initial, 0.5, dt=dt, max_samples=8)
+                    for initial in ((u0, v0), (u0[:, None], v0[:, None]))]
+
+        lone, column = _stored(monkeypatch, run, csr)
+        assert np.array_equal(lone.times, column.times)
+        for s_lone, s_column in zip(lone.states, column.states):
+            assert s_lone.u.shape == (prob.graph.n,) and s_column.u.shape == (prob.graph.n, 1)
+            assert s_lone.u.tobytes() == s_column.u[:, 0].tobytes()
+            assert s_lone.v.tobytes() == s_column.v[:, 0].tobytes()
+        assert lone.metadata.keys() == column.metadata.keys()
+        for key, val in column.metadata.items():
+            if key in ("m_u", "m_v"):
+                assert np.shape(lone.metadata[key]) == () and np.shape(val) == (1,)
+            assert np.asarray(lone.metadata[key]).tobytes() == np.asarray(val).tobytes()
 
     @pytest.mark.parametrize("bc", BCS, ids=[bc.value for bc in BCS])
     def test_fixed_step_windows_agree(self, bc, monkeypatch):

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import capped_rk4_windows
 
 from graphlv import BoundaryCondition, RegimeKind, classify_bistable_basin, classify_neumann
 from graphlv import dynamics, fixtures
@@ -85,9 +86,10 @@ def test_reproduce_step_budget_spans_windows(monkeypatch):
     # each 10-unit window fits the budget on its own; the run as a whole does not. A window
     # needs its steps and, before it starts, room for 10 / dt steps of the stability cap.
     case = get_case("neumann-i")
+    initial = dynamics._coerce_initial(case.problem, (case.initial_u, case.initial_v))
     spent = need_alone = need_run = 0
-    for _, traj in dynamics._windows(case.problem, (case.initial_u, case.initial_v), 10.0,
-                                     1000.0, max_samples=2):
+    for _, (traj,) in dynamics._windows((case.problem,), (initial,), 10.0, 1000.0,
+                                        max_samples=2):
         need = max(traj.metadata["n_steps"], math.ceil(10.0 / traj.metadata["dt"]))
         need_alone = max(need_alone, need)
         need_run = max(need_run, spent + need)
@@ -110,22 +112,29 @@ def test_reproduce_wall_time_budget(monkeypatch):
 
 
 def test_reproduce_all_spends_a_third_of_the_rk4_work(monkeypatch):
-    windows = dynamics._windows
+    # against fixed RK4 steps of each window's stability cap, in the same windows
+    def capped(problems, initials, window, t_max, dt, max_samples, settled):
+        (problem,), (initial,) = problems, initials     # one case: one block of one column
+        for t_done, traj in capped_rk4_windows(problem, initial, window, t_max,
+                                               max_samples=max_samples):
+            yield t_done, (traj,)
+            if t_done < t_max and settled((traj.final,)).all():
+                return
 
-    def spent(adaptive):
+    def spent(windows):
         counts = []
 
         def counted(*args, **kwargs):
-            for t_done, traj in windows(*args, adaptive=adaptive, **kwargs):
-                counts.append(traj.metadata["n_rhs"])
-                yield t_done, traj
+            for t_done, trajs in windows(*args, **kwargs):
+                counts.append(trajs[0].metadata["n_rhs"])
+                yield t_done, trajs
 
         monkeypatch.setattr(fixtures, "_windows", counted)
         reached = [run_reproduce(case_id).t_reached for case_id in ALL_IDS]
         return sum(counts), reached
 
-    adaptive, reached = spent(True)
-    fixed, fixed_reached = spent(False)
+    adaptive, reached = spent(dynamics._windows)
+    fixed, fixed_reached = spent(capped)
     assert reached == fixed_reached
     assert 3 * adaptive <= fixed
 
@@ -180,9 +189,9 @@ def test_settled_columns_are_not_stepped(monkeypatch):
         return kinetics(y, a, b, c)
 
     def recorded(*args, **kwargs):
-        for t_done, traj in windows(*args, **kwargs):
-            ends.append((len(widths), traj))
-            yield t_done, traj
+        for t_done, trajs in windows(*args, **kwargs):
+            ends.append((len(widths), trajs[0]))
+            yield t_done, trajs
 
     monkeypatch.setattr(dynamics, "_kinetics", counted)
     monkeypatch.setattr(fixtures, "_windows", recorded)

@@ -244,6 +244,29 @@ def test_coupled_inequalities_have_one_home():
     assert all(homes.values())
 
 
+def test_windows_run_blocks_only():
+    """``dynamics._windows`` runs every batch as a tuple of problems in column blocks, a
+    lone state being one column, so it tells no lone Problem apart: no ``isinstance(...,
+    Problem)`` inside it, and every ``_windows`` call in the package passes a tuple display
+    or a ``tuple(...)`` call as its first argument."""
+    found, homes = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name == "_windows":
+                homes.append(path.name)
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                          if isinstance(node, ast.Call) and "isinstance" in _names(node.func)
+                          and len(node.args) == 2 and "Problem" in set(_texts(node.args[1]))]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "_windows" in _names(node.func)
+                  and not (node.args and (isinstance(node.args[0], ast.Tuple)
+                                          or isinstance(node.args[0], ast.Call)
+                                          and "tuple" in _names(node.args[0].func)))]
+    assert not found, f"a lone Problem told apart from blocks at {found}"
+    assert homes == ["dynamics.py"]
+
+
 def _slope_term(node) -> bool:
     """Whether ``node`` is a product with the factor 2 and a factor named b1 or c2."""
     factors, stack = [], [node]
