@@ -123,15 +123,11 @@ def get_case(case_id: str) -> ReproduceCase:
     return ReproduceCase(
         case_id=case_id,
         description=f"{prefix} domain: {_DESCRIPTIONS[suffix]}",
-        problem=_fixture_problem(prefix, _make_params(params)),
+        problem=_fixture_problem(prefix, CompetitionParams(**params)),
         initial_u=dict(u0),
         initial_v=dict(v0),
         expected=expected,
     )
-
-
-def _make_params(values: dict) -> CompetitionParams:
-    return CompetitionParams(d1=1.0, d2=1.0, **values)
 
 
 def run_reproduce(case_id: str, tol: float = 1e-3, t_max: float = 1000.0,
@@ -152,14 +148,13 @@ def run_reproduce(case_id: str, tol: float = 1e-3, t_max: float = 1000.0,
 
 def _run_cases(case_ids, tol: float = 1e-3, t_max: float = 1000.0,
                dt: float | None = None) -> list[ReproduceResult]:
-    """``run_reproduce`` of each case, in order, as one batch per active size.
+    """``run_reproduce`` of each case, in order, as one batch.
 
     The cases of one fixture graph form a block: one column per case, its params and its
-    initial data given as (n, P) arrays. The blocks of one active size (both fixture
-    graphs have 3 active vertices) step together as one ``_windows`` batch. After each
-    window the columns within tol of their limits are dropped, so each case stops at the
-    same window as alone; the batch shares one step, so errors differ from the solo runs
-    at the level of the step control.
+    initial data given as (n, P) arrays. The blocks step together as one ``_windows`` batch
+    (both fixture graphs have 3 active vertices). After each window the columns within tol
+    of their limits are dropped, so each case stops at the same window as alone; the batch
+    shares one step, so errors differ from the solo runs at the level of the step control.
     """
     case_ids = list(case_ids)
     ids = [_parse_id(case_id) for case_id in case_ids]
@@ -169,46 +164,37 @@ def _run_cases(case_ids, tol: float = 1e-3, t_max: float = 1000.0,
     blocks = {}         # the indices of each fixture graph's cases, by id prefix
     for j, (prefix, _) in enumerate(ids):
         blocks.setdefault(prefix, []).append(j)
-    runs = {}           # (problem, initial data, case indices) of the blocks of each active size
+    problems, initials = [], []
     for prefix, members in blocks.items():
-        points = [vars(_make_params(rows[j][0])) for j in members]
+        points = [rows[j][0] for j in members]
         problem = _fixture_problem(prefix, CompetitionParams(**{
             name: np.array([point[name] for point in points]) for name in points[0]}))
-        initial = _coerce_initial(problem, tuple(
+        problems.append(problem)
+        initials.append(_coerce_initial(problem, tuple(
             np.column_stack([field_array(problem.graph, rows[j][side]) for j in members])
-            for side in (1, 2)))
-        runs.setdefault(problem.active_idx.size, []).append((problem, initial, members))
+            for side in (1, 2))))
+    live = [np.array(members) for members in blocks.values()]     # each block's cases, by column
     results = [None] * len(ids)
-    for run in runs.values():
-        problems, initials, _ = zip(*run)
-        live = [np.array(members) for _, _, members in run]     # each block's cases, by column
-
-        def errors(finals) -> list[np.ndarray]:
-            return [np.maximum(np.max(np.abs(final.u - expected[0, idx]), axis=0),
-                               np.max(np.abs(final.v - expected[1, idx]), axis=0))
-                    for final, idx in zip(finals, live)]
-
-        def settled(finals) -> np.ndarray:
-            # _windows calls this after the loop body below has read the window by ``live``
-            nonlocal live
-            done = [err <= tol for err in errors(finals)]
-            live = [idx[~mask] for idx, mask in zip(live, done)]
-            return np.concatenate(done)
-
-        # each window is counted whole against the step budget before it starts
-        for t_done, trajs in _windows(tuple(problems), initials, _COUNTED_SPAN, t_max, dt=dt,
-                                      max_samples=2, settled=settled):
-            finals = [traj.final for traj in trajs]
-            for final, idx, errs in zip(finals, live, errors(finals)):
-                for k, (j, error) in enumerate(zip(idx, errs)):
-                    error = float(error)
-                    results[j] = ReproduceResult(
-                        case_id=case_ids[j],
-                        passed=error <= tol,
-                        t_reached=t_done,
-                        error=error,
-                        tol=tol,
-                        expected=rows[j][3],
-                        final=FieldPair(u=final.u[:, k], v=final.v[:, k]),
-                    )
+    # each window is counted whole against the step budget before it starts; ``settled``
+    # returns the mask the loop body has just computed for that window
+    for t_done, trajs in _windows(tuple(problems), tuple(initials), _COUNTED_SPAN, t_max,
+                                  dt=dt, max_samples=2, settled=lambda finals: done):
+        masks = []
+        for traj, idx in zip(trajs, live):
+            final = traj.final
+            errs = np.maximum(np.max(np.abs(final.u - expected[0, idx]), axis=0),
+                              np.max(np.abs(final.v - expected[1, idx]), axis=0))
+            for k, (j, error) in enumerate(zip(idx, errs.tolist())):
+                results[j] = ReproduceResult(
+                    case_id=case_ids[j],
+                    passed=error <= tol,
+                    t_reached=t_done,
+                    error=error,
+                    tol=tol,
+                    expected=rows[j][3],
+                    final=FieldPair(u=final.u[:, k], v=final.v[:, k]),
+                )
+            masks.append(errs <= tol)
+        live = [idx[~mask] for idx, mask in zip(live, masks)]
+        done = np.concatenate(masks)
     return results

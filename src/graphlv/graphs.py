@@ -585,11 +585,13 @@ def laplacian_apply(
 ) -> np.ndarray:
     """Apply the whole-graph or subgraph Laplacian to a field.
 
-    Whole-graph mode returns one value per vertex; subgraph mode returns
-    values at the interior vertices (in graph order) and reads the field
-    on the closure only.
+    Whole-graph mode takes no partition and returns one value per vertex;
+    subgraph mode needs one, returns values at the interior vertices (in
+    graph order) and reads the field on the closure only.
     """
     if mode is DomainMode.WHOLE_GRAPH:
+        if partition is not None:
+            raise InputError("whole-graph mode takes no partition")
         u = field_array(graph, field, required_idx=np.arange(graph.n))
         return _closure_laplacian(graph, species)(u)
     if partition is None:

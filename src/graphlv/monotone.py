@@ -173,13 +173,16 @@ def pair_from_trajectory(traj: Trajectory) -> OrderedPair:
 
     Values interpolate linearly between samples, every vertex at once by
     np.interp's rule: exact at the sample times and held at the end
-    samples outside them. Derivatives are left None; exact-solution pairs
-    should be built by the caller with analytic derivatives when slack at
-    machine precision matters.
+    samples outside them. The times must be strictly increasing.
+    Derivatives are left None; exact-solution pairs should be built by the
+    caller with analytic derivatives when slack at machine precision
+    matters.
     """
     times = _as_floats(traj.times, "trajectory times")
     if times.ndim != 1 or times.size == 0 or times.size != len(traj.states):
         raise InputError("a trajectory needs one state per time and at least one of each")
+    if not np.all(np.diff(times) > 0):
+        raise InputError("trajectory times must be strictly increasing")
     u_samples = np.stack([s.u for s in traj.states])
     v_samples = np.stack([s.v for s in traj.states])
 
@@ -337,13 +340,16 @@ def maximum_principle_check(
     off-diagonal coupling, then per component nonpositive initial data, the parabolic
     inequality at interior vertices and a nonpositive boundary operator, both from
     ``_defects``) are verified numerically on the grid and the first violation raises
-    HypothesisNotMet; time derivatives come from ``dfields_dt`` when given, else
-    second-order finite differences on the grid, which need at least two strictly increasing
-    times. Tolerances must be finite and at least 0. This is a checker, not a prover: the
-    verdict only covers the sampled grid.
+    HypothesisNotMet. The times must be strictly increasing, so the initial data are the
+    first sample; time derivatives come from ``dfields_dt`` when given, else second-order
+    finite differences on the grid, which need at least two times. Tolerances must be
+    finite and at least 0. This is a checker, not a prover: the verdict only covers the
+    sampled grid.
     """
     fields = _as_floats(fields, "fields")
     times = _time_grid(times, "times")
+    if np.any(np.diff(times) <= 0):
+        raise InputError("times must be strictly increasing")
     hyp_tol = _nonnegative(hyp_tol, "hyp_tol")
     conclusion_tol = _nonnegative(conclusion_tol, "conclusion_tol")
     m = system.m
@@ -352,8 +358,8 @@ def maximum_principle_check(
     if fields.shape[1] != times.size:
         raise InputError("fields and times disagree on the number of samples")
     if dfields_dt is None:
-        if times.size < 2 or np.any(np.diff(times) <= 0):
-            raise InputError("differencing the fields needs at least two increasing times")
+        if times.size < 2:
+            raise InputError("differencing the fields needs at least two times")
         dfields_dt = np.gradient(fields, times, axis=1)
     else:
         dfields_dt = _as_floats(dfields_dt, "dfields_dt")

@@ -156,9 +156,16 @@ def test_batch_matches_solo_runs():
         assert np.abs(batched.final.v - solo.final.v).max() <= 1e-9
 
 
-def test_reproduce_all_runs_one_batch(monkeypatch, capsys):
-    # both fixture graphs have 3 active vertices, so all ten cases step together: one
-    # _windows run, one block of five columns per graph, each graph's operators built once
+@pytest.mark.parametrize("ids, widths", [
+    (ALL_IDS, [5, 5]),
+    (["graph-ii"], [1]),
+    (["neumann-iv-a", "neumann-iv-b"], [2]),
+    (["graph-i", "neumann-iii", "graph-iv-b"], [2, 1]),
+], ids=["all", "one", "one-graph", "both-graphs"])
+def test_reproduce_all_runs_one_batch(monkeypatch, capsys, ids, widths):
+    # both fixture graphs have 3 active vertices, so the cases step together: one _windows
+    # run, one block per graph present, in order of first appearance, with a column per
+    # case, each graph's operators built once
     builds, runs, counts = [], [], []
     build, windows = dynamics.reduced_operators, dynamics._windows
 
@@ -171,10 +178,14 @@ def test_reproduce_all_runs_one_batch(monkeypatch, capsys):
     monkeypatch.setattr(dynamics, "reduced_operators",
                         lambda problem: builds.append(problem) or build(problem))
     monkeypatch.setattr(fixtures, "_windows", counted)
-    assert main(["reproduce", "all"]) == 0
-    assert capsys.readouterr().out.count(": PASS ") == len(ALL_IDS)
-    assert runs == [[5, 5]]
-    assert [problem.params.a1.size for problem in builds] == [5, 5]
+    if ids == ALL_IDS:
+        assert main(["reproduce", "all"]) == 0
+        assert capsys.readouterr().out.count(": PASS ") == len(ALL_IDS)
+    else:
+        results = fixtures._run_cases(ids)
+        assert [r.case_id for r in results] == ids and all(r.passed for r in results)
+    assert runs == [widths]
+    assert [problem.params.a1.size for problem in builds] == widths
     assert sum(counts) <= 1000
 
 

@@ -209,6 +209,14 @@ class TestLaplacians:
         sub = laplacian_apply(graph, 1, u, mode=DomainMode.SUBGRAPH, partition=part)
         assert np.allclose(sub, naive_subgraph_laplacian(graph, 1, part, u))
 
+    def test_laplacian_apply_refuses_a_partition_on_the_whole_graph(self, reflecting):
+        # a partition given under whole-graph mode was dropped, returning 5 whole-graph values
+        graph, part = reflecting
+        with pytest.raises(InputError, match="whole-graph mode takes no partition"):
+            laplacian_apply(graph, 1, np.ones(5), partition=part)
+        with pytest.raises(InputError, match="subgraph mode needs a partition"):
+            laplacian_apply(graph, 1, np.ones(5), mode=DomainMode.SUBGRAPH)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_divergence_identity(self, seed):

@@ -158,6 +158,28 @@ class TestMaxPrinciple:
         with pytest.raises(HypothesisNotMet, match="initial"):
             maximum_principle_check(system, fields, np.array([0.0, 0.5, 1.0]))
 
+    def test_times_must_increase(self, triangle):
+        # the initial data are checked at the first sample, so it must be the earliest: the
+        # positive state at t = 0 is the second sample here and was not checked
+        system = LinearCoupledSystem(
+            graph=triangle, d=(1.0,), species=(1,),
+            coupling=np.zeros((1, 1)),
+            bc=(BoundaryCondition.NO_BOUNDARY,),
+        )
+        fields = np.array([[[-1.0] * 3, [0.5] * 3]])
+        with pytest.raises(InputError, match="strictly increasing"):
+            maximum_principle_check(system, fields, np.array([1.0, 0.0]),
+                                    dfields_dt=np.zeros_like(fields))
+        with pytest.raises(InputError, match="strictly increasing"):
+            maximum_principle_check(system, fields, np.array([1.0, 1.0]),
+                                    dfields_dt=np.zeros_like(fields))
+        with pytest.raises(HypothesisNotMet, match="initial"):
+            maximum_principle_check(system, fields[:, ::-1], np.array([0.0, 1.0]),
+                                    dfields_dt=np.zeros_like(fields))
+        report = maximum_principle_check(system, fields[:, :1], np.array([2.0]),
+                                         dfields_dt=np.zeros((1, 1, 3)))
+        assert report.satisfied and report.worst_time == 2.0
+
     def test_positive_off_diagonal_coupling_rejected(self, triangle):
         system = LinearCoupledSystem(
             graph=triangle, d=(1.0, 1.0), species=(1, 2),
@@ -972,6 +994,18 @@ class TestMonotoneSolve:
             assert abs(ref.times[j] - t) < 1e-9
             assert np.max(np.abs(state.u - ref.states[j].u)) <= 1e-6
             assert np.max(np.abs(state.v - ref.states[j].v)) <= 1e-6
+
+
+def test_pair_from_trajectory_refuses_unordered_times():
+    # times (0, 2, 1) interpolated as given read 0.75 at t = 1.5, where the samples in time
+    # order read 1.5
+    states = [FieldPair(u=np.full(3, x), v=np.full(3, x)) for x in (0.0, 1.0, 2.0)]
+    for times in ([0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, np.nan, 2.0]):
+        with pytest.raises(InputError, match="strictly increasing"):
+            pair_from_trajectory(Trajectory(times=np.array(times), states=states))
+    ordered = pair_from_trajectory(Trajectory(times=np.array([0.0, 1.0, 2.0]),
+                                              states=[states[0], states[2], states[1]]))
+    assert np.array_equal(ordered.u_upper.value(1.5), np.full(3, 1.5))
 
 
 @settings(max_examples=60, deadline=None)
