@@ -24,7 +24,6 @@ import numpy as np
 
 from .classify import RegimeKind, _shared_solves, classify_neumann, eigenpairs_for
 from .dynamics import (
-    _MAX_STEPS,
     BoundaryCondition,
     CompetitionParams,
     Problem,
@@ -60,6 +59,7 @@ from .graphs import (
     _nonnegative,
     _positive,
     _positive_int,
+    _same_species,
     _sparse_lu,
 )
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
@@ -74,6 +74,7 @@ _MAX_POISSON_MEAN = 50.0
 # fine points times active vertices: 8 MiB per (T, n_act) array; a solve holds about 40
 _MONOTONE_MAX_FINE = 2**20
 _STALL_ITERS = 100
+_MAX_ITERS = 10_000    # the ordered steady iterations' one budget, which no rate scales
 
 
 class _Stall:
@@ -303,7 +304,9 @@ def _defects(graph: WeightedGraph, part: DomainPartition | None, components, val
     given as (species, d, bc) with its (T, n) field ``values[k]`` in vertex order and its
     (T, n_act) rate ``rates[k]`` at the active vertices: rate - d Lap w there, as one
     (m, T, n_act) array, and each one's boundary operator, the trace on an absorbing
-    boundary, the outward normal derivative on a reflecting one, None with no boundary."""
+    boundary, the outward normal derivative on a reflecting one, None with no boundary.
+    Species with one weight structure share each operator, built once."""
+    components = [(1 if _same_species(graph) else s, d, bc) for s, d, bc in components]
     laps = {s: _closure_laplacian(graph, s, part) for s in {s for s, _, _ in components}}
     normals = {s: _boundary_normal(graph, s, part)
                for s in {s for s, _, bc in components if bc is BoundaryCondition.NEUMANN}}
@@ -627,10 +630,12 @@ def _factor(mat) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _shift(a: float, own: float, cross: float, own_max: float, other_max: float) -> float:
-    """The three monotone iterations' shift M: at least 1 and the slope -df/dw of
+    """The three monotone iterations' shift M: at least 0 and the slope -df/dw of
     f = w (a - own w - cross z) over a pair whose upper fields peak at ``own_max`` (w) and
-    ``other_max`` (z), so that f + M w is nondecreasing in w there (Pao 1992, ch. 8)."""
-    return max(2.0 * own * own_max + cross * other_max - a, 1.0)
+    ``other_max`` (z), so that f + M w is nondecreasing in w there (Pao 1992, ch. 8). No
+    solve needs M > 0: the steady iterations run on an absorbing boundary's interior, where
+    -d L_II is a nonsingular M-matrix, so M scales with the rates (a, d, e)."""
+    return max(2.0 * own * own_max + cross * other_max - a, 0.0)
 
 
 def _poisson_weights(lam: float, tail: float = _POISSON_TAIL) -> list[float]:
@@ -757,8 +762,8 @@ def _boundary_weight(l_ii) -> np.ndarray:
     return np.maximum(-(l_ii @ np.ones(l_ii.shape[0])), 0.0)
 
 
-def _ordered_steady(ops, coeffs, kinetics, y, rise, tol: float, t_max: float,
-                    max_iters: int, closes: Callable[[np.ndarray], bool] | None = None):
+def _ordered_steady(ops, coeffs, kinetics, y, rise, tol: float, max_iters: int,
+                    closes: Callable[[np.ndarray], bool] | None = None):
     """The monotone iteration for steady upper and lower solutions of m species at once
     (Sattinger 1972; Pao 1992, ch. 8): the logistic steady state (m = 1) and
     ``coexistence_bounds`` (m = 2). Row y[k, j] of the (m, 2, n) block ``y`` is species k's
@@ -766,19 +771,19 @@ def _ordered_steady(ops, coeffs, kinetics, y, rise, tol: float, t_max: float,
     upper bound, which falls, and +1 where it is a lower bound, which rises. Each step is
     y_k <- (-d_k L_k + M_k)^-1 (M_k y_k + f_k(y)), with ``ops[k]`` = (d_k, L_k),
     f = ``kinetics(y)`` and M_k = ``_shift(*coeffs[k], max y_k, max y_other)`` (y_other is
-    y_k, under no cross term, when m = 1) refactored once it halves; a species with species
-    0's operator and shift shares its factorization. It stops once every column has moved
-    by less than tol (summed over species) and its residuals are at most tol, and so has
-    the largest gap if ``closes(y)`` holds (a condition, given or None, under which the
+    y_k, under no cross term, when m = 1) refactored once it halves; M_k may be 0, since
+    -d_k L_k is a nonsingular M-matrix on an absorbing boundary's interior. A species with
+    species 0's operator and shift shares its factorization. It stops once every column has
+    moved by less than tol (summed over species) and its residuals are at most tol, and so
+    has the largest gap if ``closes(y)`` holds (a condition, given or None, under which the
     bounds must meet; it stays true as the lower bounds rise); a non-finite shift or
     iterate, a move the wrong way or a crossing beyond _ORDER_SLACK, a ``_Stall`` on the
-    largest residual, or passing ``t_max`` of pseudo-time (the sum of 1/max M_k) or
-    ``max_iters`` iterations raise NoConvergence. Returns the block and the run record:
-    ``iterations``, ``times`` (each column's pseudo-time when it first met the stop rule),
-    ``gaps`` (the largest upper minus lower bound after each iteration) and the final (m, 2)
-    ``residuals``."""
+    largest residual, or ``max_iters`` iterations, the one budget, raise NoConvergence.
+    Returns the block and the run record: ``iterations``, ``times`` (the iteration at which
+    each column first met the stop rule), ``gaps`` (the largest upper minus lower bound
+    after each iteration) and the final (m, 2) ``residuals``."""
     shifts, solves = [math.inf] * len(ops), [None] * len(ops)
-    pseudo, times, gaps, stall = 0.0, [None, None], [], _Stall()
+    times, gaps, stall = [None, None], [], _Stall()
     f = kinetics(y)
     for it in range(1, max_iters + 1):
         peaks = y.max(axis=(1, 2)).tolist()
@@ -791,14 +796,12 @@ def _ordered_steady(ops, coeffs, kinetics, y, rise, tol: float, t_max: float,
                 solves[k] = (solves[0] if k and lap is ops[0][1] and d == ops[0][0]
                              and need == shifts[0] else _factor(_add_identity(-d * lap, need)))
         new = np.stack([solves[k]((shifts[k] * y[k] + f[k]).T).T for k in range(len(ops))])
-        pseudo += 1.0 / max(shifts)
         step, spread = new - y, -(rise * new).sum(axis=1)    # spread: upper minus lower
         fault = ("gave a non-finite iterate" if not np.all(np.isfinite(new))
                  else "crossed" if spread.min() < -_ORDER_SLACK
                  else "moved the wrong way" if np.any(step * rise < -_ORDER_SLACK) else "")
         if fault:
-            raise NoConvergence(f"ordered iteration {fault} at iteration {it} "
-                                f"(pseudo-time {pseudo:.6g})")
+            raise NoConvergence(f"ordered iteration {fault} at iteration {it} of {max_iters}")
         y = new
         gaps.append(float(spread.max()))
         f = kinetics(y)
@@ -809,14 +812,12 @@ def _ordered_steady(ops, coeffs, kinetics, y, rise, tol: float, t_max: float,
         if closes is not None and gaps[-1] > tol and closes(y):
             settled[:] = False
         for j in np.flatnonzero(settled):
-            times[j] = times[j] or pseudo
+            times[j] = times[j] or it
         if settled.all():
             return y, {"iterations": it, "times": tuple(times), "gaps": gaps, "residuals": res}
         if stall(float(res.max()), still.all()):
             raise NoConvergence(f"ordered iteration stalled at iteration {it}: residual "
                                 f"{stall.least:.3e} above tol={tol:.1e}")
-        if pseudo > t_max:
-            raise NoConvergence(f"ordered iteration not settled by pseudo-time t_max={t_max}")
     raise NoConvergence(f"ordered iteration did not settle in {max_iters} iterations")
 
 
@@ -836,7 +837,7 @@ def logistic_steady_state(
     a: float,
     e: float,
     tol: float = 1e-10,
-    max_iters: int = 10_000,
+    max_iters: int = _MAX_ITERS,
 ) -> SteadyState:
     """Unique positive steady state of -d Lap s = s (a - e s), zero boundary.
 
@@ -858,7 +859,7 @@ def logistic_steady_state(
 
 
 def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
-                           tol: float = 1e-10, max_iters: int = 10_000) -> SteadyState:
+                           tol: float = 1e-10, max_iters: int = _MAX_ITERS) -> SteadyState:
     """``logistic_steady_state`` given the species' Dirichlet eigenpair. The lower start is
     the pointwise max of two lower solutions, again one on a graph Laplacian: the phi start
     and the constant c = (a - d max beta)/e of ``_boundary_weight`` (the phi start alone
@@ -874,7 +875,7 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
     start = np.array([[np.full(l_ii.shape[0], a / e),
                        np.maximum((0.5 * margin / e) * eig.phi, floor)]])
     y, run = _ordered_steady([(d, l_ii)], [(a, e, 0.0)], lambda y: y * (a - e * y), start,
-                             np.array([[-1.0], [1.0]]), tol, math.inf, max_iters)
+                             np.array([[-1.0], [1.0]]), tol, max_iters)
     # both columns' residuals are at most tol, and the kinetics' curvature adds e gap^2 / 4
     mid = 0.5 * (y[0, 0] + y[0, 1])
     residual = float(np.max(np.abs(d * (l_ii @ mid) + mid * (a - e * mid))))
@@ -910,7 +911,6 @@ def coexistence_bounds(
     epsilon: float | None = None,
     delta: float | None = None,
     tol: float = 1e-8,
-    t_max: float = 2000.0,
 ) -> CoexistenceBounds:
     """Steady coexistence bounds from the coupled monotone upper/lower iteration.
 
@@ -919,8 +919,9 @@ def coexistence_bounds(
     ``_ordered_steady`` on the tightest sector the theory gives: the upper pair starts at
     (s1, max(delta phi2, c_v)) and decreases in u while increasing in v, the lower pair
     starts at (max(delta phi1, c_u), s2) and mirrors it, and both stop at residuals of at
-    most tol, within ``t_max`` of pseudo-time and 10**7 iterations. s1 is an upper solution
-    for u against any v >= 0, and every coexistence state and quasi-solution has u <= s1
+    most tol within the logistic solves' budget of 10 000 iterations (``info["march_times"]``
+    gives each pair's settling iteration). s1 is an upper solution for u against any v >= 0,
+    and every coexistence state and quasi-solution has u <= s1
     (likewise v <= s2), so the upper limits are those from the paper's (1+eps) s1 and
     (1+eps) s2. With beta_k = -(L_II 1) of species k, the constants
     c_u = min_x (a1 - d1 beta1 - c1 s2)/b1 and c_v = min_x (a2 - d2 beta2 - b2 s1)/c2 on
@@ -936,7 +937,7 @@ def coexistence_bounds(
     """
     if problem.bc is not BoundaryCondition.DIRICHLET:
         raise InputError("coexistence bounds need the absorbing boundary condition")
-    tol, t_max = _positive(tol, "tol"), _positive(t_max, "t_max")
+    tol = _positive(tol, "tol")
     p = problem.params
     graph, part = problem.graph, problem.partition
     # species with one weight structure share their eigenpair and blocks, and their
@@ -983,7 +984,7 @@ def coexistence_bounds(
 
     y, run = _ordered_steady(((p.d1, l1), (p.d2, l2)), ((p.a1, p.b1, p.c1), (p.a2, p.c2, p.b2)),
                              lambda y, abc=_species_stack(p, 3)[:3]: _kinetics(y, *abc), start,
-                             np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]]), tol, t_max, _MAX_STEPS,
+                             np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]]), tol, _MAX_ITERS,
                              closes=collapsed if same_weights else None)
     (s_upper, s_lower), (r_lower, r_upper) = y
     unique = bool(same_weights and collapsed(y))
@@ -1059,8 +1060,8 @@ def monotone_solve(
     linear parabolic problems (upper u with lower v frozen, and the
     three mirrored ones) with exponential propagators on a fine uniform
     grid; the sweeps squeeze monotonically onto the solution. The shift M,
-    which must be positive and finite, defaults to the larger species'
-    kinetics slope bound over the upper fields' range on the closure at
+    positive and finite when given, defaults to the larger species'
+    kinetics slope bound, which may be 0, over the upper fields' range on the closure at
     the ``t_grid`` points and on the active vertices at the fine points
     between them (a pair's values off the closure take no part); too
     small an M breaks the monotone squeeze and is reported as

@@ -22,7 +22,6 @@ from graphlv import (
     invariant_rectangle,
     logistic_steady_state,
     maximum_principle_check,
-    monotone,
     monotone_solve,
     pair_from_trajectory,
     reaction,
@@ -104,9 +103,6 @@ CASES = {
     "bounds-negative-tol": lambda: _bounds(tol=-1.0),
     "bounds-nan-epsilon": lambda: _bounds(epsilon=np.nan),
     "bounds-nan-delta": lambda: _bounds(delta=np.nan),
-    "bounds-nan-horizon": lambda: _bounds(t_max=np.nan),
-    "bounds-zero-horizon": lambda: _bounds(t_max=0.0),
-    "bounds-negative-horizon": lambda: _bounds(t_max=-1.0),
     "envelopes-nan-epsilon": lambda: analytic_envelopes(1, SET_I, epsilon=np.nan,
                                                         state_at_t0=(np.full(3, 0.3),
                                                                      np.full(3, 0.3))),
@@ -184,17 +180,6 @@ def test_forced_times_past_the_end_are_allowed():
     traj = integrate(_problem(), INSIDE, 1.0, max_samples=np.int64(3),
                      forced_times=np.array([-1.0, 0.5, 7.0]))
     assert 0.5 in traj.times and traj.times[-1] == 1.0 and 7.0 not in traj.times
-
-
-@pytest.mark.parametrize("t_max", [np.nan, 0.0, -1.0])
-def test_bad_bounds_horizon_is_named_before_any_solve(t_max, monkeypatch):
-    """A bad t_max is refused under its own name before the eigen and logistic solves."""
-    def unreachable(*args, **kwargs):
-        raise AssertionError("solved before checking t_max")
-
-    monkeypatch.setattr(monotone, "smallest_dirichlet_eigenpair", unreachable)
-    with pytest.raises(InputError, match="t_max must be positive and finite"):
-        _bounds(t_max=t_max)
 
 
 @pytest.mark.parametrize("name", ["epsilon", "delta"])

@@ -374,6 +374,33 @@ class TestVerifyPair:
         report = verify_coupled_pair(prob, pair, traj.times, slack_tol=0.05)
         assert report.passed  # a true solution is a (degenerate) pair
 
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN])
+    def test_shared_species_build_each_operator_once(self, reflecting, bc, monkeypatch):
+        """One weight structure: the four rows' closure Laplacian is gathered once, and on a
+        reflecting boundary so is their normal derivative. With w2 a distinct copy of w1
+        both are built per species, and the slacks are the same bit for bit."""
+        graph, part = reflecting
+        calls = {"blocks": 0, "weights": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(graphs, "_blocks", counted("blocks", graphs._blocks))
+        monkeypatch.setattr(graphs, "_weight_block", counted("weights", graphs._weight_block))
+        pair = constant_pair((2.0, 3.0), (0.0, 0.0), t_end=5.0)
+        reports = []
+        for split, blocks in ((False, 1), (True, 2)):
+            g = dataclasses.replace(graph, w2=graph.w1.copy()) if split else graph
+            calls.update(blocks=0, weights=0)
+            reports.append(verify_coupled_pair(Problem(g, SET_I, bc=bc, partition=part), pair,
+                                               np.linspace(0.0, 5.0, 11)))
+            per_species = 2 if bc is BoundaryCondition.NEUMANN else 1
+            assert calls == {"blocks": blocks, "weights": blocks * per_species}
+        assert reports[0].slacks == reports[1].slacks
+
 
 class TestEnvelopes:
     @pytest.mark.parametrize(
@@ -601,7 +628,7 @@ class TestCoexistenceBounds:
         bounds = coexistence_bounds(prob, tol=1e-9)
         info = bounds.info
         times, gaps = info["march_times"], info["march_gaps"]
-        assert len(times) == 2 and all(isinstance(t, float) and 0.0 < t <= 2000.0
+        assert len(times) == 2 and all(isinstance(t, int) and 1 <= t <= info["march_iterations"]
                                        for t in times)
         assert info["march_iterations"] == len(gaps) >= 1
         assert np.all(np.diff(gaps) <= 0.0)
@@ -720,13 +747,17 @@ class TestCoexistenceBounds:
         assert bounds.unique
         assert bounds.info["march_gaps"][-1] <= 1e-9
 
-    def test_pseudo_time_budget(self, reflecting):
+    def test_iteration_budget(self, reflecting, monkeypatch):
+        """The march has one budget, the logistic solves' count of iterations: lowered below
+        the iteration at which the march settles, it ends the march and is named."""
         graph, part = reflecting
         prob = Problem(graph, BOUNDS_PARAMS, bc=BoundaryCondition.DIRICHLET,
                        partition=part)
-        settled = max(coexistence_bounds(prob, tol=1e-8).info["march_times"])
-        with pytest.raises(NoConvergence, match="pseudo-time"):
-            coexistence_bounds(prob, tol=1e-8, t_max=0.5 * settled)
+        settled = coexistence_bounds(prob, tol=1e-8).info["march_iterations"]
+        assert settled >= 2
+        monkeypatch.setattr(monotone, "_MAX_ITERS", settled - 1)
+        with pytest.raises(NoConvergence, match=f"did not settle in {settled - 1} iterations"):
+            coexistence_bounds(prob, tol=1e-8)
 
 
 def _bounds_problem(rng, shared):
@@ -809,6 +840,148 @@ def test_ordered_starts_are_ordered_upper_and_lower_solutions(seed, shared, csr)
             if floor > 0.0:
                 w = np.full(lap.shape[0], floor)
                 assert np.min(d * (lap @ w) + w * (a - e * w)) >= -1e-12 * a * floor
+
+
+def recorded_solves(mp):
+    """Wrap ``monotone._factor`` on the monkeypatch ``mp`` so that the result of every solve
+    through a factorization it makes is kept; returns the list they go to, in call order."""
+    factor, results = monotone._factor, []
+
+    def recording(mat):
+        solve = factor(mat)
+        return lambda b: results.append(solve(b)) or results[-1]
+
+    mp.setattr(monotone, "_factor", recording)
+    return results
+
+
+def _same_prefix(first, second):
+    """Whether two lists of solve results agree bit for bit over the shorter one's length."""
+    return all(np.array_equal(x, y) for x, y in zip(first, second))
+
+
+_RATES = ("a1", "b1", "c1", "a2", "b2", "c2", "d1", "d2")
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shared=st.booleans(), j=st.integers(-6, 6),
+       log_margin=st.floats(-2.0, 0.0))
+def test_logistic_iteration_is_rate_free(seed, shared, j, log_margin):
+    """Rate-scale oracle: (a, d, e) -> 2^j (a, d, e) leaves the logistic equation and every
+    iterate of its ordered iteration unchanged bit for bit (the shift, the starts and the
+    refactor rule all scale with the rates; 2^j is exact in floating point), here on small
+    absorbing graphs at relative margins a / (lambda0 d) - 1 in [0.01, 1]. Only the stop
+    rule reads the scale: its residual test is absolute, and the residual scales by 2^j.
+    So the solve that stops later takes at most twice the other's iterations (1.46 times
+    at worst over 1800 draws weighted to |j| = 6 and margin 0.01), and its state lies in the
+    ordered bracket at which the other stopped, up to the order checks' slack per extra
+    iteration. The states differ by up to 11 tol near the threshold (margin 0.014, j = 2),
+    which is the residual test's doing and not the iteration's."""
+    rng = np.random.default_rng(seed)
+    prob = _bounds_problem(rng, shared)
+    graph, part = prob.graph, prob.partition
+    lam = monotone.smallest_dirichlet_eigenpair(graph, 1, part).lambda0
+    d, e = rng.uniform(0.1, 3.0, 2)
+    a = lam * d * (1.0 + 10.0 ** log_margin)
+    runs = []
+    for scale in (1.0, 2.0 ** j):
+        with pytest.MonkeyPatch.context() as mp:
+            results = recorded_solves(mp)
+            state = logistic_steady_state(graph, part, 1, scale * d, scale * a, scale * e,
+                                          tol=1e-8)
+        assert len(results) == state.iterations
+        runs.append((state, results))
+    assert _same_prefix(runs[0][1], runs[1][1])
+    (first, results), (later, _) = sorted(runs, key=lambda run: run[0].iterations)
+    assert later.iterations <= 2 * first.iterations
+    upper, lower = results[-1].T
+    slack = monotone._ORDER_SLACK * (later.iterations - first.iterations + 1)
+    assert np.all(lower - slack <= later.values) and np.all(later.values <= upper + slack)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shared=st.booleans(), j=st.integers(-6, 6))
+def test_coexistence_march_is_rate_free(seed, shared, j):
+    """Rate-scale oracle of the march: all eight rates times 2^j, from the same logistic
+    states (which are rate-free; the logistic solves have their own oracle above), give
+    the same march iterates bit for bit. The march that stops later takes at most twice
+    the other's iterations (1.27 times at worst over 950 draws), and its bounds are nested
+    in the other's up to the order checks' slack per extra iteration; they differ by up to
+    1.15 tol, through the absolute residual test."""
+    prob = _bounds_problem(np.random.default_rng(seed), shared)
+    scaled = dataclasses.replace(prob, params=dataclasses.replace(
+        prob.params, **{k: 2.0 ** j * getattr(prob.params, k) for k in _RATES}))
+    steady, states = monotone._logistic_steady_state, {}
+
+    def solved_once(graph, part, species, *args, **kwargs):
+        if species not in states:
+            states[species] = steady(graph, part, species, *args, **kwargs)
+        return states[species]
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monotone, "_logistic_steady_state", solved_once)
+        coexistence_bounds(prob, tol=1e-8)    # the logistic states, solved unscaled
+        for problem in (prob, scaled):
+            with pytest.MonkeyPatch.context() as inner:
+                results = recorded_solves(inner)
+                runs.append((coexistence_bounds(problem, tol=1e-8), results))
+    assert _same_prefix(runs[0][1], runs[1][1])
+    first, later = sorted((b for b, _ in runs), key=lambda b: b.info["march_iterations"])
+    extra = later.info["march_iterations"] - first.info["march_iterations"]
+    assert extra <= first.info["march_iterations"]
+    slack = monotone._ORDER_SLACK * extra
+    for lo, hi in (("s_lower", "s_upper"), ("r_lower", "r_upper")):
+        assert np.all(getattr(first, lo) - slack <= getattr(later, lo))
+        assert np.all(getattr(later, hi) <= getattr(first, hi) + slack)
+
+
+class TestNearThreshold:
+    """The survival threshold a = lambda0 d on a 30 x 30 absorbing lattice like the
+    benchmark's, where lambda0 = 5.9e-3, with d = e = 1: the ordered iterations' shifts
+    follow the rates down to 0, so they contract at the kinetics' own pace."""
+
+    @pytest.fixture(scope="class")
+    def lattice(self):
+        prob, _ = absorbing_lattice(30)
+        lam = monotone.smallest_dirichlet_eigenpair(prob.graph, 1, prob.partition).lambda0
+        return prob, lam
+
+    def test_logistic_one_percent_above_converges(self, lattice):
+        # a shift floored at 1 ran the budget of 10 000 iterations out here
+        prob, lam = lattice
+        state = logistic_steady_state(prob.graph, prob.partition, 1, 1.0, 1.01 * lam, 1.0)
+        assert state.residual <= 1e-10
+
+    def test_logistic_at_twice_the_threshold_is_fast(self, lattice):
+        # a shift floored at 1 took 2389 iterations here
+        prob, lam = lattice
+        state = logistic_steady_state(prob.graph, prob.partition, 1, 1.0, 2.0 * lam, 1.0)
+        assert state.iterations <= 50
+
+    def test_coexistence_with_both_shifts_at_zero(self, lattice, monkeypatch):
+        """Both species 10% above the threshold with weak competition: the march's shifts
+        both fall to 0, which no solve divides by; it settles or raises NoConvergence."""
+        prob, lam = lattice
+        a = 1.1 * lam
+        params = CompetitionParams(a1=a, b1=1.0, c1=0.05, a2=a, b2=0.05, c2=1.0,
+                                   d1=1.0, d2=1.0)
+        shift, march = monotone._shift, []
+
+        def recording(a, own, cross, own_max, other_max):
+            value = shift(a, own, cross, own_max, other_max)
+            if cross:    # the logistic solves have no cross term
+                march.append(value)
+            return value
+
+        monkeypatch.setattr(monotone, "_shift", recording)
+        try:
+            bounds = coexistence_bounds(dataclasses.replace(prob, params=params))
+        except NoConvergence:
+            bounds = None
+        assert march[-2:] == [0.0, 0.0]
+        if bounds is not None:
+            assert max(bounds.residuals.values()) <= 1e-8
 
 
 class TestMonotoneSolve:
