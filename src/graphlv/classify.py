@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import BoundaryCondition, CompetitionParams, Problem, _materialize, _state_extrema
-from .errors import DegenerateTriangle, InputError, RequiresSteadySolve
+from .errors import DegenerateTriangle, InputError, NoPositiveState, RequiresSteadySolve
 from .graphs import _same_species
 from .spectral import EigenPair, smallest_dirichlet_eigenpair
 
@@ -149,6 +149,16 @@ def classify_bistable_basin(params: CompetitionParams, initial) -> Regime:
     return Regime(RegimeKind.UNRESOLVED, base.certificates + u_box + v_box, None)
 
 
+def _dirichlet_margins(eigs, d, a, own=(), cross=()):
+    """Over one species or a pair (sequences of eigenpairs, d and a), the threshold margins
+    g_i = a_i - lambda0_i d_i, positive iff species i persists alone, and for a pair with
+    ``own`` = (b1, c2) and ``cross`` = (c1, b2) the K1 margins g_i - (cross_i / own_j) a_j:
+    a1 - lambda0_1 d1 - (c1/c2) a2 and a2 - lambda0_2 d2 - (b2/b1) a1."""
+    g = [a_i - eig.lambda0 * d_i for eig, d_i, a_i in zip(eigs, d, a)]
+    return g, [g_i - (c_i / e_j) * a_j
+               for g_i, c_i, e_j, a_j in zip(g, cross, own[::-1], a[::-1])]
+
+
 def classify_dirichlet(
     params: CompetitionParams, eig1: EigenPair, eig2: EigenPair
 ) -> Regime:
@@ -159,8 +169,9 @@ def classify_dirichlet(
     cross-competition smallness condition yields coexistence bounds;
     both supercritical without it stays Unresolved.
     """
-    g1 = params.a1 - eig1.lambda0 * params.d1
-    g2 = params.a2 - eig2.lambda0 * params.d2
+    p = params
+    (g1, g2), (k1, k2) = _dirichlet_margins((eig1, eig2), (p.d1, p.d2), (p.a1, p.a2),
+                                            (p.b1, p.c2), (p.c1, p.b2))
     certs = [
         Certificate("a1 - lambda0_1*d1", g1, g1 > 0.0),
         Certificate("a2 - lambda0_2*d2", g2, g2 > 0.0),
@@ -171,8 +182,6 @@ def classify_dirichlet(
         return Regime(RegimeKind.SEMITRIVIAL_U, tuple(certs), PredictedLimit("logistic-u", None, 0.0))
     if g1 <= 0.0 and g2 > 0.0:
         return Regime(RegimeKind.SEMITRIVIAL_V, tuple(certs), PredictedLimit("logistic-v", 0.0, None))
-    k1 = g1 - (params.c1 / params.c2) * params.a2
-    k2 = g2 - (params.b2 / params.b1) * params.a1
     certs += [
         Certificate("a1 - lambda0_1*d1 - (c1/c2)*a2", k1, k1 > 0.0),
         Certificate("a2 - lambda0_2*d2 - (b2/b1)*a1", k2, k2 > 0.0),
@@ -192,6 +201,11 @@ def predicted_limit(regime: Regime, problem: Problem, bounds=None):
     passed in (they are a solve of their own); bistable and unresolved
     regimes have no single limit.
     """
+    return _predicted_limit(regime, problem, bounds, None)
+
+
+def _predicted_limit(regime: Regime, problem: Problem, bounds, eigs):
+    """``predicted_limit`` from the problem's ``eigenpairs_for`` pairs, or None to solve them."""
     if regime.predicted is None:
         raise InputError(f"regime {regime.kind.value} does not predict a single limit")
     kind = regime.predicted.kind
@@ -203,29 +217,18 @@ def predicted_limit(regime: Regime, problem: Problem, bounds=None):
             raise RequiresSteadySolve("coexistence bounds were not supplied")
         return bounds
     if kind in ("logistic-u", "logistic-v"):
-        if problem.bc is not BoundaryCondition.DIRICHLET or problem.partition is None:
+        if problem.bc is not BoundaryCondition.DIRICHLET:
             raise RequiresSteadySolve("semitrivial limits need an absorbing-boundary problem")
-        from .monotone import logistic_steady_state
+        from .monotone import _logistic_states
 
-        p = problem.params
-        if kind == "logistic-u":
-            species, d, a, e = 1, p.d1, p.a1, p.b1
-        else:
-            species, d, a, e = 2, p.d2, p.a2, p.c2
-        state = logistic_steady_state(problem.graph, problem.partition, species, d=d, a=a, e=e)
+        species = 1 if kind == "logistic-u" else 2
+        state = _logistic_states(problem, eigs or eigenpairs_for(problem), 1e-10)[species - 1]
+        if state is None:
+            raise NoPositiveState(f"species {species} is subcritical on this problem")
         pair = np.zeros((2, state.values.size))
         pair[species - 1] = state.values
         return _materialize(problem, pair)
     raise InputError(f"unknown predicted-limit kind {kind!r}")
-
-
-def _shared_solves(problem: Problem) -> tuple[bool, bool]:
-    """Whether species 2 may take species 1's Dirichlet eigenpair, which holds when both
-    species have one weight structure, and also its logistic steady state, which needs
-    (d2, a2, c2) = (d1, a1, b1) as well: the solves would repeat bit for bit."""
-    p = problem.params
-    eigen = _same_species(problem.graph)
-    return eigen, eigen and (p.d1, p.a1, p.b1) == (p.d2, p.a2, p.c2)
 
 
 def eigenpairs_for(problem: Problem) -> tuple[EigenPair, EigenPair]:
@@ -234,6 +237,6 @@ def eigenpairs_for(problem: Problem) -> tuple[EigenPair, EigenPair]:
     if problem.partition is None:
         raise InputError("eigenpairs need a partitioned problem")
     eig1 = smallest_dirichlet_eigenpair(problem.graph, 1, problem.partition)
-    if _shared_solves(problem)[0]:
+    if _same_species(problem.graph):
         return eig1, eig1
     return eig1, smallest_dirichlet_eigenpair(problem.graph, 2, problem.partition)

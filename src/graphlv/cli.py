@@ -21,12 +21,11 @@ import time
 import numpy as np
 
 from .classify import (
-    _shared_solves,
+    _predicted_limit,
     classify_bistable_basin,
     classify_dirichlet,
     classify_neumann,
     eigenpairs_for,
-    predicted_limit,
 )
 from .config import (
     _run_config,
@@ -40,13 +39,11 @@ from .errors import (
     ConfigInvalid,
     GraphLVError,
     InputError,
-    NoPositiveState,
     NumericalError,
-    RequiresSteadySolve,
 )
 from .fixtures import _run_cases, reproduce_ids
 from .graphs import _positive
-from .monotone import coexistence_bounds, logistic_steady_state
+from .monotone import _logistic_states, coexistence_bounds
 
 
 def _fmt(x) -> str:
@@ -348,11 +345,10 @@ def _cmd_classify(args) -> int:
         print(f"predicted limit: constant u={_fmt(regime.predicted.u)} "
               f"v={_fmt(regime.predicted.v)}")
         return 0
-    try:
-        limit = predicted_limit(regime, problem)
-    except RequiresSteadySolve:
+    if regime.predicted.kind == "bounds":
         print("predicted limit: coexistence bounds; run the steady subcommand with --bounds")
         return 0
+    limit = _predicted_limit(regime, problem, None, eigs)
     out = _ensure_dir(args.out)
     path = os.path.join(out, "predicted_limit.csv")
     _write_rows(path, "vertex,u,v", problem.graph.vertices, (limit.u, limit.v))
@@ -385,7 +381,6 @@ def _cmd_steady(args) -> int:
     if problem.bc is not BoundaryCondition.DIRICHLET:
         raise ConfigInvalid("steady states are defined for the absorbing boundary; "
                             'set bc to "dirichlet"')
-    p = problem.params
     tol = 1e-10 if args.tol is None else _positive(args.tol, "--tol")
     out = _ensure_dir(args.out)
     interior = problem.partition.interior
@@ -402,19 +397,13 @@ def _cmd_steady(args) -> int:
         print(f"wrote {path}; {unique}, spread {spread:.3e}, "
               f"epsilon={bounds.epsilon:.6g}, delta={bounds.delta:.6g}")
         return 0
-    columns, zero = [], np.zeros(len(interior))
-    shared = _shared_solves(problem)[1]
-    for species, (d, a, e) in enumerate(((p.d1, p.a1, p.b1), (p.d2, p.a2, p.c2)), start=1):
-        if not (columns and shared):    # a shared species 2 keeps species 1's column
-            try:
-                column = logistic_steady_state(problem.graph, problem.partition, species,
-                                               d=d, a=a, e=e, tol=tol).values
-            except NoPositiveState:
-                column = zero
-        if column is zero:
+    columns = []
+    for species, state in enumerate(_logistic_states(problem, eigenpairs_for(problem), tol),
+                                    start=1):
+        if state is None:
             print(f"# species {species} is subcritical; its steady state is 0",
                   file=sys.stderr)
-        columns.append(column)
+        columns.append(np.zeros(len(interior)) if state is None else state.values)
     path = os.path.join(out, "steady.csv")
     _write_rows(path, "vertex,s1,s2", interior, columns)
     print(f"wrote {path}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import RegimeKind, _shared_solves, classify_neumann, eigenpairs_for
+from .classify import RegimeKind, _dirichlet_margins, classify_neumann, eigenpairs_for
 from .dynamics import (
     BoundaryCondition,
     CompetitionParams,
@@ -865,7 +865,7 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
     and the constant c = (a - d max beta)/e of ``_boundary_weight`` (the phi start alone
     when c <= 0). The positive state is unique and the start positive, so the limit is the
     phi start's."""
-    margin = a - eig.lambda0 * d
+    (margin,), _ = _dirichlet_margins((eig,), (d,), (a,))
     if margin <= 0.0:
         raise NoPositiveState(
             f"a - lambda0*d = {margin:.6g} <= 0: only the zero state is nonnegative"
@@ -883,6 +883,19 @@ def _logistic_steady_state(graph, partition, species, d, a, e, eig: EigenPair,
         raise NoConvergence(f"steady midpoint residual {residual:.3e} above tol={tol:.1e}")
     return SteadyState(values=mid, residual=residual, iterations=run["iterations"],
                        lambda0=eig.lambda0)
+
+
+def _logistic_states(problem: Problem, eigs, tol: float):
+    """Both species' logistic steady states on an absorbing problem's interior from its
+    ``eigenpairs_for`` pairs ``eigs``, None for a subcritical species. Species 2 takes species
+    1's state when both have one weight structure and (d2, a2, c2) = (d1, a1, b1)."""
+    p, graph, part = problem.params, problem.graph, problem.partition
+    (g1, g2), _ = _dirichlet_margins(eigs, (p.d1, p.d2), (p.a1, p.a2))
+    s1 = _logistic_steady_state(graph, part, 1, p.d1, p.a1, p.b1, eigs[0], tol) if g1 > 0 else None
+    if _same_species(graph) and (p.d1, p.a1, p.b1) == (p.d2, p.a2, p.c2):
+        return s1, s1
+    return s1, (_logistic_steady_state(graph, part, 2, p.d2, p.a2, p.c2, eigs[1], tol)
+                if g2 > 0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -940,23 +953,16 @@ def coexistence_bounds(
     tol = _positive(tol, "tol")
     p = problem.params
     graph, part = problem.graph, problem.partition
-    # species with one weight structure share their eigenpair and blocks, and their
-    # logistic steady state when their coefficients agree too
-    same_weights, same_steady = _shared_solves(problem)
     eig1, eig2 = eigenpairs_for(problem)
-    g1 = p.a1 - eig1.lambda0 * p.d1
-    g2 = p.a2 - eig2.lambda0 * p.d2
-    k1 = g1 - (p.c1 / p.c2) * p.a2
-    k2 = g2 - (p.b2 / p.b1) * p.a1
+    (g1, g2), (k1, k2) = _dirichlet_margins((eig1, eig2), (p.d1, p.d2), (p.a1, p.a2),
+                                            (p.b1, p.c2), (p.c1, p.b2))
     if k1 <= 0.0 or k2 <= 0.0:
         raise ConditionK1Violated(
             f"need a1 - lambda0_1 d1 > (c1/c2) a2 and a2 - lambda0_2 d2 > (b2/b1) a1; "
             f"margins are {k1:.6g} and {k2:.6g}"
         )
-    steady_tol = min(tol, 1e-10)
-    s1 = _logistic_steady_state(graph, part, 1, p.d1, p.a1, p.b1, eig1, tol=steady_tol)
-    s2 = (s1 if same_steady
-          else _logistic_steady_state(graph, part, 2, p.d2, p.a2, p.c2, eig2, tol=steady_tol))
+    # K1 puts both species above threshold, so both states exist
+    s1, s2 = _logistic_states(problem, (eig1, eig2), min(tol, 1e-10))
 
     eps_cap = min((p.b1 / (p.a1 * p.b2)) * g2 - 1.0, (p.c2 / (p.a2 * p.c1)) * g1 - 1.0)
     epsilon = 0.5 * eps_cap if epsilon is None else _positive(epsilon, "epsilon")
@@ -969,6 +975,7 @@ def coexistence_bounds(
     if delta > delta_cap:
         raise DeltaTooLarge(f"delta must be at most {delta_cap:.6g}, got {delta:.6g}")
 
+    same_weights = _same_species(graph)    # then both species share their blocks
     l1 = _blocks(graph, 1, part)[0]
     l2 = l1 if same_weights else _blocks(graph, 2, part)[0]
     # the constant lower solutions c_u and c_v against the other species' upper start

@@ -8,6 +8,7 @@ no code path with the vectorized operators they check.
 from __future__ import annotations
 
 import contextlib
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from graphlv import (
     logistic_steady_state,
     smallest_dirichlet_eigenpair,
 )
-from graphlv import dynamics, monotone
+from graphlv import dynamics, monotone, spectral
 from graphlv.dynamics import reaction, reduced_operators
 from graphlv.fixtures import reflecting_example, triangle_example
 
@@ -177,6 +178,22 @@ def stored(csr: bool):
         mp.setattr(graphs, "_CSR_MIN_ENTRIES", 0 if csr else np.inf)
         mp.setattr(graphs, "_CSR_MAX_FILL", 1.0)
         yield
+
+
+def counted_eigen_solves(mp):
+    """Wrap ``spectral.smallest_dirichlet_eigenpair`` on the monkeypatch ``mp`` in every
+    graphlv module that binds it; returns the list that gets each solve's species."""
+    solve, calls = spectral.smallest_dirichlet_eigenpair, []
+
+    def counted(graph, species, *args, **kwargs):
+        calls.append(species)
+        return solve(graph, species, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "graphlv" and vars(module).get(
+                "smallest_dirichlet_eigenpair") is solve:
+            mp.setattr(module, "smallest_dirichlet_eigenpair", counted)
+    return calls
 
 
 @contextlib.contextmanager

@@ -1,5 +1,7 @@
 """Regime classification for reflecting, whole-graph, and absorbing problems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from graphlv import (
     eigenpairs_for,
     predicted_limit,
 )
-from graphlv.errors import DegenerateTriangle, InputError, RequiresSteadySolve
+from graphlv.errors import DegenerateTriangle, InputError, NoPositiveState, RequiresSteadySolve
 
 # the four reference parameter sets used throughout
 SET_I = CompetitionParams(a1=1.0, b1=2.0, c1=2.0, a2=1.0, b2=1.0, c2=1.0)
@@ -204,6 +206,17 @@ class TestPredictedLimit:
         ui = state.u[part.interior_idx]
         res = -p.d1 * (l_ii @ ui) - ui * (p.a1 - p.b1 * ui)
         assert np.linalg.norm(res, ord=np.inf) <= 1e-8
+
+    def test_semitrivial_species_must_persist_on_the_problem(self, reflecting):
+        """A semitrivial regime read from other parameters may name a species that dies out
+        on the problem passed: it has no logistic profile there, and the call says so."""
+        graph, part = reflecting
+        p = CompetitionParams(a1=1.0, b1=1.0, c1=1.0, a2=0.1, b2=1.0, c2=1.0)
+        prob = Problem(graph, p, bc=BoundaryCondition.DIRICHLET, partition=part)
+        regime = classify_dirichlet(p, *eigenpairs_for(prob))
+        dying = dataclasses.replace(prob, params=dataclasses.replace(p, a1=0.1))
+        with pytest.raises(NoPositiveState):
+            predicted_limit(regime, dying)
 
     def test_semitrivial_needs_absorbing_problem(self, reflecting):
         graph, part = reflecting

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import graphlv
 import graphlv.classify
+from conftest import counted_eigen_solves
 from graphlv import CompetitionParams, Problem, classify_neumann, integrate
 from graphlv.cli import main
 from graphlv.fixtures import reproduce_ids, triangle_example
@@ -465,13 +466,13 @@ class TestSteady:
         """One weight structure with (d, a, e) equal for both species takes one logistic
         solve, whose profile is both columns; a different a2 takes its own."""
         calls = []
-        solve = graphlv.cli.logistic_steady_state
+        solve = graphlv.monotone._logistic_steady_state
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(graphlv.cli, "logistic_steady_state", counted)
+        monkeypatch.setattr(graphlv.monotone, "_logistic_steady_state", counted)
         cfg = write_config(tmp_path, absorbing_doc(**overrides))
         out = str(tmp_path / "o")
         assert main(["steady", "--config", cfg, "--out", out]) == 0
@@ -564,6 +565,30 @@ class TestSteady:
         assert "InputError" in err and "at least 1e-10" in err
         assert main(argv + ["--bounds", "--tol", "1e-10"]) == 0
         assert main(argv + ["--tol", "1e-12"]) == 0
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["shared", "split"])
+@pytest.mark.parametrize("command, overrides, written", [
+    ("eigen", {}, "eigen.csv"),
+    ("steady", {"d2": 0.2}, "steady.csv"),
+    ("steady --bounds", {}, "coexistence_bounds.csv"),
+    ("classify", {"a2": 1e-4}, "predicted_limit.csv"),
+], ids=["eigen", "steady-d2", "steady-bounds", "classify-semitrivial"])
+def test_each_eigenpair_is_solved_once(tmp_path, monkeypatch, split, command, overrides,
+                                       written):
+    """Every absorbing-boundary command takes one eigen solve per weight structure, whatever
+    the species' coefficients: species 2 takes species 1's pair when both have one weight
+    table, a d2 of its own included, and classify's semitrivial profile reuses the pair its
+    verdict was read from."""
+    calls = counted_eigen_solves(monkeypatch)
+    doc = absorbing_doc(**overrides)
+    if split:
+        doc["graph"]["edges"] = [[a, b, w, 2.0 * w] for a, b, w in doc["graph"]["edges"]]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 0
+    assert (out / written).is_file()
+    assert calls == ([1, 2] if split else [1])
 
 
 class TestReproduce:

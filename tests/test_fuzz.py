@@ -6,7 +6,11 @@ of at most nine points; the time step is either at least 1e-3 or
 invalid, so a valid run takes at most 2e4 fixed steps before any
 halving. ``reproduce`` overrides include nan, inf and negative values.
 ``steady``, ``steady --bounds`` and ``classify`` also run on parameters of
-magnitude 1e-310 (subnormal), 1e-200, 1e200 and 1e300.
+magnitude 1e-310 (subnormal), 1e-200, 1e200 and 1e300. Absorbing-boundary
+documents, half of them lattices of 150 to 400 vertices (stored as CSR once
+the interior has 144 vertices), run through ``eigen``, ``steady``, ``steady
+--bounds`` and ``classify``, each solving every eigenpair at most once per
+weight structure.
 """
 
 import datetime
@@ -16,9 +20,11 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import counted_eigen_solves
 from graphlv.cli import main
 from graphlv.fixtures import reproduce_ids
 
@@ -36,8 +42,9 @@ time_step = st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, 0.0),
 
 
 @st.composite
-def documents(draw, values=positive):
-    """A config document whose parameters are drawn from ``values``."""
+def documents(draw, values=positive, conditions=("none", "neumann", "dirichlet")):
+    """A config document whose parameters are drawn from ``values`` and whose boundary
+    condition is one of ``conditions``."""
     n = draw(st.integers(1, 6))
     names = draw(st.permutations(VERTICES[:n]))
     # mostly a spanning chain plus extra edges; sometimes a disconnected graph
@@ -52,7 +59,7 @@ def documents(draw, values=positive):
     if draw(st.booleans()):
         graph["measures"] = {s: {v: draw(st.floats(0.5, 5.0)) for v in names}
                              for s in ("1", "2")}
-    bc = draw(st.sampled_from(["none", "neumann", "dirichlet"]))
+    bc = draw(st.sampled_from(conditions))
     if (bc != "none") != draw(MOSTLY_NOT):
         size = n if draw(MOSTLY_NOT) else max(n - 1, 1)
         graph["interior"] = draw(st.lists(st.sampled_from(names), unique=True, min_size=1,
@@ -76,6 +83,30 @@ def documents(draw, values=positive):
     }
 
 
+@st.composite
+def absorbing_documents(draw):
+    """An absorbing-boundary document and whether both species have one weight structure:
+    a small document of ``documents``, or a rows x cols lattice of 150 to 400 vertices
+    absorbing on its outer ring (stored as CSR once the interior has 144 vertices), with
+    weights drawn from a seed and, half the time, a weight table of species 2's own."""
+    if draw(st.booleans()):
+        doc = draw(documents(conditions=("dirichlet",)))
+        graph = doc["graph"]
+        return doc, "measures" not in graph and all(len(e) == 3 for e in graph["edges"])
+    rows = draw(st.integers(10, 20))
+    cols = draw(st.integers(max(10, -(-150 // rows)), min(20, 400 // rows)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shared = draw(st.booleans())
+    name = [[f"r{r}c{c}" for c in range(cols)] for r in range(rows)]
+    pairs = [(name[r][c], name[r][c + 1]) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(name[r][c], name[r + 1][c]) for r in range(rows - 1) for c in range(cols)]
+    weights = rng.uniform(0.5, 1.5, (len(pairs), 1 if shared else 2)).tolist()
+    graph = {"vertices": sum(name, []), "edges": [[*p, *w] for p, w in zip(pairs, weights)],
+             "interior": [name[r][c] for r in range(1, rows - 1) for c in range(1, cols - 1)]}
+    params = {k: draw(positive) for k in PARAMS}
+    return {"graph": graph, "bc": "dirichlet", "params": params}, shared
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)
@@ -96,6 +127,17 @@ def test_config_documents_end_in_a_documented_exit_code(doc, command):
 def test_extreme_parameters_end_in_a_documented_exit_code(doc, command):
     with np.errstate(all="ignore"):    # overflow is expected; the exit code reports it
         assert _document_exit_code(doc, command) in EXIT_CODES
+
+
+@settings(max_examples=100, deadline=DEADLINE)
+@given(drawn=absorbing_documents(),
+       command=st.sampled_from(["eigen", "steady", "steady --bounds", "classify"]))
+def test_absorbing_documents_solve_each_eigenpair_once(drawn, command):
+    doc, shared = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_eigen_solves(mp)
+        assert _document_exit_code(doc, command) in {0, 2, 3}
+    assert calls in ([], [1], [1, 2]) and not (shared and 2 in calls)
 
 
 def _document_exit_code(doc, command) -> int:

@@ -323,3 +323,32 @@ def test_cell_format_has_one_home():
                     and isinstance(node.op, ast.Mod)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"numbers formatted outside _fmt and the cell writer at {found}"
+
+
+def test_absorbing_margins_and_logistic_states_have_one_home():
+    """Under the absorbing boundary the threshold margins a_i - lambda0_i d_i and the K1
+    margins are computed by ``classify._dirichlet_margins`` alone, and logistic steady
+    states are solved through ``monotone._logistic_states`` (a problem's two species, one
+    solve when they coincide) or the public ``logistic_steady_state`` (one species): no
+    product in the package has a factor named ``lambda0`` outside the first, and no code
+    calls ``_logistic_steady_state`` outside the other two."""
+    homes = {"_dirichlet_margins": "lambda0", "_logistic_states": "_logistic_steady_state",
+             "logistic_steady_state": "_logistic_steady_state"}
+    found, seen = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {"lambda0": set(), "_logistic_steady_state": set()}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name in homes:
+                seen.add(f"{path.name}:{func.name}")
+                inside[homes[func.name]] |= {id(node) for node in ast.walk(func)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and "lambda0" in _names(node.left) | _names(node.right)
+                  and id(node) not in inside["lambda0"]]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "_logistic_steady_state" in _names(node.func)
+                  and id(node) not in inside["_logistic_steady_state"]]
+    assert not found, f"margins or logistic solves outside their homes at {found}"
+    assert seen == {"classify.py:_dirichlet_margins", "monotone.py:_logistic_states",
+                    "monotone.py:logistic_steady_state"}
